@@ -239,6 +239,11 @@ class ResultCache:
         self.keep_artifacts = keep_artifacts
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: Called with the fingerprint digest of every entry that leaves
+        #: the memory tier -- evicted, expired on lookup, or invalidated
+        #: -- under whatever lock the mutating caller holds.  The
+        #: service unindexes delta-solve ancestors through it.
+        self.on_drop: Optional[Callable[[str], None]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -303,6 +308,7 @@ class ResultCache:
         if self._expired(entry):
             del self._entries[fingerprint.digest]
             self.stats.expirations += 1
+            self._dropped(fingerprint.digest)
             return None
         self._entries.move_to_end(fingerprint.digest)
         self.stats.hits += 1
@@ -368,8 +374,13 @@ class ResultCache:
         self._entries[entry.fingerprint] = entry
         self._entries.move_to_end(entry.fingerprint)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            digest, _evicted = self._entries.popitem(last=False)
             self.stats.evictions += 1
+            self._dropped(digest)
+
+    def _dropped(self, digest: str) -> None:
+        if self.on_drop is not None:
+            self.on_drop(digest)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -442,6 +453,7 @@ class ResultCache:
         doomed = [d for d, e in self._entries.items() if match(e)]
         for digest in doomed:
             del self._entries[digest]
+            self._dropped(digest)
         self.stats.invalidations += len(doomed)
         return len(doomed)
 

@@ -40,15 +40,17 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.core.canonical import stable_digest
+from repro.core.canonical import canonical_bytes, stable_digest
 from repro.core.engines.journal import SolveJournal
 from repro.core.problem import Problem
 from repro.service.fingerprint import (
     SolveKnobs,
-    _demand_payload,
-    _network_payload,
+    _demand_entry,
+    _network_entry,
+    _shape_ranks,
 )
 
 __all__ = [
@@ -65,6 +67,7 @@ __all__ = [
 
 _SKETCH_TAG = "sketch/v1"
 _DELTA_KEY_TAG = "delta-key/v1"
+_SKETCH_HEAD = b"t(" + canonical_bytes(_SKETCH_TAG) + b"t("
 
 #: Bail to a cold solve when the diff touches more than this fraction
 #: of the new problem's demands: past that point the "re-run dirty
@@ -92,12 +95,14 @@ def problem_sketch(problem: Problem) -> str:
     Sorted id-free network payloads only: invariant under every
     demand-level mutation *and* under network-id relabelings, so a
     trajectory's snapshots bucket together.  Weak by design -- see the
-    module docstring for why collisions are safe.
+    module docstring for why collisions are safe.  The SHA-256 of
+    ``canonical_bytes((_SKETCH_TAG, tuple(sorted(payloads))))``,
+    assembled from the networks' memoized bytes.
     """
-    payloads = tuple(
-        sorted(_network_payload(net) for net in problem.networks.values())
-    )
-    return stable_digest((_SKETCH_TAG, payloads))
+    nets = [_network_entry(net) for net in problem.networks.values()]
+    rank = _shape_ranks(nets)
+    shapes = sorted([data for _payload, data in nets], key=rank.__getitem__)
+    return sha256(b"".join([_SKETCH_HEAD, *shapes, b"))"])).hexdigest()
 
 
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
@@ -149,12 +154,13 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     """
     # Identity fast-paths throughout: trajectory snapshots share the
     # objects a mutation did not rebuild, so ``is`` dodges the payload
-    # encodings for everything untouched -- the diff then costs O(delta)
-    # payloads, not O(problem).  (A rebuilt-but-equal object still
-    # compares correctly through the payload, just slower.)
+    # comparisons for everything untouched -- the diff then costs
+    # O(delta) payloads, not O(problem).  (A rebuilt-but-equal object
+    # still compares correctly through its memoized payload.)
     networks_changed = sorted(old.networks) != sorted(new.networks) or any(
         old.networks[nid] is not new.networks[nid]
-        and _network_payload(old.networks[nid]) != _network_payload(new.networks[nid])
+        and _network_entry(old.networks[nid])[0]
+        != _network_entry(new.networks[nid])[0]
         for nid in old.networks
     )
     old_by_id = {a.demand_id: a for a in old.demands}
@@ -166,7 +172,7 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
         old_d, new_d = old_by_id[i], new_by_id[i]
         if old_d is new_d:
             return False
-        return _demand_payload(old_d) != _demand_payload(new_d)
+        return _demand_entry(old_d)[0] != _demand_entry(new_d)[0]
 
     added = tuple(sorted(i for i in new_by_id if i not in old_by_id))
     removed = tuple(sorted(i for i in old_by_id if i not in new_by_id))

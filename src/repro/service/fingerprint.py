@@ -42,10 +42,11 @@ submission.  Hits on a byte-identical resubmission (the overwhelmingly
 common traffic pattern) are bit-identical outright.
 
 :class:`SolveKnobs` folds the solve configuration -- epsilon, MIS
-oracle, seed, engine, backend, plan granularity, decomposition -- into
-the key, since each of those can change the semantic artifact.  The
-``workers`` pool size is deliberately *excluded*: job chunking and the
-ordered merge make the semantic tuple independent of pool sizing.
+oracle, seed, engine, backend, plan granularity, decomposition,
+second-phase (admission) engine ``phase2_engine`` -- into the key,
+since each of those can change the semantic artifact.  The ``workers``
+pool size is deliberately *excluded*: job chunking and the ordered
+merge make the semantic tuple independent of pool sizing.
 
 ``capacity_epoch`` is the one knob that is *not* about the solve at
 all: it is a monotonically bumped generation counter for mutable
@@ -55,14 +56,44 @@ new-epoch request solves fresh while old-epoch entries age out of the
 LRU or are bulk-dropped via
 :meth:`repro.service.cache.ResultCache.invalidate`\\ ``(epoch_below=)``
 -- the ROADMAP's "TTL/invalidation hooks for mutable capacity".
+
+**Component memo.**  :func:`problem_canonical_form` is the spec of the
+encoding, but no digest builds it: rebuilding and re-walking the whole
+nested tuple per request would re-encode every network on every cache
+read.  Instead each :class:`~repro.trees.tree.TreeNetwork` and each
+:class:`~repro.core.demand.Demand` / ``WindowDemand`` carries, from its
+first fingerprint on, one memo entry: its id-free payload tuple and
+that payload's canonical bytes (formatted directly when its integer
+fields are exact ints, by :func:`~repro.core.canonical.canonical_bytes`
+otherwise).  The color refinement
+(:func:`_canonical_layout`) runs once per call over those entries, and
+both the spec tuple and the digested bytes are assembled from its
+result, so every digest -- here and the sketch / delta key of
+:mod:`repro.service.delta` -- is byte-for-byte the SHA-256 of
+``canonical_bytes`` of the spec.  A churn snapshot that shares its
+networks and all but one demand with its ancestor encodes one demand;
+the per-problem refinement, record sort and hash still run on every
+call.
+
+The contract: networks and demands are immutable values once
+fingerprinted -- the same assumption ``Problem.instances`` and the
+identity fast paths of :func:`~repro.service.delta.diff_problems`
+already make.  The entry is an attribute of the object itself, so it
+lives exactly as long as the network or demand: nothing global keeps
+one alive, there is no size to tune, and threads racing on a cold
+object merely compute the same entry twice.  There is no per-``Problem``
+memo: ``Problem`` is a mutable dataclass, and a caller who edits its
+``demands`` or ``access`` in place must get a fresh key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from hashlib import sha256
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import validate_engine_knobs
-from repro.core.canonical import stable_digest
+from repro.core.canonical import canonical_bytes
 from repro.core.demand import WindowDemand
 from repro.core.engines.backends import resolve_backend
 from repro.core.problem import Problem
@@ -81,6 +112,10 @@ __all__ = [
 _PROBLEM_TAG = "problem/v1"
 _KNOBS_TAG = "knobs/v3"  # v2: + capacity_epoch; v3: + phase2_engine
 _SOLVE_TAG = "solve/v1"
+
+#: The constant openings of the encoded problem and solve tuples.
+_PROBLEM_HEAD = b"t(" + canonical_bytes(_PROBLEM_TAG) + b"t("
+_SOLVE_HEAD = b"t(" + canonical_bytes(_SOLVE_TAG)
 
 
 @dataclass(frozen=True)
@@ -114,17 +149,176 @@ def _demand_payload(demand) -> Tuple:
     return ("p2p", demand.u, demand.v, float(demand.profit), float(demand.height))
 
 
-def _ranked(keyed: Dict) -> Dict[int, int]:
-    """Replace each payload with its rank among the distinct payloads.
+# ----------------------------------------------------------------------
+# Component memo: (payload, canonical bytes) once per network / demand
+# ----------------------------------------------------------------------
+#: Attribute holding an object's memo entry (see the module docstring).
+_MEMO = "_canonical_memo"
+
+
+def _network_bytes(payload: Tuple) -> bytes:
+    """``canonical_bytes(payload)`` of a network payload.
+
+    Vertices and edge endpoints are exact ints for every
+    :class:`TreeNetwork` (its constructor coerces them), so the whole
+    encoding is two ``%d`` formats; anything else takes the generic
+    encoder.
+    """
+    _kind, vertices, edges = payload
+    ends = tuple(chain.from_iterable(edges))
+    if set(map(type, vertices)) | set(map(type, ends)) <= {int}:
+        return b"t(s3:nett(%b)t(%b))" % (
+            b"i%d;" * len(vertices) % vertices,
+            b"t(i%d;i%d;)" * len(edges) % ends,
+        )
+    return canonical_bytes(payload)
+
+
+def _demand_bytes(payload: Tuple) -> bytes:
+    """``canonical_bytes(payload)`` of a demand payload, formatted
+    directly when its integer fields are exact ints (the float fields
+    always are: :func:`_demand_payload` converts them)."""
+    if payload[0] == "p2p":
+        _kind, u, v, profit, height = payload
+        if type(u) is int and type(v) is int:
+            return b"t(s3:p2pi%d;i%d;f%b;f%b;)" % (
+                u, v, profit.hex().encode(), height.hex().encode(),
+            )
+    else:
+        _kind, release, deadline, processing, profit, height = payload
+        if type(release) is type(deadline) is type(processing) is int:
+            return b"t(s6:windowi%d;i%d;i%d;f%b;f%b;)" % (
+                release, deadline, processing,
+                profit.hex().encode(), height.hex().encode(),
+            )
+    return canonical_bytes(payload)
+
+
+def _network_entry(net: TreeNetwork) -> Tuple[Tuple, bytes]:
+    """``(payload, canonical bytes)`` of *net*, memoized on the object."""
+    entry = getattr(net, _MEMO, None)
+    if entry is None:
+        payload = _network_payload(net)
+        entry = (payload, _network_bytes(payload))
+        object.__setattr__(net, _MEMO, entry)
+    return entry
+
+
+def _demand_entry(demand) -> Tuple[Tuple, bytes]:
+    """``(payload, canonical bytes)`` of *demand*, memoized on the
+    object (``object.__setattr__``: demands are frozen dataclasses)."""
+    entry = getattr(demand, _MEMO, None)
+    if entry is None:
+        payload = _demand_payload(demand)
+        entry = (payload, _demand_bytes(payload))
+        object.__setattr__(demand, _MEMO, entry)
+    return entry
+
+
+def _shape_ranks(entries: Sequence[Tuple[Tuple, bytes]]) -> Dict[bytes, int]:
+    """Each distinct network shape's rank in payload order, keyed by
+    its canonical bytes.
+
+    Network payloads hold exact ints only, so equal bytes means equal
+    payloads: the bytes (whose hash Python caches) stand in for the
+    nested tuples as the dedup key, and only the distinct shapes are
+    compared as tuples.
+    """
+    shapes: Dict[bytes, Tuple] = {}
+    for payload, data in entries:
+        shapes.setdefault(data, payload)
+    order = sorted(shapes, key=shapes.__getitem__)
+    return {data: rank for rank, data in enumerate(order)}
+
+
+def _ranks(values: List[Tuple]) -> List[int]:
+    """Each value's rank among the distinct values.
 
     Payload tuples are homogeneous per position (kind tag first, then
     ints/floats), so Python's native tuple ordering is a total,
-    content-determined order -- no byte encoding needed on this hot
-    path.
+    content-determined order.
     """
-    order = sorted(set(keyed.values()))
-    rank = {v: i for i, v in enumerate(order)}
-    return {k: rank[v] for k, v in keyed.items()}
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _refine(
+    color: List[int], demand_rank: List[int], access: List[List[int]]
+) -> List[int]:
+    """Color refinement on the demand-access bipartite structure.
+
+    *color* holds each network's initial color (its shape rank),
+    *access* each demand's network positions.  Each round folds the
+    accessing demands' signatures into the network colors.  Payloads
+    enter only through their ranks, so per-round signatures are small
+    integer tuples.  Refinement only ever *splits* classes (the old
+    color is part of the signature), so the class count is strictly
+    increasing until the fixpoint: an unchanged count means an
+    unchanged partition, and the loop runs at most n_networks rounds.
+    A partition into singletons is already the fixpoint.
+    """
+    n = len(color)
+    n_classes = len(set(color))
+    for _ in range(n):
+        if n_classes == n:
+            break
+        accessors: List[List] = [[] for _ in range(n)]
+        for rank, reach in zip(demand_rank, access):
+            sig = (rank, tuple(sorted(map(color.__getitem__, reach))))
+            for i in reach:
+                accessors[i].append(sig)
+        for sigs in accessors:
+            sigs.sort()
+        network_sig = [(c, tuple(sigs)) for c, sigs in zip(color, accessors)]
+        order = sorted(set(network_sig))
+        rank_of = {sig: i for i, sig in enumerate(order)}
+        color = [rank_of[sig] for sig in network_sig]
+        if len(order) == n_classes:
+            break
+        n_classes = len(order)
+    return color
+
+
+def _canonical_layout(problem: Problem) -> Tuple[List, List]:
+    """The canonical network order and records, built from memo entries.
+
+    Returns the network entries in canonical order and the sorted
+    records as ``(demand entry, canonical access tuple)`` pairs.  Both
+    :func:`problem_canonical_form` and the digests are assembled from
+    this one result, so the spec and the byte path cannot drift apart.
+    """
+    nids = sorted(problem.networks)
+    position = {nid: i for i, nid in enumerate(nids)}
+    nets = [_network_entry(problem.networks[nid]) for nid in nids]
+    demands = [_demand_entry(a) for a in problem.demands]
+    access = [
+        [position[n] for n in problem.access[a.demand_id]]
+        for a in problem.demands
+    ]
+    shape_rank = _shape_ranks(nets)
+    demand_rank = _ranks([payload for payload, _data in demands])
+    color = _refine(
+        [shape_rank[data] for _payload, data in nets], demand_rank, access
+    )
+    # Canonical network order: by final color; ties (interchangeable
+    # networks) keep original-id order -- the stable sort over sorted
+    # ids -- which serializes identically for true symmetries.
+    canon_order = sorted(range(len(nids)), key=color.__getitem__)
+    canon_id = [0] * len(nids)
+    for canon, i in enumerate(canon_order):
+        canon_id[i] = canon
+    # Records sort by (payload, canonical access); the payload's rank
+    # orders exactly like the payload, and the stable sort keeps full
+    # ties in input order, as sorting the tuples themselves would.
+    keys = [
+        (rank, tuple(sorted([canon_id[i] for i in reach])))
+        for rank, reach in zip(demand_rank, access)
+    ]
+    records = [
+        (demands[j], keys[j][1])
+        for j in sorted(range(len(keys)), key=keys.__getitem__)
+    ]
+    return [nets[i] for i in canon_order], records
 
 
 def problem_canonical_form(problem: Problem) -> Tuple:
@@ -132,71 +326,38 @@ def problem_canonical_form(problem: Problem) -> Tuple:
 
     Network ids are replaced by canonical indices found through color
     refinement (see the module docstring); demand records are id-free
-    and sorted.  Feed the result to
-    :func:`repro.core.canonical.stable_digest` -- or use
-    :func:`problem_fingerprint`, which does exactly that.
+    and sorted.  This is the spec of the encoding: the fingerprints are
+    SHA-256 over ``canonical_bytes`` of this tuple
+    (:func:`problem_fingerprint`) or of a tuple nesting it
+    (:func:`solve_fingerprint`), assembled from the memoized component
+    bytes instead of from the tuple itself.
     """
-    nids = sorted(problem.networks)
-    payload = {nid: _network_payload(problem.networks[nid]) for nid in nids}
-    demand_payload = {
-        a.demand_id: _demand_payload(a) for a in problem.demands
-    }
-    color = _ranked(payload)
-    demand_rank = _ranked(demand_payload)
-    # Color refinement on the demand-access bipartite structure.  Each
-    # round folds the accessing demands' signatures into the network
-    # colors.  Payloads enter only through their precomputed ranks, so
-    # per-round signatures are small integer tuples (directly sortable,
-    # no re-encoding of network shapes).  Refinement only ever *splits*
-    # classes (the old color is part of the signature), so the class
-    # count is strictly increasing until the fixpoint: an unchanged
-    # count means an unchanged partition, and the loop runs at most
-    # n_networks rounds.
-    n_classes = len(set(color.values()))
-    for _ in range(len(nids)):
-        demand_sig = {
-            a.demand_id: (
-                demand_rank[a.demand_id],
-                tuple(sorted(color[n] for n in problem.access[a.demand_id])),
-            )
-            for a in problem.demands
-        }
-        accessors: Dict[int, List] = {nid: [] for nid in nids}
-        for a in problem.demands:
-            for n in problem.access[a.demand_id]:
-                accessors[n].append(demand_sig[a.demand_id])
-        network_sig = {
-            nid: (color[nid], tuple(sorted(accessors[nid])))
-            for nid in nids
-        }
-        order = sorted(set(network_sig.values()))
-        rank = {sig: i for i, sig in enumerate(order)}
-        color = {nid: rank[network_sig[nid]] for nid in nids}
-        if len(order) == n_classes:
-            break
-        n_classes = len(order)
-    # Canonical network order: by final color; ties (interchangeable
-    # networks) keep original-id order, which serializes identically
-    # for true symmetries.
-    canon_order = sorted(nids, key=lambda nid: (color[nid], nid))
-    canon_id = {nid: i for i, nid in enumerate(canon_order)}
-    records = sorted(
-        (
-            demand_payload[a.demand_id],
-            tuple(sorted(canon_id[n] for n in problem.access[a.demand_id])),
-        )
-        for a in problem.demands
-    )
+    nets, records = _canonical_layout(problem)
     return (
         _PROBLEM_TAG,
-        tuple(payload[nid] for nid in canon_order),
-        tuple(records),
+        tuple(payload for payload, _data in nets),
+        tuple((demand[0], canon) for demand, canon in records),
     )
+
+
+def _problem_bytes(problem: Problem) -> bytes:
+    """``canonical_bytes(problem_canonical_form(problem))``, assembled
+    from the memoized component bytes."""
+    nets, records = _canonical_layout(problem)
+    parts = [_PROBLEM_HEAD]
+    parts += [data for _payload, data in nets]
+    parts.append(b")t(")
+    parts += [
+        b"t(%bt(%b))" % (demand[1], b"i%d;" * len(canon) % canon)
+        for demand, canon in records
+    ]
+    parts.append(b"))")
+    return b"".join(parts)
 
 
 def problem_fingerprint(problem: Problem) -> Fingerprint:
     """Fingerprint of the problem alone (no solve knobs)."""
-    return Fingerprint(stable_digest(problem_canonical_form(problem)))
+    return Fingerprint(sha256(_problem_bytes(problem)).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -305,6 +466,12 @@ class SolveKnobs:
 
 
 def solve_fingerprint(problem: Problem, knobs: SolveKnobs) -> Fingerprint:
-    """Fingerprint of (problem, solve configuration) -- the cache key."""
-    form = (_SOLVE_TAG, problem_canonical_form(problem), knobs.canonical_form())
-    return Fingerprint(stable_digest(form))
+    """Fingerprint of (problem, solve configuration) -- the cache key.
+
+    The SHA-256 of ``canonical_bytes((_SOLVE_TAG,
+    problem_canonical_form(problem), knobs.canonical_form()))``.
+    """
+    digest = sha256(_SOLVE_HEAD)
+    digest.update(_problem_bytes(problem))
+    digest.update(canonical_bytes(knobs.canonical_form()) + b")")
+    return Fingerprint(digest.hexdigest())

@@ -273,10 +273,14 @@ class SchedulingService:
         self._coalesced = 0
         self._solves = 0
         #: delta key -> (fingerprint digest -> Fingerprint), newest
-        #: last: the ancestor index submit_delta searches.  Entries are
-        #: pruned lazily when their cache entry expired, evicted or
-        #: lost its artifacts.
+        #: last: the ancestor index submit_delta searches, plus each
+        #: indexed digest's key.  A digest leaves the index with its
+        #: memory-tier cache entry (the cache's ``on_drop``), when its
+        #: bucket overflows, or when a probe finds its entry expired or
+        #: artifact-less -- so the index never outgrows the cache.
         self._delta_index: Dict[str, "OrderedDict[str, Fingerprint]"] = {}
+        self._ancestor_keys: Dict[str, str] = {}
+        self.cache.on_drop = self._unindex_ancestor
         self._delta_requests = 0
         self._delta_outcomes: Dict[str, int] = {o: 0 for o in DELTA_OUTCOMES}
         #: Numeric DeltaStats counters summed over every delta request
@@ -612,8 +616,20 @@ class SchedulingService:
         bucket = self._delta_index.setdefault(key, OrderedDict())
         bucket.pop(fp.digest, None)
         bucket[fp.digest] = fp
+        self._ancestor_keys[fp.digest] = key
         while len(bucket) > _DELTA_ANCESTOR_CAP:
-            bucket.popitem(last=False)
+            self._unindex_ancestor(next(iter(bucket)))
+
+    def _unindex_ancestor(self, digest: str) -> None:
+        """Drop *digest* from the ancestor index, and its bucket once
+        empty (caller holds the lock)."""
+        key = self._ancestor_keys.pop(digest, None)
+        if key is None:
+            return
+        bucket = self._delta_index[key]
+        del bucket[digest]
+        if not bucket:
+            del self._delta_index[key]
 
     def _record_solve(self, trace, elapsed: Optional[float], outcome: str) -> None:
         """One observation in the outcome-labeled solve histogram --
@@ -789,8 +805,9 @@ class SchedulingService:
         Under the lock: read the bucket newest-first through
         :meth:`~repro.service.cache.ResultCache.peek_fresh` (no recency
         bump -- screening ancestors must not distort the LRU), pruning
-        index entries whose cache entry expired, was evicted, or lost
-        its artifacts (e.g. re-admitted from disk).  Outside the lock:
+        index entries whose cache entry expired or lost its artifacts
+        (e.g. re-admitted from disk; evicted and invalidated entries
+        have already left the index).  Outside the lock:
         diff the few survivors against *problem* -- the expensive step
         -- and pick the smallest touched-demand set among those whose
         networks are unchanged.  ``None`` when nothing usable remains;
@@ -812,9 +829,7 @@ class SchedulingService:
                     continue
                 candidates.append((cand_fp, entry.artifacts))
             for digest in stale:
-                bucket.pop(digest, None)
-            if not bucket:
-                self._delta_index.pop(key, None)
+                self._unindex_ancestor(digest)
         best: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
         collided: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
         for cand_fp, artifacts in candidates:
@@ -890,6 +905,7 @@ class SchedulingService:
                 "delta_outcomes": dict(self._delta_outcomes),
                 "delta_totals": dict(self._delta_totals),
                 "ancestor_buckets": len(self._delta_index),
+                "ancestors": len(self._ancestor_keys),
             }
 
     def metrics_registry(self) -> MetricsRegistry:

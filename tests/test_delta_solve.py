@@ -15,6 +15,7 @@ No ``pytest-asyncio``: each async test drives its own loop with
 """
 import asyncio
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -322,6 +323,50 @@ class TestDecisionArms:
         assert report_semantic_digest(result.report) == cold_digest(
             mutated, SolveKnobs(**KNOBS)
         )
+
+
+class TestAncestorIndex:
+    """The ancestor index shrinks with the cache it points into."""
+
+    def test_index_stays_within_cache_capacity(self):
+        # A fingerprint leaves the index with its cache entry, so 40
+        # finished trajectories leave no buckets behind.  Unindexing on
+        # eviction drops exactly what a later probe of the bucket would
+        # have skipped, so the outcomes and replay totals stay those of
+        # an index pruned only on probe (pinned below).
+        capacity = 16
+        svc = service(capacity=capacity)
+        knobs = SolveKnobs(seed=2)
+        outcomes = Counter()
+        for seed in range(40):
+            for step in build_trajectory("tenant-churn", 40, seed=seed, steps=3):
+                result = svc.solve_delta(request(step.problem, knobs))
+                outcomes[result.delta.outcome if result.delta else "hit"] += 1
+                stats = svc.stats
+                assert stats["ancestor_buckets"] <= capacity
+                assert stats["ancestors"] <= len(svc.cache) <= capacity
+        assert outcomes == {"warm": 68, "ancestor-miss": 49, "hit": 3}
+        totals = svc.stats["delta_totals"]
+        assert (totals["epochs_replayed"], totals["epochs_rerun"]) == (197, 69)
+        assert totals["admission_replayed"] == 2558
+
+    def test_invalidation_and_expiry_unindex(self):
+        clock = FakeClock(expire_after=50.0)
+        svc = service(ttl=10.0, clock=clock)
+        first, second = (
+            step.problem
+            for step in build_trajectory("tenant-churn", 24, seed=3, steps=2)
+        )
+        svc.solve_delta(request(first))
+        assert svc.stats["ancestors"] == 1
+        svc.invalidate(epoch_below=1)
+        assert (svc.stats["ancestor_buckets"], svc.stats["ancestors"]) == (0, 0)
+        served = svc.solve_delta(request(second))
+        assert svc.stats["ancestors"] == 1
+        clock.advance(clock.expire_after)
+        # A lookup past the deadline drops the entry, and its index slot.
+        assert svc.cache.get_memory(served.fingerprint) is None
+        assert (svc.stats["ancestor_buckets"], svc.stats["ancestors"]) == (0, 0)
 
 
 class TestDebounce:

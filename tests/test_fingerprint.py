@@ -9,9 +9,19 @@ The cache-key contract of :mod:`repro.service.fingerprint`:
   window), the accessibility map, or the solve knobs changes it;
 * **Soundness plumbing** -- the underlying canonical byte encoding
   distinguishes types exactly (``1`` vs ``1.0`` vs ``True``), orders
-  sets/dicts content-wise, and rejects unknown types loudly.
+  sets/dicts content-wise, and rejects unknown types loudly;
+* **Byte identity** -- every digest the service mints from memoized
+  component bytes equals ``stable_digest`` of its nested-tuple spec,
+  with a cold memo and with one an ancestor snapshot warmed, and a few
+  digests are pinned outright;
+* **Memo hygiene** -- the component memo keeps no network or demand
+  alive, and threads racing on a cold memo agree.
 """
+import gc
 import random
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -23,17 +33,26 @@ from repro.core.canonical import (
     canonical_bytes,
     stable_digest,
 )
+from repro.core.demand import Demand, WindowDemand
 from repro.core.problem import Problem
+from repro.service.delta import delta_key, diff_problems, problem_sketch
 from repro.service.fingerprint import (
     SolveKnobs,
+    _demand_entry,
+    _demand_payload,
+    _network_entry,
+    _network_payload,
+    problem_canonical_form,
     problem_fingerprint,
     solve_fingerprint,
 )
-from repro.trees.tree import TreeNetwork
+from repro.trees.tree import TreeNetwork, make_line_network
 from repro.workloads import (
+    build_trajectory,
     build_workload,
     diurnal_line_problem,
     random_line_problem,
+    trajectory_names,
     workload_names,
 )
 
@@ -81,15 +100,46 @@ def relabeled(problem: Problem, seed: int) -> Problem:
     return Problem(networks=networks, demands=demands, access=access)
 
 
+#: Non-default knobs for the byte-identity checks (serial engine, so the
+#: key does not depend on ``REPRO_BACKEND``).
+SPEC_KNOBS = SolveKnobs(seed=3, epsilon=0.2, capacity_epoch=1)
+
+
+def served_digests(problem: Problem, knobs: SolveKnobs):
+    """The four digests as the service computes them (memoized bytes)."""
+    return (
+        solve_fingerprint(problem, knobs).digest,
+        problem_fingerprint(problem).digest,
+        problem_sketch(problem),
+        delta_key(problem, knobs),
+    )
+
+
+def spec_digests(problem: Problem, knobs: SolveKnobs):
+    """The same four digests from their nested-tuple specs: stable_digest
+    of the tuples, the sketch's built from unmemoized payloads."""
+    form = problem_canonical_form(problem)
+    sketch = stable_digest((
+        "sketch/v1",
+        tuple(sorted(_network_payload(n) for n in problem.networks.values())),
+    ))
+    return (
+        stable_digest(("solve/v1", form, knobs.canonical_form())),
+        stable_digest(form),
+        sketch,
+        stable_digest(("delta-key/v1", sketch, knobs.canonical_form())),
+    )
+
+
 class TestInvariance:
     @settings(**COMMON)
     @given(case=problem_cases, perm_seed=st.integers(0, 10_000))
     def test_relabeling_and_shuffles_hash_equal(self, case, perm_seed):
         name, size, seed = case
         problem = build_workload(name, size, seed=seed)
-        assert problem_fingerprint(relabeled(problem, perm_seed)) == (
-            problem_fingerprint(problem)
-        )
+        copy = relabeled(problem, perm_seed)
+        assert problem_fingerprint(copy) == problem_fingerprint(problem)
+        assert served_digests(copy, SPEC_KNOBS) == spec_digests(copy, SPEC_KNOBS)
 
     @settings(**COMMON)
     @given(case=problem_cases)
@@ -177,6 +227,180 @@ class TestSensitivity:
         together = Problem(nets, demands, {0: (0,), 1: (0,)})
         spread = Problem(nets, demands, {0: (0,), 1: (1,)})
         assert problem_fingerprint(together) != problem_fingerprint(spread)
+
+
+class TestByteIdentity:
+    """The memoized byte path is the spec's encoding, byte for byte."""
+
+    @pytest.mark.parametrize("name", SCALE_NAMES)
+    def test_registry_workloads_match_spec(self, name):
+        for size, seed in ((6, 0), (24, 1), (80, 2)):
+            problem = build_workload(name, size, seed=seed)
+            cold = served_digests(problem, SPEC_KNOBS)
+            assert cold == spec_digests(problem, SPEC_KNOBS), (name, size)
+            assert served_digests(problem, SPEC_KNOBS) == cold
+
+    @pytest.mark.parametrize("name", trajectory_names())
+    def test_trajectory_snapshots_match_spec(self, name):
+        for size, seed in ((40, 0), (120, 1)):
+            # The base arrives cold; every later snapshot shares the
+            # networks and untouched demands its ancestor warmed.
+            for step in build_trajectory(name, size, seed=seed, steps=9):
+                served = served_digests(step.problem, SPEC_KNOBS)
+                assert served == spec_digests(step.problem, SPEC_KNOBS), (
+                    name, size, step.index,
+                )
+
+    def test_component_bytes_match_the_generic_encoder(self):
+        # Exact-int fields take the formatted fast path; bools and
+        # floats in integer slots fall back to canonical_bytes.
+        demands = [
+            Demand(0, 1, 4, 2.5, 0.5),
+            Demand(1, True, 3, 1, 1),
+            Demand(2, 1.0, 3.0, 2.0),
+            WindowDemand(3, 0, 5, 2, 1.5, 0.25),
+            WindowDemand(4, True, 5, 2, 3),
+        ]
+        for d in demands:
+            assert _demand_entry(d) == (
+                _demand_payload(d), canonical_bytes(_demand_payload(d))
+            )
+        networks = [
+            TreeNetwork(0, [(3, 1), (1, 0), (1, 2)]),
+            TreeNetwork(1, [], vertices=[5]),
+            build_workload("deep-trees", 12, seed=1).networks[0],
+        ]
+        for net in networks:
+            assert _network_entry(net) == (
+                _network_payload(net), canonical_bytes(_network_payload(net))
+            )
+
+    def test_tuple_equal_payloads_with_different_bytes(self):
+        # ``True == 1``: the two demands tie in the record sort but
+        # encode differently, so their order must be the spec's.
+        line = TreeNetwork(0, [(0, 1), (1, 2), (2, 3)])
+        for demands in (
+            [Demand(0, 1, 3, 2.0), Demand(1, True, 3, 2.0)],
+            [Demand(0, True, 3, 2.0), Demand(1, 1, 3, 2.0)],
+        ):
+            problem = Problem({0: line}, demands)
+            assert served_digests(problem, SPEC_KNOBS) == spec_digests(
+                problem, SPEC_KNOBS
+            )
+
+
+def refinement_tie() -> Problem:
+    """Six same-shape networks that color refinement cannot tell apart
+    (each has two accessors), wired as two triangles that no id-order
+    reversal maps onto themselves: the digest pins the tie-break."""
+    pairs = [(0, 1), (1, 4), (0, 4), (2, 3), (3, 5), (2, 5)]
+    return Problem(
+        {n: make_line_network(n, 4) for n in range(6)},
+        [Demand(i, 0, 2, 1.0) for i in range(6)],
+        dict(enumerate(pairs)),
+    )
+
+
+#: (problem, knobs) -> (solve_fingerprint, delta_key) hex digests, as
+#: the nested-tuple encoder minted them.  A change here re-keys every
+#: cached result, disk-tier entry and shard placement.
+GOLDEN = [
+    (
+        lambda: build_workload("multi-tenant-forest", 24, seed=7),
+        SolveKnobs(),
+        "139a7a000150d9acaaa5698960a6290d01e38f7ccf25aeb32bbb5d45bbdcdf3f",
+        "13b1260188f610132d821100e96d2ab697c3fdb2783c418ead756345e34b86d6",
+    ),
+    (
+        lambda: build_workload("diurnal-cycle", 16, seed=3),
+        SolveKnobs(epsilon=0.25, mis="greedy", seed=5),
+        "a2e109851eac98bb0caf6c5bf4997daa3e5a8b23a87c86f9adbc5be9c5557ec9",
+        "a58b88e1d0dc742f8ef3a58e8490ee7092b34bd35de9a26829aa9cb3a1459894",
+    ),
+    (
+        lambda: build_workload("figure2", 1, seed=0),
+        SolveKnobs(capacity_epoch=2),
+        "0a5cd95cb7e3dd6ef2bb1a2b5b749b52e43dc2492fbe897be8ab9aafa4e7b75a",
+        "9f803bd128ec819f10b514ff0bb0073ff9ee712ce117d1efaf0909ef3c9c4b13",
+    ),
+    (
+        lambda: build_trajectory("tenant-churn", 40, seed=11, steps=4)[3].problem,
+        SolveKnobs(seed=11),
+        "ca76c69fbb175866e2935eefab0322f51f954ca424f74dec3096532f88d68635",
+        "34152b6e5a2ef26e7f69982d23df5726242193671dcfb769097d8654fe7b4d86",
+    ),
+    (
+        refinement_tie,
+        SolveKnobs(),
+        "3acb75e747e811e9d3916a9f2de4340ded08dabcffdb7f54869489d8fe0fe5f4",
+        "bb10b7d4be15c65bff513da8d7de07d7e3ca65fa00d44b1e30c9e6b461849cc7",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,knobs,solve_hex,delta_hex", GOLDEN)
+def test_golden_digests(make, knobs, solve_hex, delta_hex):
+    problem = make()
+    for _ in range(2):  # cold memo, then warm
+        assert solve_fingerprint(problem, knobs).digest == solve_hex
+        assert delta_key(problem, knobs) == delta_hex
+
+
+class TestComponentMemo:
+    def test_fingerprinting_keeps_nothing_alive(self):
+        problem = build_workload("multi-tenant-forest", 16, seed=4)
+        solve_fingerprint(problem, SolveKnobs())
+        delta_key(problem, SolveKnobs())
+        diff_problems(problem, problem)
+        refs = [weakref.ref(net) for net in problem.networks.values()]
+        refs += [weakref.ref(d) for d in problem.demands]
+        del problem
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_threads_racing_on_a_cold_memo_agree(self):
+        # Snapshots of one trajectory share their network objects (and
+        # most demands), so eight threads fingerprinting them in
+        # different orders race to fill the same memo entries.
+        def snapshots():
+            return [
+                step.problem
+                for step in build_trajectory("tenant-churn", 60, seed=5, steps=6)
+            ]
+
+        expected = [
+            spec_digests(p, SPEC_KNOBS)[0] for p in snapshots()
+        ]
+        problems = snapshots()  # fresh objects: a cold memo
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def work(t):
+            order = list(range(len(problems)))
+            random.Random(t).shuffle(order)
+            barrier.wait(timeout=60)
+            results[t] = {
+                i: solve_fingerprint(problems[i], SPEC_KNOBS).digest
+                for i in order
+            }
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert [got[i] for i in range(len(problems))] == expected
 
 
 class TestSolveKnobs:
