@@ -43,14 +43,14 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.core.canonical import canonical_bytes, stable_digest
+from repro.core.canonical import stable_digest
 from repro.core.engines.journal import SolveJournal
 from repro.core.problem import Problem
 from repro.service.fingerprint import (
     SolveKnobs,
     _demand_entry,
     _network_entry,
-    _shape_ranks,
+    _sketch_bytes,
 )
 
 __all__ = [
@@ -65,9 +65,7 @@ __all__ = [
     "problem_sketch",
 ]
 
-_SKETCH_TAG = "sketch/v1"
 _DELTA_KEY_TAG = "delta-key/v1"
-_SKETCH_HEAD = b"t(" + canonical_bytes(_SKETCH_TAG) + b"t("
 
 #: Bail to a cold solve when the diff touches more than this fraction
 #: of the new problem's demands: past that point the "re-run dirty
@@ -95,14 +93,11 @@ def problem_sketch(problem: Problem) -> str:
     Sorted id-free network payloads only: invariant under every
     demand-level mutation *and* under network-id relabelings, so a
     trajectory's snapshots bucket together.  Weak by design -- see the
-    module docstring for why collisions are safe.  The SHA-256 of
-    ``canonical_bytes((_SKETCH_TAG, tuple(sorted(payloads))))``,
-    assembled from the networks' memoized bytes.
+    module docstring for why collisions are safe.  The SHA-256 of the
+    sorted payloads' canonical encoding
+    (:func:`~repro.service.fingerprint._sketch_bytes`).
     """
-    nets = [_network_entry(net) for net in problem.networks.values()]
-    rank = _shape_ranks(nets)
-    shapes = sorted([data for _payload, data in nets], key=rank.__getitem__)
-    return sha256(b"".join([_SKETCH_HEAD, *shapes, b"))"])).hexdigest()
+    return sha256(_sketch_bytes(problem)).hexdigest()
 
 
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:

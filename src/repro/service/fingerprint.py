@@ -63,12 +63,12 @@ nested tuple per request would re-encode every network on every cache
 read.  Instead each :class:`~repro.trees.tree.TreeNetwork` and each
 :class:`~repro.core.demand.Demand` / ``WindowDemand`` carries, from its
 first fingerprint on, one memo entry: its id-free payload tuple and
-that payload's canonical bytes (formatted directly when its integer
-fields are exact ints, by :func:`~repro.core.canonical.canonical_bytes`
-otherwise).  The color refinement
-(:func:`_canonical_layout`) runs once per call over those entries, and
-both the spec tuple and the digested bytes are assembled from its
-result, so every digest -- here and the sketch / delta key of
+that payload's canonical bytes, formatted directly (a demand whose
+integer fields are not exact ints takes
+:func:`~repro.core.canonical.canonical_bytes` instead).  The color
+refinement (:func:`_canonical_layout`) runs once per call over those
+entries, and both the spec tuple and the digested bytes are assembled
+from its result, so every digest -- here and the sketch / delta key of
 :mod:`repro.service.delta` -- is byte-for-byte the SHA-256 of
 ``canonical_bytes`` of the spec.  A churn snapshot that shares its
 networks and all but one demand with its ancestor encodes one demand;
@@ -112,10 +112,12 @@ __all__ = [
 _PROBLEM_TAG = "problem/v1"
 _KNOBS_TAG = "knobs/v3"  # v2: + capacity_epoch; v3: + phase2_engine
 _SOLVE_TAG = "solve/v1"
+_SKETCH_TAG = "sketch/v1"
 
-#: The constant openings of the encoded problem and solve tuples.
+#: The constant openings of the encoded problem, solve and sketch tuples.
 _PROBLEM_HEAD = b"t(" + canonical_bytes(_PROBLEM_TAG) + b"t("
 _SOLVE_HEAD = b"t(" + canonical_bytes(_SOLVE_TAG)
+_SKETCH_HEAD = b"t(" + canonical_bytes(_SKETCH_TAG) + b"t("
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,13 @@ def _network_bytes(payload: Tuple) -> bytes:
 
     Vertices and edge endpoints are exact ints for every
     :class:`TreeNetwork` (its constructor coerces them), so the whole
-    encoding is two ``%d`` formats; anything else takes the generic
-    encoder.
+    encoding is two ``%d`` formats.
     """
     _kind, vertices, edges = payload
-    ends = tuple(chain.from_iterable(edges))
-    if set(map(type, vertices)) | set(map(type, ends)) <= {int}:
-        return b"t(s3:nett(%b)t(%b))" % (
-            b"i%d;" * len(vertices) % vertices,
-            b"t(i%d;i%d;)" * len(edges) % ends,
-        )
-    return canonical_bytes(payload)
+    return b"t(s3:nett(%b)t(%b))" % (
+        b"i%d;" * len(vertices) % vertices,
+        b"t(i%d;i%d;)" * len(edges) % tuple(chain.from_iterable(edges)),
+    )
 
 
 def _demand_bytes(payload: Tuple) -> bytes:
@@ -353,6 +351,17 @@ def _problem_bytes(problem: Problem) -> bytes:
     ]
     parts.append(b"))")
     return b"".join(parts)
+
+
+def _sketch_bytes(problem: Problem) -> bytes:
+    """``canonical_bytes((_SKETCH_TAG, tuple(sorted(payloads))))`` over
+    the network payloads -- the encoding behind
+    :func:`repro.service.delta.problem_sketch` -- assembled from the
+    memoized network bytes."""
+    nets = [_network_entry(net) for net in problem.networks.values()]
+    rank = _shape_ranks(nets)
+    shapes = sorted([data for _payload, data in nets], key=rank.__getitem__)
+    return b"".join([_SKETCH_HEAD, *shapes, b"))"])
 
 
 def problem_fingerprint(problem: Problem) -> Fingerprint:

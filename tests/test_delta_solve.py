@@ -330,10 +330,12 @@ class TestAncestorIndex:
 
     def test_index_stays_within_cache_capacity(self):
         # A fingerprint leaves the index with its cache entry, so 40
-        # finished trajectories leave no buckets behind.  Unindexing on
-        # eviction drops exactly what a later probe of the bucket would
-        # have skipped, so the outcomes and replay totals stay those of
-        # an index pruned only on probe (pinned below).
+        # finished trajectories leave no buckets behind.  The outcomes
+        # and replay totals pinned below are those of an index pruned
+        # only on probe, on this workload.  In general, unindexing on
+        # eviction can only keep more live ancestors (a dead one no
+        # longer takes a bucket slot a live one needs), so it can only
+        # turn misses into warm outcomes.
         capacity = 16
         svc = service(capacity=capacity)
         knobs = SolveKnobs(seed=2)

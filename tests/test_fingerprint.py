@@ -12,8 +12,9 @@ The cache-key contract of :mod:`repro.service.fingerprint`:
   sets/dicts content-wise, and rejects unknown types loudly;
 * **Byte identity** -- every digest the service mints from memoized
   component bytes equals ``stable_digest`` of its nested-tuple spec,
-  with a cold memo and with one an ancestor snapshot warmed, and a few
-  digests are pinned outright;
+  with a cold memo and with one an ancestor snapshot warmed; a few
+  digests, and one hash over the whole sweep's digests, are pinned
+  outright;
 * **Memo hygiene** -- the component memo keeps no network or demand
   alive, and threads racing on a cold memo agree.
 """
@@ -23,6 +24,7 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,7 +119,12 @@ def served_digests(problem: Problem, knobs: SolveKnobs):
 
 def spec_digests(problem: Problem, knobs: SolveKnobs):
     """The same four digests from their nested-tuple specs: stable_digest
-    of the tuples, the sketch's built from unmemoized payloads."""
+    of the tuples, the sketch's built from unmemoized payloads.
+
+    ``problem_canonical_form`` shares the refinement and record order
+    with the byte path, so this checks the byte assembly only; the
+    pinned digests below hold the order itself to the original
+    encoding."""
     form = problem_canonical_form(problem)
     sketch = stable_digest((
         "sketch/v1",
@@ -229,31 +236,60 @@ class TestSensitivity:
         assert problem_fingerprint(together) != problem_fingerprint(spread)
 
 
+def registry_sweep(name):
+    """Registry workload *name* at three sizes, each built fresh."""
+    for size, seed in ((6, 0), (24, 1), (80, 2)):
+        yield (name, size), build_workload(name, size, seed=seed)
+
+
+def trajectory_sweep(name):
+    """Every snapshot of trajectory *name* at three sizes.  The base
+    arrives cold; every later snapshot shares the networks and
+    untouched demands its ancestor warmed."""
+    for size, seed in ((40, 0), (120, 1), (200, 2)):
+        for step in build_trajectory(name, size, seed=seed, steps=24):
+            yield (name, size, step.index), step.problem
+
+
+#: SHA-256 over the four served digests of every problem in the sweep
+#: (registry workloads, then trajectories, each in name order), as the
+#: nested-tuple encoder minted them.  A change to the refinement or the
+#: record order fails here even though the spec comparison, which shares
+#: them, still passes.  The tie-break shows only on ties that are not
+#: true symmetries; ``refinement_tie`` in ``GOLDEN`` pins it.
+SWEEP_HEX = "66fa2bc365c7556097fedcb86a5b0bbd4c247186a34ff6bce0e9ed3cafcab1b5"
+
+
 class TestByteIdentity:
     """The memoized byte path is the spec's encoding, byte for byte."""
 
     @pytest.mark.parametrize("name", SCALE_NAMES)
     def test_registry_workloads_match_spec(self, name):
-        for size, seed in ((6, 0), (24, 1), (80, 2)):
-            problem = build_workload(name, size, seed=seed)
+        for label, problem in registry_sweep(name):
             cold = served_digests(problem, SPEC_KNOBS)
-            assert cold == spec_digests(problem, SPEC_KNOBS), (name, size)
+            assert cold == spec_digests(problem, SPEC_KNOBS), label
             assert served_digests(problem, SPEC_KNOBS) == cold
 
     @pytest.mark.parametrize("name", trajectory_names())
     def test_trajectory_snapshots_match_spec(self, name):
-        for size, seed in ((40, 0), (120, 1)):
-            # The base arrives cold; every later snapshot shares the
-            # networks and untouched demands its ancestor warmed.
-            for step in build_trajectory(name, size, seed=seed, steps=9):
-                served = served_digests(step.problem, SPEC_KNOBS)
-                assert served == spec_digests(step.problem, SPEC_KNOBS), (
-                    name, size, step.index,
-                )
+        for label, problem in trajectory_sweep(name):
+            served = served_digests(problem, SPEC_KNOBS)
+            assert served == spec_digests(problem, SPEC_KNOBS), label
+
+    def test_sweep_digests_are_pinned(self):
+        digest = sha256()
+        sweeps = [registry_sweep(name) for name in SCALE_NAMES]
+        sweeps += [trajectory_sweep(name) for name in trajectory_names()]
+        for sweep in sweeps:
+            for _label, problem in sweep:
+                for hexdigest in served_digests(problem, SPEC_KNOBS):
+                    digest.update(hexdigest.encode())
+        assert digest.hexdigest() == SWEEP_HEX
 
     def test_component_bytes_match_the_generic_encoder(self):
-        # Exact-int fields take the formatted fast path; bools and
-        # floats in integer slots fall back to canonical_bytes.
+        # Demands with exact-int fields take the formatted fast path;
+        # bools and floats in integer slots fall back to
+        # canonical_bytes.  Network bytes are always formatted.
         demands = [
             Demand(0, 1, 4, 2.5, 0.5),
             Demand(1, True, 3, 1, 1),
