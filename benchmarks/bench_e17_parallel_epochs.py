@@ -19,12 +19,7 @@ families with the most epoch independence):
   round-robin and keeping per-engine minima so machine noise cancels
   out, and
 * the engines' work meters (the parallel engine's plan-sliced state
-  legitimately touches fewer adjacency entries), and
-* the relaxed component-split mode: wall-clock of
-  ``plan_granularity="component"`` (the ``cmp ms`` column, verified
-  feasible + certified) next to what the ``"auto"`` heuristic decides
-  for the plan (``auto(gain)`` -- ``split``/``epoch`` with the
-  component-split gain that drove the call).
+  legitimately touches fewer adjacency entries).
 
 On a GIL-bound CPython the thread backend cannot beat the incremental
 engine by brute concurrency -- epoch execution is pure Python -- so its
@@ -106,28 +101,24 @@ def _setup(name: str, size: int, seed: int):
 def _timed_engines(problem, layout, thresholds, seed):
     """Interleave engine runs round-robin; return per-config best times
     and one result per config for the equivalence checks.  Config keys
-    are (engine, workers, backend, plan_granularity); the component-mode
-    config rides along for the relaxed-granularity column (it is not
-    part of the bit-identity checks -- component splitting waives
-    counter equality by design)."""
+    are (engine, workers, backend)."""
     configs = [
-        ("reference", None, None, None),
-        ("incremental", None, None, None),
+        ("reference", None, None),
+        ("incremental", None, None),
     ]
     configs += [
-        ("parallel", w, b, None) for b in TIMED_BACKENDS for w in WORKER_COUNTS
+        ("parallel", w, b) for b in TIMED_BACKENDS for w in WORKER_COUNTS
     ]
-    configs.append(("parallel", max(WORKER_COUNTS), "thread", "component"))
     best = {key: float("inf") for key in configs}
     results = {}
     for _ in range(REPEATS):
         for key in configs:
-            engine, workers, backend, granularity = key
+            engine, workers, backend = key
             t0 = time.perf_counter()
             res = run_two_phase(
                 problem.instances, layout, UnitRaise(), thresholds,
                 mis="greedy", seed=seed, engine=engine, workers=workers,
-                backend=backend, plan_granularity=granularity,
+                backend=backend,
             )
             best[key] = min(best[key], time.perf_counter() - t0)
             results[key] = res
@@ -151,42 +142,29 @@ def run_experiment(quick: bool = False):
     for name, sizes in plan:
         for size in sizes:
             problem, layout, thresholds = _setup(name, size, seed=size)
-            epoch_plan = EpochPlan.build(
-                problem.instances, layout, granularity="auto"
-            )
+            epoch_plan = EpochPlan.build(problem.instances, layout)
             epoch_plan.verify()
-            split_gain = epoch_plan.component_split_gain()
-            auto_splits = epoch_plan.recommend_split()
             best, results = _timed_engines(problem, layout, thresholds, seed=size)
-            ref = results[("reference", None, None, None)]
-            inc = results[("incremental", None, None, None)]
+            ref = results[("reference", None, None)]
+            inc = results[("incremental", None, None)]
             _assert_identical(ref, inc, f"{name}@{size} ref/inc")
             for backend in TIMED_BACKENDS:
                 for w in WORKER_COUNTS:
                     _assert_identical(
-                        inc, results[("parallel", w, backend, None)],
+                        inc, results[("parallel", w, backend)],
                         f"{name}@{size} inc/{backend}{w}",
                     )
-            cmp_key = ("parallel", max(WORKER_COUNTS), "thread", "component")
-            cmp_res = results[cmp_key]
-            # Component mode waives counter equality but never the
-            # solution contract: feasible and certified.
-            cmp_res.solution.verify()
-            assert cmp_res.certified_ratio >= 1.0, (
-                f"{name}@{size}: component mode lost its certificate"
-            )
-            ref_t = best[("reference", None, None, None)]
-            inc_t = best[("incremental", None, None, None)]
+            ref_t = best[("reference", None, None)]
+            inc_t = best[("incremental", None, None)]
             backend_t = {
                 backend: min(
-                    best[("parallel", w, backend, None)] for w in WORKER_COUNTS
+                    best[("parallel", w, backend)] for w in WORKER_COUNTS
                 )
                 for backend in TIMED_BACKENDS
             }
             thr_t = backend_t["thread"]
             proc_t = backend_t["process"]
-            cmp_t = best[cmp_key]
-            par_c = results[("parallel", WORKER_COUNTS[0], "thread", None)].counters
+            par_c = results[("parallel", WORKER_COUNTS[0], "thread")].counters
             inc_c = inc.counters
             # Plan-sliced state must strictly reduce adjacency work.
             assert par_c.adjacency_touches <= inc_c.adjacency_touches, (
@@ -204,11 +182,8 @@ def run_experiment(quick: bool = False):
                     f"{inc_t * 1e3:.1f}",
                     f"{thr_t * 1e3:.1f}",
                     f"{proc_t * 1e3:.1f}",
-                    f"{cmp_t * 1e3:.1f}",
                     f"{thr_t / inc_t:.2f}x",
                     f"{proc_t / thr_t:.2f}x",
-                    f"split({split_gain:.2f})" if auto_splits
-                    else f"epoch({split_gain:.2f})",
                     inc_c.adjacency_touches,
                     par_c.adjacency_touches,
                 ]
@@ -224,9 +199,6 @@ def run_experiment(quick: bool = False):
                     backend: backend_t[backend] * 1e3
                     for backend in TIMED_BACKENDS
                 },
-                "component_ms": cmp_t * 1e3,
-                "component_split_gain": split_gain,
-                "auto_granularity": "component" if auto_splits else "epoch",
                 "par_over_inc": thr_t / inc_t,
                 "proc_over_thread": proc_t / thr_t,
                 "adjacency_touches": {
@@ -272,8 +244,8 @@ def run_experiment(quick: bool = False):
     out = table(
         [
             "workload", "size", "instances", "epochs", "waves", "width",
-            "ref ms", "inc ms", "thr ms", "proc ms", "cmp ms", "thr/inc",
-            "proc/thr", "auto(gain)", "inc adj", "par adj",
+            "ref ms", "inc ms", "thr ms", "proc ms", "thr/inc",
+            "proc/thr", "inc adj", "par adj",
         ],
         rows,
     )

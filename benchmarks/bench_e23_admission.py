@@ -1,56 +1,35 @@
-"""E23 -- the second-phase admission engines: pop speed and delta replay.
+"""E23 -- second-phase admission replay under delta serving.
 
 Claim reproduced: the second phase -- the reversed-stack greedy pop --
-is an engine seam just like the first phase.  The three
-implementations behind ``phase2_engine=``
-(:mod:`repro.core.engines.admission`) are **bit-identical** (asserted
-on every measured pop, not sampled), and the seam pays twice:
+splits into *capacity-disjoint components* (no shared path edge, no
+shared demand), and popping each component on its own reproduces the
+global pop exactly.  With artifacts kept, the admission journal records
+each component's signed inputs and selections, so a delta solve replays
+every component churn did not touch and re-pops only the dirty ones.
+The experiment replays a ``tenant-churn`` trajectory through the
+journaled service and reports the admission-component replay fraction.
 
-* **Raw speed** -- the ``vectorized`` pop trades the per-instance
-  ledger loop for one columnar fits-check per batch; the ``sliced``
-  pop partitions the stack into capacity-disjoint components and pops
-  them on the executor backends.  The table reports median pop latency
-  per (workload, size) for all three engines on solver-emitted stacks.
-* **Delta serving** -- with artifacts kept, the admission journal
-  records each component's signed inputs and selections, so a delta
-  solve replays every component churn did not touch.  The delta arm
-  replays a ``tenant-churn`` trajectory and reports the admission
-  component replay fraction.
-
-Acceptance (asserted): every engine's pop equals the served solution
-bit-for-bit; the delta arm replays >= ``MIN_REPLAY_FRACTION`` (0.5) of
-its admission components with every snapshot digest-identical to a
-cold solve.  ``--quick`` runs the CI-sized sweep; ``--json OUT`` emits
-findings JSON.
+Acceptance (asserted): the arm produces warm delta solves, every
+snapshot is digest-identical to a cold solve, and at least
+``MIN_REPLAY_FRACTION`` (0.5) of the admission components replay.
+``--quick`` runs the CI-sized trajectory; ``--json OUT`` emits findings
+JSON.
 """
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from common import emit_json, parse_bench_args, table
 
 from repro.algorithms import solve_auto
-from repro.core.engines.admission import run_second_phase, stack_components
 from repro.service import (
     SchedulingService,
     SolveKnobs,
     SolveRequest,
     report_semantic_digest,
 )
-from repro.workloads import build_trajectory, build_workload
+from repro.workloads import build_trajectory
 
-#: (workload, sizes) pop-speed plans -- one tree family, one line
-#: family, the two shapes with the most distinct stack structure.
-FULL_WORKLOADS = (
-    ("multi-tenant-forest", (60, 120, 180)),
-    ("bursty-lines", (24, 48)),
-)
-QUICK_WORKLOADS = (
-    ("multi-tenant-forest", (60,)),
-    ("bursty-lines", (24,)),
-)
-ENGINES = ("reference", "sliced", "vectorized")
 SEED = 23
 #: Delta arm: trajectory, size, steps (quick halves the steps).
 DELTA_PLAN = ("tenant-churn", 64, 12)
@@ -58,40 +37,6 @@ DELTA_PLAN = ("tenant-churn", 64, 12)
 #: warm solves (churn touches a few components; the rest must replay).
 MIN_REPLAY_FRACTION = 0.5
 KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _pop_arm(name: str, size: int, repeats: int):
-    """Time the three admission engines on one solver-emitted stack."""
-    report = solve_auto(build_workload(name, size, seed=SEED), seed=SEED, **KNOBS)
-    stack = report.result.stack
-    row = {
-        "workload": name,
-        "size": size,
-        "batches": sum(1 for b in stack if b),
-        "instances": sum(len(b) for b in stack),
-        "components": len(stack_components(stack)),
-    }
-    for engine in ENGINES:
-        laps = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            solution = run_second_phase(
-                stack, engine=engine, workers=2, backend="thread"
-            )
-            laps.append(time.perf_counter() - t0)
-            assert solution == report.solution, (
-                f"{engine} pop diverged on {name}@{size}"
-            )
-        row[f"{engine}_ms"] = _median(laps) * 1e3
-    return row
 
 
 def _delta_arm(steps: int):
@@ -132,21 +77,6 @@ def _delta_arm(steps: int):
 
 
 def run_experiment(quick: bool = False):
-    workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
-    repeats = 3 if quick else 7
-    rows, pops = [], []
-    for name, sizes in workloads:
-        for size in sizes:
-            m = _pop_arm(name, size, repeats)
-            pops.append(m)
-            rows.append(
-                [
-                    name, size, m["batches"], m["instances"], m["components"],
-                    f"{m['reference_ms']:.2f}",
-                    f"{m['sliced_ms']:.2f}",
-                    f"{m['vectorized_ms']:.2f}",
-                ]
-            )
     delta = _delta_arm(steps=DELTA_PLAN[2] // 2 if quick else DELTA_PLAN[2])
     assert delta["warm"] > 0, "the delta arm must produce warm solves"
     assert delta["replay_fraction"] >= MIN_REPLAY_FRACTION, (
@@ -155,41 +85,26 @@ def run_experiment(quick: bool = False):
         f"({delta['admission_replayed']}/{delta['admission_components']} "
         "components replayed)"
     )
-    rows.append(
-        [
-            f"{delta['trajectory']} (delta)", delta["size"], "-",
-            "-", delta["admission_components"],
-            f"replayed {delta['admission_replayed']}",
-            f"rerun {delta['admission_rerun']}",
-            f"frac {delta['replay_fraction']:.2f}",
-        ]
-    )
     findings = {
         "quick": quick,
         "seed": SEED,
         "min_replay_fraction": MIN_REPLAY_FRACTION,
-        "pops": pops,
         "delta": delta,
     }
     out = table(
         [
-            "workload", "size", "batches", "instances", "components",
-            "reference ms", "sliced ms", "vectorized ms",
+            "trajectory", "size", "snapshots", "warm", "components",
+            "replayed", "rerun", "replay frac",
         ],
-        rows,
+        [[
+            delta["trajectory"], delta["size"], delta["snapshots"],
+            delta["warm"], delta["admission_components"],
+            delta["admission_replayed"], delta["admission_rerun"],
+            f"{delta['replay_fraction']:.2f}",
+        ]],
     )
-    title = "E23 - Second-phase admission engines (pop speed + delta replay)"
+    title = "E23 - Second-phase admission replay (delta serving)"
     return title, out, findings
-
-
-def bench_e23_admission_quick(benchmark):
-    name, sizes = QUICK_WORKLOADS[0]
-
-    def pops():
-        return _pop_arm(name, sizes[0], repeats=1)
-
-    m = benchmark(pops)
-    assert m["components"] >= 1
 
 
 if __name__ == "__main__":

@@ -29,11 +29,9 @@ def solve_narrow_lines(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Narrow-instance algorithm on lines (Section 7, arbitrary heights)."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
@@ -45,9 +43,7 @@ def solve_narrow_lines(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     guarantee = (2 * delta * delta + 1) / result.slackness
     return AlgorithmReport(
@@ -67,36 +63,27 @@ def solve_arbitrary_lines(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Theorem 7.2 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not problem.has_wide:
         return solve_narrow_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
             workers=workers, backend=backend,
-            plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
         )
     if not problem.has_narrow:
         return solve_unit_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
             engine=engine, workers=workers, backend=backend,
-            plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_unit_lines(
         wide_problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     narrow = solve_narrow_lines(
         narrow_problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-        workers=workers, backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        workers=workers, backend=backend,
     )
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)

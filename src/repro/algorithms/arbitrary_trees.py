@@ -33,17 +33,14 @@ def solve_arbitrary_trees(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Theorem 6.3 algorithm on *problem* (any heights)."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not problem.has_wide:
         return solve_narrow_trees(
             problem, epsilon=epsilon, mis=mis, seed=seed,
             decomposition=decomposition, engine=engine, workers=workers,
-            backend=backend, plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
+            backend=backend,
         )
     if not problem.has_narrow:
         return solve_unit_trees(
@@ -56,8 +53,6 @@ def solve_arbitrary_trees(
             engine=engine,
             workers=workers,
             backend=backend,
-            plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_unit_trees(
@@ -70,14 +65,11 @@ def solve_arbitrary_trees(
         engine=engine,
         workers=workers,
         backend=backend,
-        plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
     )
     narrow = solve_narrow_trees(
         narrow_problem, epsilon=epsilon, mis=mis, seed=seed,
         decomposition=decomposition, engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        backend=backend,
     )
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)

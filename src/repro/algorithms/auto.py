@@ -53,18 +53,36 @@ def solve_auto(
     Accepts the union of the family entry points' knobs;
     ``decomposition`` applies to the tree family only (the line family
     always uses length classes) and is ignored for line-shaped
-    problems.
+    problems.  ``plan_granularity`` and ``phase2_engine`` are retired
+    knobs, kept only so existing callers still run: strict epoch plans
+    and the reference pop are the sole modes left, so they accept just
+    ``None`` or ``"epoch"`` (the latter with a pooled engine) and
+    ``"reference"``.
     """
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
+    if phase2_engine != "reference":
+        raise ValueError(
+            f"unknown phase2 engine {phase2_engine!r}; "
+            "only 'reference' remains"
+        )
+    if plan_granularity is not None:
+        if plan_granularity != "epoch":
+            raise ValueError(
+                f"unknown plan granularity {plan_granularity!r}; "
+                "only 'epoch' remains"
+            )
+        if engine not in ("parallel", "vectorized"):
+            raise ValueError(
+                "plan_granularity= applies only to engine='parallel' "
+                f"or 'vectorized', not {engine!r}"
+            )
     if problem_family(problem) == "line":
         return solve_arbitrary_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-            workers=workers, backend=backend, plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
+            workers=workers, backend=backend,
         )
     return solve_arbitrary_trees(
         problem, epsilon=epsilon, mis=mis, seed=seed,
         decomposition=decomposition, engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        backend=backend,
     )

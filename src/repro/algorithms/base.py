@@ -17,8 +17,6 @@ from repro.core.framework import (
     TwoPhaseResult,
     validate_backend as _validate_backend,
     validate_engine as _validate_engine,
-    validate_phase2_engine as _validate_phase2_engine,
-    validate_plan_granularity as _validate_plan_granularity,
 )
 from repro.core.engines.journal import active_journal
 from repro.core.problem import Problem
@@ -61,11 +59,8 @@ def validate_backend(backend):
     return _validate_backend(backend)
 
 
-def validate_engine_knobs(
-    engine, backend=None, plan_granularity=None, phase2_engine="reference"
-) -> str:
-    """Validate the engine/backend/granularity/phase2 knobs before any
-    layout work.
+def validate_engine_knobs(engine, backend=None) -> str:
+    """Validate the engine/backend knobs before any layout work.
 
     The one-call form every ``solve_*`` entry point uses: composite
     algorithms (wide/narrow splits) fail at a single site instead of
@@ -74,8 +69,6 @@ def validate_engine_knobs(
     """
     _validate_engine(engine)
     _validate_backend(backend)
-    _validate_plan_granularity(plan_granularity)
-    _validate_phase2_engine(phase2_engine)
     return engine
 
 

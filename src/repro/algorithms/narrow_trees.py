@@ -30,15 +30,13 @@ def solve_narrow_trees(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Lemma 6.2 narrow-instance algorithm on *problem*.
 
     ``hmin`` defaults to the smallest demand height; the paper assumes it
     is known to (or fixed a priori for) all processors.
     """
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
@@ -52,9 +50,7 @@ def solve_narrow_trees(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     guarantee = (2 * delta * delta + 1) / result.slackness
     return AlgorithmReport(

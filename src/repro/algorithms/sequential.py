@@ -39,7 +39,7 @@ class EarliestInSigmaOracle:
     """'MIS' oracle returning the single earliest instance in sigma.
 
     A module-level class (not a closure) so the oracle pickles, which
-    the parallel engine's process backend and component mode require;
+    the parallel engine's process backend requires;
     ``rank`` maps instance id -> (network order, -capture depth, id).
     """
 
@@ -61,15 +61,13 @@ def solve_sequential(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Appendix A sequential algorithm.
 
     ``use_alpha`` defaults to skipping alpha exactly when no demand has
     more than one instance (the single-tree refinement).
     """
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not problem.is_unit_height:
         raise ValueError("the Appendix A algorithm is for the unit-height case")
     instances = problem.instances
@@ -105,24 +103,12 @@ def solve_sequential(
     )
 
     # One epoch per network, single stage with threshold 1 (lambda = 1).
-    pooled = engine in ("parallel", "vectorized")
-    sliced_pop = phase2_engine == "sliced"
     dual, stack, events, counters = run_first_phase(
         instances, layout, UnitRaise(use_alpha=use_alpha), [1.0],
         EarliestInSigmaOracle(rank),
-        engine=engine,
-        workers=workers if (pooled or not sliced_pop) else None,
-        backend=backend if (pooled or not sliced_pop) else None,
-        plan_granularity=plan_granularity,
+        engine=engine, workers=workers, backend=backend,
     )
-    solution = run_second_phase(
-        stack,
-        engine=phase2_engine,
-        workers=workers if sliced_pop else None,
-        backend=backend if sliced_pop else None,
-        dual=dual,
-        counters=counters,
-    )
+    solution = run_second_phase(stack, dual=dual, counters=counters)
     result = TwoPhaseResult(
         solution=solution,
         dual=dual,

@@ -31,11 +31,9 @@ def solve_unit_lines(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Theorem 7.1 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "
@@ -48,9 +46,7 @@ def solve_unit_lines(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     guarantee = (delta + 1) / result.slackness
     return AlgorithmReport(

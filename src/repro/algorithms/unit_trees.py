@@ -30,8 +30,6 @@ def solve_unit_trees(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Run the Theorem 5.3 algorithm on *problem*.
 
@@ -62,19 +60,8 @@ def solve_unit_trees(
         Execution backend for the pooled engines: ``'thread'``
         (default), ``'process'`` (real CPU parallelism via pickled epoch
         jobs) or ``'serial'`` (debugging).
-    plan_granularity:
-        ``'epoch'`` (default, bit-identical to the serial engines),
-        ``'component'`` (relaxed: splits an epoch's disconnected
-        conflict components across workers; schedule counters may
-        differ) or ``'auto'`` (split only when the plan's component
-        structure predicts a win, strict otherwise).
-    phase2_engine:
-        Second-phase (admission) engine: ``'reference'``, ``'sliced'``
-        (capacity-disjoint components popped on the executor backends)
-        or ``'vectorized'`` (columnar CSR ledger) -- bit-identical by
-        construction (:mod:`repro.core.engines.admission`).
     """
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "
@@ -87,9 +74,7 @@ def solve_unit_trees(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     guarantee = (delta + 1) / result.slackness
     return AlgorithmReport(

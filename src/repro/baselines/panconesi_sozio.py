@@ -39,20 +39,16 @@ def solve_ps_unit_lines(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """The PS unit-height line algorithm (single stage, lambda=1/(5+eps))."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError("PS unit-height baseline requires unit heights")
     layout = line_layouts(problem)
     lambda0 = 1.0 / (5.0 + epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), [lambda0], mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     delta = max(layout.critical_set_size, 1)
     return AlgorithmReport(
@@ -72,32 +68,25 @@ def solve_ps_arbitrary_lines(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """The PS arbitrary-height line algorithm (wide/narrow combination)."""
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if not problem.has_wide:
         return _ps_narrow(
-            problem, epsilon, mis, seed, engine, workers, backend,
-            plan_granularity, phase2_engine,
+            problem, epsilon, mis, seed, engine, workers, backend
         )
     if not problem.has_narrow:
         return solve_ps_unit_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
             engine=engine, workers=workers, backend=backend,
-            plan_granularity=plan_granularity, phase2_engine=phase2_engine,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_ps_unit_lines(
         wide_problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     narrow = _ps_narrow(
-        narrow_problem, epsilon, mis, seed, engine, workers, backend,
-        plan_granularity, phase2_engine,
+        narrow_problem, epsilon, mis, seed, engine, workers, backend
     )
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)
@@ -114,17 +103,14 @@ def solve_ps_arbitrary_lines(
 def _ps_narrow(
     problem: Problem, epsilon: float, mis: str, seed: int,
     engine: str = "reference", workers: Optional[int] = None,
-    backend: Optional[str] = None, plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
+    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """PS narrow side: height raise rule, single-stage threshold."""
     layout = line_layouts(problem)
     lambda0 = 1.0 / (5.0 + epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), [lambda0], mis=mis, seed=seed,
-        engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        engine=engine, workers=workers, backend=backend,
     )
     delta = max(layout.critical_set_size, 1)
     return AlgorithmReport(

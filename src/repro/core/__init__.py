@@ -4,7 +4,6 @@ from repro.core.dual import DualState, HeightRaise, RaiseEvent, UnitRaise
 from repro.core.framework import (
     BACKENDS,
     ENGINES,
-    GRANULARITIES,
     InstanceLayout,
     PhaseCounters,
     TwoPhaseResult,
@@ -16,7 +15,6 @@ from repro.core.framework import (
     unit_xi,
     validate_backend,
     validate_engine,
-    validate_plan_granularity,
 )
 from repro.core.plan import EpochPlan
 from repro.core.problem import Problem, ProblemError
@@ -35,7 +33,6 @@ __all__ = [
     "DemandInstance",
     "DualState",
     "ENGINES",
-    "GRANULARITIES",
     "EPS",
     "EdgeKey",
     "EpochPlan",
@@ -60,5 +57,4 @@ __all__ = [
     "unit_xi",
     "validate_backend",
     "validate_engine",
-    "validate_plan_granularity",
 ]

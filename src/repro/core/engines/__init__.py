@@ -10,20 +10,14 @@ engines produce bit-identical semantic artifacts for the bundled raise
 rules and MIS oracles; :mod:`repro.core.framework` is the stable facade
 that selects between them.
 
-The second phase has its own engine seam
-(:mod:`repro.core.engines.admission`): ``reference`` / ``sliced`` /
-``vectorized`` stack pops, all bit-identical, plus journal-backed
-component replay for delta solves.
+The second phase (:mod:`repro.core.engines.admission`) is the
+reversed-stack reference pop, plus journal-backed per-component replay
+for delta solves.
 """
 from repro.core.engines.admission import (
-    ADMISSION_ENGINES,
     AdmissionComponent,
-    AdmissionJob,
-    AdmissionOutcome,
-    run_admission_job_body,
     run_second_phase,
     stack_components,
-    validate_admission_engine,
 )
 from repro.core.engines.artifacts import (
     FirstPhaseArtifacts,
@@ -77,11 +71,8 @@ from repro.core.engines.parallel import (
 from repro.core.engines.reference import run_first_phase_reference
 
 __all__ = [
-    "ADMISSION_ENGINES",
     "AdmissionComponent",
-    "AdmissionJob",
     "AdmissionLog",
-    "AdmissionOutcome",
     "AdmissionRecord",
     "BACKEND_ENV_VAR",
     "BACKENDS",
@@ -109,7 +100,6 @@ __all__ = [
     "phase_config",
     "predict_dirty_epochs",
     "resolve_backend",
-    "run_admission_job_body",
     "run_epoch_columnar",
     "run_epoch_incremental",
     "run_epoch_job",
@@ -121,6 +111,5 @@ __all__ = [
     "stack_components",
     "stall_error",
     "usable_cpu_count",
-    "validate_admission_engine",
     "validate_backend",
 ]

@@ -1,77 +1,49 @@
-"""The second-phase admission engines: pluggable, sliced, journaled.
+"""The second phase: the reversed-stack greedy pop and its journal.
 
 The second phase of the framework pops the first phase's MIS stack in
 reverse and greedily admits every instance that keeps the solution
-feasible (:class:`~repro.core.solution.CapacityLedger`).  This module
-gives that ~10-line loop the same contract discipline as the
-first-phase engine matrix -- three interchangeable implementations
-behind ``phase2_engine=`` on
-:func:`~repro.core.framework.run_two_phase`:
-
-* ``phase2_engine="reference"`` (default) -- the literal reversed-stack
-  greedy pop, byte-for-byte the historical ``run_second_phase`` loop.
-  It is the executable specification.
-* ``phase2_engine="sliced"`` -- partitions the stack's instances into
-  *capacity-disjoint components* (union-find over shared path edges
-  and shared demand ids, the stack-level analogue of
-  :meth:`~repro.core.plan.EpochPlan.epoch_components`), pops every
-  component independently on an
-  :class:`~repro.core.engines.backends.EpochExecutorBackend`
-  (``thread``/``process``/``serial``), and merges the selections
-  deterministically.  Components share no capacity constraint and no
-  demand, so the union of the per-component greedy pops *is* the
-  global greedy pop -- bit-identical, not merely equivalent.
-* ``phase2_engine="vectorized"`` -- a columnar admission kernel in the
-  :mod:`~repro.core.engines.columnar` style: the stack's instances are
-  encoded once into a CSR edge-column ledger (float64 loads, ``intp``
-  path columns), and each popped batch runs one segmented fits-check
-  (demand-used gather + per-candidate ``bincount`` of violated edge
-  slots) followed by one scatter-add of the admitted heights.  An MIS
-  batch is an independent set of the conflict graph -- no two members
-  share a path edge or a demand -- so the batch's admission decisions
-  are independent and the simultaneous check reproduces the reference
-  loop's sequential decisions exactly; batches that *do* collide
-  internally (only constructible synthetically) fall back to an exact
-  scalar loop over the same arrays, keeping bit-identity universal.
-
-Bit-identity argument, shared by both non-reference engines: the
-reference pop admits instance ``d`` iff its demand is unused *and*
-every edge of ``path(d)`` has residual capacity -- state that lives
-entirely inside ``d``'s capacity component.  Per edge, at most one
-instance per batch is admitted (batch members are edge-disjoint), so
-each engine performs the same float64 additions in the same batch
-order on every edge.  :meth:`Solution.from_instances` sorts by
-instance id, which collapses any merge-order difference.
+feasible (:class:`~repro.core.solution.CapacityLedger`).  The pop here
+is byte-for-byte the historical ``run_second_phase`` loop -- the
+executable specification -- plus an account of the admission work it
+did.
 
 Journal integration (delta serving)
 -----------------------------------
 
 When a :class:`~repro.core.engines.journal.FirstPhaseJournal` is
-installed (the service's delta path), :func:`run_second_phase` records
-one :class:`~repro.core.engines.journal.AdmissionRecord` per capacity
-component -- its input signature (member content in pop order, the
-restricted dual digest, the capacity configuration) and its selected
-ids -- into the solve's
-:class:`~repro.core.engines.journal.SolveJournal`.  A later delta
-solve replays the selections of every component whose signature still
-matches its ancestor's and re-pops only the dirty ones, with the same
-certify-vs-rerun parity as the first-phase epoch replay: a signature
-match proves the cold pop would have made identical decisions, so
-replaying *is* running.  ``repro_admission_components_total`` /
-``repro_admission_replayed_total`` count that work in the process
-telemetry registry (always-on, like the backend wave counters).
+installed (the service's delta path), :func:`run_second_phase` pops
+each *capacity-disjoint component* of the stack on its own
+(:func:`stack_components`: union-find over shared path edges and shared
+demand ids) and records one
+:class:`~repro.core.engines.journal.AdmissionRecord` per component --
+its input signature (member content in pop order, the restricted dual
+digest, the capacity configuration) and its selected ids -- into the
+solve's :class:`~repro.core.engines.journal.SolveJournal`.  Components
+share no capacity constraint and no demand, so the union of the
+per-component pops *is* the global pop: the reference pop admits
+instance ``d`` iff its demand is unused and every edge of ``path(d)``
+has residual capacity -- state that lives entirely inside ``d``'s
+component, whose pop visits its members in the global pop's relative
+order -- and :meth:`Solution.from_instances` sorts by instance id,
+which collapses any merge-order difference.
+
+A later delta solve replays the selections of every component whose
+signature still matches its ancestor's and re-pops only the dirty ones,
+with the same certify-vs-rerun parity as the first-phase epoch replay:
+a signature match proves the cold pop would have made identical
+decisions, so replaying *is* running.
+``repro_admission_components_total`` / ``repro_admission_replayed_total``
+count that work in the process telemetry registry (always-on, like the
+backend wave counters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.demand import DemandInstance
 from repro.core.dual import DualState
 from repro.core.engines.artifacts import PhaseCounters
-from repro.core.engines.backends import default_workers, make_backend
 from repro.core.engines.journal import (
     AdmissionRecord,
     active_journal,
@@ -79,39 +51,16 @@ from repro.core.engines.journal import (
     admission_signature,
 )
 from repro.core.solution import CapacityLedger, Solution
-from repro.core.types import EPS, InstanceId
+from repro.core.types import InstanceId
 from repro.obs.metrics import default_registry
 
 __all__ = [
-    "ADMISSION_ENGINES",
     "AdmissionComponent",
-    "AdmissionJob",
-    "AdmissionOutcome",
-    "run_admission_job_body",
     "run_second_phase",
     "stack_components",
-    "validate_admission_engine",
 ]
 
-#: The interchangeable second-phase engines (see the module docstring).
-ADMISSION_ENGINES = ("reference", "sliced", "vectorized")
-
 Stack = Sequence[Sequence[DemandInstance]]
-
-
-def validate_admission_engine(engine: str) -> str:
-    """Validate a second-phase engine name (the single source of truth).
-
-    Everything that accepts ``phase2_engine=`` -- the ``solve_*`` entry
-    points via :func:`repro.algorithms.base.validate_engine_knobs`,
-    :class:`~repro.service.fingerprint.SolveKnobs` and
-    :func:`run_second_phase` itself -- funnels through this check.
-    """
-    if engine not in ADMISSION_ENGINES:
-        raise ValueError(
-            f"unknown phase2 engine {engine!r}; choose from {ADMISSION_ENGINES}"
-        )
-    return engine
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +73,7 @@ class AdmissionComponent:
     """One capacity-disjoint slice of a stack.
 
     ``key`` is the smallest member instance id -- the stable identity
-    the journal records components under (ordinals shift when churn
+    the journal records components under (positions shift when churn
     merges or splits components; the smallest-id key makes unrelated
     components collide as rarely as possible, and a collision only ever
     costs a re-pop, never a wrong replay).  ``batches`` is the stack
@@ -133,7 +82,6 @@ class AdmissionComponent:
     reference loop's visit order for these members.
     """
 
-    ordinal: int
     key: InstanceId
     batches: List[List[DemandInstance]]
 
@@ -146,8 +94,7 @@ def stack_components(stack: Stack) -> List[AdmissionComponent]:
     capacity) or a demand id (one-instance-per-demand).  Instances in
     different components therefore read and write disjoint ledger
     state, which is what makes per-component admission exact.
-    Components are ordered by ascending smallest member id, mirroring
-    :meth:`~repro.core.plan.EpochPlan.epoch_components`.
+    Components are ordered by ascending smallest member id.
     """
     parent: Dict[InstanceId, InstanceId] = {}
 
@@ -190,8 +137,8 @@ def stack_components(stack: Stack) -> List[AdmissionComponent]:
         for root, sub in touched.items():
             per_root.setdefault(root, []).append(sub)
     return [
-        AdmissionComponent(ordinal=n, key=root, batches=per_root[root])
-        for n, root in enumerate(sorted(per_root))
+        AdmissionComponent(key=root, batches=per_root[root])
+        for root in sorted(per_root)
     ]
 
 
@@ -219,194 +166,17 @@ def _pop_reference(stack: Stack) -> Tuple[List[DemandInstance], int]:
 
 
 # ----------------------------------------------------------------------
-# Vectorized pop (columnar CSR ledger)
-# ----------------------------------------------------------------------
-
-
-def _pop_vectorized(stack: Stack) -> Tuple[List[DemandInstance], int]:
-    """Columnar admission: segmented fits-checks over a CSR edge ledger.
-
-    Encodes the stack's distinct instances once -- heights as float64,
-    demand ids and path edges as ``intp`` columns (CSR) -- then pops
-    each batch with one vectorized round: gather the candidates' edge
-    loads, count violated slots per candidate (``np.bincount`` over the
-    CSR owner column), mask out used demands, scatter-add the admitted
-    heights.  Bit-identity with the reference loop rests on MIS batches
-    being independent sets (no shared edge, no shared demand within a
-    batch): each edge receives at most one float64 add per batch, in
-    batch order -- the reference ledger's exact addition schedule.  A
-    batch with internal collisions (synthetic stacks only) drops to an
-    exact scalar loop over the same arrays.
-    """
-    by_id: Dict[InstanceId, DemandInstance] = {}
-    for batch in stack:
-        for d in batch:
-            by_id.setdefault(d.instance_id, d)
-    if not by_id:
-        return [], 0
-    ids = sorted(by_id)
-    row_of = {i: r for r, i in enumerate(ids)}
-    demand_col: Dict[object, int] = {}
-    edge_col: Dict[object, int] = {}
-    heights = np.empty(len(ids), dtype=np.float64)
-    dcol = np.empty(len(ids), dtype=np.intp)
-    indptr = np.zeros(len(ids) + 1, dtype=np.intp)
-    cols: List[int] = []
-    for r, i in enumerate(ids):
-        d = by_id[i]
-        heights[r] = d.height
-        dcol[r] = demand_col.setdefault(d.demand_id, len(demand_col))
-        for e in sorted(d.path_edges):
-            cols.append(edge_col.setdefault(e, len(edge_col)))
-        indptr[r + 1] = len(cols)
-    indices = np.asarray(cols, dtype=np.intp)
-    load = np.zeros(len(edge_col), dtype=np.float64)
-    used = np.zeros(len(demand_col), dtype=bool)
-    limit = 1.0 + EPS
-
-    selected: List[DemandInstance] = []
-    checks = 0
-    for batch in reversed(stack):
-        ordered = sorted(batch, key=lambda x: x.instance_id)
-        if not ordered:
-            continue
-        checks += len(ordered)
-        rows = np.asarray([row_of[d.instance_id] for d in ordered], dtype=np.intp)
-        counts = indptr[rows + 1] - indptr[rows]
-        ends = np.cumsum(counts)
-        begins = ends - counts
-        pos = (
-            np.arange(int(ends[-1]), dtype=np.intp)
-            - np.repeat(begins, counts)
-            + np.repeat(indptr[rows], counts)
-        )
-        edges = indices[pos]
-        drows = dcol[rows]
-        collides = (
-            len(np.unique(drows)) < len(rows)
-            or len(np.unique(edges)) < len(edges)
-        )
-        if collides:
-            # Exact scalar fallback on the same arrays: visit order,
-            # predicate and addition schedule match the reference loop.
-            for k, d in enumerate(ordered):
-                r = rows[k]
-                span = indices[indptr[r]:indptr[r + 1]]
-                if used[dcol[r]]:
-                    continue
-                if np.any(load[span] + heights[r] > limit):
-                    continue
-                load[span] += heights[r]
-                used[dcol[r]] = True
-                selected.append(d)
-            continue
-        owner = np.repeat(np.arange(len(rows), dtype=np.intp), counts)
-        violated = load[edges] + np.repeat(heights[rows], counts) > limit
-        bad = np.bincount(owner, weights=violated, minlength=len(rows))
-        fits = (~used[drows]) & (bad == 0)
-        if fits.any():
-            admit_slots = fits[owner]
-            load[edges[admit_slots]] += np.repeat(heights[rows], counts)[
-                admit_slots
-            ]
-            used[drows[fits]] = True
-            selected.extend(d for k, d in enumerate(ordered) if fits[k])
-    return selected, checks
-
-
-# ----------------------------------------------------------------------
-# Sliced pop (component jobs on the executor backends)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class AdmissionJob:
-    """One sealed unit of second-phase work: a capacity component's pop.
-
-    Executes on the same :class:`EpochExecutorBackend` substrate as
-    first-phase epoch jobs (``kernel="admission"`` dispatches in
-    :func:`~repro.core.engines.backends.run_epoch_job`).  ``mis_oracle``
-    and :meth:`sliced` exist so the process backend's wire preparation
-    -- ``job.sliced()`` then re-pickling the oracle -- works unchanged;
-    the batches already are the minimal wire form.
-    """
-
-    component: int
-    batches: List[List[DemandInstance]]
-    kernel: str = "admission"
-    mis_oracle: object = None
-
-    def sliced(self) -> "AdmissionJob":
-        return replace(self)
-
-
-@dataclass
-class AdmissionOutcome:
-    """One component's pop result, pending the ordered merge."""
-
-    component: int
-    selected: List[DemandInstance]
-    checks: int
-
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.component, 0)
-
-
-def run_admission_job_body(job: AdmissionJob) -> AdmissionOutcome:
-    """Execute one admission job (the backend worker function)."""
-    selected, checks = _pop_reference(job.batches)
-    return AdmissionOutcome(job.component, selected, checks)
-
-
-def _pop_sliced(
-    stack: Stack,
-    components: List[AdmissionComponent],
-    workers: Optional[int],
-    backend: Optional[str],
-) -> Tuple[List[DemandInstance], int]:
-    """Pop every component on an executor backend; merge by ordinal."""
-    jobs = [AdmissionJob(c.ordinal, c.batches) for c in components]
-    exec_backend = make_backend(
-        backend, workers if workers is not None else default_workers()
-    )
-    outcomes = sorted(exec_backend.run_wave(jobs), key=lambda o: o.sort_key)
-    selected: List[DemandInstance] = []
-    checks = 0
-    for outcome in outcomes:
-        selected.extend(outcome.selected)
-        checks += outcome.checks
-    return selected, checks
-
-
-# ----------------------------------------------------------------------
 # Journaled pop (record per component, replay certified ones)
 # ----------------------------------------------------------------------
 
 
-def _pop_component(
-    component: AdmissionComponent, engine: str
-) -> Tuple[List[DemandInstance], int]:
-    """Re-pop one dirty component with the requested kernel, inline.
-
-    The journaled path runs components on the calling thread (like the
-    journaled first phase): the latency win of a delta solve is the
-    replay, not pop parallelism, and inline execution keeps the
-    record/replay bookkeeping trivially ordered.
-    """
-    if engine == "vectorized":
-        return _pop_vectorized(component.batches)
-    return _pop_reference(component.batches)
-
-
 def _run_second_phase_journaled(
     stack: Stack,
-    engine: str,
     dual: Optional[DualState],
     journal,
-) -> Tuple[List[DemandInstance], int, int]:
+) -> Tuple[List[DemandInstance], int]:
     """Record/replay admission per component; returns
-    ``(selected, checks, components)``.
+    ``(selected, checks)``.
 
     Mirrors the first-phase journaled runner: each component's inputs
     are captured by :func:`~repro.core.engines.journal.admission_signature`
@@ -416,7 +186,9 @@ def _run_second_phase_journaled(
     cold pop's exact output, since greedy admission is a pure function
     of exactly the signed inputs -- and everything else re-pops fresh.
     Both outcomes are recorded into the fresh journal, so every delta
-    solve hands a complete admission log to the next one.
+    solve hands a complete admission log to the next one.  Dirty
+    components re-pop inline on the calling thread: the latency win of
+    a delta solve is the replay, not pop parallelism.
     """
     components = stack_components(stack)
     past, log = journal.begin_admission(admission_config())
@@ -437,7 +209,7 @@ def _run_second_phase_journaled(
             journal.admission_replayed += 1
             replayed += 1
         else:
-            sel, comp_checks = _pop_component(component, engine)
+            sel, comp_checks = _pop_reference(component.batches)
             selected.extend(sel)
             checks += comp_checks
             journal.admission_rerun += 1
@@ -449,7 +221,7 @@ def _run_second_phase_journaled(
         log.records[component.key] = record
     journal.admission_components += len(components)
     _record_admission(len(components), replayed)
-    return selected, checks, len(components)
+    return selected, checks
 
 
 def _record_admission(components: int, replayed: int) -> None:
@@ -462,42 +234,22 @@ def _record_admission(components: int, replayed: int) -> None:
         registry.counter("repro_admission_replayed_total").inc(replayed)
 
 
-# ----------------------------------------------------------------------
-# The engine facade
-# ----------------------------------------------------------------------
-
-
 def run_second_phase(
     stack: Stack,
-    engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
     dual: Optional[DualState] = None,
     counters: Optional[PhaseCounters] = None,
 ) -> Solution:
     """Run the second phase: pop in reverse, admit greedily if feasible.
 
-    ``engine`` selects the implementation (see the module docstring);
-    all engines produce bit-identical solutions.  ``workers`` and
-    ``backend`` configure the sliced engine's executor pool (ignored
-    otherwise).  ``dual`` is folded into the admission journal's
-    component signatures when a journal is active; ``counters``, when
-    given, receives the real admission work account
-    (``phase2_rounds`` = non-empty batches popped, plus
-    ``admission_checks`` / ``admitted`` / ``rejected``).
+    ``dual`` is folded into the admission journal's component
+    signatures when a journal is active; ``counters``, when given,
+    receives the real admission work account (``phase2_rounds`` =
+    non-empty batches popped, plus ``admission_checks`` / ``admitted``
+    / ``rejected``).
     """
-    validate_admission_engine(engine)
     journal = active_journal()
     if journal is not None:
-        selected, checks, _ = _run_second_phase_journaled(
-            stack, engine, dual, journal
-        )
-    elif engine == "sliced":
-        components = stack_components(stack)
-        selected, checks = _pop_sliced(stack, components, workers, backend)
-        _record_admission(len(components), 0)
-    elif engine == "vectorized":
-        selected, checks = _pop_vectorized(stack)
+        selected, checks = _run_second_phase_journaled(stack, dual, journal)
     else:
         selected, checks = _pop_reference(stack)
     if counters is not None:

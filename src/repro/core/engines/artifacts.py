@@ -82,11 +82,10 @@ class PhaseCounters:
     #: worker-pool size used.  Excluded from engine-equivalence checks.
     wavefronts: int = 0
     workers_used: int = 0
-    #: Second-phase work accounting (admission engine seam): fits-checks
-    #: attempted, instances admitted, and instances rejected during the
-    #: stack pop.  Engine-independent (every phase2 engine performs the
-    #: same logical checks), but kept out of the default semantic tuple
-    #: so golden digests recorded before the seam stay stable.
+    #: Second-phase work accounting: fits-checks attempted, instances
+    #: admitted, and instances rejected during the stack pop.
+    #: Engine-independent, but kept out of the default semantic tuple so
+    #: golden digests recorded before these fields existed stay stable.
     admission_checks: int = 0
     admitted: int = 0
     rejected: int = 0
@@ -105,10 +104,9 @@ class PhaseCounters:
         "max_steps_per_stage", "phase2_rounds",
     )
 
-    #: Second-phase admission fields: semantic across phase2 engines,
-    #: but only folded into :meth:`semantic_tuple` on request (compat
-    #: guard -- digests recorded before the admission seam existed must
-    #: keep verifying).
+    #: Second-phase admission fields: semantic, but only folded into
+    #: :meth:`semantic_tuple` on request (compat guard -- digests
+    #: recorded before these fields existed must keep verifying).
     ADMISSION_FIELDS = ("admission_checks", "admitted", "rejected")
 
     def semantic_tuple(self, include_admission: bool = False) -> Tuple[int, ...]:

@@ -2,9 +2,8 @@
 
 The parallel engine (:mod:`repro.core.engines.parallel`) turns an
 :class:`~repro.core.plan.EpochPlan` wave into a list of sealed
-:class:`EpochJob` bundles -- everything one epoch (or one conflict
-component of an epoch, under ``plan_granularity="component"``) needs to
-run :func:`~repro.core.engines.incremental.run_epoch_incremental` on its
+:class:`EpochJob` bundles -- everything one epoch needs to run
+:func:`~repro.core.engines.incremental.run_epoch_incremental` on its
 own: the member slice, the member-restricted conflict adjacency and
 reverse index, the critical-edge layout, the raise rule and thresholds,
 the MIS oracle, and the dual values primed from the master state.  An
@@ -24,10 +23,10 @@ the MIS oracle, and the dual values primed from the master state.  An
 * ``serial`` -- run jobs inline on the calling thread, in order.  The
   debugging backend: identical results, trivially steppable.
 
-All three backends are **bit-identical** under the default epoch
-granularity: jobs are sealed off from each other, so where they execute
-cannot change what they compute, and the engine's merge walks epochs in
-ascending order regardless of completion order.
+All three backends are **bit-identical**: jobs are sealed off from each
+other, so where they execute cannot change what they compute, and the
+engine's merge walks epochs in ascending order regardless of completion
+order.
 
 Both pooled backends chunk a wave into at most ``workers`` jobs and
 run the first chunk on the calling thread (caller-runs), so a wave
@@ -132,21 +131,51 @@ def default_workers() -> int:
     return min(MAX_DEFAULT_WORKERS, usable_cpu_count())
 
 
+def resolve_workers(
+    workers: Optional[int], backend: Optional[str]
+) -> Tuple[str, int]:
+    """Resolve and validate a pooled engine's ``(backend, workers)`` pair.
+
+    The one check behind both the executor and
+    :meth:`~repro.service.fingerprint.SolveKnobs.validate`: ``workers``
+    is not part of a cache key, so a request the executor would reject
+    must be rejected before the cache is consulted too.
+    ``workers=None`` resolves to one worker on the serial backend and
+    to :func:`default_workers` otherwise.
+    """
+    backend_name = resolve_backend(backend)
+    if workers is None:
+        workers = 1 if backend_name == "serial" else default_workers()
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if backend_name == "serial" and workers != 1:
+        if backend is None:
+            # The caller asked for pooled workers and only the
+            # REPRO_BACKEND override said serial: honor the override
+            # (its whole point is running unmodified callers under a
+            # different backend) by coercing, not crashing.
+            workers = 1
+        else:
+            raise ValueError(
+                f"backend='serial' runs one job at a time; workers={workers} "
+                "would misattribute the schedule (use the thread or process "
+                "backend for pooled execution)"
+            )
+    return backend_name, workers
+
+
 @dataclass
 class EpochJob:
-    """One sealed unit of first-phase work: an epoch, or one conflict
-    component of an epoch under ``plan_granularity="component"``.
+    """One sealed unit of first-phase work: one epoch.
 
     Carries everything :func:`run_epoch_job` needs, so a job can execute
     on any backend -- including in another process -- without reaching
     back into the planner or the master dual.  ``primed_alpha`` /
     ``primed_beta`` are the master dual values the members can read
-    (inherited from earlier waves); ``component`` is 0 for whole-epoch
-    jobs and the component ordinal (by smallest member id) otherwise.
+    (inherited from earlier waves).
     """
 
     epoch: int
-    component: int
     members: List[DemandInstance]
     index: InstanceIndex
     adjacency: ConflictAdjacency
@@ -188,17 +217,11 @@ class EpochOutcome:
     """Everything one epoch job produced, pending the ordered merge."""
 
     epoch: int
-    component: int
     events: List[RaiseEvent]
     stack: List[List[DemandInstance]]
     counters: PhaseCounters
     alpha_writes: Dict[DemandId, float]
     beta_writes: Dict[EdgeKey, float]
-
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        """Merge position: epoch-major, component-minor."""
-        return (self.epoch, self.component)
 
 
 def dual_writes(local: Dict, primed: Dict) -> Dict:
@@ -227,11 +250,6 @@ def run_epoch_job(job: EpochJob) -> EpochOutcome:
         from repro.core.engines.columnar import run_columnar_job_body
 
         return run_columnar_job_body(job)
-    if job.kernel == "admission":
-        # Lazy import: admission imports from this module at import time.
-        from repro.core.engines.admission import run_admission_job_body
-
-        return run_admission_job_body(job)
     members = job.members
     by_id = {d.instance_id: d for d in members}
     local = DualState(use_height_rule=job.raise_rule.use_height_rule)
@@ -246,7 +264,7 @@ def run_epoch_job(job: EpochJob) -> EpochOutcome:
         events, stack, counters, order=0,
     )
     return EpochOutcome(
-        job.epoch, job.component, events, stack, counters,
+        job.epoch, events, stack, counters,
         dual_writes(local.alpha, job.primed_alpha),
         dual_writes(local.beta, job.primed_beta),
     )
@@ -295,7 +313,7 @@ def _record_wave(backend: str, workers: int, n_chunks: int, waits: List[float]) 
 class EpochExecutorBackend:
     """Where epoch jobs run.  Implementations must return one outcome
     per job; order within the returned list is immaterial (the engine
-    merges by ``(epoch, component)``), but every job must complete."""
+    merges by epoch), but every job must complete."""
 
     name: str = "?"
     #: Worker count to attribute in ``PhaseCounters.workers_used``.

@@ -69,10 +69,7 @@ A *custom* raise rule or MIS oracle falls outside those guarantees
 (arbitrary write patterns; possibly non-independent "MIS" sets), so the
 kernel drops to a shadow mode that applies the rule sequentially on a
 real :class:`DualState` -- same results as incremental, just without
-the vectorized raise fast path.  Gating beyond that (the relaxed
-feasible + certified contract, as for ``plan_granularity="component"``)
-is therefore only ever needed for exotic float schedules, not for
-anything shipped in this repo.
+the vectorized raise fast path.
 """
 from __future__ import annotations
 
@@ -1057,7 +1054,7 @@ def run_columnar_job_body(job) -> "EpochOutcome":  # noqa: F821 -- see import be
     local.beta.update(job.primed_beta)
     commit_epoch(local, block, shadow, commit, job.raise_rule)
     return EpochOutcome(
-        job.epoch, job.component, events, stack, counters,
+        job.epoch, events, stack, counters,
         dual_writes(local.alpha, job.primed_alpha),
         dual_writes(local.beta, job.primed_beta),
     )
@@ -1072,36 +1069,31 @@ def run_first_phase_vectorized(
     conflict_adj=None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
     """Engine entry point for ``engine="vectorized"``.
 
-    With no executor knobs set (``workers``/``backend``/
-    ``plan_granularity`` all default, no backend env override) the
-    phase runs on the serial fast path: members -> per-epoch columnar
-    block -> epoch kernel -> commit, with *no* epoch plan and *no*
-    pairwise conflict graph ever built -- that is where the headline
-    speedup over the incremental engine comes from.  Any executor knob
+    With no executor knobs set (``workers``/``backend`` both default, no
+    backend env override) the phase runs on the serial fast path:
+    members -> per-epoch columnar block -> epoch kernel -> commit, with
+    *no* epoch plan and *no* pairwise conflict graph ever built -- that
+    is where the headline speedup over the incremental engine comes
+    from.  Any executor knob
     routes through :class:`~repro.core.engines.parallel.ParallelEpochExecutor`
-    with ``kernel="vectorized"`` instead, so wave scheduling, backends
-    (including process-pool pickling of columnar blocks) and the
-    component-granularity contract all behave exactly as for
-    ``engine="parallel"``.  ``conflict_adj`` is accepted for signature
-    compatibility; the bucket structure replaces it.
+    with ``kernel="vectorized"`` instead, so wave scheduling and backends
+    (including process-pool pickling of columnar blocks) behave exactly
+    as for ``engine="parallel"``.  ``conflict_adj`` is accepted for
+    signature compatibility; the bucket structure replaces it.
     """
-    granularity = plan_granularity or "epoch"
     serial_fast_path = (
         workers is None
         and backend is None
-        and granularity == "epoch"
         and resolve_backend(backend) == "thread"
     )
     if not serial_fast_path:
         from repro.core.engines.parallel import ParallelEpochExecutor
 
         executor = ParallelEpochExecutor(
-            workers=workers, backend=backend,
-            plan_granularity=plan_granularity, kernel="vectorized",
+            workers=workers, backend=backend, kernel="vectorized"
         )
         return executor.run(
             instances, layout, raise_rule, thresholds, mis_oracle,

@@ -34,32 +34,9 @@ epoch threads (``greedy`` and ``hash`` are stateless; ``luby`` keeps
 one independent substream per epoch) and picklable for the process
 backend.  A custom oracle must likewise not share mutable state across
 epochs, and must pickle if the process backend is used.
-
-Component granularity (relaxed)
--------------------------------
-
-``plan_granularity="component"`` (opt-in) splits each epoch's
-*disconnected conflict components* into separate jobs, exposing
-parallelism inside an epoch -- the regime strict epoch waves cannot
-touch.  ``plan_granularity="auto"`` makes that opt-in data-driven: the
-plan's :meth:`~repro.core.plan.EpochPlan.recommend_split` heuristic
-splits only when enough member mass lies outside the epochs' largest
-components to predict a win, and otherwise runs the strict epoch mode
-(bit-identical artifacts included).  Components share no demand and no path edge, so every job still
-raises over a sealed dual slice and the merged output remains a valid
-first phase: feasible second-phase input, tight raises, certified
-``val/lambda >= p(Opt)``.  What changes is *accounting*: per-component
-stage/step loops run separately, so ``stages``/``steps``/``mis_rounds``
-(and the Luby draw sequences) differ from the strict engines -- the
-caller waives strict counter equality by opting in.  For the
-order-independent oracles (``greedy``, ``hash``) the multiset of raise
-events is conserved exactly.  Each job gets its own pickled *clone* of
-the MIS oracle so concurrent components of one epoch never share
-mutable oracle state.
 """
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.demand import DemandInstance
@@ -76,10 +53,10 @@ from repro.core.engines.backends import (
     EpochOutcome,
     default_workers,
     make_backend,
-    resolve_backend,
+    resolve_workers,
     usable_cpu_count,
 )
-from repro.core.plan import EpochPlan, validate_granularity
+from repro.core.plan import EpochPlan
 from repro.core.types import DemandId, EdgeKey
 from repro.distributed.conflict import ConflictAdjacency, build_instance_index
 from repro.distributed.mis import MISOracle
@@ -94,24 +71,6 @@ __all__ = [
 ]
 
 
-def _clone_oracle(mis_oracle: MISOracle) -> MISOracle:
-    """A private copy of the oracle via a pickle round-trip.
-
-    Component mode runs several jobs of the *same* epoch concurrently;
-    a shared stateful oracle (Luby's per-epoch RNG) would interleave
-    draws nondeterministically, so each job gets its own clone -- the
-    same sealing the process backend gets for free from pickling.
-    """
-    try:
-        return pickle.loads(pickle.dumps(mis_oracle))
-    except Exception as exc:
-        raise ValueError(
-            "plan_granularity='component' requires a picklable MIS oracle "
-            "(each component job runs over a private clone); "
-            f"could not pickle {mis_oracle!r}"
-        ) from exc
-
-
 class ParallelEpochExecutor:
     """Runs a first phase as planned epoch waves on an execution backend."""
 
@@ -119,7 +78,6 @@ class ParallelEpochExecutor:
         self,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        plan_granularity: Optional[str] = None,
         kernel: str = "incremental",
     ) -> None:
         if kernel not in ("incremental", "vectorized"):
@@ -128,49 +86,15 @@ class ParallelEpochExecutor:
                 "choose 'incremental' or 'vectorized'"
             )
         self.kernel = kernel
-        env_resolved = backend is None
-        backend_name = resolve_backend(backend)
-        if workers is None:
-            workers = 1 if backend_name == "serial" else default_workers()
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {workers!r}")
-        if backend_name == "serial" and workers != 1:
-            if env_resolved:
-                # The caller asked for pooled workers and only the
-                # REPRO_BACKEND override said serial: honor the override
-                # (its whole point is running unmodified callers under a
-                # different backend) by coercing, not crashing.
-                workers = 1
-            else:
-                raise ValueError(
-                    f"backend='serial' runs one job at a time; workers={workers} "
-                    "would misattribute the schedule (use the thread or process "
-                    "backend for pooled execution)"
-                )
-        self.workers = workers
-        self.plan_granularity = validate_granularity(plan_granularity or "epoch")
-        self.backend: EpochExecutorBackend = make_backend(backend_name, workers)
+        backend_name, self.workers = resolve_workers(workers, backend)
+        self.backend: EpochExecutorBackend = make_backend(
+            backend_name, self.workers
+        )
 
     @property
     def backend_name(self) -> str:
         """The resolved execution backend ('thread', 'process' or 'serial')."""
         return self.backend.name
-
-    def _resolve_split(self, plan: EpochPlan) -> bool:
-        """Whether this run splits epochs into component jobs.
-
-        ``"component"`` always splits, ``"epoch"`` never; ``"auto"``
-        asks the plan (:meth:`~repro.core.plan.EpochPlan.recommend_split`)
-        whether the component structure predicts a win -- splitting
-        only then, so an auto run on a split-hostile plan stays
-        bit-identical to the strict engines while a split-friendly one
-        opts into the component mode's relaxed counter contract.
-        """
-        if self.plan_granularity == "component":
-            return True
-        if self.plan_granularity == "auto":
-            return plan.recommend_split()
-        return False
 
     def run(
         self,
@@ -182,17 +106,9 @@ class ParallelEpochExecutor:
         conflict_adj: Optional[ConflictAdjacency] = None,
         plan: Optional[EpochPlan] = None,
     ) -> FirstPhaseArtifacts:
-        """Execute the first phase; artifacts match ``engine="incremental"``
-        (under the default epoch granularity)."""
+        """Execute the first phase; artifacts match ``engine="incremental"``."""
         if plan is None:
-            plan = EpochPlan.build(
-                instances, layout, conflict_adj, granularity=self.plan_granularity
-            )
-        split = self._resolve_split(plan)
-        # Component jobs need sealed per-job oracles; the process backend
-        # already clones every wire job's oracle in _prepare, so cloning
-        # here too would just pickle each oracle twice.
-        clone_here = split and self.backend.name != "process"
+            plan = EpochPlan.build(instances, layout, conflict_adj)
         thresholds = tuple(thresholds)
         vectorized = self.kernel == "vectorized"
         if vectorized:
@@ -204,47 +120,27 @@ class ParallelEpochExecutor:
 
             empty_index = build_instance_index(())
         master = DualState(use_height_rule=raise_rule.use_height_rule)
-        outcomes: Dict[Tuple[int, int], EpochOutcome] = {}
+        outcomes: Dict[int, EpochOutcome] = {}
         for wave in plan.waves:
             jobs: List[EpochJob] = []
             for epoch in wave:
-                if not plan.members.get(epoch):
+                members = plan.members.get(epoch)
+                if not members:
                     continue
                 primed_alpha, primed_beta = self._primed(master, plan, epoch)
-                if split:
-                    for c, (members, adjacency, index) in enumerate(
-                        plan.component_slices(epoch)
-                    ):
-                        if vectorized:
-                            index, adjacency = empty_index, {}
-                        jobs.append(
-                            EpochJob(
-                                epoch, c, members, index, adjacency, layout,
-                                raise_rule, thresholds,
-                                _clone_oracle(mis_oracle) if clone_here
-                                else mis_oracle,
-                                primed_alpha, primed_beta,
-                                kernel=self.kernel,
-                                columnar=build_columnar(
-                                    epoch, members, layout, raise_rule
-                                ) if vectorized else None,
-                            )
-                        )
-                else:
-                    members = plan.members[epoch]
-                    jobs.append(
-                        EpochJob(
-                            epoch, 0, members,
-                            empty_index if vectorized else plan.index[epoch],
-                            {} if vectorized else plan.adjacency[epoch],
-                            layout, raise_rule,
-                            thresholds, mis_oracle, primed_alpha, primed_beta,
-                            kernel=self.kernel,
-                            columnar=build_columnar(
-                                epoch, members, layout, raise_rule
-                            ) if vectorized else None,
-                        )
+                jobs.append(
+                    EpochJob(
+                        epoch, members,
+                        empty_index if vectorized else plan.index[epoch],
+                        {} if vectorized else plan.adjacency[epoch],
+                        layout, raise_rule,
+                        thresholds, mis_oracle, primed_alpha, primed_beta,
+                        kernel=self.kernel,
+                        columnar=build_columnar(
+                            epoch, members, layout, raise_rule
+                        ) if vectorized else None,
                     )
+                )
             if not jobs:
                 continue
             # Always-on wave telemetry into the process-default
@@ -254,12 +150,12 @@ class ParallelEpochExecutor:
                 "repro_wave_width", backend=self.backend.name
             ).set(len(jobs))
             for out in self.backend.run_wave(jobs):
-                outcomes[out.sort_key] = out
+                outcomes[out.epoch] = out
             # The master dual is frozen while a wave runs; merge the
             # wave's (disjoint) writes afterwards, in epoch order.
-            for key in sorted((job.epoch, job.component) for job in jobs):
-                master.alpha.update(outcomes[key].alpha_writes)
-                master.beta.update(outcomes[key].beta_writes)
+            for epoch in sorted(job.epoch for job in jobs):
+                master.alpha.update(outcomes[epoch].alpha_writes)
+                master.beta.update(outcomes[epoch].beta_writes)
         return self._merge(plan, layout, master, outcomes)
 
     @staticmethod
@@ -272,9 +168,7 @@ class ParallelEpochExecutor:
         -- everything else the epoch touches is private to it -- so the
         scan is over the plan's (typically tiny) shared-key sets rather
         than all member path edges.  The first wave always sees an empty
-        master and skips even that.  Component jobs of one epoch share
-        this priming: a primed key a component never touches is filtered
-        from its writes as unchanged.
+        master and skips even that.
         """
         primed_alpha: Dict[DemandId, float] = {}
         primed_beta: Dict[EdgeKey, float] = {}
@@ -292,9 +186,9 @@ class ParallelEpochExecutor:
         plan: EpochPlan,
         layout: InstanceLayout,
         master: DualState,
-        outcomes: Dict[Tuple[int, int], EpochOutcome],
+        outcomes: Dict[int, EpochOutcome],
     ) -> FirstPhaseArtifacts:
-        """Reassemble artifacts in sequential (epoch, component) order.
+        """Reassemble artifacts in sequential epoch order.
 
         The master dual accumulated its writes in *wave* order, but dict
         iteration order is insertion order and ``DualState.value()`` sums
@@ -353,12 +247,9 @@ def run_first_phase_parallel(
     workers: Optional[int] = None,
     plan: Optional[EpochPlan] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
     """Engine entry point matching the reference/incremental signatures."""
-    executor = ParallelEpochExecutor(
-        workers=workers, backend=backend, plan_granularity=plan_granularity
-    )
+    executor = ParallelEpochExecutor(workers=workers, backend=backend)
     return executor.run(
         instances, layout, raise_rule, thresholds, mis_oracle,
         conflict_adj=conflict_adj, plan=plan,

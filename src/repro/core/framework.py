@@ -52,14 +52,6 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   (``"thread"`` pool (default), ``"process"`` pool with pickled job
   slices for real CPU parallelism, or ``"serial"`` for debugging; see
   :mod:`repro.core.engines.backends`) and ``workers=`` sizes the pool.
-  ``plan_granularity="component"`` (opt-in, relaxed) additionally
-  splits each epoch's disconnected conflict components into separate
-  jobs; solutions stay feasible and certified but the schedule counters
-  are no longer bit-identical to the serial engines.
-  ``plan_granularity="auto"`` applies that split only when the plan's
-  component structure predicts a win
-  (:meth:`repro.core.plan.EpochPlan.recommend_split`), staying strict
-  -- bit-identical included -- otherwise.
 * ``engine="vectorized"`` -- the array-native columnar kernel
   (:mod:`repro.core.engines.columnar`): the whole phase is re-encoded
   once into numpy struct-of-arrays blocks (CSR path/critical-edge
@@ -75,15 +67,18 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
 
 All engines -- and all parallel backends -- produce bit-identical
 artifacts (solutions, raise events, stacks, schedule counters) for the
-bundled MIS oracles under the default epoch granularity; the golden
-suites in ``tests/test_engine_equivalence.py`` and
-``tests/test_backends.py`` enforce this.  :class:`PhaseCounters`
-exposes ``satisfaction_checks`` and ``adjacency_touches`` so the
-asymptotic win is measurable (see
+bundled MIS oracles; the golden suites in
+``tests/test_engine_equivalence.py`` and ``tests/test_backends.py``
+enforce this.  :class:`PhaseCounters` exposes ``satisfaction_checks``
+and ``adjacency_touches`` so the asymptotic win is measurable (see
 ``benchmarks/bench_e16_engine_scaling.py`` and
 ``benchmarks/bench_e17_parallel_epochs.py``;
 ``benchmarks/bench_e21_vectorized_kernel.py`` times the columnar
 kernel against the incremental engine).
+
+The second phase has a single implementation, the literal
+reversed-stack pop of :mod:`repro.core.engines.admission`; on the
+delta-serving path it is journaled per capacity-disjoint component.
 """
 from __future__ import annotations
 
@@ -91,9 +86,8 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.core.demand import DemandInstance
-from repro.core.dual import DualState, RaiseEvent, RaiseRule
+from repro.core.dual import RaiseEvent, RaiseRule
 from repro.core.engines import (
-    ADMISSION_ENGINES,
     BACKENDS,
     FirstPhaseArtifacts,
     InstanceLayout,
@@ -102,26 +96,16 @@ from repro.core.engines import (
     run_first_phase_parallel,
     run_first_phase_reference,
     run_first_phase_vectorized,
+    run_second_phase,
 )
 from repro.core.engines import validate_backend as _validate_backend_name
-from repro.core.engines.admission import (
-    run_second_phase as _run_second_phase_engine,
-)
-from repro.core.engines.admission import validate_admission_engine
 from repro.core.engines.journal import active_journal
-from repro.core.plan import GRANULARITIES
-from repro.core.plan import validate_granularity as _validate_granularity_name
 from repro.core.result import TwoPhaseResult
-from repro.core.solution import Solution
 from repro.distributed.conflict import ConflictAdjacency, build_conflict_graph
 from repro.distributed.mis import MISOracle, make_mis_oracle
 
 #: The interchangeable first-phase engines (see the module docstring).
 ENGINES = ("reference", "incremental", "parallel", "vectorized")
-
-#: The interchangeable second-phase (admission) engines -- see
-#: :mod:`repro.core.engines.admission`.
-PHASE2_ENGINES = ADMISSION_ENGINES
 
 
 def validate_engine(engine: str) -> str:
@@ -137,16 +121,6 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def validate_phase2_engine(engine: str) -> str:
-    """Validate a second-phase (admission) engine name.
-
-    Delegates to
-    :func:`repro.core.engines.admission.validate_admission_engine`, the
-    single source of truth for the admission-engine registry.
-    """
-    return validate_admission_engine(engine)
-
-
 def validate_backend(backend: Optional[str]) -> Optional[str]:
     """Validate a parallel-engine backend name (``None`` = default).
 
@@ -158,17 +132,6 @@ def validate_backend(backend: Optional[str]) -> Optional[str]:
     if backend is None:
         return None
     return _validate_backend_name(backend)
-
-
-def validate_plan_granularity(plan_granularity: Optional[str]) -> Optional[str]:
-    """Validate a planner granularity name (``None`` = ``"epoch"``).
-
-    Delegates to :func:`repro.core.plan.validate_granularity`, the
-    single source of truth for the granularity registry.
-    """
-    if plan_granularity is None:
-        return None
-    return _validate_granularity_name(plan_granularity)
 
 
 def geometric_thresholds(xi: float, epsilon: float) -> List[float]:
@@ -219,17 +182,15 @@ def run_first_phase(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
     """Run the first phase (Figure 7) and return its artifacts.
 
     ``engine`` selects the implementation (see the module docstring);
     all engines produce identical artifacts for the bundled MIS oracles.
-    ``workers`` sizes the parallel engine's pool (default: the usable
-    CPUs, capped), ``backend`` its execution substrate ('thread',
-    'process' or 'serial'), and ``plan_granularity`` the planner mode
-    ('epoch' strict, 'component' relaxed, 'auto' heuristic); all three
-    are rejected for the serial engines.
+    ``workers`` sizes the pooled engines' pool (default: the usable
+    CPUs, capped) and ``backend`` picks its execution substrate
+    ('thread', 'process' or 'serial'); both are rejected for the serial
+    engines.
     """
     if not thresholds:
         raise ValueError("at least one stage threshold is required")
@@ -240,7 +201,6 @@ def run_first_phase(
         return run_first_phase_parallel(
             instances, layout, raise_rule, thresholds, mis_oracle,
             conflict_adj=conflict_adj, workers=workers, backend=backend,
-            plan_granularity=plan_granularity,
         )
     if engine == "vectorized":
         # The columnar kernel's bucket structure replaces both the
@@ -249,13 +209,8 @@ def run_first_phase(
         return run_first_phase_vectorized(
             instances, layout, raise_rule, thresholds, mis_oracle,
             conflict_adj=conflict_adj, workers=workers, backend=backend,
-            plan_granularity=plan_granularity,
         )
-    for knob, value in (
-        ("workers", workers),
-        ("backend", backend),
-        ("plan_granularity", plan_granularity),
-    ):
+    for knob, value in (("workers", workers), ("backend", backend)):
         if value is not None:
             raise ValueError(
                 f"{knob}= applies only to engine='parallel' or "
@@ -275,29 +230,6 @@ def run_first_phase(
     return impl(instances, layout, raise_rule, thresholds, mis_oracle, conflict_adj)
 
 
-def run_second_phase(
-    stack: Sequence[Sequence[DemandInstance]],
-    engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    dual: Optional[DualState] = None,
-    counters: Optional[PhaseCounters] = None,
-) -> Solution:
-    """Run the second phase: pop in reverse, admit greedily if feasible.
-
-    Stable facade over :mod:`repro.core.engines.admission`.  ``engine``
-    selects the pop implementation (``'reference'``, ``'sliced'``,
-    ``'vectorized'`` -- bit-identical by construction); ``workers`` /
-    ``backend`` configure the sliced engine's executor; ``dual`` and
-    ``counters`` feed the journaled replay path and the admission work
-    account (both optional -- the bare one-argument call is unchanged).
-    """
-    return _run_second_phase_engine(
-        stack, engine=engine, workers=workers, backend=backend,
-        dual=dual, counters=counters,
-    )
-
-
 def run_two_phase(
     instances: Sequence[DemandInstance],
     layout: InstanceLayout,
@@ -308,8 +240,6 @@ def run_two_phase(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> TwoPhaseResult:
     """Run both phases and assemble a :class:`TwoPhaseResult`.
 
@@ -317,34 +247,15 @@ def run_two_phase(
     ``seed`` makes randomized runs reproducible; ``engine`` selects the
     first-phase implementation (``'reference'``, ``'incremental'``,
     ``'parallel'`` or ``'vectorized'``, equivalent by construction --
-    see the module docstring); ``workers``, ``backend`` and
-    ``plan_granularity`` configure the pooled engines' (parallel,
-    vectorized) pool, execution substrate and planner mode.
-    ``phase2_engine`` selects the admission implementation
-    (``'reference'``, ``'sliced'``, ``'vectorized'`` -- also equivalent
-    by construction); ``workers``/``backend`` additionally size the
-    sliced pop's executor, and are legal with serial first-phase engines
-    when (and only when) the sliced pop is the consumer.
+    see the module docstring); ``workers`` and ``backend`` configure the
+    pooled engines' (parallel, vectorized) pool and execution substrate.
     """
-    validate_phase2_engine(phase2_engine)
     oracle = make_mis_oracle(mis, seed)
-    pooled = engine in ("parallel", "vectorized")
-    sliced_pop = phase2_engine == "sliced"
     dual, stack, events, counters = run_first_phase(
         instances, layout, raise_rule, thresholds, oracle,
-        engine=engine,
-        workers=workers if (pooled or not sliced_pop) else None,
-        backend=backend if (pooled or not sliced_pop) else None,
-        plan_granularity=plan_granularity,
+        engine=engine, workers=workers, backend=backend,
     )
-    solution = run_second_phase(
-        stack,
-        engine=phase2_engine,
-        workers=workers if sliced_pop else None,
-        backend=backend if sliced_pop else None,
-        dual=dual,
-        counters=counters,
-    )
+    solution = run_second_phase(stack, dual=dual, counters=counters)
     return TwoPhaseResult(
         solution=solution,
         dual=dual,

@@ -155,8 +155,8 @@ class LubyOracle:
 
     A module-level class (not a closure) so the oracle *pickles*: the
     parallel engine's process backend ships each epoch job -- oracle
-    included -- to a worker process, and its component mode clones the
-    oracle per job via a pickle round-trip.  An unpickled copy starts
+    included, cloned per job via a pickle round-trip -- to a worker
+    process.  An unpickled copy starts
     epoch substreams from the same derived seeds, so it draws exactly
     the priorities the original would for any epoch it has not yet
     touched -- which is every epoch the copy will run, since an epoch
@@ -222,8 +222,7 @@ def make_mis_oracle(kind: str, seed: int) -> MISOracle:
     keys its mutable RNG state by the context's epoch, so each epoch
     consumes only its own substream regardless of how epoch executions
     interleave) and all three pickle -- the wire requirement of the
-    parallel engine's process backend and component mode
-    (``tests/test_picklability.py``).
+    parallel engine's process backend (``tests/test_picklability.py``).
     """
     if kind == "greedy":
         return greedy_mis

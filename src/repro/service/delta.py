@@ -217,9 +217,8 @@ class DeltaStats:
     prediction_misses: int = 0
     phases: int = 0
     layouts_reused: int = 0
-    #: Second-phase admission replay (the admission engine seam):
-    #: capacity components seen, replayed from the ancestor's records,
-    #: and re-popped fresh.
+    #: Second-phase admission replay: capacity components seen,
+    #: replayed from the ancestor's records, and re-popped fresh.
     admission_components: int = 0
     admission_replayed: int = 0
     admission_rerun: int = 0

@@ -42,11 +42,13 @@ submission.  Hits on a byte-identical resubmission (the overwhelmingly
 common traffic pattern) are bit-identical outright.
 
 :class:`SolveKnobs` folds the solve configuration -- epsilon, MIS
-oracle, seed, engine, backend, plan granularity, decomposition,
-second-phase (admission) engine ``phase2_engine`` -- into the key,
-since each of those can change the semantic artifact.  The ``workers``
-pool size is deliberately *excluded*: job chunking and the ordered
-merge make the semantic tuple independent of pool sizing.
+oracle, seed, engine, backend, decomposition -- into the key, since
+each of those can change the semantic artifact.  The ``workers`` pool
+size is deliberately *excluded*: job chunking and the ordered merge
+make the semantic tuple independent of pool sizing.  The key tuple
+also keeps a plan-granularity and an admission-engine slot, each fixed
+at the one mode left (strict epochs, the reference pop), so keys
+minted before those knobs were retired stay valid.
 
 ``capacity_epoch`` is the one knob that is *not* about the solve at
 all: it is a monotonically bumped generation counter for mutable
@@ -95,7 +97,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.algorithms.base import validate_engine_knobs
 from repro.core.canonical import canonical_bytes
 from repro.core.demand import WindowDemand
-from repro.core.engines.backends import resolve_backend
+from repro.core.engines.backends import resolve_backend, resolve_workers
 from repro.core.problem import Problem
 from repro.trees.tree import TreeNetwork
 
@@ -376,7 +378,9 @@ class SolveKnobs:
     Defaults mirror the service's solve path: the incremental engine,
     Luby's oracle, the ideal tree decomposition.  ``workers`` is an
     execution hint only -- it never changes the semantic artifact, so
-    it is excluded from :meth:`canonical_form`.
+    it is excluded from :meth:`canonical_form`.  ``plan_granularity``
+    and ``phase2_engine`` are retired knobs that accept only their
+    one surviving mode (see :func:`~repro.algorithms.auto.solve_auto`).
     """
 
     epsilon: float = 0.1
@@ -392,8 +396,6 @@ class SolveKnobs:
     #: state that mutated in bulk can never be answered from a
     #: previous generation's cache entry.
     capacity_epoch: int = 0
-    #: Second-phase (admission) engine -- ``'reference'``, ``'sliced'``
-    #: or ``'vectorized'`` (:mod:`repro.core.engines.admission`).
     phase2_engine: str = "reference"
 
     def validate(self) -> "SolveKnobs":
@@ -406,35 +408,37 @@ class SolveKnobs:
         normalization -- and whether it errored or silently succeeded
         would then depend on cache state.  Validating before any cache
         interaction (the service does) keeps rejection deterministic.
+        ``workers`` is not keyed at all, so it gets the executor's own
+        check (:func:`~repro.core.engines.backends.resolve_workers`).
         """
-        validate_engine_knobs(
-            self.engine, self.backend, self.plan_granularity,
-            self.phase2_engine,
-        )
+        validate_engine_knobs(self.engine, self.backend)
         if self.capacity_epoch < 0:
             raise ValueError(
                 f"capacity_epoch must be >= 0, got {self.capacity_epoch}"
             )
-        if self.engine not in ("parallel", "vectorized"):
-            # plan_granularity shapes the first-phase plan only; the
-            # executor knobs additionally serve the sliced second-phase
-            # pop, which is legal with any first-phase engine.
-            if self.plan_granularity is not None:
+        if self.phase2_engine != "reference":
+            raise ValueError(
+                f"unknown phase2 engine {self.phase2_engine!r}; "
+                "only 'reference' remains"
+            )
+        if self.plan_granularity not in (None, "epoch"):
+            raise ValueError(
+                f"unknown plan granularity {self.plan_granularity!r}; "
+                "only 'epoch' remains"
+            )
+        if self.engine in ("parallel", "vectorized"):
+            resolve_workers(self.workers, self.backend)
+            return self
+        for knob, value in (
+            ("workers", self.workers),
+            ("backend", self.backend),
+            ("plan_granularity", self.plan_granularity),
+        ):
+            if value is not None:
                 raise ValueError(
-                    "plan_granularity= applies only to engine='parallel' "
-                    f"or 'vectorized', not {self.engine!r}"
+                    f"{knob}= applies only to engine='parallel' or "
+                    f"'vectorized', not {self.engine!r}"
                 )
-            if self.phase2_engine != "sliced":
-                for knob, value in (
-                    ("workers", self.workers),
-                    ("backend", self.backend),
-                ):
-                    if value is not None:
-                        raise ValueError(
-                            f"{knob}= applies only to engine='parallel' or "
-                            f"'vectorized' (or phase2_engine='sliced'), "
-                            f"not {self.engine!r}"
-                        )
         return self
 
     def canonical_form(self) -> Tuple:
@@ -447,16 +451,13 @@ class SolveKnobs:
         cannot alias one keyed under the thread default.  The
         vectorized engine keys like the parallel one: its executor
         knobs route it through the same plan/execute/merge machinery
-        (``kernel="vectorized"``), granularity contract included.
-        ``phase2_engine`` is keyed raw: every admission engine is
-        bit-identical, but distinct engines must never alias a cache
-        entry (the knob-sensitivity contract), and the backend slot
-        stays keyed on the *first-phase* engine alone -- a sliced pop's
-        substrate never changes the semantic artifact.
+        (``kernel="vectorized"``).  The granularity and admission-engine
+        slots hold the only surviving modes, spelled as every key minted
+        so far spells them.
         """
         if self.engine in ("parallel", "vectorized"):
             backend: Optional[str] = resolve_backend(self.backend)
-            granularity: Optional[str] = self.plan_granularity or "epoch"
+            granularity: Optional[str] = "epoch"
         else:
             backend = None
             granularity = None
@@ -470,7 +471,7 @@ class SolveKnobs:
             granularity,
             self.decomposition,
             int(self.capacity_epoch),
-            self.phase2_engine,
+            "reference",
         )
 
 

@@ -561,8 +561,6 @@ class SchedulingService:
                 engine=k.engine,
                 workers=k.workers,
                 backend=k.backend,
-                plan_granularity=k.plan_granularity,
-                phase2_engine=k.phase2_engine,
             )
 
         if journal is None:

@@ -201,6 +201,8 @@ class TestWireProtocol:
              "knobs": {"bogus_knob": True}},
             {"id": 5, "workload": "bursty-lines", "size": 14, "seed": 1,
              "knobs": KNOBS},
+            {"id": 6, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "phase2_engine": "vectorized"}},
         ]
         front, responses = asyncio.run(self.roundtrip(lines))
         by_id = {r.get("id"): r for r in responses}
@@ -211,6 +213,10 @@ class TestWireProtocol:
         assert not by_id[4]["ok"]
         assert by_id[5]["ok"], "a valid request after garbage must still serve"
         assert by_id[5]["semantic_digest"] == direct_digest()
+        # A retired admission engine is rejected, never served from the
+        # reference pop's cache entry or solved.
+        assert not by_id[6]["ok"] and "phase2 engine" in by_id[6]["error"]
+        assert front.stats["service"]["solves"] == 1
 
     def test_oversized_line_answers_and_flushes_accepted_work(self):
         # A line past the stream limit breaks the line discipline, so

@@ -2,9 +2,9 @@
 
 The parallel engine's three backends (thread pool, process pool, inline
 serial) must be **bit-identical** to ``engine="incremental"`` -- and to
-each other -- under the default epoch granularity, for every registry
-workload and every bundled MIS oracle.  One comparable value captures
-the whole contract: :meth:`TwoPhaseResult.semantic_tuple` folds the
+each other -- for every registry workload and every bundled MIS oracle.
+One comparable value captures the whole contract:
+:meth:`TwoPhaseResult.semantic_tuple` folds the
 selected ids, the full raise log (exact float deltas), the stack shape,
 the schedule counters and the final dual assignments *as ordered items*
 into a single tuple, so any divergence -- including a dual dict whose
@@ -130,7 +130,7 @@ class TestBackendKnob:
         with pytest.raises(ValueError, match="unknown backend"):
             solve_arbitrary_trees(problem, engine="parallel", backend="gpu")
 
-    @pytest.mark.parametrize("knob", ["backend", "plan_granularity"])
+    @pytest.mark.parametrize("knob", ["backend", "workers"])
     @pytest.mark.parametrize("engine", ["reference", "incremental"])
     def test_parallel_knobs_rejected_for_serial_engines(self, engine, knob):
         from repro.algorithms.base import tree_layouts
@@ -139,7 +139,7 @@ class TestBackendKnob:
 
         problem = build_workload("multi-tenant-forest", 12, seed=0)
         layout, _ = tree_layouts(problem, "ideal")
-        value = "serial" if knob == "backend" else "component"
+        value = "serial" if knob == "backend" else 2
         with pytest.raises(ValueError, match=f"{knob}= applies only"):
             run_two_phase(
                 problem.instances, layout, UnitRaise(), [0.9],

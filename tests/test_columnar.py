@@ -238,11 +238,12 @@ class TestProcessBackend:
                 d.instance_id for d in block.instances
             ]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "serial"])
     def test_vectorized_engine_under_pooled_backends(self, backend):
-        """workers= routes the vectorized engine through the parallel
-        executor with kernel='vectorized'; under the process backend the
-        prebuilt blocks cross a pickle boundary inside EpochJob."""
+        """workers=/backend= route the vectorized engine through the
+        parallel executor with kernel='vectorized'; under the process
+        backend the prebuilt blocks cross a pickle boundary inside
+        EpochJob."""
         problem, layout, rule, thresholds = setup_workload(
             "multi-tenant-forest", 40, seed=5
         )
@@ -253,7 +254,7 @@ class TestProcessBackend:
         vec = run_first_phase(
             problem.instances, layout, rule, thresholds,
             make_mis_oracle("luby", 5), engine="vectorized",
-            workers=2, backend=backend,
+            workers=1 if backend == "serial" else 2, backend=backend,
         )
         assert fingerprint(inc) == fingerprint(vec)
 

@@ -82,7 +82,6 @@ def cold_digest(problem, knobs):
         engine=knobs.engine,
         workers=knobs.workers,
         backend=knobs.backend,
-        plan_granularity=knobs.plan_granularity,
     )
     return report_semantic_digest(report)
 

@@ -15,15 +15,11 @@ float schedule drifted from the dict engine's association order.
 Every case in this suite runs all four engines: ``both_engines``
 asserts the parallel engine (2 workers) and the vectorized kernel
 against the incremental one inline and returns the (reference,
-incremental) pair for the caller's own comparison.  The second-phase
-admission engines ride the same sweep: every case also runs
-``phase2_engine="sliced"`` and ``phase2_engine="vectorized"`` arms,
-asserted bit-identical (admission work counters included) against the
-reference pop, and ``TestPhase2EngineMatrix`` crosses the full
-phase2-engine x first-phase-engine x oracle grid explicitly.
+incremental) pair for the caller's own comparison.
 """
 import pytest
 
+from repro.algorithms import solve_auto
 from repro.algorithms.arbitrary_lines import solve_arbitrary_lines, solve_narrow_lines
 from repro.algorithms.arbitrary_trees import solve_arbitrary_trees
 from repro.algorithms.narrow_trees import solve_narrow_trees
@@ -62,8 +58,8 @@ def assert_results_identical(ref, inc):
     assert rc.mis_rounds == ic.mis_rounds
     assert rc.max_steps_per_stage == ic.max_steps_per_stage
     # The admission work account (checks/admitted/rejected) is semantic
-    # across phase2 engines too; the compat-guarded tuple keeps the
-    # pre-seam golden digests stable while this suite still pins it.
+    # too; the compat-guarded tuple keeps the older golden digests
+    # stable while this suite still pins it.
     assert rc.semantic_tuple(include_admission=True) == ic.semantic_tuple(
         include_admission=True
     )
@@ -89,22 +85,13 @@ def assert_reports_identical(ref, inc):
 
 def both_engines(solver, problem, **kwargs):
     """Run all engines; parallel and vectorized are asserted against
-    incremental here, and both non-reference admission engines against
-    the reference pop."""
+    incremental here."""
     ref = solver(problem, engine="reference", **kwargs)
     inc = solver(problem, engine="incremental", **kwargs)
     par = solver(problem, engine="parallel", workers=2, **kwargs)
     vec = solver(problem, engine="vectorized", **kwargs)
     assert_reports_identical(inc, par)
     assert_reports_identical(inc, vec)
-    sliced_pop = solver(
-        problem, engine="incremental", phase2_engine="sliced", **kwargs
-    )
-    vector_pop = solver(
-        problem, engine="incremental", phase2_engine="vectorized", **kwargs
-    )
-    assert_reports_identical(inc, sliced_pop)
-    assert_reports_identical(inc, vector_pop)
     return ref, inc
 
 
@@ -229,60 +216,6 @@ class TestSequentialAndBaselines:
         assert_reports_identical(ref, inc)
 
 
-class TestPhase2EngineMatrix:
-    """The full second-phase grid: every admission engine must be
-    bit-identical to the reference pop under every first-phase engine
-    and every oracle -- the acceptance matrix of the admission seam."""
-
-    @pytest.mark.parametrize("mis", ORACLES)
-    @pytest.mark.parametrize(
-        "engine", ["reference", "incremental", "parallel", "vectorized"]
-    )
-    @pytest.mark.parametrize("phase2", ["sliced", "vectorized"])
-    def test_forest_matrix(self, phase2, engine, mis):
-        problem = build_workload("multi-tenant-forest", 60, seed=12)
-        workers = {"workers": 2} if engine == "parallel" else {}
-        base = solve_unit_trees(
-            problem, epsilon=0.2, mis=mis, seed=12, engine=engine, **workers
-        )
-        alt = solve_unit_trees(
-            problem, epsilon=0.2, mis=mis, seed=12, engine=engine,
-            phase2_engine=phase2, **workers
-        )
-        assert_reports_identical(base, alt)
-
-    @pytest.mark.parametrize("mis", ORACLES)
-    @pytest.mark.parametrize(
-        "engine", ["reference", "incremental", "parallel", "vectorized"]
-    )
-    @pytest.mark.parametrize("phase2", ["sliced", "vectorized"])
-    def test_lines_matrix(self, phase2, engine, mis):
-        problem = build_workload("bursty-lines", 20, seed=8)
-        workers = {"workers": 2} if engine == "parallel" else {}
-        base = solve_arbitrary_lines(
-            problem, epsilon=0.3, mis=mis, seed=8, engine=engine, **workers
-        )
-        alt = solve_arbitrary_lines(
-            problem, epsilon=0.3, mis=mis, seed=8, engine=engine,
-            phase2_engine=phase2, **workers
-        )
-        assert_reports_identical(base, alt)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sliced_backends_identical(self, backend):
-        # The sliced pop's substrate must never change the artifact;
-        # the process backend additionally proves admission jobs pickle.
-        problem = build_workload("multi-tenant-forest", 60, seed=3)
-        base = solve_unit_trees(
-            problem, epsilon=0.2, mis="greedy", seed=3, engine="incremental"
-        )
-        alt = solve_unit_trees(
-            problem, epsilon=0.2, mis="greedy", seed=3, engine="incremental",
-            phase2_engine="sliced", workers=2, backend=backend,
-        )
-        assert_reports_identical(base, alt)
-
-
 class TestEngineValidation:
     def test_unknown_engine_rejected_early(self):
         problem = scenario("figure6")
@@ -290,9 +223,26 @@ class TestEngineValidation:
             solve_unit_trees(problem, engine="warp")
 
     def test_unknown_phase2_engine_rejected_early(self):
+        # solve_auto keeps the retired knobs for existing callers, but
+        # only their surviving modes: the reference pop, strict epochs.
         problem = scenario("figure6")
-        with pytest.raises(ValueError, match="unknown phase2 engine"):
-            solve_unit_trees(problem, phase2_engine="warp")
+        for phase2 in ("warp", "sliced", "vectorized"):
+            with pytest.raises(ValueError, match="unknown phase2 engine"):
+                solve_auto(problem, phase2_engine=phase2)
+        for granularity in ("component", "auto"):
+            with pytest.raises(ValueError, match="plan granularity"):
+                solve_auto(
+                    problem, engine="parallel", plan_granularity=granularity
+                )
+        with pytest.raises(ValueError, match="plan_granularity= applies only"):
+            solve_auto(problem, engine="incremental", plan_granularity="epoch")
+        assert_reports_identical(
+            solve_auto(problem, engine="parallel", workers=2),
+            solve_auto(
+                problem, engine="parallel", workers=2,
+                plan_granularity="epoch", phase2_engine="reference",
+            ),
+        )
 
     def test_run_two_phase_rejects_unknown_engine(self):
         from repro.algorithms.base import tree_layouts

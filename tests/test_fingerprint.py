@@ -371,6 +371,21 @@ GOLDEN = [
         "3acb75e747e811e9d3916a9f2de4340ded08dabcffdb7f54869489d8fe0fe5f4",
         "bb10b7d4be15c65bff513da8d7de07d7e3ca65fa00d44b1e30c9e6b461849cc7",
     ),
+    # The pooled engines fill the backend and granularity slots.
+    (
+        lambda: build_workload("bursty-lines", 10, seed=0),
+        SolveKnobs(engine="vectorized", backend="thread"),
+        "2760c04a44b484e7a7f5803d7f83e3369f58960e5757bedf80144206c1cb2213",
+        "335a9dbaba3740bc3a4bed62678e4d926214ff2c6936897acca7fe3b17e1bd3c",
+    ),
+    (
+        lambda: build_workload("multi-tenant-forest", 24, seed=7),
+        SolveKnobs(
+            engine="parallel", backend="process", plan_granularity="epoch"
+        ),
+        "4b43239af493fe15eefdee58e536f4ad5c688e3989c1f87f153bc2eb04489009",
+        "89241e7ef89d7324280df7ea592b6bfa942d57a8bbe5018aef6d4c4f461fc0d8",
+    ),
 ]
 
 
@@ -451,10 +466,7 @@ class TestSolveKnobs:
             replace(base, seed=1),
             replace(base, engine="incremental"),
             replace(base, backend="process"),
-            replace(base, plan_granularity="component"),
             replace(base, decomposition="balancing"),
-            replace(base, phase2_engine="sliced"),
-            replace(base, phase2_engine="vectorized"),
         ]
         others = {solve_fingerprint(problem, k).digest for k in variants}
         assert fp.digest not in others
@@ -486,11 +498,13 @@ class TestSolveKnobs:
         )
         assert process_fp == explicit
 
-    def test_vectorized_accepts_executor_knobs(self):
-        # The vectorized engine routes workers=/backend=/plan_granularity=
-        # through the parallel executor, so it validates and keys like
+    def test_vectorized_accepts_executor_knobs(self, monkeypatch):
+        # The vectorized engine routes workers=/backend= through the
+        # parallel executor, so it validates and keys like
         # engine='parallel': workers stays an execution hint, the other
-        # knobs resolve into the key.
+        # knobs resolve into the key.  The default backend is pinned so
+        # the thread/process contrast holds under REPRO_BACKEND too.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         problem = build_workload("bursty-lines", 10, seed=0)
         SolveKnobs(engine="vectorized", workers=2, backend="process").validate()
         a = solve_fingerprint(problem, SolveKnobs(engine="vectorized", workers=2))
@@ -502,36 +516,31 @@ class TestSolveKnobs:
         with pytest.raises(ValueError, match="vectorized"):
             SolveKnobs(engine="incremental", backend="process").validate()
 
-    def test_phase2_engine_keys_raw_and_unlocks_executor_knobs(self):
-        # Every admission engine is bit-identical, but distinct engines
-        # must never alias a cache entry (the knob-sensitivity
-        # contract) -- phase2_engine is keyed raw.
+    def test_retired_knobs_accept_only_their_surviving_mode(self):
+        # plan_granularity and phase2_engine keep their key slots, fixed
+        # at strict epochs and the reference pop; every other value
+        # they once took is rejected before any cache interaction.
         problem = build_workload("bursty-lines", 10, seed=0)
-        keys = {
-            solve_fingerprint(
-                problem, SolveKnobs(phase2_engine=p2)
-            ).digest
-            for p2 in ("reference", "sliced", "vectorized")
-        }
-        assert len(keys) == 3
-        with pytest.raises(ValueError, match="unknown phase2 engine"):
-            SolveKnobs(phase2_engine="bogus").validate()
-        # A sliced pop runs on the executor backends, so workers=/backend=
-        # become legal with a serial first-phase engine -- but the backend
-        # slot stays keyed on the first-phase engine alone (a pop
-        # substrate never changes the artifact), leaving workers a pure
-        # execution hint.
-        sliced = SolveKnobs(
-            engine="incremental", phase2_engine="sliced",
-            workers=2, backend="process",
-        ).validate()
-        assert solve_fingerprint(problem, sliced) == solve_fingerprint(
-            problem, replace(sliced, workers=8, backend="thread")
-        )
-        with pytest.raises(ValueError, match="phase2_engine='sliced'"):
+        for knobs in (
+            SolveKnobs(phase2_engine="bogus"),
+            SolveKnobs(phase2_engine="sliced"),
+            SolveKnobs(phase2_engine="vectorized"),
+        ):
+            with pytest.raises(ValueError, match="unknown phase2 engine"):
+                knobs.validate()
+        for granularity in ("component", "auto"):
+            with pytest.raises(ValueError, match="plan granularity"):
+                SolveKnobs(
+                    engine="parallel", plan_granularity=granularity
+                ).validate()
+        with pytest.raises(ValueError, match="plan_granularity= applies"):
             SolveKnobs(
-                engine="incremental", phase2_engine="vectorized", workers=2
+                engine="incremental", plan_granularity="epoch"
             ).validate()
+        strict = SolveKnobs(engine="parallel", plan_granularity="epoch")
+        assert solve_fingerprint(problem, strict.validate()) == (
+            solve_fingerprint(problem, replace(strict, plan_granularity=None))
+        )
 
 
 class TestCanonicalBytes:

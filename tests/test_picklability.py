@@ -1,9 +1,9 @@
 """Picklability regression tests for the process backend's wire format.
 
 ``backend="process"`` ships :class:`EpochJob` bundles to worker
-processes and gets :class:`EpochOutcome` / ``FirstPhaseArtifacts``
-back; component mode additionally clones MIS oracles via a pickle
-round-trip.  Anything in that closure losing picklability (a lambda
+processes (each with a private MIS oracle clone made by a pickle
+round-trip) and gets :class:`EpochOutcome` / ``FirstPhaseArtifacts``
+back.  Anything in that closure losing picklability (a lambda
 slipping into an oracle factory, an unpicklable field on a dataclass)
 would break the process backend at a distance, so this module pins it
 directly: every ``make_mis_oracle`` product, every plan-derived job
@@ -82,35 +82,23 @@ class TestOraclePicklability:
 
 
 class TestJobSlicePicklability:
-    @pytest.mark.parametrize("granularity", ["epoch", "component"])
     @pytest.mark.parametrize("mis", ORACLES)
-    def test_plan_job_slices_roundtrip(self, mis, granularity):
+    def test_plan_job_slices_roundtrip(self, mis):
         """The exact wire form the process backend submits must pickle,
         and an unpickled job must compute the identical outcome."""
         problem, layout, thresholds = setup_case()
-        plan = EpochPlan.build(
-            problem.instances, layout, granularity=granularity
-        )
+        plan = EpochPlan.build(problem.instances, layout)
         oracle = make_mis_oracle(mis, 3)
         rule = UnitRaise()
-        jobs = []
-        for epoch in sorted(plan.members):
-            if not plan.members[epoch]:
-                continue
-            if granularity == "component":
-                for c, (members, adjacency, index) in enumerate(
-                    plan.component_slices(epoch)
-                ):
-                    jobs.append(EpochJob(
-                        epoch, c, members, index, adjacency, layout,
-                        rule, thresholds, roundtrip(oracle), {}, {},
-                    ))
-            else:
-                jobs.append(EpochJob(
-                    epoch, 0, plan.members[epoch], plan.index[epoch],
-                    plan.adjacency[epoch], layout, rule, thresholds,
-                    roundtrip(oracle), {}, {},
-                ))
+        jobs = [
+            EpochJob(
+                epoch, plan.members[epoch], plan.index[epoch],
+                plan.adjacency[epoch], layout, rule, thresholds,
+                roundtrip(oracle), {}, {},
+            )
+            for epoch in sorted(plan.members)
+            if plan.members[epoch]
+        ]
         assert jobs, "workload produced no jobs"
         for job in jobs:
             wire = job.sliced()
@@ -142,7 +130,7 @@ class TestProcessWirePreparation:
         shared = make_mis_oracle("luby", 5)
         jobs = [
             EpochJob(
-                epoch, 0, plan.members[epoch], plan.index[epoch],
+                epoch, plan.members[epoch], plan.index[epoch],
                 plan.adjacency[epoch], layout, UnitRaise(), thresholds,
                 shared, {}, {},
             )

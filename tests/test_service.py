@@ -63,7 +63,6 @@ def direct_digest(name, size, **knob_kwargs):
         engine=knobs.engine,
         workers=knobs.workers,
         backend=knobs.backend,
-        plan_granularity=knobs.plan_granularity,
     )
     return report_semantic_digest(report)
 
@@ -268,6 +267,29 @@ class TestErrorAttribution:
         with pytest.raises(ServiceError, match="bad-combo.*applies only"):
             service.solve(invalid)
         assert service.stats["solves"] == 1
+
+    def test_invalid_workers_rejected_even_with_a_cached_twin(self):
+        # workers is not part of the key, so each invalid request keys
+        # the same as a valid twin; once the twin is cached, only
+        # validation stands between it and a "hit".
+        service = SchedulingService(workers=2)
+        for twin, workers in (
+            (dict(engine="parallel", workers=2), 0),
+            (dict(engine="vectorized"), -1),
+            (dict(engine="parallel", backend="serial"), 2),
+        ):
+            valid = make_request("bursty-lines", 14, **twin)
+            service.solve(valid)
+            solves = service.stats["solves"]
+            invalid = SolveRequest(
+                problem=valid.problem,
+                knobs=replace(valid.knobs, workers=workers),
+                label="bad-workers",
+            )
+            assert invalid.fingerprint() == valid.fingerprint()
+            with pytest.raises(ServiceError, match="bad-workers.*workers"):
+                service.solve(invalid)
+            assert service.stats["solves"] == solves
 
     def test_failure_keeps_cause_chain(self):
         service = SchedulingService(workers=2)
