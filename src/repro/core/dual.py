@@ -65,8 +65,9 @@ class DualState:
     def lhs_satisfies(lhs: float, profit: float, tau: float) -> bool:
         """The ``tau``-satisfied predicate on a precomputed LHS value.
 
-        Shared by :meth:`is_satisfied` and the incremental engine's LHS
-        cache so the tolerance convention lives in exactly one place.
+        Shared by :meth:`is_satisfied` and the incremental engine's
+        due-stage bisection so the tolerance convention lives in exactly
+        one place.
         """
         return lhs >= tau * profit - EPS
 

@@ -11,7 +11,7 @@ facade.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.demand import DemandInstance
@@ -71,6 +71,11 @@ class PhaseCounters:
     #: reference engine pays steps x group per stage, the incremental
     #: engine group + dirty-set rechecks.
     satisfaction_checks: int = 0
+    #: (epoch, stage) pairs the engine worked in.  The reference and
+    #: columnar engines enter every stage of a non-empty epoch; the
+    #: incremental engine jumps straight to the stages some member
+    #: fails, so only stages with at least one raise are entered.
+    stages_entered: int = 0
     #: adjacency entries materialized or mutated while preparing each
     #: step's restricted conflict graph (entry plus neighbor-set size, so
     #: the number is comparable across engines).  Note: the parallel
@@ -96,9 +101,9 @@ class PhaseCounters:
         return self.mis_rounds + self.steps + self.phase2_rounds
 
     #: Fields that must be identical across engines for the same run.
-    #: ``satisfaction_checks``/``adjacency_touches`` measure *engine*
-    #: work, ``wavefronts``/``workers_used`` attribute it to workers --
-    #: none of those are part of the semantic artifact.
+    #: ``satisfaction_checks``/``stages_entered``/``adjacency_touches``
+    #: measure *engine* work, ``wavefronts``/``workers_used`` attribute
+    #: it to workers -- none of those are part of the semantic artifact.
     SEMANTIC_FIELDS = (
         "epochs", "stages", "steps", "raises", "mis_rounds",
         "max_steps_per_stage", "phase2_rounds",
@@ -109,12 +114,40 @@ class PhaseCounters:
     #: recorded before these fields existed must keep verifying).
     ADMISSION_FIELDS = ("admission_checks", "admitted", "rejected")
 
+    #: Fields :meth:`fold_phase1` does not sum: ``epochs``, the worker
+    #: attribution and the second phase are the caller's to account, and
+    #: ``max_steps_per_stage`` is maxed.
+    UNFOLDED_FIELDS = (
+        "epochs", "max_steps_per_stage", "phase2_rounds",
+        "wavefronts", "workers_used",
+    ) + ADMISSION_FIELDS
+
+    def fold_phase1(self, part: "PhaseCounters") -> None:
+        """Add one epoch's first-phase counters into this total.
+
+        Every field outside :data:`UNFOLDED_FIELDS` is summed, so a new
+        work counter is folded without touching the engines that merge
+        per-epoch counters (the journaled runner and the parallel
+        engine).
+        """
+        for f in _FOLDED_FIELDS:
+            setattr(self, f, getattr(self, f) + getattr(part, f))
+        self.max_steps_per_stage = max(
+            self.max_steps_per_stage, part.max_steps_per_stage
+        )
+
     def semantic_tuple(self, include_admission: bool = False) -> Tuple[int, ...]:
         """The engine-independent schedule counters, for equivalence checks."""
         fields = self.SEMANTIC_FIELDS
         if include_admission:
             fields = fields + self.ADMISSION_FIELDS
         return tuple(getattr(self, f) for f in fields)
+
+
+_FOLDED_FIELDS = tuple(
+    f.name for f in fields(PhaseCounters)
+    if f.name not in PhaseCounters.UNFOLDED_FIELDS
+)
 
 
 FirstPhaseArtifacts = Tuple[

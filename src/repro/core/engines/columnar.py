@@ -811,6 +811,7 @@ def run_epoch_columnar(
     profit = block.profit
     for stage_no, tau in enumerate(thresholds, start=1):
         counters.stages += 1
+        counters.stages_entered += 1
         unsat = lhs < tau * profit - EPS
         if not unsat.any():
             continue

@@ -1,7 +1,8 @@
 """The incremental (dirty-set) first-phase engine.
 
 Semantically identical to the reference engine, but maintains a
-per-(epoch, stage) *unsatisfied* set updated via dirty-sets; see
+per-(epoch, stage) *unsatisfied* set updated via dirty-sets, and enters
+only the stages some member fails; see
 :func:`run_first_phase_incremental` for the correctness argument.
 
 The per-epoch loop body lives in :func:`run_epoch_incremental` so the
@@ -41,6 +42,27 @@ from repro.distributed.conflict import (
 from repro.distributed.mis import MISOracle
 
 
+def first_failing_stage(
+    lhs: float, profit: float, thresholds: Sequence[float], lo: int = 0
+) -> int:
+    """Index of the first threshold at or after *lo* that *lhs* fails.
+
+    Returns ``len(thresholds)`` when *lhs* satisfies every threshold
+    from *lo* on.  The schedule never decreases, so failing is monotone
+    in the stage and bisecting with :meth:`DualState.lhs_satisfies`
+    finds exactly the stage a linear scan would.
+    """
+    satisfies = DualState.lhs_satisfies
+    hi = len(thresholds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if satisfies(lhs, profit, thresholds[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def run_epoch_incremental(
     epoch: int,
     members: Sequence[DemandInstance],
@@ -60,29 +82,33 @@ def run_epoch_incremental(
     """Run one epoch of the dirty-set engine; returns the next raise order.
 
     ``index`` may be the global instance index or one restricted to
-    *members*: dirty sets are always intersected with the member LHS
-    cache, so both give identical behaviour (the restricted one is just
+    *members*: dirty sets are always intersected with the member set,
+    so both give identical behaviour (the restricted one is just
     cheaper -- that is the parallel engine's slicing win).  Likewise
     ``conflict_adj`` may be global or member-restricted: the active-set
     view intersects neighbor sets with the unsatisfied members anyway.
     """
-    # LHS cache, one full evaluation per member per epoch; afterwards
-    # entries are recomputed only when their instance is dirty.
-    lhs_of: Dict[InstanceId, float] = {}
+    n_stages = len(thresholds)
+    # Each member's *due stage*: the first stage (0-based) whose
+    # threshold its LHS, as of its last evaluation, fails; n_stages
+    # once it fails none.  One full evaluation per member per epoch;
+    # afterwards only dirty members are re-evaluated.
+    due: Dict[InstanceId, int] = {}
+    waiting: Dict[int, set] = {}  # due stage -> members due there
     for d in members:
         counters.satisfaction_checks += 1
-        lhs_of[d.instance_id] = dual.lhs(d)
-    for stage_no, tau in enumerate(thresholds, start=1):
-        counters.stages += 1
-        # Stage boundary: tau rose; re-derive the unsatisfied set from
-        # the cache (same predicate as DualState.is_satisfied).
-        unsat = {
-            d.instance_id
-            for d in members
-            if not DualState.lhs_satisfies(lhs_of[d.instance_id], d.profit, tau)
-        }
-        if not unsat:
-            continue
+        k = first_failing_stage(dual.lhs(d), d.profit, thresholds)
+        due[d.instance_id] = k
+        if k < n_stages:
+            waiting.setdefault(k, set()).add(d.instance_id)
+    # A stage no member is due at would rescan to an empty unsatisfied
+    # set and do nothing else, so it is counted, not entered.
+    counters.stages += n_stages
+    while waiting:
+        k = min(waiting)
+        unsat = waiting.pop(k)
+        stage_no = k + 1
+        counters.stages_entered += 1
         # Active-set view of the conflict graph, built once per stage
         # and shrunk in place as instances satisfy.
         active_adj: ConflictAdjacency = {}
@@ -118,16 +144,27 @@ def run_epoch_incremental(
                 dirty |= index.affected_by(d.demand_id, layout.pi[d.instance_id])
             stack.append(chosen)
             counters.steps += 1
-            # Refresh the cache for dirty group members and retire the
-            # ones that became tau-satisfied.
+            # Re-evaluate dirty members.  An LHS never falls, so a due
+            # stage only moves later: members due now retire when
+            # tau-satisfied, later ones move to a later bucket.
             newly_satisfied = []
-            for i in sorted(dirty & lhs_of.keys()):
+            for i in sorted(dirty & due.keys()):
                 d = by_id[i]
                 counters.satisfaction_checks += 1
-                lhs = dual.lhs(d)
-                lhs_of[i] = lhs
-                if i in unsat and DualState.lhs_satisfies(lhs, d.profit, tau):
+                old = due[i]
+                new = first_failing_stage(dual.lhs(d), d.profit, thresholds, old)
+                if new == old:
+                    continue
+                due[i] = new
+                if old == k:
                     newly_satisfied.append(i)
+                else:
+                    bucket = waiting[old]
+                    bucket.discard(i)
+                    if not bucket:
+                        del waiting[old]
+                if new < n_stages:
+                    waiting.setdefault(new, set()).add(i)
             for i in newly_satisfied:
                 unsat.discard(i)
                 nbrs = active_adj.pop(i)
@@ -149,20 +186,28 @@ def run_first_phase_incremental(
 ) -> FirstPhaseArtifacts:
     """Dirty-set engine: same semantics, incremental satisfaction state.
 
-    Correctness rests on two facts.  (1) The LHS of an instance's dual
+    Correctness rests on three facts.  (1) The LHS of an instance's dual
     constraint changes only when some neighbor's raise touches it: a
     raise on ``d`` moves ``alpha`` only for demand ``a_d`` and ``beta``
     only on ``pi(d)``, so the instances whose LHS moved (the *dirty
     set*) are exactly what :class:`InstanceIndex` returns.  (2) Raises
     only *increase* LHS values, so within one (epoch, stage) a satisfied
     instance stays satisfied -- only dirty instances can change status.
+    (3) The schedule never decreases (:func:`run_first_phase` checks
+    it), so with its LHS fixed a member that fails stage ``j`` fails
+    every later stage too: its first failing stage -- its *due stage*
+    -- can be bisected, and by (2) re-evaluating it only ever moves it
+    later.
 
-    Together these let the engine cache each member's LHS (recomputed
-    only when dirty) so the ``tau``-satisfaction test is a cached float
-    comparison, and maintain the per-stage *unsatisfied* set plus an
-    active-set adjacency view that shrinks in place as instances
-    satisfy, replacing the reference engine's per-step full rescan and
-    ``restrict()`` rebuild.
+    Together these let the engine evaluate each member's LHS once per
+    epoch and again only when dirty, keep just its due stage, and jump
+    straight to the next stage some member is due at: the stages in
+    between are exactly the ones whose rescan would find nothing
+    unsatisfied, which the reference loop skips without a draw or a
+    raise (they still count in ``stages``).  Within a stage the engine
+    maintains the *unsatisfied* set plus an active-set adjacency view
+    that shrinks in place as instances satisfy, replacing the reference
+    engine's per-step full rescan and ``restrict()`` rebuild.
 
     When a :class:`~repro.core.engines.journal.FirstPhaseJournal` is
     installed (:func:`~repro.core.engines.journal.journal_context`),
@@ -201,22 +246,6 @@ def run_first_phase_incremental(
             raise_rule, thresholds, mis_oracle, events, stack, counters, order,
         )
     return dual, stack, events, counters
-
-
-def _fold_counters(total: PhaseCounters, part: PhaseCounters) -> None:
-    """Fold one epoch's counters into the phase total (the same merge
-    discipline the parallel engine applies to per-epoch jobs; ``epochs``
-    is accounted by the caller's loop, phase-2 and parallel fields stay
-    untouched)."""
-    total.stages += part.stages
-    total.steps += part.steps
-    total.raises += part.raises
-    total.mis_rounds += part.mis_rounds
-    total.satisfaction_checks += part.satisfaction_checks
-    total.adjacency_touches += part.adjacency_touches
-    total.max_steps_per_stage = max(
-        total.max_steps_per_stage, part.max_steps_per_stage
-    )
 
 
 def _replay_epoch(
@@ -297,7 +326,7 @@ def _run_first_phase_journaled(
             order = _replay_epoch(
                 record, dual, raise_rule, events, stack, order
             )
-            _fold_counters(counters, record.counters)
+            counters.fold_phase1(record.counters)
             log.records[epoch] = record
             journal.epochs_replayed += 1
             continue
@@ -310,7 +339,7 @@ def _run_first_phase_journaled(
             plan.adjacency[epoch], layout, raise_rule, thresholds,
             mis_oracle, events, stack, part, order,
         )
-        _fold_counters(counters, part)
+        counters.fold_phase1(part)
         log.records[epoch] = EpochRecord(
             signature=signature,
             events=tuple(events[start_ev:]),

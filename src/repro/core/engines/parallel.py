@@ -224,16 +224,7 @@ class ParallelEpochExecutor:
                 events.append(ev)
                 order += 1
             stack.extend(out.stack)
-            c = out.counters
-            counters.stages += c.stages
-            counters.steps += c.steps
-            counters.raises += c.raises
-            counters.mis_rounds += c.mis_rounds
-            counters.satisfaction_checks += c.satisfaction_checks
-            counters.adjacency_touches += c.adjacency_touches
-            counters.max_steps_per_stage = max(
-                counters.max_steps_per_stage, c.max_steps_per_stage
-            )
+            counters.fold_phase1(out.counters)
         return final, stack, events, counters
 
 

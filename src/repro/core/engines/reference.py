@@ -45,6 +45,7 @@ def run_first_phase_reference(
             continue
         for stage_no, tau in enumerate(thresholds, start=1):
             counters.stages += 1
+            counters.stages_entered += 1
             step = 0
             while True:
                 counters.satisfaction_checks += len(members)

@@ -38,9 +38,12 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   flip are found through the prebuilt edge->instance index
   (:func:`repro.distributed.conflict.build_instance_index`).  Because
   raises only increase constraint LHS values, satisfaction is monotone
-  within a stage and the set never needs a full rescan until the next
-  threshold.  The per-step ``restrict()`` rebuild is replaced by an
-  active-set adjacency view that shrinks as instances satisfy
+  within a stage and the set never needs a full rescan.  Because the
+  schedule never decreases either, each member's first failing stage
+  is found by bisection, and the engine jumps from one stage some
+  member fails to the next instead of visiting every threshold.  The
+  per-step ``restrict()`` rebuild is replaced by an active-set
+  adjacency view that shrinks as instances satisfy
   (:mod:`repro.core.engines.incremental`).
 * ``engine="parallel"`` -- the plan -> execute -> merge engine
   (:mod:`repro.core.engines.parallel`): an
@@ -69,8 +72,9 @@ All engines -- and all parallel backends -- produce bit-identical
 artifacts (solutions, raise events, stacks, schedule counters) for the
 bundled MIS oracles; the golden suites in
 ``tests/test_engine_equivalence.py`` and ``tests/test_backends.py``
-enforce this.  :class:`PhaseCounters` exposes ``satisfaction_checks``
-and ``adjacency_touches`` so the asymptotic win is measurable (see
+enforce this.  :class:`PhaseCounters` exposes ``satisfaction_checks``,
+``stages_entered`` and ``adjacency_touches`` so the asymptotic win is
+measurable (see
 ``benchmarks/bench_e16_engine_scaling.py`` and
 ``benchmarks/bench_e17_parallel_epochs.py``;
 ``benchmarks/bench_e21_vectorized_kernel.py`` times the columnar
@@ -148,6 +152,28 @@ def geometric_thresholds(xi: float, epsilon: float) -> List[float]:
     return [1.0 - xi**j for j in range(1, b + 1)]
 
 
+def validate_thresholds(thresholds: Sequence[float]) -> None:
+    """Check a stage schedule: non-empty, each ``tau`` in ``(0, 1]``,
+    never decreasing (equal neighbours are allowed).
+
+    The final threshold is the run's slackness, and a non-decreasing
+    schedule is what lets the incremental engine bisect for each
+    member's first failing stage.
+    """
+    if not thresholds:
+        raise ValueError("at least one stage threshold is required")
+    for j, tau in enumerate(thresholds):
+        if not 0 < tau <= 1:
+            raise ValueError(
+                f"stage threshold {j} must lie in (0, 1], got {tau}"
+            )
+        if j and tau < thresholds[j - 1]:
+            raise ValueError(
+                f"stage thresholds must never decrease: threshold {j} "
+                f"({tau}) is below threshold {j - 1} ({thresholds[j - 1]})"
+            )
+
+
 def unit_xi(delta: int) -> float:
     """``xi = 2 Delta' / (2 Delta' + 1)`` with ``Delta' = Delta + 1``.
 
@@ -185,6 +211,9 @@ def run_first_phase(
 ) -> FirstPhaseArtifacts:
     """Run the first phase (Figure 7) and return its artifacts.
 
+    *thresholds* is the stage schedule: at least one ``tau``, each in
+    ``(0, 1]``, never decreasing (see :func:`validate_thresholds`); its
+    last entry is the slackness every instance ends up satisfying.
     ``engine`` selects the implementation (see the module docstring);
     all engines produce identical artifacts for the bundled MIS oracles.
     ``workers`` sizes the pooled engines' pool (default: the usable
@@ -192,8 +221,7 @@ def run_first_phase(
     ('thread', 'process' or 'serial'); both are rejected for the serial
     engines.
     """
-    if not thresholds:
-        raise ValueError("at least one stage threshold is required")
+    validate_thresholds(thresholds)
     validate_engine(engine)
     if engine == "parallel":
         # The plan slices per-epoch adjacency itself; no global conflict

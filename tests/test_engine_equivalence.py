@@ -172,22 +172,37 @@ class TestNarrowAlgorithms:
         assert_reports_identical(ref, inc)
 
 
+def with_serving_epsilon(names, epsilon):
+    """``(name, epsilon)`` cases plus each name at ``epsilon=0.1``, the
+    serving default: the longest narrow schedules, where the
+    incremental engine skips the most stages.  The given epsilon keeps
+    the bare workload name as its id."""
+    return [pytest.param(n, epsilon, id=n) for n in names] + [
+        pytest.param(n, 0.1, id=f"{n}-eps0.1") for n in names
+    ]
+
+
 class TestArbitraryHeights:
     @pytest.mark.parametrize("mis", ORACLES)
-    @pytest.mark.parametrize("name", ["figure2", "sparse-access-forest"])
-    def test_trees(self, name, mis):
+    @pytest.mark.parametrize(
+        "name, epsilon",
+        with_serving_epsilon(["figure2", "sparse-access-forest"], 0.25),
+    )
+    def test_trees(self, name, epsilon, mis):
         problem = build_workload(name, 30, seed=6)
         ref, inc = both_engines(
-            solve_arbitrary_trees, problem, epsilon=0.25, mis=mis, seed=6
+            solve_arbitrary_trees, problem, epsilon=epsilon, mis=mis, seed=6
         )
         assert_reports_identical(ref, inc)
 
     @pytest.mark.parametrize("mis", ORACLES)
-    @pytest.mark.parametrize("name", ["figure1", "bursty-lines"])
-    def test_lines(self, name, mis):
+    @pytest.mark.parametrize(
+        "name, epsilon", with_serving_epsilon(["figure1", "bursty-lines"], 0.3)
+    )
+    def test_lines(self, name, epsilon, mis):
         problem = build_workload(name, 20, seed=8)
         ref, inc = both_engines(
-            solve_arbitrary_lines, problem, epsilon=0.3, mis=mis, seed=8
+            solve_arbitrary_lines, problem, epsilon=epsilon, mis=mis, seed=8
         )
         assert_reports_identical(ref, inc)
 

@@ -8,14 +8,20 @@ every raise leaves the raised instance's dual constraint *tight* (the
 property Lemma 3.1's charging argument needs).  A regression test pins
 the progress guard: a non-progressing MIS oracle must abort with an
 error naming the stalled (epoch, stage) after at most ``len(members)``
-steps, not silently loop.
+steps, not silently loop -- also deep in a schedule, past stages the
+incremental engine skips.  The due-stage bisection behind that skip is
+checked against a linear scan at float boundaries.
 """
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import line_layouts, tree_layouts
+from repro.core.demand import Demand
 from repro.core.dual import DualState, HeightRaise, UnitRaise
+from repro.core.engines.incremental import first_failing_stage
 from repro.core.framework import (
     ENGINES,
     InstanceLayout,
@@ -25,7 +31,11 @@ from repro.core.framework import (
     run_two_phase,
     unit_xi,
 )
+from repro.core.problem import Problem
+from repro.core.types import EPS
 from repro.distributed.conflict import build_conflict_graph, is_independent
+from repro.distributed.mis import make_mis_oracle
+from repro.trees.tree import TreeNetwork
 from repro.workloads import build_workload, scenario, workload_names
 
 COMMON = dict(
@@ -121,6 +131,16 @@ def _stalling_oracle(candidates, adjacency, context=None):
     return set(), 0
 
 
+_greedy = make_mis_oracle("greedy", 0)
+
+
+def _oracle_stalling_in_epoch_2(candidates, adjacency, context):
+    """Greedy MIS, except that it selects nothing in epoch 2."""
+    if context[0] == 2:
+        return set(), 0
+    return _greedy(candidates, adjacency, context)
+
+
 class TestProgressGuard:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_stall_aborts_with_epoch_and_stage(self, engine):
@@ -141,6 +161,29 @@ class TestProgressGuard:
         assert "stage 1" in message
         # The guard fires at len(members), not one step late.
         assert f"exceeded {len(instances)} steps" in message
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stall_deep_in_schedule_names_its_stage(self, engine):
+        # Epoch 1 raises <0,1> to tight, which leaves <0,2> (profit 2)
+        # with LHS 0.5: it satisfies stages 1 and 2 of the schedule and
+        # first fails stage 3, where the oracle stalls.  An engine that
+        # skips stages must still report the stage it stalled in.
+        problem = Problem(
+            networks={0: TreeNetwork(0, [(0, 1), (1, 2)])},
+            demands=[Demand(0, 0, 1, 1.0), Demand(1, 0, 2, 2.0)],
+        )
+        first, second = problem.instances
+        layout = InstanceLayout(
+            group_of={first.instance_id: 1, second.instance_id: 2},
+            pi={first.instance_id: ((0, 0, 1),), second.instance_id: ((0, 1, 2),)},
+            n_epochs=2,
+        )
+        with pytest.raises(RuntimeError, match="epoch 2, stage 3:"):
+            run_first_phase(
+                problem.instances, layout, UnitRaise(),
+                geometric_thresholds(0.9, 0.3), _oracle_stalling_in_epoch_2,
+                engine=engine,
+            )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_guard_does_not_fire_on_healthy_runs(self, engine):
@@ -168,3 +211,44 @@ class TestProgressGuard:
             )
             largest_group = max(len(v) for v in groups.values())
             assert result.counters.max_steps_per_stage <= largest_group
+
+
+def linear_first_failing_stage(lhs, profit, thresholds, lo):
+    """The specification :func:`first_failing_stage` must match."""
+    for k in range(lo, len(thresholds)):
+        if not DualState.lhs_satisfies(lhs, profit, thresholds[k]):
+            return k
+    return len(thresholds)
+
+
+@st.composite
+def due_stage_cases(draw):
+    """A geometric schedule (sometimes with one threshold repeated),
+    an LHS on or one ulp beside some threshold's satisfaction edge,
+    and an arbitrary start index."""
+    thresholds = geometric_thresholds(
+        draw(st.floats(min_value=0.05, max_value=0.998)),
+        draw(st.floats(min_value=0.01, max_value=0.95)),
+    )
+    j = draw(st.integers(min_value=0, max_value=len(thresholds) - 1))
+    if draw(st.booleans()):
+        thresholds.insert(j, thresholds[j])
+    profit = draw(st.floats(min_value=1e-3, max_value=1e3))
+    edge = thresholds[j] * profit - EPS
+    lhs = draw(
+        st.sampled_from(
+            [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        )
+    )
+    lo = draw(st.integers(min_value=0, max_value=len(thresholds)))
+    return lhs, profit, thresholds, lo
+
+
+class TestDueStage:
+    @given(due_stage_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_matches_linear_scan(self, case):
+        lhs, profit, thresholds, lo = case
+        assert first_failing_stage(lhs, profit, thresholds, lo) == (
+            linear_first_failing_stage(lhs, profit, thresholds, lo)
+        )

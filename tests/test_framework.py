@@ -5,15 +5,19 @@ Lemma 3.1 on real runs: the interference property, the predecessor
 bound, the dual-objective inequality, and final lambda-satisfaction.
 """
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms.base import line_layouts, tree_layouts
 from repro.core.dual import HeightRaise, UnitRaise
+from repro.core.engines.journal import FirstPhaseJournal, journal_context
 from repro.core.framework import (
+    ENGINES,
     InstanceLayout,
     geometric_thresholds,
     narrow_xi,
+    run_first_phase,
     run_two_phase,
     unit_xi,
 )
@@ -23,8 +27,15 @@ from repro.core.interference import (
     check_predecessor_bound,
 )
 from repro.core.lp import check_scaled_dual_feasible
-from repro.workloads import random_line_problem, random_tree_problem
+from repro.distributed.mis import make_mis_oracle
+from repro.workloads import (
+    build_workload,
+    random_line_problem,
+    random_tree_problem,
+    scenario,
+)
 from repro.workloads.trees import random_forest
+from tests.test_engine_equivalence import assert_results_identical
 
 
 class TestThresholds:
@@ -241,6 +252,101 @@ class TestCounters:
         layout, _ = tree_layouts(problem, "ideal")
         with pytest.raises(ValueError):
             run_two_phase(problem.instances, layout, UnitRaise(), [], mis="greedy")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "thresholds, bad_index",
+        [([1.5], 0), ([-1.0], 0), ([0.9, 0.5], 1)],
+    )
+    def test_rejects_invalid_schedules(self, thresholds, bad_index, engine):
+        # Out of (0, 1] or decreasing: rejected up front, naming the
+        # offending threshold, not misreported as a stall or a bad
+        # slackness later.
+        problem = scenario("figure2-unit")
+        layout, _ = tree_layouts(problem, "ideal")
+        with pytest.raises(ValueError, match=f"threshold {bad_index}"):
+            run_two_phase(
+                problem.instances, layout, UnitRaise(), thresholds,
+                mis="greedy", engine=engine,
+            )
+
+    def test_equal_neighbour_thresholds_run_identically(self):
+        problem = scenario("figure2-unit")
+        layout, _ = tree_layouts(problem, "ideal")
+        ref, *others = (
+            run_two_phase(
+                problem.instances, layout, UnitRaise(), [0.5, 0.5, 0.9],
+                mis="luby", seed=4, engine=engine,
+            )
+            for engine in ENGINES
+        )
+        assert ref.slackness == 0.9
+        for other in others:
+            assert_results_identical(ref, other)
+
+
+def stages_with_raises(events):
+    """Distinct (epoch, stage) coordinates in a raise log."""
+    return len({e.step_tuple[:2] for e in events})
+
+
+class TestStagesEntered:
+    """``stages_entered`` counts the stages an engine actually works in."""
+
+    @staticmethod
+    def narrow_line_case(instances=None):
+        problem = build_workload("bursty-lines", 24, seed=3)
+        layout = line_layouts(problem)
+        xi = narrow_xi(max(layout.critical_set_size, 3), problem.hmin)
+        return (
+            instances or problem.instances, layout, HeightRaise(),
+            geometric_thresholds(xi, 0.1),
+        )
+
+    def run(self, engine, instances=None, **knobs):
+        instances, layout, rule, thresholds = self.narrow_line_case(instances)
+        _, _, events, counters = run_first_phase(
+            instances, layout, rule, thresholds, make_mis_oracle("luby", 3),
+            engine=engine, **knobs,
+        )
+        return events, counters
+
+    def test_reference_enters_every_stage(self):
+        _, counters = self.run("reference")
+        assert counters.stages_entered == counters.stages
+
+    @pytest.mark.parametrize(
+        "engine, knobs",
+        [
+            ("incremental", {}),
+            ("parallel", {"backend": "thread", "workers": 2}),
+            ("parallel", {"backend": "process", "workers": 2}),
+        ],
+    )
+    def test_skipping_engines_enter_only_stages_with_raises(self, engine, knobs):
+        events, counters = self.run(engine, **knobs)
+        assert counters.stages_entered == stages_with_raises(events)
+        assert counters.stages_entered < counters.stages
+
+    def test_journaled_warm_solve_folds_entered_stages(self):
+        instances, layout, _, _ = self.narrow_line_case()
+        cold = FirstPhaseJournal()
+        with journal_context(cold):
+            events, counters = self.run("incremental")
+        assert counters.stages_entered == stages_with_raises(events)
+        # Perturb an instance of the last epoch: it re-runs, the rest replay.
+        victim = max(instances, key=lambda d: layout.group_of[d.instance_id])
+        mutated = [
+            replace(d, profit=d.profit * 1.5) if d is victim else d
+            for d in instances
+        ]
+        warm = FirstPhaseJournal(ancestor=cold.journal)
+        with journal_context(warm):
+            events, counters = self.run("incremental", instances=mutated)
+        assert warm.epochs_replayed > 0 and warm.epochs_rerun > 0
+        assert counters.stages_entered == stages_with_raises(events)
+        _, cold_counters = self.run("incremental", instances=mutated)
+        assert counters.stages_entered == cold_counters.stages_entered
 
 
 class TestLayoutMerge:
