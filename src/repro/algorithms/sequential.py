@@ -108,7 +108,7 @@ def solve_sequential(
         EarliestInSigmaOracle(rank),
         engine=engine, workers=workers, backend=backend,
     )
-    solution = run_second_phase(stack, dual=dual, counters=counters)
+    solution = run_second_phase(stack, counters=counters)
     result = TwoPhaseResult(
         solution=solution,
         dual=dual,

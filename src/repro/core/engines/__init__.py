@@ -11,14 +11,9 @@ rules and MIS oracles; :mod:`repro.core.framework` is the stable facade
 that selects between them.
 
 The second phase (:mod:`repro.core.engines.admission`) is the
-reversed-stack reference pop, plus journal-backed per-component replay
-for delta solves.
+reversed-stack reference pop on every path, delta solves included.
 """
-from repro.core.engines.admission import (
-    AdmissionComponent,
-    run_second_phase,
-    stack_components,
-)
+from repro.core.engines.admission import run_second_phase
 from repro.core.engines.artifacts import (
     FirstPhaseArtifacts,
     InstanceLayout,
@@ -50,15 +45,11 @@ from repro.core.engines.incremental import (
     run_first_phase_incremental,
 )
 from repro.core.engines.journal import (
-    AdmissionLog,
-    AdmissionRecord,
     EpochRecord,
     FirstPhaseJournal,
     PhaseLog,
     SolveJournal,
     active_journal,
-    admission_config,
-    admission_signature,
     epoch_signature,
     journal_context,
     phase_config,
@@ -71,9 +62,6 @@ from repro.core.engines.parallel import (
 from repro.core.engines.reference import run_first_phase_reference
 
 __all__ = [
-    "AdmissionComponent",
-    "AdmissionLog",
-    "AdmissionRecord",
     "BACKEND_ENV_VAR",
     "BACKENDS",
     "ColumnarLayout",
@@ -89,8 +77,6 @@ __all__ = [
     "PhaseLog",
     "SolveJournal",
     "active_journal",
-    "admission_config",
-    "admission_signature",
     "build_columnar",
     "default_workers",
     "epoch_signature",
@@ -108,7 +94,6 @@ __all__ = [
     "run_first_phase_reference",
     "run_first_phase_vectorized",
     "run_second_phase",
-    "stack_components",
     "stall_error",
     "usable_cpu_count",
     "validate_backend",

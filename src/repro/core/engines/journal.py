@@ -10,7 +10,8 @@ What makes a replayed epoch safe is **input-signature equality**:
   members (content, ids, critical edges), the dual values *visible* to
   it (``alpha`` over member demand ids, ``beta`` over member path
   edges), its epoch coordinate, and the phase configuration
-  (thresholds, raise rule, MIS oracle family + seed);
+  (thresholds, raise rule, and a bundled MIS oracle's family + seed;
+  a custom oracle's epochs never replay, see :func:`phase_config`);
 * :func:`epoch_signature` captures exactly those inputs, with floats
   encoded via ``float.hex`` so equality is bitwise;
 * by induction over epochs: if every earlier epoch's writes were
@@ -30,6 +31,10 @@ construction.  The per-epoch MIS substream isolation
 skipping an epoch safe for the randomized oracle: a replayed epoch
 never consumes draws a later epoch would have seen.
 
+Only the first phase is journaled.  The second phase
+(:func:`~repro.core.engines.admission.run_second_phase`) is a cheap
+pure function of the stack, so a delta solve simply re-pops it.
+
 A journal is installed around a solve with :func:`journal_context`
 (a ``contextvars`` scope, so concurrent service solves on different
 threads never share one); the incremental engine checks
@@ -45,19 +50,19 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.demand import DemandInstance
 from repro.core.dual import DualState, RaiseEvent, RaiseRule
 from repro.core.engines.artifacts import InstanceLayout, PhaseCounters
-from repro.core.types import EPS
-from repro.distributed.mis import MISOracle
+from repro.distributed.mis import (
+    HashLubyOracle,
+    LubyOracle,
+    MISOracle,
+    greedy_mis,
+)
 
 __all__ = [
-    "AdmissionLog",
-    "AdmissionRecord",
     "EpochRecord",
     "FirstPhaseJournal",
     "PhaseLog",
     "SolveJournal",
     "active_journal",
-    "admission_config",
-    "admission_signature",
     "epoch_signature",
     "journal_context",
     "phase_config",
@@ -68,8 +73,6 @@ __all__ = [
 #: (a stale record can only ever cost a re-run, never a wrong replay).
 _SIG_TAG = "epoch-sig/v1"
 _CONFIG_TAG = "phase-config/v1"
-_ADMISSION_SIG_TAG = "admission-sig/v1"
-_ADMISSION_CONFIG_TAG = "admission-config/v1"
 
 
 @dataclass(frozen=True)
@@ -100,35 +103,6 @@ class PhaseLog:
     records: Dict[int, EpochRecord] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class AdmissionRecord:
-    """One admission component's certified inputs and recorded selection.
-
-    ``signature`` is :func:`admission_signature` over the component's
-    stack slice (member content per batch in pop order, plus the dual
-    entries visible to it); ``selected_ids`` is the instance-id sequence
-    the greedy pop admitted, in admission order; ``checks`` is the
-    fits-check count, folded into :class:`PhaseCounters` on replay.
-    Greedy admission is a pure function of the signed inputs, so a
-    signature match certifies the recorded selection verbatim.
-    """
-
-    signature: Tuple
-    selected_ids: Tuple[int, ...]
-    checks: int
-
-
-@dataclass
-class AdmissionLog:
-    """The admission records of one ``run_second_phase`` call, keyed by
-    component key (smallest member instance id -- stable under churn; a
-    key collision across mutations only costs a re-pop, never a wrong
-    replay, because the signature is still checked)."""
-
-    config: Tuple
-    records: Dict[int, AdmissionRecord] = field(default_factory=dict)
-
-
 @dataclass
 class SolveJournal:
     """Every first phase of one solve, in call order, plus the solve's
@@ -147,13 +121,8 @@ class SolveJournal:
     """
 
     phases: List[PhaseLog] = field(default_factory=list)
-    admissions: List[AdmissionLog] = field(default_factory=list)
     decomps: Dict[Tuple, object] = field(default_factory=dict)
     layered: Dict[Tuple, object] = field(default_factory=dict)
-
-    @property
-    def n_epochs_recorded(self) -> int:
-        return sum(len(p.records) for p in self.phases)
 
 
 def phase_config(
@@ -164,16 +133,20 @@ def phase_config(
 ) -> Tuple:
     """The phase-level inputs an :class:`EpochRecord` is only valid under.
 
-    Oracles are identified by family and seed: the bundled oracles are
-    pure functions of (seed, epoch substream, candidates, context), so
-    family + seed pins their draws; an unknown custom oracle still gets
-    a distinct tag (its type name) and at worst fails to match -- a
-    re-run, never a wrong replay.
+    The bundled oracles (``greedy_mis``, :class:`LubyOracle`,
+    :class:`HashLubyOracle`) are pure functions of (seed, epoch
+    substream, candidates, context), so family + seed pins their draws
+    and is their tag.  Any other oracle may carry state no tag can see
+    (two instances of one class can pick differently), so it gets a
+    fresh ``object()`` that equals no other config: its epochs are
+    recorded but always re-run, never replayed.
     """
-    oracle_tag = (
-        getattr(mis_oracle, "__name__", type(mis_oracle).__name__),
-        getattr(mis_oracle, "seed", None),
-    )
+    if mis_oracle is greedy_mis:
+        oracle_tag: object = ("greedy_mis", None)
+    elif type(mis_oracle) in (LubyOracle, HashLubyOracle):
+        oracle_tag = (type(mis_oracle).__name__, mis_oracle.seed)
+    else:
+        oracle_tag = object()
     return (
         _CONFIG_TAG,
         layout.n_epochs,
@@ -223,62 +196,6 @@ def epoch_signature(
     edges = sorted({e for d in members for e in d.path_edges})
     beta_sig = tuple((e, beta[e].hex()) for e in edges if e in beta)
     return (_SIG_TAG, member_sig, alpha_sig, beta_sig)
-
-
-def admission_config() -> Tuple:
-    """The admission-level inputs an :class:`AdmissionRecord` is only
-    valid under: the capacity constants the greedy fits-check compares
-    against, as exact hex floats.  These are compile-time constants
-    today, but folding them in means a future configurable-capacity
-    change invalidates old records instead of replaying them wrongly.
-    """
-    return (_ADMISSION_CONFIG_TAG, float(1.0).hex(), float(EPS).hex())
-
-
-def admission_signature(
-    batches: Sequence[Sequence[DemandInstance]],
-    dual: Optional[DualState],
-) -> Tuple:
-    """Everything a component's greedy pop depends on, as a comparable
-    tuple.
-
-    Covers the component's stack slice batch-by-batch in *push* order
-    (the pop reverses it deterministically): each member's ids,
-    profit/height as exact hex floats, and sorted path edges -- the
-    exact inputs :class:`~repro.core.solution.CapacityLedger` reads.
-    The dual state never feeds the pop itself, but a replayed selection
-    is presented as "what this dual's admission chose", so the alpha
-    entries over member demand ids and beta entries over member path
-    edges (restricted to present keys, like :func:`epoch_signature`)
-    are folded in: a dual that drifted re-pops instead of replaying a
-    selection it never produced.  ``dual=None`` (the bare
-    ``run_second_phase`` facade) signs with empty dual components.
-    """
-    batch_sig = tuple(
-        tuple(
-            (
-                d.instance_id,
-                d.demand_id,
-                float(d.profit).hex(),
-                float(d.height).hex(),
-                tuple(sorted(d.path_edges)),
-            )
-            for d in batch
-        )
-        for batch in batches
-    )
-    if dual is None:
-        alpha_sig: Tuple = ()
-        beta_sig: Tuple = ()
-    else:
-        alpha, beta = dual.alpha, dual.beta
-        demand_ids = sorted({d.demand_id for batch in batches for d in batch})
-        alpha_sig = tuple((a, alpha[a].hex()) for a in demand_ids if a in alpha)
-        edges = sorted(
-            {e for batch in batches for d in batch for e in d.path_edges}
-        )
-        beta_sig = tuple((e, beta[e].hex()) for e in edges if e in beta)
-    return (_ADMISSION_SIG_TAG, batch_sig, alpha_sig, beta_sig)
 
 
 def predict_dirty_epochs(
@@ -339,9 +256,6 @@ class FirstPhaseJournal:
     predicted_dirty: int = 0
     prediction_misses: int = 0
     layouts_reused: int = 0
-    admission_components: int = 0
-    admission_replayed: int = 0
-    admission_rerun: int = 0
 
     # -- layout cache (see :class:`SolveJournal`) ----------------------
     def lookup_decomp(self, key: Tuple):
@@ -392,42 +306,6 @@ class FirstPhaseJournal:
             if candidate.config == config:
                 past = candidate
         return past, log, predicted
-
-    def begin_admission(
-        self, config: Tuple
-    ) -> Tuple[Optional[AdmissionLog], AdmissionLog]:
-        """Open the next admission phase: returns ``(ancestor admission
-        log or None, the fresh log to record into)``.
-
-        Mirrors :meth:`begin_phase`: ancestor admission logs are matched
-        by call ordinal and config equality, so a solve whose phase
-        structure diverged from its ancestor's degrades to re-popping.
-        """
-        ordinal = len(self.journal.admissions)
-        log = AdmissionLog(config=config)
-        self.journal.admissions.append(log)
-        past: Optional[AdmissionLog] = None
-        if self.ancestor is not None and ordinal < len(
-            self.ancestor.admissions
-        ):
-            candidate = self.ancestor.admissions[ordinal]
-            if candidate.config == config:
-                past = candidate
-        return past, log
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """The telemetry counters as a plain dict."""
-        return {
-            "phases": self.phases,
-            "epochs_replayed": self.epochs_replayed,
-            "epochs_rerun": self.epochs_rerun,
-            "predicted_dirty": self.predicted_dirty,
-            "prediction_misses": self.prediction_misses,
-            "layouts_reused": self.layouts_reused,
-            "admission_components": self.admission_components,
-            "admission_replayed": self.admission_replayed,
-            "admission_rerun": self.admission_rerun,
-        }
 
 
 _ACTIVE: "contextvars.ContextVar[Optional[FirstPhaseJournal]]" = (

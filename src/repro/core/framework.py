@@ -81,8 +81,8 @@ measurable (see
 kernel against the incremental engine).
 
 The second phase has a single implementation, the literal
-reversed-stack pop of :mod:`repro.core.engines.admission`; on the
-delta-serving path it is journaled per capacity-disjoint component.
+reversed-stack pop of :mod:`repro.core.engines.admission`, and every
+path runs it, the delta-serving path included.
 """
 from __future__ import annotations
 
@@ -283,7 +283,7 @@ def run_two_phase(
         instances, layout, raise_rule, thresholds, oracle,
         engine=engine, workers=workers, backend=backend,
     )
-    solution = run_second_phase(stack, dual=dual, counters=counters)
+    solution = run_second_phase(stack, counters=counters)
     return TwoPhaseResult(
         solution=solution,
         dual=dual,

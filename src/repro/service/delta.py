@@ -217,11 +217,6 @@ class DeltaStats:
     prediction_misses: int = 0
     phases: int = 0
     layouts_reused: int = 0
-    #: Second-phase admission replay: capacity components seen,
-    #: replayed from the ancestor's records, and re-popped fresh.
-    admission_components: int = 0
-    admission_replayed: int = 0
-    admission_rerun: int = 0
 
     def snapshot(self) -> dict:
         """A plain-dict copy (wire responses, findings JSON)."""
@@ -236,9 +231,6 @@ class DeltaStats:
             "prediction_misses": self.prediction_misses,
             "phases": self.phases,
             "layouts_reused": self.layouts_reused,
-            "admission_components": self.admission_components,
-            "admission_replayed": self.admission_replayed,
-            "admission_rerun": self.admission_rerun,
         }
 
     def numeric_counters(self) -> dict:

@@ -771,9 +771,6 @@ class SchedulingService:
             prediction_misses=journal.prediction_misses,
             phases=journal.phases,
             layouts_reused=journal.layouts_reused,
-            admission_components=journal.admission_components,
-            admission_replayed=journal.admission_replayed,
-            admission_rerun=journal.admission_rerun,
         )
         return report, stats
 

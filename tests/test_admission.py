@@ -1,40 +1,23 @@
-"""The second phase: the reference pop and its journal (property-based).
+"""The second phase: the reversed-stack reference pop (property-based).
 
 Contracts under test, per :mod:`repro.core.engines.admission`:
 
 * **Feasibility** -- the selection keeps each edge's load at or under
-  ``1 + EPS`` and admits at most one instance per demand.
-* **Partition** -- :func:`stack_components` is a genuine
-  capacity-disjoint partition: components cover every instance, share
-  no path edge and no demand id, and are keyed by smallest member id.
-* **Journal replay** -- the journaled pop, one component at a time,
-  selects exactly what the global reference pop selects, with the same
-  check count, on adversarial synthetic stacks (including batches that
-  are not independent sets); a component whose admission signature
-  matches its ancestor's replays to exactly what a cold re-pop would
-  produce; a perturbed component re-pops while its untouched siblings
-  replay.
-
-Plus service-level checks: delta-solve surfacing the admission replay
-counters, and the :class:`PhaseCounters` compat guard (the default
-semantic tuple is unchanged by the admission fields).
+  ``1 + EPS`` and admits at most one instance per demand, even on
+  adversarial synthetic stacks whose batches are not independent sets.
+* **Accounting** -- on stacks the first phase actually emits, the
+  :class:`PhaseCounters` admission fields count the real pop work, and
+  the default semantic tuple is unchanged by them (compat guard).
 """
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import solve_auto
-from repro.core.engines.admission import run_second_phase, stack_components
+from repro.core.engines.admission import run_second_phase
 from repro.core.engines.artifacts import PhaseCounters
-from repro.core.engines.journal import FirstPhaseJournal, journal_context
 from repro.core.demand import DemandInstance
 from repro.core.types import EPS, edge_key
-from repro.service import (
-    SchedulingService,
-    SolveKnobs,
-    SolveRequest,
-    report_semantic_digest,
-)
-from repro.workloads import build_trajectory, build_workload
+from repro.workloads import build_workload
 
 COMMON = dict(
     max_examples=10, deadline=None,
@@ -52,9 +35,8 @@ def stacks(draw):
 
     Deliberately *not* restricted to independent sets: batches may
     share edges and demand ids internally, which the real first phase
-    never emits -- that is where the union-find has non-trivial merging
-    to do, and where a per-component pop could most easily drift from
-    the global one.
+    never emits -- so the pop's capacity and one-per-demand checks,
+    not the MIS, are what keep the selection feasible.
     """
     stack, next_id = [], 0
     for _ in range(draw(st.integers(1, 5))):
@@ -97,87 +79,6 @@ class TestSyntheticStacks:
                 load[e] = load.get(e, 0.0) + d.height
         assert all(total <= 1.0 + EPS for total in load.values())
 
-    @given(stack=stacks())
-    @settings(**COMMON)
-    def test_components_partition_capacity_disjointly(self, stack):
-        components = stack_components(stack)
-        seen_ids, seen_edges, seen_demands = set(), set(), set()
-        for comp in components:
-            ids = {d.instance_id for d in members(comp.batches)}
-            edges = {e for d in members(comp.batches) for e in d.path_edges}
-            demands = {d.demand_id for d in members(comp.batches)}
-            assert comp.key == min(ids)
-            assert not ids & seen_ids
-            assert not edges & seen_edges, "components share a capacity edge"
-            assert not demands & seen_demands, "components share a demand"
-            seen_ids |= ids
-            seen_edges |= edges
-            seen_demands |= demands
-            assert all(comp.batches), "empty batch kept in a component slice"
-        assert seen_ids == {d.instance_id for d in members(stack)}
-        assert [c.key for c in components] == sorted(c.key for c in components)
-
-    @given(stack=stacks())
-    @settings(**COMMON)
-    def test_journal_replay_matches_rerun(self, stack):
-        cold = FirstPhaseJournal()
-        cold_counters = PhaseCounters()
-        with journal_context(cold):
-            first = run_second_phase(stack, counters=cold_counters)
-        n = len(stack_components(stack))
-        assert cold.admission_components == n
-        assert cold.admission_rerun == n and cold.admission_replayed == 0
-        # Popping one capacity component at a time must reproduce the
-        # global reference pop: same selection, same admission checks.
-        flat = PhaseCounters()
-        assert first == run_second_phase(stack, counters=flat)
-        assert cold_counters.admission_checks == flat.admission_checks
-
-        warm = FirstPhaseJournal(ancestor=cold.journal)
-        with journal_context(warm):
-            second = run_second_phase(stack)
-        assert second == first
-        assert warm.admission_replayed == n and warm.admission_rerun == 0
-        # The warm journal re-records every component, so a *chain* of
-        # deltas keeps replaying without consulting the original.
-        chained = FirstPhaseJournal(ancestor=warm.journal)
-        with journal_context(chained):
-            third = run_second_phase(stack)
-        assert third == first and chained.admission_replayed == n
-
-    @given(stack=stacks())
-    @settings(**COMMON)
-    def test_journal_perturbed_component_reruns_to_cold_answer(self, stack):
-        from dataclasses import replace
-
-        if not members(stack):
-            return
-        cold = FirstPhaseJournal()
-        with journal_context(cold):
-            run_second_phase(stack)
-        # Perturb one instance's profit: its component's signature must
-        # miss (profit is signed content) while every other component
-        # still replays, and the merged answer must equal a cold pop of
-        # the mutated stack.
-        victim = members(stack)[0].instance_id
-        mutated = [
-            [
-                replace(d, profit=d.profit + 1.0)
-                if d.instance_id == victim else d
-                for d in batch
-            ]
-            for batch in stack
-        ]
-        warm = FirstPhaseJournal(ancestor=cold.journal)
-        with journal_context(warm):
-            delta = run_second_phase(mutated)
-        assert delta == run_second_phase(mutated)
-        assert warm.admission_rerun >= 1
-        assert (
-            warm.admission_replayed
-            == len(stack_components(mutated)) - warm.admission_rerun
-        )
-
 
 class TestSolverStacks:
     """Admission accounting on stacks the first phase actually emits."""
@@ -203,29 +104,4 @@ class TestSolverStacks:
         assert len(base) == len(PhaseCounters.SEMANTIC_FIELDS)
         assert counters.semantic_tuple(include_admission=True) == base + (
             counters.admission_checks, counters.admitted, counters.rejected,
-        )
-
-
-class TestServicePhase2:
-    KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
-
-    def test_delta_solve_replays_admission_components(self):
-        svc = SchedulingService(
-            workers=2, disk_dir=None, keep_artifacts=True
-        )
-        for step in build_trajectory("tenant-churn", 48, seed=4, steps=4):
-            req = SolveRequest(
-                problem=step.problem, knobs=SolveKnobs(**self.KNOBS)
-            )
-            result = svc.solve(req) if step.index == 0 else svc.solve_delta(req)
-            cold = solve_auto(step.problem, seed=0, **self.KNOBS)
-            assert report_semantic_digest(result.report) == (
-                report_semantic_digest(cold)
-            ), f"step {step.index} diverged from the cold solve"
-        totals = svc.stats["delta_totals"]
-        assert totals["admission_components"] > 0
-        assert totals["admission_replayed"] > 0
-        assert (
-            totals["admission_replayed"] + totals["admission_rerun"]
-            == totals["admission_components"]
         )

@@ -349,7 +349,6 @@ class TestAncestorIndex:
         assert outcomes == {"warm": 68, "ancestor-miss": 49, "hit": 3}
         totals = svc.stats["delta_totals"]
         assert (totals["epochs_replayed"], totals["epochs_rerun"]) == (197, 69)
-        assert totals["admission_replayed"] == 2558
 
     def test_invalidation_and_expiry_unindex(self):
         clock = FakeClock(expire_after=50.0)

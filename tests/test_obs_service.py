@@ -142,6 +142,22 @@ class TestServiceTelemetry:
         assert series(
             snap["counters"], "repro_delta_requests_total", outcome="warm"
         ) >= 1
+        # ... one per delta total, equal to it field by field, and no
+        # other repro_delta_*_total counter exists.
+        totals = service.stats["delta_totals"]
+        for k, v in totals.items():
+            assert series(snap["counters"], f"repro_delta_{k}_total") == v, k
+        counter_fields = {
+            name[len("repro_delta_"):-len("_total")]
+            for name, _ in map(parse_series_key, snap["counters"])
+            if name.startswith("repro_delta_") and name.endswith("_total")
+        } - {"requests"}
+        assert counter_fields == set(totals)
+        assert set(totals) == {
+            "touched_demands", "touched_edges", "epochs_replayed",
+            "epochs_rerun", "predicted_dirty", "prediction_misses",
+            "phases", "layouts_reused",
+        }
 
     def test_metrics_true_uses_the_process_default_registry(self):
         service = SchedulingService(workers=2, metrics=True)
@@ -300,6 +316,7 @@ class TestMetricsWireOp:
             snap["histograms"], "repro_admission_wait_seconds"
         ) == 2
         assert series(snap["gauges"], "repro_admission_queue_depth") == 0
+        assert series(snap["gauges"], "repro_admission_active") == 0
         assert metrics["slo"]["line"]["met"] is True
         assert "# TYPE repro_service_request_seconds histogram" in metrics["text"]
         assert "repro_service_request_seconds_bucket" in metrics["text"]
