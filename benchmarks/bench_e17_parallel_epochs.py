@@ -18,13 +18,17 @@ families with the most epoch independence):
   and *process* backends (>= 2 workers), interleaving the engine runs
   round-robin and keeping per-engine minima so machine noise cancels
   out, and
-* the engines' work meters (the parallel engine's plan-sliced state
-  legitimately touches fewer adjacency entries).
+* the engines' work meters, which must be equal: the incremental
+  engine runs the same epoch kernel on the same plan slices.
 
-On a GIL-bound CPython the thread backend cannot beat the incremental
-engine by brute concurrency -- epoch execution is pure Python -- so its
-headline inequality is that planning must *pay for itself*: thread
-wall-clock stays at or below incremental.  The process backend is where
+Both sides of the thread comparison therefore run one plan-sliced
+kernel, serially on the incremental side and as pooled waves on the
+parallel side, so the thread gate measures what the executor adds: pool
+dispatch plus the ordered merge.  On a GIL-bound CPython the thread
+backend cannot win by brute concurrency -- epoch execution is pure
+Python -- so its headline inequality is that this overhead stays within
+noise: thread wall-clock stays at or below incremental times the
+tolerance.  The process backend is where
 real CPU parallelism enters: wave jobs are pickled to a warm worker
 pool and run truly concurrently, so on multi-core hosts it must come in
 at or below the thread backend on the widest workload at the largest
@@ -166,9 +170,10 @@ def run_experiment(quick: bool = False):
             proc_t = backend_t["process"]
             par_c = results[("parallel", WORKER_COUNTS[0], "thread")].counters
             inc_c = inc.counters
-            # Plan-sliced state must strictly reduce adjacency work.
-            assert par_c.adjacency_touches <= inc_c.adjacency_touches, (
-                f"{name}@{size}: sliced adjacency did not reduce touches"
+            # One kernel on the same plan slices: equal adjacency work.
+            assert par_c.adjacency_touches == inc_c.adjacency_touches, (
+                f"{name}@{size}: parallel and incremental adjacency "
+                "touches differ on the same plan slices"
             )
             rows.append(
                 [
@@ -207,8 +212,10 @@ def run_experiment(quick: bool = False):
                 },
             }
             if name == "multi-tenant-forest":
-                # The headline workload must expose real independence and
-                # the planner must pay for itself on wall-clock.
+                # The headline workload must expose real independence,
+                # and since both engines run the same plan-sliced
+                # kernel, the pool dispatch and merge must stay within
+                # noise of the serial run.
                 assert epoch_plan.width >= 2, (
                     f"{name}@{size}: expected epoch-independence width >= 2, "
                     f"got {epoch_plan.width}"

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, line_layouts, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport, line_layouts
 from repro.algorithms.unit_lines import LINE_DELTA, solve_unit_lines
 from repro.core.dual import HeightRaise
-from repro.core.framework import geometric_thresholds, narrow_xi, run_two_phase
+from repro.core.framework import (
+    geometric_thresholds,
+    narrow_xi,
+    run_two_phase,
+    validate_engine_knobs,
+)
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
 
@@ -31,7 +36,7 @@ def solve_narrow_lines(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Narrow-instance algorithm on lines (Section 7, arbitrary heights)."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
@@ -65,7 +70,7 @@ def solve_arbitrary_lines(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 7.2 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not problem.has_wide:
         return solve_narrow_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport
 from repro.algorithms.narrow_trees import solve_narrow_trees
 from repro.algorithms.unit_trees import solve_unit_trees
+from repro.core.framework import validate_engine_knobs
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
 
@@ -35,7 +36,7 @@ def solve_arbitrary_trees(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 6.3 algorithm on *problem* (any heights)."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not problem.has_wide:
         return solve_narrow_trees(
             problem, epsilon=epsilon, mis=mis, seed=seed,

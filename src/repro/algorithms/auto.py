@@ -20,8 +20,9 @@ from typing import Optional
 
 from repro.algorithms.arbitrary_lines import solve_arbitrary_lines
 from repro.algorithms.arbitrary_trees import solve_arbitrary_trees
-from repro.algorithms.base import AlgorithmReport, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport
 from repro.core.demand import WindowDemand
+from repro.core.framework import validate_engine_knobs
 from repro.core.problem import Problem
 
 __all__ = ["problem_family", "solve_auto"]
@@ -53,13 +54,14 @@ def solve_auto(
     Accepts the union of the family entry points' knobs;
     ``decomposition`` applies to the tree family only (the line family
     always uses length classes) and is ignored for line-shaped
-    problems.  ``plan_granularity`` and ``phase2_engine`` are retired
+    problems.  ``workers`` and ``backend`` apply to ``engine="parallel"``
+    only.  ``plan_granularity`` and ``phase2_engine`` are retired
     knobs, kept only so existing callers still run: strict epoch plans
     and the reference pop are the sole modes left, so they accept just
-    ``None`` or ``"epoch"`` (the latter with a pooled engine) and
+    ``None`` or ``"epoch"`` (the latter with ``engine="parallel"``) and
     ``"reference"``.
     """
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if phase2_engine != "reference":
         raise ValueError(
             f"unknown phase2 engine {phase2_engine!r}; "
@@ -71,10 +73,10 @@ def solve_auto(
                 f"unknown plan granularity {plan_granularity!r}; "
                 "only 'epoch' remains"
             )
-        if engine not in ("parallel", "vectorized"):
+        if engine != "parallel":
             raise ValueError(
-                "plan_granularity= applies only to engine='parallel' "
-                f"or 'vectorized', not {engine!r}"
+                "plan_granularity= applies only to engine='parallel', "
+                f"not {engine!r}"
             )
     if problem_family(problem) == "line":
         return solve_arbitrary_lines(

@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.framework import (
-    BACKENDS,
-    ENGINES,
-    InstanceLayout,
-    TwoPhaseResult,
-    validate_backend as _validate_backend,
-    validate_engine as _validate_engine,
-)
+from repro.core.framework import InstanceLayout, TwoPhaseResult
 from repro.core.engines.journal import active_journal
 from repro.core.problem import Problem
 from repro.core.solution import Solution
@@ -35,41 +28,6 @@ DECOMPOSITION_BUILDERS: Dict[str, Callable[[TreeNetwork], TreeDecomposition]] = 
     "balancing": build_balancing,
     "root_fixing": build_root_fixing,
 }
-
-
-def validate_engine(engine: str) -> str:
-    """Validate a first-phase engine name early, before any layout work.
-
-    Every ``solve_*`` entry point accepts ``engine=`` and passes it to
-    :func:`repro.core.framework.run_two_phase`; validating here gives
-    composite algorithms (wide/narrow splits) one error site instead of
-    failing halfway through the first sub-run.  Delegates to
-    :func:`repro.core.framework.validate_engine`, the single source of
-    truth for the engine registry and its error message.
-    """
-    return _validate_engine(engine)
-
-
-def validate_backend(backend):
-    """Validate a parallel-engine backend name early (``None`` = default).
-
-    Same single-error-site rationale as :func:`validate_engine`;
-    delegates to :func:`repro.core.framework.validate_backend`.
-    """
-    return _validate_backend(backend)
-
-
-def validate_engine_knobs(engine, backend=None) -> str:
-    """Validate the engine/backend knobs before any layout work.
-
-    The one-call form every ``solve_*`` entry point uses: composite
-    algorithms (wide/narrow splits) fail at a single site instead of
-    halfway through the first sub-run, and each name is checked by its
-    single source of truth in :mod:`repro.core.framework`.
-    """
-    _validate_engine(engine)
-    _validate_backend(backend)
-    return engine
 
 
 @dataclass

@@ -12,10 +12,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, tree_layouts, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport, tree_layouts
 from repro.algorithms.unit_trees import TREE_DELTA
 from repro.core.dual import HeightRaise
-from repro.core.framework import geometric_thresholds, narrow_xi, run_two_phase
+from repro.core.framework import (
+    geometric_thresholds,
+    narrow_xi,
+    run_two_phase,
+    validate_engine_knobs,
+)
 from repro.core.problem import Problem
 
 
@@ -36,7 +41,7 @@ def solve_narrow_trees(
     ``hmin`` defaults to the smallest demand height; the paper assumes it
     is known to (or fixed a priori for) all processors.
     """
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.algorithms.base import AlgorithmReport, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport
 from repro.core.demand import DemandInstance
 from repro.core.dual import UnitRaise
 from repro.core.framework import (
@@ -28,6 +28,7 @@ from repro.core.framework import (
     TwoPhaseResult,
     run_first_phase,
     run_second_phase,
+    validate_engine_knobs,
 )
 from repro.core.problem import Problem
 from repro.core.types import InstanceId
@@ -67,7 +68,7 @@ def solve_sequential(
     ``use_alpha`` defaults to skipping alpha exactly when no demand has
     more than one instance (the single-tree refinement).
     """
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not problem.is_unit_height:
         raise ValueError("the Appendix A algorithm is for the unit-height case")
     instances = problem.instances

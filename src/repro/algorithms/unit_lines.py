@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, line_layouts, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport, line_layouts
 from repro.core.dual import UnitRaise
-from repro.core.framework import geometric_thresholds, run_two_phase, unit_xi
+from repro.core.framework import (
+    geometric_thresholds,
+    run_two_phase,
+    unit_xi,
+    validate_engine_knobs,
+)
 from repro.core.problem import Problem
 
 #: Critical set size of the length-class decomposition (Section 7).
@@ -33,7 +38,7 @@ def solve_unit_lines(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 7.1 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, tree_layouts, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport, tree_layouts
 from repro.core.dual import UnitRaise
-from repro.core.framework import geometric_thresholds, run_two_phase, unit_xi
+from repro.core.framework import (
+    geometric_thresholds,
+    run_two_phase,
+    unit_xi,
+    validate_engine_knobs,
+)
 from repro.core.problem import Problem
 
 #: Critical set size guaranteed by the ideal decomposition (Lemma 4.3).
@@ -54,14 +59,15 @@ def solve_unit_trees(
         First-phase engine: ``'reference'``, ``'incremental'``,
         ``'parallel'`` or ``'vectorized'`` (the numpy columnar kernel).
     workers:
-        Pool size for the pooled engines (``'parallel'``, and
-        ``'vectorized'`` when given; default: usable CPUs, capped).
+        Pool size for ``engine='parallel'`` (default: usable CPUs,
+        capped); rejected for the serial engines.
     backend:
-        Execution backend for the pooled engines: ``'thread'``
+        Execution backend for ``engine='parallel'``: ``'thread'``
         (default), ``'process'`` (real CPU parallelism via pickled epoch
-        jobs) or ``'serial'`` (debugging).
+        jobs) or ``'serial'`` (debugging); rejected for the serial
+        engines.
     """
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "

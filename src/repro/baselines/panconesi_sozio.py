@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmReport, line_layouts, validate_engine_knobs
+from repro.algorithms.base import AlgorithmReport, line_layouts
 from repro.core.dual import HeightRaise, UnitRaise
-from repro.core.framework import run_two_phase
+from repro.core.framework import run_two_phase, validate_engine_knobs
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
 
@@ -41,7 +41,7 @@ def solve_ps_unit_lines(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """The PS unit-height line algorithm (single stage, lambda=1/(5+eps))."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError("PS unit-height baseline requires unit heights")
     layout = line_layouts(problem)
@@ -70,7 +70,7 @@ def solve_ps_arbitrary_lines(
     backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """The PS arbitrary-height line algorithm (wide/narrow combination)."""
-    validate_engine_knobs(engine, backend)
+    validate_engine_knobs(engine, workers, backend)
     if not problem.has_wide:
         return _ps_narrow(
             problem, epsilon, mis, seed, engine, workers, backend

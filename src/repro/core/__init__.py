@@ -13,7 +13,6 @@ from repro.core.framework import (
     run_second_phase,
     run_two_phase,
     unit_xi,
-    validate_backend,
     validate_engine,
 )
 from repro.core.plan import EpochPlan
@@ -55,6 +54,5 @@ __all__ = [
     "run_second_phase",
     "run_two_phase",
     "unit_xi",
-    "validate_backend",
     "validate_engine",
 ]

@@ -1,10 +1,14 @@
 """The interchangeable first-phase engines.
 
 ``reference`` is the executable specification (the literal Figure 7
-loop), ``incremental`` the dirty-set production engine, ``parallel`` the
-plan-driven wave executor (whose *execution backend* -- thread pool,
-process pool, or inline serial -- is itself pluggable, see
-:mod:`repro.core.engines.backends`), and ``vectorized`` the
+loop) and the only engine that builds the global conflict graph.
+``incremental`` is the dirty-set production engine, run serially on
+per-epoch :class:`~repro.core.plan.EpochPlan` slices, with an optional
+journal that replays certified epochs.  ``parallel`` runs the same
+epoch kernel on the same slices as waves on a pluggable *execution
+backend* (thread pool, process pool, or inline serial, see
+:mod:`repro.core.engines.backends`); it is the only engine that takes
+``workers=`` / ``backend=``.  ``vectorized`` is the serial
 numpy-columnar kernel (:mod:`repro.core.engines.columnar`).  All four
 engines produce bit-identical semantic artifacts for the bundled raise
 rules and MIS oracles; :mod:`repro.core.framework` is the stable facade
@@ -36,7 +40,6 @@ from repro.core.engines.backends import (
 )
 from repro.core.engines.columnar import (
     ColumnarLayout,
-    build_columnar,
     run_epoch_columnar,
     run_first_phase_vectorized,
 )
@@ -77,7 +80,6 @@ __all__ = [
     "PhaseLog",
     "SolveJournal",
     "active_journal",
-    "build_columnar",
     "default_workers",
     "epoch_signature",
     "group_members",

@@ -78,9 +78,9 @@ class PhaseCounters:
     stages_entered: int = 0
     #: adjacency entries materialized or mutated while preparing each
     #: step's restricted conflict graph (entry plus neighbor-set size, so
-    #: the number is comparable across engines).  Note: the parallel
-    #: engine works off per-epoch adjacency slices, so it legitimately
-    #: touches *fewer* entries than the incremental engine's global view.
+    #: the number is comparable across engines).  The incremental and
+    #: parallel engines run one kernel on the same per-epoch adjacency
+    #: slices, so their counts are equal.
     adjacency_touches: int = 0
     #: Worker-attribution fields (parallel engine only; zero elsewhere):
     #: number of wavefronts the epoch plan was executed in, and the
@@ -127,8 +127,7 @@ class PhaseCounters:
 
         Every field outside :data:`UNFOLDED_FIELDS` is summed, so a new
         work counter is folded without touching the engines that merge
-        per-epoch counters (the journaled runner and the parallel
-        engine).
+        per-epoch counters (the incremental and parallel engines).
         """
         for f in _FOLDED_FIELDS:
             setattr(self, f, getattr(self, f) + getattr(part, f))

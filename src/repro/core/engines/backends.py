@@ -75,11 +75,9 @@ MAX_DEFAULT_WORKERS = 8
 def validate_backend(backend: str) -> str:
     """Validate an execution backend name (the single source of truth).
 
-    Everything that accepts ``backend=`` -- the ``solve_*`` entry points
-    via :func:`repro.algorithms.base.validate_backend` and
-    :func:`repro.core.framework.run_first_phase` -- funnels through this
-    check, so the backend registry and its error message live in exactly
-    one place.
+    Everything that accepts ``backend=`` funnels through this check (via
+    :func:`resolve_backend`), so the backend registry and its error
+    message live in exactly one place.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -134,12 +132,13 @@ def default_workers() -> int:
 def resolve_workers(
     workers: Optional[int], backend: Optional[str]
 ) -> Tuple[str, int]:
-    """Resolve and validate a pooled engine's ``(backend, workers)`` pair.
+    """Resolve and validate ``engine="parallel"``'s ``(backend, workers)``.
 
     The one check behind both the executor and
-    :meth:`~repro.service.fingerprint.SolveKnobs.validate`: ``workers``
-    is not part of a cache key, so a request the executor would reject
-    must be rejected before the cache is consulted too.
+    :func:`~repro.core.framework.validate_engine_knobs` (which
+    :meth:`~repro.service.fingerprint.SolveKnobs.validate` calls):
+    ``workers`` is not part of a cache key, so a request the executor
+    would reject must be rejected before the cache is consulted too.
     ``workers=None`` resolves to one worker on the serial backend and
     to :func:`default_workers` otherwise.
     """
@@ -168,9 +167,11 @@ def resolve_workers(
 class EpochJob:
     """One sealed unit of first-phase work: one epoch.
 
-    Carries everything :func:`run_epoch_job` needs, so a job can execute
-    on any backend -- including in another process -- without reaching
-    back into the planner or the master dual.  ``primed_alpha`` /
+    Carries everything :func:`run_epoch_job` needs -- the epoch's
+    members and their plan slices (reverse index, conflict adjacency)
+    for the incremental kernel -- so a job can execute on any backend,
+    including in another process, without reaching back into the
+    planner or the master dual.  ``primed_alpha`` /
     ``primed_beta`` are the master dual values the members can read
     (inherited from earlier waves).
     """
@@ -185,14 +186,6 @@ class EpochJob:
     mis_oracle: MISOracle
     primed_alpha: Dict[DemandId, float]
     primed_beta: Dict[EdgeKey, float]
-    #: Which epoch kernel executes the job: ``"incremental"`` (the dict
-    #: loop) or ``"vectorized"`` (the columnar kernel).  Vectorized jobs
-    #: carry their prebuilt :class:`~repro.core.engines.columnar.ColumnarLayout`
-    #: in ``columnar`` (it pickles, so process-backend workers get it on
-    #: the wire) and leave ``index``/``adjacency`` empty -- the bucket
-    #: structure inside the block replaces both.
-    kernel: str = "incremental"
-    columnar: Optional[object] = None
 
     def sliced(self) -> "EpochJob":
         """The job with its layout cut down to the member slice.
@@ -201,8 +194,6 @@ class EpochJob:
         :class:`InstanceLayout` indexes *every* instance of the problem,
         but a job only ever reads ``layout.pi`` for its own members, so
         shipping the rest would pay pickling cost for nothing.
-        (``replace`` keeps every other field, the columnar block
-        included -- a vectorized job's block already is its wire form.)
         """
         pi = {d.instance_id: self.layout.pi[d.instance_id] for d in self.members}
         group_of = {i: self.epoch for i in pi}
@@ -227,8 +218,8 @@ class EpochOutcome:
 def dual_writes(local: Dict, primed: Dict) -> Dict:
     """The entries of *local* that differ from what was primed -- one
     epoch's dual *writes*, the unit the engine's ordered merge applies.
-    Shared by the incremental and columnar job bodies so the filtering
-    discipline (and its empty-primed fast path) lives in one place."""
+    With nothing primed (every first-wave epoch) every entry is a
+    write, so *local* is returned as is."""
     if not primed:
         return local
     return {
@@ -239,17 +230,11 @@ def dual_writes(local: Dict, primed: Dict) -> Dict:
 def run_epoch_job(job: EpochJob) -> EpochOutcome:
     """Execute one sealed job; the worker function of every backend.
 
-    Runs the job's epoch kernel -- the exact incremental loop body, or
-    the columnar kernel for ``kernel="vectorized"`` jobs -- over a local
-    dual primed with the job's inherited values, then reports only the
-    *writes* (values that differ from what was primed) so the engine
-    can merge disjoint epochs without re-deriving anything.
+    Runs the exact incremental loop body over a local dual primed with
+    the job's inherited values, then reports only the *writes* (values
+    that differ from what was primed) so the engine can merge disjoint
+    epochs without re-deriving anything.
     """
-    if job.kernel == "vectorized":
-        # Lazy import: columnar imports from this module at import time.
-        from repro.core.engines.columnar import run_columnar_job_body
-
-        return run_columnar_job_body(job)
     members = job.members
     by_id = {d.instance_id: d for d in members}
     local = DualState(use_height_rule=job.raise_rule.use_height_rule)

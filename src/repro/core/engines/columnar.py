@@ -88,7 +88,6 @@ from repro.core.engines.artifacts import (
     PhaseCounters,
     stall_error,
 )
-from repro.core.engines.backends import resolve_backend
 from repro.core.types import EPS, EdgeKey
 from repro.distributed.mis import (
     ROUNDS_PER_LUBY_ITERATION,
@@ -102,10 +101,8 @@ from repro.distributed.mis import (
 
 __all__ = [
     "ColumnarLayout",
-    "build_columnar",
     "build_columnar_epochs",
     "commit_epoch",
-    "run_columnar_job_body",
     "run_epoch_columnar",
     "run_first_phase_vectorized",
 ]
@@ -115,17 +112,14 @@ __all__ = [
 class ColumnarLayout:
     """One epoch's members in columnar (struct-of-arrays) form.
 
-    Rows are the members in ascending instance id.  Edge columns are a
-    per-epoch vocabulary with column 0 reserved as an always-zero
-    sentinel (the padding target of ``path_pad``); demand columns are a
-    per-epoch vocabulary in first-appearance order.  Conflict buckets
-    live in one id space: bucket ``c`` for edge column ``c`` (bucket 0
-    always empty), then ``n_edges + a`` for demand column ``a``.
-
-    The whole object pickles (numpy arrays, instance dataclasses and
-    edge-key tuples all do), which is what lets the parallel executor
-    ship prebuilt blocks to process-backend workers inside
-    :class:`~repro.core.engines.backends.EpochJob`.
+    Rows are the members in ascending instance id.  Edge and demand
+    columns index vocabularies shared by every block of the phase, with
+    edge column 0 reserved as an always-zero sentinel (the padding
+    target of ``path_pad``).  Conflict buckets live in one id space:
+    bucket ``c`` for edge column ``c`` (bucket 0 always empty), then
+    ``n_edges + a`` for demand column ``a``.  Blocks are built once per
+    phase, by :func:`build_columnar_epochs`, and never leave the
+    process that runs the phase.
     """
 
     epoch: int
@@ -301,8 +295,8 @@ def _assemble(
 ) -> ColumnarLayout:
     """Assemble one epoch's :class:`ColumnarLayout` from encoded rows.
 
-    ``edge_keys`` / ``demand_ids`` may be shared by several epochs'
-    blocks (the batched :func:`build_columnar_epochs` path); everything
+    ``edge_keys`` / ``demand_ids`` are the vocabularies every epoch's
+    block shares (see :func:`build_columnar_epochs`); everything
     row-shaped is this epoch's slice.
     """
     m = len(instances)
@@ -400,41 +394,6 @@ def _assemble(
     )
 
 
-def build_columnar(
-    epoch: int,
-    members: Sequence[DemandInstance],
-    layout: InstanceLayout,
-    raise_rule: RaiseRule,
-) -> ColumnarLayout:
-    """Encode one epoch's members into a :class:`ColumnarLayout`.
-
-    One flattening pass collects the members' edge keys in row order;
-    the vocabularies and every index array are vectorized numpy assembly
-    from there (:func:`_edge_vocab`, :func:`_assemble`).
-    """
-    instances = sorted(members, key=attrgetter("instance_id"))
-    m = len(instances)
-    flat, plen, pi_tuples, pilen = _flatten_rows(instances, layout)
-    edge_keys, cols = _edge_vocab(flat)
-    path_len = np.asarray(plen, np.intp)
-    nnz_p = int(path_len.sum()) if m else 0
-    darr = np.fromiter(map(attrgetter("demand_id"), instances), np.intp, m)
-    dvals, dinv = np.unique(darr, return_inverse=True)
-    return _assemble(
-        epoch,
-        instances,
-        raise_rule,
-        edge_keys,
-        dvals.tolist(),
-        np.asarray(dinv, np.intp).reshape(-1),
-        path_len,
-        cols[:nnz_p],
-        np.asarray(pilen, np.intp),
-        cols[nnz_p:],
-        pi_tuples,
-    )
-
-
 def build_columnar_epochs(
     instances: Sequence[DemandInstance],
     layout: InstanceLayout,
@@ -445,7 +404,7 @@ def build_columnar_epochs(
     Returns ``(blocks, n_edges, n_demands)``.  All blocks index the same
     global edge-column and demand-column spaces, so a single pair of
     float64 dual arrays can carry the numeric state across the whole
-    phase -- the serial fast path's trick for skipping the per-epoch
+    phase -- the runner's trick for skipping the per-epoch
     dict-to-array priming entirely -- and the flattening + vocabulary
     work is paid once for the phase instead of once per epoch.  (The
     per-block segmented reductions are immune to the wider bucket id
@@ -744,13 +703,13 @@ def run_epoch_columnar(
     ``None``; either is consumed by :func:`commit_epoch`.
 
     ``primed_alpha`` / ``primed_beta`` are the dual values visible to
-    the epoch (the serial runner passes the master dicts themselves;
-    executor jobs pass their primed slices).  When the caller already
-    holds the primed values as arrays over the block's column spaces --
-    the serial fast path's persistent phase-wide arrays -- it passes
-    them as ``alpha_arr`` / ``beta_arr`` and the dict-to-array priming
-    is skipped outright; the arrays are updated in place.  Nothing is
-    ever written back to the dicts here.
+    the epoch: the runner passes the master dicts themselves.  When the
+    caller already holds the primed values as arrays over the block's
+    column spaces -- the runner's persistent phase-wide arrays -- it
+    passes them as ``alpha_arr`` / ``beta_arr`` and the dict-to-array
+    priming is skipped outright; the arrays are updated in place.  The
+    dicts are primed from only after a shadow epoch, which leaves the
+    arrays stale.  Nothing is ever written back to the dicts here.
     """
     epoch = block.epoch
     m = block.n_rows
@@ -1029,77 +988,20 @@ def commit_epoch(
         )
 
 
-def run_columnar_job_body(job) -> "EpochOutcome":  # noqa: F821 -- see import below
-    """Execute one vectorized :class:`EpochJob`; every backend's worker body.
-
-    Mirrors :func:`~repro.core.engines.backends.run_epoch_job`: run the
-    epoch over a local dual primed with the job's inherited values,
-    then report only the writes.  The block rides in ``job.columnar``
-    (prebuilt by the executor; rebuilt here only if a hand-rolled job
-    left it empty).
-    """
-    from repro.core.engines.backends import EpochOutcome, dual_writes
-
-    block = job.columnar
-    if block is None:
-        block = build_columnar(job.epoch, job.members, job.layout, job.raise_rule)
-    events: List[RaiseEvent] = []
-    stack: List[List[DemandInstance]] = []
-    counters = PhaseCounters()
-    _, shadow, commit = run_epoch_columnar(
-        block, job.raise_rule, job.thresholds, job.mis_oracle,
-        events, stack, counters, 0, job.primed_alpha, job.primed_beta,
-    )
-    local = DualState(use_height_rule=job.raise_rule.use_height_rule)
-    local.alpha.update(job.primed_alpha)
-    local.beta.update(job.primed_beta)
-    commit_epoch(local, block, shadow, commit, job.raise_rule)
-    return EpochOutcome(
-        job.epoch, events, stack, counters,
-        dual_writes(local.alpha, job.primed_alpha),
-        dual_writes(local.beta, job.primed_beta),
-    )
-
-
 def run_first_phase_vectorized(
     instances: Sequence[DemandInstance],
     layout: InstanceLayout,
     raise_rule: RaiseRule,
     thresholds: Sequence[float],
     mis_oracle: MISOracle,
-    conflict_adj=None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
     """Engine entry point for ``engine="vectorized"``.
 
-    With no executor knobs set (``workers``/``backend`` both default, no
-    backend env override) the phase runs on the serial fast path:
-    members -> per-epoch columnar block -> epoch kernel -> commit, with
-    *no* epoch plan and *no* pairwise conflict graph ever built -- that
-    is where the headline speedup over the incremental engine comes
-    from.  Any executor knob
-    routes through :class:`~repro.core.engines.parallel.ParallelEpochExecutor`
-    with ``kernel="vectorized"`` instead, so wave scheduling and backends
-    (including process-pool pickling of columnar blocks) behave exactly
-    as for ``engine="parallel"``.  ``conflict_adj`` is accepted for
-    signature compatibility; the bucket structure replaces it.
+    Members -> per-epoch columnar block -> epoch kernel -> commit, run
+    serially in epoch order, with *no* epoch plan and *no* pairwise
+    conflict graph ever built: the blocks' bucket structure replaces
+    both.
     """
-    serial_fast_path = (
-        workers is None
-        and backend is None
-        and resolve_backend(backend) == "thread"
-    )
-    if not serial_fast_path:
-        from repro.core.engines.parallel import ParallelEpochExecutor
-
-        executor = ParallelEpochExecutor(
-            workers=workers, backend=backend, kernel="vectorized"
-        )
-        return executor.run(
-            instances, layout, raise_rule, thresholds, mis_oracle,
-            conflict_adj=conflict_adj,
-        )
     dual = DualState(use_height_rule=raise_rule.use_height_rule)
     blocks, n_edges, n_demands = build_columnar_epochs(instances, layout, raise_rule)
     # Phase-wide dual arrays over the shared column spaces: every

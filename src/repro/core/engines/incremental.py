@@ -5,17 +5,22 @@ per-(epoch, stage) *unsatisfied* set updated via dirty-sets, and enters
 only the stages some member fails; see
 :func:`run_first_phase_incremental` for the correctness argument.
 
-The per-epoch loop body lives in :func:`run_epoch_incremental` so the
-parallel engine (:mod:`repro.core.engines.parallel`) can execute exactly
-the same epoch computation over plan-sliced state: given equal inputs
-(members, dual values visible to the epoch, index, adjacency restricted
-to the members, oracle draws) it produces bit-identical events, stack
-batches and counter increments.
+The per-epoch loop body lives in :func:`run_epoch_incremental`, and
+every epoch runs it on the slices of an
+:class:`~repro.core.plan.EpochPlan`: the epoch's members, their
+conflict adjacency and their reverse index.  The parallel engine
+(:mod:`repro.core.engines.parallel`) executes the same body over the
+same slices, so given equal inputs (members, dual values visible to
+the epoch, oracle draws) both produce bit-identical events, stack
+batches and counter increments.  An installed
+:class:`~repro.core.engines.journal.FirstPhaseJournal` only wraps that
+call: it checks each epoch's signature, replays a certified epoch
+instead of running it, and records every epoch for the next solve.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.core.demand import DemandInstance
 from repro.core.dual import DualState, RaiseEvent, RaiseRule
@@ -23,22 +28,17 @@ from repro.core.engines.artifacts import (
     FirstPhaseArtifacts,
     InstanceLayout,
     PhaseCounters,
-    group_members,
     stall_error,
 )
 from repro.core.engines.journal import (
     EpochRecord,
-    FirstPhaseJournal,
     active_journal,
     epoch_signature,
     phase_config,
 )
+from repro.core.plan import EpochPlan
 from repro.core.types import InstanceId
-from repro.distributed.conflict import (
-    ConflictAdjacency,
-    InstanceIndex,
-    build_instance_index,
-)
+from repro.distributed.conflict import ConflictAdjacency, InstanceIndex
 from repro.distributed.mis import MISOracle
 
 
@@ -182,7 +182,6 @@ def run_first_phase_incremental(
     raise_rule: RaiseRule,
     thresholds: Sequence[float],
     mis_oracle: MISOracle,
-    conflict_adj: Optional[ConflictAdjacency],
 ) -> FirstPhaseArtifacts:
     """Dirty-set engine: same semantics, incremental satisfaction state.
 
@@ -209,42 +208,62 @@ def run_first_phase_incremental(
     that shrinks in place as instances satisfy, replacing the reference
     engine's per-step full rescan and ``restrict()`` rebuild.
 
-    When a :class:`~repro.core.engines.journal.FirstPhaseJournal` is
-    installed (:func:`~repro.core.engines.journal.journal_context`),
-    execution delegates to :func:`_run_first_phase_journaled`, which
-    records per-epoch inputs/outputs and replays signature-certified
-    epochs from the journal's ancestor instead of re-running them; the
-    prebuilt global *conflict_adj* is ignored there (``None`` is
-    accepted) because the journaled runner slices per-epoch adjacency
-    from an :class:`~repro.core.plan.EpochPlan`.
+    Each epoch runs on its :class:`~repro.core.plan.EpochPlan` slices
+    (Figure 7's MIS only ever looks at the current group, so
+    cross-epoch conflict pairs are never built).  When a
+    :class:`~repro.core.engines.journal.FirstPhaseJournal` is installed
+    (:func:`~repro.core.engines.journal.journal_context`), each
+    non-empty epoch is also signature-checked against the journal's
+    ancestor: a match replays the recorded events onto the dual instead
+    of running the epoch, and either way the epoch is recorded, so
+    every journaled solve yields a complete journal for the next one.
     """
-    journal = active_journal()
-    if journal is not None:
-        return _run_first_phase_journaled(
-            instances, layout, raise_rule, thresholds, mis_oracle, journal
-        )
-    if conflict_adj is None:
-        raise ValueError(
-            "run_first_phase_incremental needs conflict_adj unless a "
-            "first-phase journal is active"
-        )
     dual = DualState(use_height_rule=raise_rule.use_height_rule)
     by_id = {d.instance_id: d for d in instances}
-    index = build_instance_index(instances)
-    groups = group_members(instances, layout)
+    plan = EpochPlan.build(instances, layout)
+    journal = active_journal()
+    past = log = None
+    if journal is not None:
+        config = phase_config(layout, raise_rule, thresholds, mis_oracle)
+        past, log, predicted = journal.begin_phase(config, plan)
     events: List[RaiseEvent] = []
     stack: List[List[DemandInstance]] = []
     counters = PhaseCounters()
     order = 0
     for epoch in range(1, layout.n_epochs + 1):
-        members = groups.get(epoch, [])
+        members = plan.members.get(epoch, [])
         counters.epochs += 1
         if not members:
             continue
+        if log is not None:
+            signature = epoch_signature(members, dual, layout)
+            record = past.records.get(epoch) if past is not None else None
+            if record is not None and record.signature == signature:
+                order = _replay_epoch(
+                    record, dual, raise_rule, events, stack, order
+                )
+                counters.fold_phase1(record.counters)
+                log.records[epoch] = record
+                journal.epochs_replayed += 1
+                continue
+            if past is not None and epoch not in predicted:
+                journal.prediction_misses += 1
+        part = PhaseCounters()
+        start_ev, start_st = len(events), len(stack)
         order = run_epoch_incremental(
-            epoch, members, by_id, dual, index, conflict_adj, layout,
-            raise_rule, thresholds, mis_oracle, events, stack, counters, order,
+            epoch, members, by_id, dual, plan.index[epoch],
+            plan.adjacency[epoch], layout, raise_rule, thresholds,
+            mis_oracle, events, stack, part, order,
         )
+        counters.fold_phase1(part)
+        if log is not None:
+            log.records[epoch] = EpochRecord(
+                signature=signature,
+                events=tuple(events[start_ev:]),
+                stack=tuple(tuple(b) for b in stack[start_st:]),
+                counters=part,
+            )
+            journal.epochs_rerun += 1
     return dual, stack, events, counters
 
 
@@ -282,69 +301,3 @@ def _replay_epoch(
     for batch in record.stack:
         stack.append(list(batch))
     return order
-
-
-def _run_first_phase_journaled(
-    instances: Sequence[DemandInstance],
-    layout: InstanceLayout,
-    raise_rule: RaiseRule,
-    thresholds: Sequence[float],
-    mis_oracle: MISOracle,
-    journal: FirstPhaseJournal,
-) -> FirstPhaseArtifacts:
-    """The journaled dirty-set run: record every epoch, replay certified ones.
-
-    Uses :meth:`EpochPlan.build`'s per-epoch adjacency and reverse
-    indices instead of the global conflict graph (cross-epoch conflict
-    pairs are never consulted by the epoch loop, and skipping them is
-    most of the delta path's latency win).  Each non-empty epoch is
-    signature-checked against the journal's ancestor: a match replays
-    the recorded events onto the master dual, anything else re-runs
-    through :func:`run_epoch_incremental` on the plan slice.  Both
-    outcomes append an :class:`EpochRecord` to the fresh journal, so
-    every delta solve yields a complete journal for the *next* one.
-    """
-    from repro.core.plan import EpochPlan
-
-    dual = DualState(use_height_rule=raise_rule.use_height_rule)
-    by_id = {d.instance_id: d for d in instances}
-    plan = EpochPlan.build(instances, layout)
-    config = phase_config(layout, raise_rule, thresholds, mis_oracle)
-    past, log, predicted = journal.begin_phase(config, plan)
-    events: List[RaiseEvent] = []
-    stack: List[List[DemandInstance]] = []
-    counters = PhaseCounters()
-    order = 0
-    for epoch in range(1, layout.n_epochs + 1):
-        members = plan.members.get(epoch, [])
-        counters.epochs += 1
-        if not members:
-            continue
-        signature = epoch_signature(members, dual, layout)
-        record = past.records.get(epoch) if past is not None else None
-        if record is not None and record.signature == signature:
-            order = _replay_epoch(
-                record, dual, raise_rule, events, stack, order
-            )
-            counters.fold_phase1(record.counters)
-            log.records[epoch] = record
-            journal.epochs_replayed += 1
-            continue
-        if past is not None and epoch not in predicted:
-            journal.prediction_misses += 1
-        part = PhaseCounters()
-        start_ev, start_st = len(events), len(stack)
-        order = run_epoch_incremental(
-            epoch, members, by_id, dual, plan.index[epoch],
-            plan.adjacency[epoch], layout, raise_rule, thresholds,
-            mis_oracle, events, stack, part, order,
-        )
-        counters.fold_phase1(part)
-        log.records[epoch] = EpochRecord(
-            signature=signature,
-            events=tuple(events[start_ev:]),
-            stack=tuple(tuple(b) for b in stack[start_st:]),
-            counters=part,
-        )
-        journal.epochs_rerun += 1
-    return dual, stack, events, counters

@@ -38,7 +38,8 @@ pure function of the stack, so a delta solve simply re-pops it.
 A journal is installed around a solve with :func:`journal_context`
 (a ``contextvars`` scope, so concurrent service solves on different
 threads never share one); the incremental engine checks
-:func:`active_journal` and delegates to its journaled runner.
+:func:`active_journal` and, when one is installed, wraps each epoch in
+a signature check, a replay or a record.
 """
 from __future__ import annotations
 

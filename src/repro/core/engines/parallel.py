@@ -19,11 +19,10 @@ to ``engine="incremental"``:
   (applied in epoch order) reproduces the sequential float arithmetic
   exactly.
 * Events are renumbered and stacks concatenated in epoch order;
-  counters are summed (``max_steps_per_stage`` maxed).  Only the
-  worker-attribution fields (``wavefronts``, ``workers_used``) and the
-  work meters (``satisfaction_checks``, ``adjacency_touches`` -- the
-  sliced state legitimately touches fewer entries) differ from the
-  incremental engine.
+  counters are summed (``max_steps_per_stage`` maxed).  The incremental
+  engine runs the same kernel on the same plan slices, so only the
+  worker-attribution fields (``wavefronts``, ``workers_used``) differ
+  from it.
 
 Determinism does not depend on scheduling: wave membership is
 data-dependent only, jobs are sealed off from each other, and every
@@ -58,7 +57,6 @@ from repro.core.engines.backends import (
 )
 from repro.core.plan import EpochPlan
 from repro.core.types import DemandId, EdgeKey
-from repro.distributed.conflict import ConflictAdjacency, build_instance_index
 from repro.distributed.mis import MISOracle
 from repro.obs.metrics import default_registry
 
@@ -75,17 +73,8 @@ class ParallelEpochExecutor:
     """Runs a first phase as planned epoch waves on an execution backend."""
 
     def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        kernel: str = "incremental",
+        self, workers: Optional[int] = None, backend: Optional[str] = None
     ) -> None:
-        if kernel not in ("incremental", "vectorized"):
-            raise ValueError(
-                f"unknown epoch kernel {kernel!r}; "
-                "choose 'incremental' or 'vectorized'"
-            )
-        self.kernel = kernel
         backend_name, self.workers = resolve_workers(workers, backend)
         self.backend: EpochExecutorBackend = make_backend(
             backend_name, self.workers
@@ -103,22 +92,10 @@ class ParallelEpochExecutor:
         raise_rule: RaiseRule,
         thresholds: Sequence[float],
         mis_oracle: MISOracle,
-        conflict_adj: Optional[ConflictAdjacency] = None,
-        plan: Optional[EpochPlan] = None,
     ) -> FirstPhaseArtifacts:
         """Execute the first phase; artifacts match ``engine="incremental"``."""
-        if plan is None:
-            plan = EpochPlan.build(instances, layout, conflict_adj)
+        plan = EpochPlan.build(instances, layout)
         thresholds = tuple(thresholds)
-        vectorized = self.kernel == "vectorized"
-        if vectorized:
-            # Columnar jobs never consult pairwise adjacency or the
-            # reverse index -- the block's bucket structure replaces
-            # both -- so ship empty ones instead of paying to pickle
-            # the plan slices to process workers.
-            from repro.core.engines.columnar import build_columnar
-
-            empty_index = build_instance_index(())
         master = DualState(use_height_rule=raise_rule.use_height_rule)
         outcomes: Dict[int, EpochOutcome] = {}
         for wave in plan.waves:
@@ -130,15 +107,9 @@ class ParallelEpochExecutor:
                 primed_alpha, primed_beta = self._primed(master, plan, epoch)
                 jobs.append(
                     EpochJob(
-                        epoch, members,
-                        empty_index if vectorized else plan.index[epoch],
-                        {} if vectorized else plan.adjacency[epoch],
-                        layout, raise_rule,
+                        epoch, members, plan.index[epoch],
+                        plan.adjacency[epoch], layout, raise_rule,
                         thresholds, mis_oracle, primed_alpha, primed_beta,
-                        kernel=self.kernel,
-                        columnar=build_columnar(
-                            epoch, members, layout, raise_rule
-                        ) if vectorized else None,
                     )
                 )
             if not jobs:
@@ -234,14 +205,9 @@ def run_first_phase_parallel(
     raise_rule: RaiseRule,
     thresholds: Sequence[float],
     mis_oracle: MISOracle,
-    conflict_adj: Optional[ConflictAdjacency] = None,
     workers: Optional[int] = None,
-    plan: Optional[EpochPlan] = None,
     backend: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
-    """Engine entry point matching the reference/incremental signatures."""
+    """Engine entry point matching the incremental signature."""
     executor = ParallelEpochExecutor(workers=workers, backend=backend)
-    return executor.run(
-        instances, layout, raise_rule, thresholds, mis_oracle,
-        conflict_adj=conflict_adj, plan=plan,
-    )
+    return executor.run(instances, layout, raise_rule, thresholds, mis_oracle)

@@ -35,26 +35,27 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   per-(epoch, stage) *unsatisfied* set updated via dirty-sets: a dual
   raise on instance ``d`` moves ``alpha`` only for demand ``a_d`` and
   ``beta`` only on ``pi(d)``, so the instances whose satisfaction can
-  flip are found through the prebuilt edge->instance index
-  (:func:`repro.distributed.conflict.build_instance_index`).  Because
+  flip are found through the epoch's edge->instance index.  Because
   raises only increase constraint LHS values, satisfaction is monotone
   within a stage and the set never needs a full rescan.  Because the
   schedule never decreases either, each member's first failing stage
   is found by bisection, and the engine jumps from one stage some
   member fails to the next instead of visiting every threshold.  The
   per-step ``restrict()`` rebuild is replaced by an active-set
-  adjacency view that shrinks as instances satisfy
-  (:mod:`repro.core.engines.incremental`).
+  adjacency view that shrinks as instances satisfy.  Every epoch runs
+  on the slices of an :class:`~repro.core.plan.EpochPlan` -- its own
+  conflict adjacency and reverse index, never the global cross-epoch
+  graph (:mod:`repro.core.engines.incremental`).
 * ``engine="parallel"`` -- the plan -> execute -> merge engine
-  (:mod:`repro.core.engines.parallel`): an
-  :class:`~repro.core.plan.EpochPlan` partitions the epochs into
-  *waves* of epochs that share no path edge and no demand, each wave
-  runs concurrently over per-epoch incremental state, and the per-epoch
-  artifacts are merged back in epoch order.  Two further knobs shape
-  *how* waves execute: ``backend=`` picks the execution substrate
-  (``"thread"`` pool (default), ``"process"`` pool with pickled job
-  slices for real CPU parallelism, or ``"serial"`` for debugging; see
-  :mod:`repro.core.engines.backends`) and ``workers=`` sizes the pool.
+  (:mod:`repro.core.engines.parallel`): the same epoch kernel on the
+  same plan slices, but the plan's *waves* of epochs that share no path
+  edge and no demand run concurrently over per-epoch state, and the
+  per-epoch artifacts are merged back in epoch order.  It is the only
+  engine with executor knobs: ``backend=`` picks the execution
+  substrate (``"thread"`` pool (default), ``"process"`` pool with
+  pickled job slices for real CPU parallelism, or ``"serial"`` for
+  debugging; see :mod:`repro.core.engines.backends`) and ``workers=``
+  sizes the pool.
 * ``engine="vectorized"`` -- the array-native columnar kernel
   (:mod:`repro.core.engines.columnar`): the whole phase is re-encoded
   once into numpy struct-of-arrays blocks (CSR path/critical-edge
@@ -62,11 +63,9 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   per-step operation -- tau-satisfaction, MIS, dual raises, dirty-set
   recomputation -- runs as vectorized kernels over persistent float64
   dual arrays, committing back to dict form at each epoch boundary.
-  Serial by default; ``workers=`` / ``backend=`` route it through the
-  parallel executor with the columnar kernel executing each epoch job
-  (``kernel="vectorized"``).  Bit-identical to ``incremental`` for the
-  bundled raise rules and MIS oracles; custom rules/oracles fall back
-  to an exact shadow mode.
+  Always serial.  Bit-identical to ``incremental`` for the bundled
+  raise rules and MIS oracles; custom rules/oracles fall back to an
+  exact shadow mode.
 
 All engines -- and all parallel backends -- produce bit-identical
 artifacts (solutions, raise events, stacks, schedule counters) for the
@@ -102,10 +101,9 @@ from repro.core.engines import (
     run_first_phase_vectorized,
     run_second_phase,
 )
-from repro.core.engines import validate_backend as _validate_backend_name
-from repro.core.engines.journal import active_journal
+from repro.core.engines.backends import resolve_workers
 from repro.core.result import TwoPhaseResult
-from repro.distributed.conflict import ConflictAdjacency, build_conflict_graph
+from repro.distributed.conflict import build_conflict_graph
 from repro.distributed.mis import MISOracle, make_mis_oracle
 
 #: The interchangeable first-phase engines (see the module docstring).
@@ -113,29 +111,35 @@ ENGINES = ("reference", "incremental", "parallel", "vectorized")
 
 
 def validate_engine(engine: str) -> str:
-    """Validate a first-phase engine name (the single source of truth).
-
-    Everything that accepts ``engine=`` -- the ``solve_*`` entry points
-    via :func:`repro.algorithms.base.validate_engine`, and
-    :func:`run_first_phase` itself -- funnels through this check, so the
-    engine registry and its error message live in exactly one place.
-    """
+    """Validate a first-phase engine name (the single source of truth)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     return engine
 
 
-def validate_backend(backend: Optional[str]) -> Optional[str]:
-    """Validate a parallel-engine backend name (``None`` = default).
+def validate_engine_knobs(
+    engine: str, workers: Optional[int] = None, backend: Optional[str] = None
+) -> str:
+    """Validate an engine name together with its executor knobs.
 
-    Delegates to :func:`repro.core.engines.backends.validate_backend`,
-    the single source of truth for the backend registry; ``None`` passes
-    through (it resolves to the ``REPRO_BACKEND`` environment variable
-    or ``"thread"`` inside the parallel engine).
+    The one check behind :func:`run_first_phase`, every ``solve_*``
+    entry point and
+    :meth:`~repro.service.fingerprint.SolveKnobs.validate`, so a bad
+    combination fails at a single site before any layout work.
+    ``engine="parallel"`` gets the executor's own ``(workers, backend)``
+    resolution (:func:`~repro.core.engines.backends.resolve_workers`);
+    every other engine runs serially and rejects both knobs.
     """
-    if backend is None:
-        return None
-    return _validate_backend_name(backend)
+    validate_engine(engine)
+    if engine == "parallel":
+        resolve_workers(workers, backend)
+        return engine
+    for knob, value in (("workers", workers), ("backend", backend)):
+        if value is not None:
+            raise ValueError(
+                f"{knob}= applies only to engine='parallel', not {engine!r}"
+            )
+    return engine
 
 
 def geometric_thresholds(xi: float, epsilon: float) -> List[float]:
@@ -204,7 +208,6 @@ def run_first_phase(
     raise_rule: RaiseRule,
     thresholds: Sequence[float],
     mis_oracle: MISOracle,
-    conflict_adj: Optional[ConflictAdjacency] = None,
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -216,46 +219,31 @@ def run_first_phase(
     last entry is the slackness every instance ends up satisfying.
     ``engine`` selects the implementation (see the module docstring);
     all engines produce identical artifacts for the bundled MIS oracles.
-    ``workers`` sizes the pooled engines' pool (default: the usable
+    ``workers`` sizes ``engine="parallel"``'s pool (default: the usable
     CPUs, capped) and ``backend`` picks its execution substrate
     ('thread', 'process' or 'serial'); both are rejected for the serial
-    engines.
+    engines.  Only the reference engine builds the global conflict
+    graph; the others work on per-epoch slices or conflict buckets.
     """
     validate_thresholds(thresholds)
-    validate_engine(engine)
+    validate_engine_knobs(engine, workers, backend)
+    if engine == "reference":
+        return run_first_phase_reference(
+            instances, layout, raise_rule, thresholds, mis_oracle,
+            build_conflict_graph(instances),
+        )
     if engine == "parallel":
-        # The plan slices per-epoch adjacency itself; no global conflict
-        # graph (with its never-consulted cross-epoch pairs) is needed.
         return run_first_phase_parallel(
             instances, layout, raise_rule, thresholds, mis_oracle,
-            conflict_adj=conflict_adj, workers=workers, backend=backend,
+            workers=workers, backend=backend,
         )
     if engine == "vectorized":
-        # The columnar kernel's bucket structure replaces both the
-        # global conflict graph and (on the serial fast path) the epoch
-        # plan, so neither is built here.
         return run_first_phase_vectorized(
-            instances, layout, raise_rule, thresholds, mis_oracle,
-            conflict_adj=conflict_adj, workers=workers, backend=backend,
+            instances, layout, raise_rule, thresholds, mis_oracle
         )
-    for knob, value in (("workers", workers), ("backend", backend)):
-        if value is not None:
-            raise ValueError(
-                f"{knob}= applies only to engine='parallel' or "
-                f"'vectorized', not {engine!r}"
-            )
-    if conflict_adj is None and not (
-        engine == "incremental" and active_journal() is not None
-    ):
-        # The journaled incremental runner slices per-epoch adjacency
-        # from an EpochPlan, so the global conflict graph (with its
-        # never-consulted cross-epoch pairs) would be wasted work there.
-        conflict_adj = build_conflict_graph(instances)
-    impl = {
-        "reference": run_first_phase_reference,
-        "incremental": run_first_phase_incremental,
-    }[engine]
-    return impl(instances, layout, raise_rule, thresholds, mis_oracle, conflict_adj)
+    return run_first_phase_incremental(
+        instances, layout, raise_rule, thresholds, mis_oracle
+    )
 
 
 def run_two_phase(
@@ -275,8 +263,8 @@ def run_two_phase(
     ``seed`` makes randomized runs reproducible; ``engine`` selects the
     first-phase implementation (``'reference'``, ``'incremental'``,
     ``'parallel'`` or ``'vectorized'``, equivalent by construction --
-    see the module docstring); ``workers`` and ``backend`` configure the
-    pooled engines' (parallel, vectorized) pool and execution substrate.
+    see the module docstring); ``workers`` and ``backend`` configure
+    ``engine="parallel"``'s pool and execution substrate.
     """
     oracle = make_mis_oracle(mis, seed)
     dual, stack, events, counters = run_first_phase(

@@ -30,7 +30,7 @@ power :class:`repro.distributed.conflict.InstanceIndex`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.core.demand import DemandInstance
 from repro.core.engines.artifacts import InstanceLayout, group_members
@@ -107,16 +107,14 @@ class EpochPlan:
 
     @staticmethod
     def build(
-        instances: Sequence[DemandInstance],
-        layout: InstanceLayout,
-        conflict_adj: Optional[ConflictAdjacency] = None,
+        instances: Sequence[DemandInstance], layout: InstanceLayout
     ) -> "EpochPlan":
         """Build the plan for *instances* under *layout*.
 
-        When *conflict_adj* (a prebuilt global conflict graph) is given,
-        per-epoch adjacency is sliced from it; otherwise each group's
-        conflict graph is built directly -- cheaper, since cross-epoch
-        conflict pairs are never materialized.
+        Each group's conflict graph is built directly from the group's
+        own edge and demand buckets, so cross-epoch conflict pairs are
+        never materialized.  The incremental and parallel engines run
+        every epoch on these slices.
         """
         groups = group_members(instances, layout)
         members: Dict[int, List[DemandInstance]] = {}
@@ -142,18 +140,14 @@ class EpochPlan:
             # nothing mutates the buckets after this point, and skipping
             # the conversion keeps plan construction cheap.
             index[epoch] = InstanceIndex(by_edge=by_edge, by_demand=by_demand)
-            if conflict_adj is not None:
-                ids: Set[InstanceId] = {d.instance_id for d in mine}
-                adj = {i: conflict_adj[i] & ids for i in ids}
-            else:
-                adj = {d.instance_id: set() for d in mine}
-                for bucket in list(by_edge.values()) + list(by_demand.values()):
-                    if len(bucket) < 2:
-                        continue
-                    for i in bucket:
-                        adj[i] |= bucket
-                for i, nbrs in adj.items():
-                    nbrs.discard(i)
+            adj: ConflictAdjacency = {d.instance_id: set() for d in mine}
+            for bucket in list(by_edge.values()) + list(by_demand.values()):
+                if len(bucket) < 2:
+                    continue
+                for i in bucket:
+                    adj[i] |= bucket
+            for i, nbrs in adj.items():
+                nbrs.discard(i)
             adjacency[epoch] = adj
             for e in by_edge:
                 epochs_by_edge.setdefault(e, set()).add(epoch)

@@ -94,10 +94,10 @@ from hashlib import sha256
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.base import validate_engine_knobs
 from repro.core.canonical import canonical_bytes
 from repro.core.demand import WindowDemand
-from repro.core.engines.backends import resolve_backend, resolve_workers
+from repro.core.engines.backends import resolve_backend
+from repro.core.framework import validate_engine_knobs
 from repro.core.problem import Problem
 from repro.trees.tree import TreeNetwork
 
@@ -378,9 +378,13 @@ class SolveKnobs:
     Defaults mirror the service's solve path: the incremental engine,
     Luby's oracle, the ideal tree decomposition.  ``workers`` is an
     execution hint only -- it never changes the semantic artifact, so
-    it is excluded from :meth:`canonical_form`.  ``plan_granularity``
-    and ``phase2_engine`` are retired knobs that accept only their
-    one surviving mode (see :func:`~repro.algorithms.auto.solve_auto`).
+    it is excluded from :meth:`canonical_form`.  ``workers`` and
+    ``backend`` apply to ``engine="parallel"`` only; every other engine
+    runs serially, rejects both, and keys with its backend and
+    granularity slots ``None``.
+    ``plan_granularity`` and ``phase2_engine`` are retired knobs that
+    accept only their one surviving mode (see
+    :func:`~repro.algorithms.auto.solve_auto`).
     """
 
     epsilon: float = 0.1
@@ -409,9 +413,9 @@ class SolveKnobs:
         would then depend on cache state.  Validating before any cache
         interaction (the service does) keeps rejection deterministic.
         ``workers`` is not keyed at all, so it gets the executor's own
-        check (:func:`~repro.core.engines.backends.resolve_workers`).
+        check (:func:`~repro.core.framework.validate_engine_knobs`).
         """
-        validate_engine_knobs(self.engine, self.backend)
+        validate_engine_knobs(self.engine, self.workers, self.backend)
         if self.capacity_epoch < 0:
             raise ValueError(
                 f"capacity_epoch must be >= 0, got {self.capacity_epoch}"
@@ -426,19 +430,11 @@ class SolveKnobs:
                 f"unknown plan granularity {self.plan_granularity!r}; "
                 "only 'epoch' remains"
             )
-        if self.engine in ("parallel", "vectorized"):
-            resolve_workers(self.workers, self.backend)
-            return self
-        for knob, value in (
-            ("workers", self.workers),
-            ("backend", self.backend),
-            ("plan_granularity", self.plan_granularity),
-        ):
-            if value is not None:
-                raise ValueError(
-                    f"{knob}= applies only to engine='parallel' or "
-                    f"'vectorized', not {self.engine!r}"
-                )
+        if self.plan_granularity is not None and self.engine != "parallel":
+            raise ValueError(
+                "plan_granularity= applies only to engine='parallel', "
+                f"not {self.engine!r}"
+            )
         return self
 
     def canonical_form(self) -> Tuple:
@@ -449,13 +445,10 @@ class SolveKnobs:
         ``backend=None`` resolves through the environment exactly as
         the engine would, so a run keyed under ``REPRO_BACKEND=process``
         cannot alias one keyed under the thread default.  The
-        vectorized engine keys like the parallel one: its executor
-        knobs route it through the same plan/execute/merge machinery
-        (``kernel="vectorized"``).  The granularity and admission-engine
-        slots hold the only surviving modes, spelled as every key minted
-        so far spells them.
+        granularity and admission-engine slots hold the only surviving
+        modes, spelled as every key minted so far spells them.
         """
-        if self.engine in ("parallel", "vectorized"):
+        if self.engine == "parallel":
             backend: Optional[str] = resolve_backend(self.backend)
             granularity: Optional[str] = "epoch"
         else:

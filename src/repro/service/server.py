@@ -539,7 +539,7 @@ class SchedulingService:
     # ------------------------------------------------------------------
     def _journals(self, knobs: SolveKnobs) -> bool:
         """Whether a solve under *knobs* records a warm-start journal:
-        only the incremental engine has the journaled runner, and only
+        only the incremental engine reads a journal, and only
         a ``keep_artifacts`` service has anywhere to put the result."""
         return self.keep_artifacts and knobs.engine == "incremental"
 

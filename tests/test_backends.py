@@ -131,7 +131,9 @@ class TestBackendKnob:
             solve_arbitrary_trees(problem, engine="parallel", backend="gpu")
 
     @pytest.mark.parametrize("knob", ["backend", "workers"])
-    @pytest.mark.parametrize("engine", ["reference", "incremental"])
+    @pytest.mark.parametrize(
+        "engine", ["reference", "incremental", "vectorized"]
+    )
     def test_parallel_knobs_rejected_for_serial_engines(self, engine, knob):
         from repro.algorithms.base import tree_layouts
         from repro.core.dual import UnitRaise
@@ -152,18 +154,6 @@ class TestBackendKnob:
         with pytest.raises(ValueError, match="serial"):
             ParallelEpochExecutor(workers=3, backend="serial")
         assert ParallelEpochExecutor(backend="serial").workers == 1
-
-    def test_validation_is_single_sourced(self):
-        from repro.algorithms.base import validate_backend as base_validate
-        from repro.core.framework import validate_backend as fw_validate
-
-        with pytest.raises(ValueError) as base_err:
-            base_validate("warp")
-        with pytest.raises(ValueError) as fw_err:
-            fw_validate("warp")
-        assert str(base_err.value) == str(fw_err.value)
-        assert base_validate("process") == "process"
-        assert base_validate(None) is None
 
     def test_env_var_resolves_default_backend(self):
         # The CI smoke leg runs the unmodified suite under

@@ -3,29 +3,22 @@
 The equivalence suite pins the vectorized engine's *outputs* against
 the incremental engine; this suite pins the encoding itself.  On
 arbitrary seeded registry workloads, every :class:`ColumnarLayout`
-block must decode back to exactly the instances it was built from --
-rows in ascending instance id, path-edge CSR segments in each
-instance's own ``path_edges`` iteration order (the order the LHS
-accumulates beta in), critical-edge segments equal to the layout's pi
-tuples, and conflict buckets that are precisely the edge and demand
-cliques of the epoch's conflict graph.  The per-epoch builder and the
-shared-vocabulary phase builder must agree block-for-block (only the
-column numbering may differ), blocks must survive pickling bitwise
-(what the process backend ships inside ``EpochJob``), and a
-*subclassed* raise rule must drop the kernel to shadow mode and still
-match the incremental engine.
+block that :func:`build_columnar_epochs` builds must decode back to
+exactly the instances it was built from -- rows in ascending instance
+id, path-edge CSR segments in each instance's own ``path_edges``
+iteration order (the order the LHS accumulates beta in), critical-edge
+segments equal to the layout's pi tuples, and conflict buckets that
+are precisely the edge and demand cliques of the epoch's conflict
+graph.  A *subclassed* raise rule must drop the kernel to shadow mode
+and still match the incremental engine.
 """
-import pickle
-
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import line_layouts, tree_layouts
 from repro.core.dual import HeightRaise, UnitRaise
-from repro.core.engines.artifacts import group_members
-from repro.core.engines.columnar import build_columnar, build_columnar_epochs
+from repro.core.engines.columnar import build_columnar_epochs
 from repro.core.framework import (
     geometric_thresholds,
     narrow_xi,
@@ -178,85 +171,6 @@ class TestConflictBuckets:
                 got[bucket] = seg
             assert got == expected
             assert block.nb_of_row.tolist() == (block.path_len + 1).tolist()
-
-
-class TestSharedVocabulary:
-    @given(workload_cases)
-    @settings(**COMMON)
-    def test_per_epoch_build_matches_the_phase_build(self, case):
-        """Only the column numbering may differ between the per-epoch
-        builder and the shared-vocabulary phase builder; everything the
-        kernel computes from (values, decoded keys, rule encoding) must
-        be identical."""
-        name, size, seed = case
-        problem, layout, rule, _ = setup_workload(name, size, seed)
-        blocks, _, _ = build_columnar_epochs(problem.instances, layout, rule)
-        groups = group_members(problem.instances, layout)
-        assert set(groups) == set(blocks)
-        for epoch, members in groups.items():
-            solo = build_columnar(epoch, members, layout, rule)
-            shared = blocks[epoch]
-            assert solo.ids.tolist() == shared.ids.tolist()
-            np.testing.assert_array_equal(solo.profit, shared.profit)
-            np.testing.assert_array_equal(solo.coeff, shared.coeff)
-            np.testing.assert_array_equal(solo.denom, shared.denom)
-            np.testing.assert_array_equal(solo.incfac, shared.incfac)
-            assert solo.rule_kind == shared.rule_kind
-            assert solo.use_alpha == shared.use_alpha
-            assert solo.pi_within_path == shared.pi_within_path
-            assert solo.pi_tuples == shared.pi_tuples
-            assert solo.path_len.tolist() == shared.path_len.tolist()
-            for row in range(solo.n_rows):
-                for cols, indptr in (("path_cols", "path_indptr"),
-                                     ("pi_cols", "pi_indptr")):
-                    decoded = []
-                    for block in (solo, shared):
-                        ptr = getattr(block, indptr)
-                        seg = getattr(block, cols)[
-                            int(ptr[row]) : int(ptr[row + 1])
-                        ].tolist()
-                        decoded.append([block.edge_keys[c] for c in seg])
-                    assert decoded[0] == decoded[1]
-
-
-class TestProcessBackend:
-    def test_columnar_layout_pickles_bitwise(self):
-        problem, layout, rule, _ = setup_workload("multi-tenant-forest", 24, seed=3)
-        blocks, _, _ = build_columnar_epochs(problem.instances, layout, rule)
-        assert blocks, "workload produced no epochs"
-        for block in blocks.values():
-            clone = pickle.loads(pickle.dumps(block))
-            assert clone.epoch == block.epoch
-            assert clone.ids.tolist() == block.ids.tolist()
-            np.testing.assert_array_equal(clone.profit, block.profit)
-            np.testing.assert_array_equal(clone.denom, block.denom)
-            np.testing.assert_array_equal(clone.path_cols, block.path_cols)
-            np.testing.assert_array_equal(clone.bucket_rows, block.bucket_rows)
-            assert clone.edge_keys == block.edge_keys
-            assert clone.pi_tuples == block.pi_tuples
-            assert [d.instance_id for d in clone.instances] == [
-                d.instance_id for d in block.instances
-            ]
-
-    @pytest.mark.parametrize("backend", ["thread", "process", "serial"])
-    def test_vectorized_engine_under_pooled_backends(self, backend):
-        """workers=/backend= route the vectorized engine through the
-        parallel executor with kernel='vectorized'; under the process
-        backend the prebuilt blocks cross a pickle boundary inside
-        EpochJob."""
-        problem, layout, rule, thresholds = setup_workload(
-            "multi-tenant-forest", 40, seed=5
-        )
-        inc = run_first_phase(
-            problem.instances, layout, rule, thresholds,
-            make_mis_oracle("luby", 5), engine="incremental",
-        )
-        vec = run_first_phase(
-            problem.instances, layout, rule, thresholds,
-            make_mis_oracle("luby", 5), engine="vectorized",
-            workers=1 if backend == "serial" else 2, backend=backend,
-        )
-        assert fingerprint(inc) == fingerprint(vec)
 
 
 class TestShadowMode:

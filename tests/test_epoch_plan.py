@@ -21,15 +21,13 @@ TREE_WORKLOADS = ["powerlaw-trees", "deep-trees", "multi-tenant-forest"]
 LINE_WORKLOADS = ["bursty-lines", "wide-vod-lines"]
 
 
-def make_plan(name, size=40, seed=3, conflict_adj=None):
+def make_plan(name, size=40, seed=3):
     problem = build_workload(name, size, seed=seed)
     if name in LINE_WORKLOADS:
         layout = line_layouts(problem)
     else:
         layout, _ = tree_layouts(problem, "ideal")
-    return problem, layout, EpochPlan.build(
-        problem.instances, layout, conflict_adj
-    )
+    return problem, layout, EpochPlan.build(problem.instances, layout)
 
 
 class TestSlices:
@@ -49,14 +47,6 @@ class TestSlices:
     def test_adjacency_matches_global_restriction(self, name):
         problem, layout, plan = make_plan(name)
         global_adj = build_conflict_graph(problem.instances)
-        for epoch, mine in plan.members.items():
-            ids = [d.instance_id for d in mine]
-            assert plan.adjacency[epoch] == restrict(global_adj, ids)
-
-    def test_adjacency_sliced_from_prebuilt_graph(self):
-        problem, layout, _ = make_plan("powerlaw-trees")
-        global_adj = build_conflict_graph(problem.instances)
-        _, _, plan = make_plan("powerlaw-trees", conflict_adj=global_adj)
         for epoch, mine in plan.members.items():
             ids = [d.instance_id for d in mine]
             assert plan.adjacency[epoch] == restrict(global_adj, ids)

@@ -371,13 +371,13 @@ GOLDEN = [
         "3acb75e747e811e9d3916a9f2de4340ded08dabcffdb7f54869489d8fe0fe5f4",
         "bb10b7d4be15c65bff513da8d7de07d7e3ca65fa00d44b1e30c9e6b461849cc7",
     ),
-    # The pooled engines fill the backend and granularity slots.
     (
         lambda: build_workload("bursty-lines", 10, seed=0),
-        SolveKnobs(engine="vectorized", backend="thread"),
-        "2760c04a44b484e7a7f5803d7f83e3369f58960e5757bedf80144206c1cb2213",
-        "335a9dbaba3740bc3a4bed62678e4d926214ff2c6936897acca7fe3b17e1bd3c",
+        SolveKnobs(engine="vectorized"),
+        "2caeee15cfc9c8bbc20cd0414c8f2ec06c5bd76b259aa181d33a79d545a0cdd9",
+        "e1500ec5e9747900b6a406b58d9b62976961862d6e58059c940ff6d4c276f65c",
     ),
+    # The pooled engine fills the backend and granularity slots.
     (
         lambda: build_workload("multi-tenant-forest", 24, seed=7),
         SolveKnobs(
@@ -498,23 +498,17 @@ class TestSolveKnobs:
         )
         assert process_fp == explicit
 
-    def test_vectorized_accepts_executor_knobs(self, monkeypatch):
-        # The vectorized engine routes workers=/backend= through the
-        # parallel executor, so it validates and keys like
-        # engine='parallel': workers stays an execution hint, the other
-        # knobs resolve into the key.  The default backend is pinned so
-        # the thread/process contrast holds under REPRO_BACKEND too.
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        problem = build_workload("bursty-lines", 10, seed=0)
-        SolveKnobs(engine="vectorized", workers=2, backend="process").validate()
-        a = solve_fingerprint(problem, SolveKnobs(engine="vectorized", workers=2))
-        b = solve_fingerprint(problem, SolveKnobs(engine="vectorized", workers=8))
-        assert a == b
-        assert a != solve_fingerprint(
-            problem, SolveKnobs(engine="vectorized", backend="process")
-        )
-        with pytest.raises(ValueError, match="vectorized"):
-            SolveKnobs(engine="incremental", backend="process").validate()
+    def test_vectorized_rejects_executor_knobs(self):
+        # Only engine='parallel' runs on an executor; the vectorized
+        # engine is serial, so it rejects both executor knobs the way
+        # the other serial engines do.
+        for knobs in (
+            SolveKnobs(engine="vectorized", workers=2),
+            SolveKnobs(engine="vectorized", backend="thread"),
+        ):
+            with pytest.raises(ValueError, match="applies only"):
+                knobs.validate()
+        SolveKnobs(engine="vectorized").validate()
 
     def test_retired_knobs_accept_only_their_surviving_mode(self):
         # plan_granularity and phase2_engine keep their key slots, fixed

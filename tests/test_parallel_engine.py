@@ -153,26 +153,6 @@ class TestUsableCpuCount:
 
 
 class TestExecutor:
-    def test_prebuilt_plan_passthrough(self):
-        problem, layout, rule, thresholds = setup_case(
-            "multi-tenant-forest", 40, seed=7
-        )
-        plan = EpochPlan.build(problem.instances, layout)
-        executor = ParallelEpochExecutor(workers=2)
-        dual_a, stack_a, events_a, counters_a = executor.run(
-            problem.instances, layout, rule, thresholds,
-            make_mis_oracle("greedy", 0), plan=plan,
-        )
-        dual_b, stack_b, events_b, counters_b = executor.run(
-            problem.instances, layout, rule, thresholds,
-            make_mis_oracle("greedy", 0),
-        )
-        assert dual_a.alpha == dual_b.alpha and dual_a.beta == dual_b.beta
-        assert [[d.instance_id for d in b] for b in stack_a] == [
-            [d.instance_id for d in b] for b in stack_b
-        ]
-        assert [e.order for e in events_a] == [e.order for e in events_b]
-
     def test_worker_attribution_counters(self):
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 40, seed=9
