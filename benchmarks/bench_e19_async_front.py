@@ -28,7 +28,7 @@ latency.  Asserted: every async-served result is bit-identical
 :func:`repro.algorithms.solve_auto` call -- checked on a *cold* front
 door (fresh disk-less service) and again on a *cached* one -- the TCP
 responses' digests match the same direct solves, and after
-:meth:`aclose` the warm executor-pool registries are empty (the
+:meth:`aclose` the warm service-pool registry is empty (the
 graceful-drain contract of ``shutdown_pools``).  The async replay
 runs with a private :class:`repro.obs.MetricsRegistry` and asserts
 the telemetry's own view: one admission-wait observation per admitted
@@ -56,12 +56,12 @@ from common import (
 )
 
 from repro.algorithms import solve_auto
-from repro.core.engines import backends
 from repro.obs import MetricsRegistry
 from repro.service import (
     AsyncSchedulingService,
     SchedulingService,
     SolveRequest,
+    pools,
     report_semantic_digest,
 )
 from repro.workloads import build_workload
@@ -268,12 +268,8 @@ def run_experiment(quick: bool = False):
     )
 
     # The wire replay closed through aclose(): the graceful-drain
-    # contract is zero live executors in every warm-pool family.
-    live_pools = (
-        len(backends._THREAD_POOLS)
-        + len(backends._PROCESS_POOLS)
-        + len(backends._SERVICE_POOLS)
-    )
+    # contract is zero live executors in the warm-pool registry.
+    live_pools = len(pools._SERVICE_POOLS)
     assert live_pools == 0, (
         f"aclose() must leave zero live executors, found {live_pools}"
     )

@@ -47,7 +47,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from common import emit_json, histogram_percentiles, parse_bench_args, table
 
 from repro.algorithms import solve_auto
-from repro.core.engines.backends import usable_cpu_count
 from repro.service import (
     ScheduleFollower,
     ShardCluster,
@@ -57,6 +56,7 @@ from repro.service import (
     schedule_table,
     table_digest,
 )
+from repro.service.pools import usable_cpu_count
 from repro.workloads import build_trajectory, build_workload
 
 FLEET = 4

@@ -18,7 +18,7 @@ from repro.core.framework import (
     geometric_thresholds,
     narrow_xi,
     run_two_phase,
-    validate_engine_knobs,
+    validate_engine,
 )
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
@@ -32,11 +32,9 @@ def solve_narrow_lines(
     hmin: Optional[float] = None,
     xi: Optional[float] = None,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Narrow-instance algorithm on lines (Section 7, arbitrary heights)."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
@@ -48,7 +46,7 @@ def solve_narrow_lines(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     guarantee = (2 * delta * delta + 1) / result.slackness
     return AlgorithmReport(
@@ -66,29 +64,25 @@ def solve_arbitrary_lines(
     mis: str = "luby",
     seed: int = 0,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 7.2 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not problem.has_wide:
         return solve_narrow_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-            workers=workers, backend=backend,
         )
     if not problem.has_narrow:
         return solve_unit_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-            engine=engine, workers=workers, backend=backend,
+            engine=engine,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_unit_lines(
         wide_problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     narrow = solve_narrow_lines(
         narrow_problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-        workers=workers, backend=backend,
     )
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)

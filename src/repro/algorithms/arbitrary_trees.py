@@ -15,12 +15,10 @@ factors: ``80 + eps``.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import AlgorithmReport
 from repro.algorithms.narrow_trees import solve_narrow_trees
 from repro.algorithms.unit_trees import solve_unit_trees
-from repro.core.framework import validate_engine_knobs
+from repro.core.framework import validate_engine
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
 
@@ -32,16 +30,13 @@ def solve_arbitrary_trees(
     seed: int = 0,
     decomposition: str = "ideal",
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 6.3 algorithm on *problem* (any heights)."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not problem.has_wide:
         return solve_narrow_trees(
             problem, epsilon=epsilon, mis=mis, seed=seed,
-            decomposition=decomposition, engine=engine, workers=workers,
-            backend=backend,
+            decomposition=decomposition, engine=engine,
         )
     if not problem.has_narrow:
         return solve_unit_trees(
@@ -52,8 +47,6 @@ def solve_arbitrary_trees(
             decomposition=decomposition,
             allow_heights=True,
             engine=engine,
-            workers=workers,
-            backend=backend,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_unit_trees(
@@ -64,13 +57,10 @@ def solve_arbitrary_trees(
         decomposition=decomposition,
         allow_heights=True,
         engine=engine,
-        workers=workers,
-        backend=backend,
     )
     narrow = solve_narrow_trees(
         narrow_problem, epsilon=epsilon, mis=mis, seed=seed,
-        decomposition=decomposition, engine=engine, workers=workers,
-        backend=backend,
+        decomposition=decomposition, engine=engine,
     )
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)

@@ -22,10 +22,10 @@ from repro.algorithms.arbitrary_lines import solve_arbitrary_lines
 from repro.algorithms.arbitrary_trees import solve_arbitrary_trees
 from repro.algorithms.base import AlgorithmReport
 from repro.core.demand import WindowDemand
-from repro.core.framework import validate_engine_knobs
+from repro.core.framework import validate_engine
 from repro.core.problem import Problem
 
-__all__ = ["problem_family", "solve_auto"]
+__all__ = ["problem_family", "solve_auto", "validate_retired_knobs"]
 
 
 def problem_family(problem: Problem) -> str:
@@ -35,6 +35,36 @@ def problem_family(problem: Problem) -> str:
     if all(net.is_path_graph() for net in problem.networks.values()):
         return "line"
     return "tree"
+
+
+def validate_retired_knobs(
+    workers: Optional[int] = None,
+    backend: Optional[str] = None,
+    plan_granularity: Optional[str] = None,
+    phase2_engine: str = "reference",
+) -> None:
+    """Reject any value of a retired knob but the one it still accepts.
+
+    ``workers``, ``backend`` and ``plan_granularity`` configured epoch
+    executors and planner modes that no longer exist, and
+    ``phase2_engine`` picked among admission pops of which only the
+    reference pop is left.  They survive only so existing callers that
+    pass them still run: the first three accept only ``None``,
+    ``phase2_engine`` only ``"reference"``.  The one check behind both
+    :func:`solve_auto` and
+    :meth:`~repro.service.fingerprint.SolveKnobs.validate`, so a
+    retired value fails before any layout work or cache probe.
+    """
+    for name, value, only in (
+        ("workers", workers, None),
+        ("backend", backend, None),
+        ("plan_granularity", plan_granularity, None),
+        ("phase2_engine", phase2_engine, "reference"),
+    ):
+        if value != only:
+            raise ValueError(
+                f"{name}={value!r} is retired; only {only!r} is accepted"
+            )
 
 
 def solve_auto(
@@ -54,37 +84,17 @@ def solve_auto(
     Accepts the union of the family entry points' knobs;
     ``decomposition`` applies to the tree family only (the line family
     always uses length classes) and is ignored for line-shaped
-    problems.  ``workers`` and ``backend`` apply to ``engine="parallel"``
-    only.  ``plan_granularity`` and ``phase2_engine`` are retired
-    knobs, kept only so existing callers still run: strict epoch plans
-    and the reference pop are the sole modes left, so they accept just
-    ``None`` or ``"epoch"`` (the latter with ``engine="parallel"``) and
-    ``"reference"``.
+    problems.  ``workers``, ``backend``, ``plan_granularity`` and
+    ``phase2_engine`` are retired knobs that accept only their one
+    surviving value (:func:`validate_retired_knobs`).
     """
-    validate_engine_knobs(engine, workers, backend)
-    if phase2_engine != "reference":
-        raise ValueError(
-            f"unknown phase2 engine {phase2_engine!r}; "
-            "only 'reference' remains"
-        )
-    if plan_granularity is not None:
-        if plan_granularity != "epoch":
-            raise ValueError(
-                f"unknown plan granularity {plan_granularity!r}; "
-                "only 'epoch' remains"
-            )
-        if engine != "parallel":
-            raise ValueError(
-                "plan_granularity= applies only to engine='parallel', "
-                f"not {engine!r}"
-            )
+    validate_engine(engine)
+    validate_retired_knobs(workers, backend, plan_granularity, phase2_engine)
     if problem_family(problem) == "line":
         return solve_arbitrary_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-            workers=workers, backend=backend,
         )
     return solve_arbitrary_trees(
         problem, epsilon=epsilon, mis=mis, seed=seed,
-        decomposition=decomposition, engine=engine, workers=workers,
-        backend=backend,
+        decomposition=decomposition, engine=engine,
     )

@@ -19,7 +19,7 @@ from repro.core.framework import (
     geometric_thresholds,
     narrow_xi,
     run_two_phase,
-    validate_engine_knobs,
+    validate_engine,
 )
 from repro.core.problem import Problem
 
@@ -33,15 +33,13 @@ def solve_narrow_trees(
     hmin: Optional[float] = None,
     xi: Optional[float] = None,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Lemma 6.2 narrow-instance algorithm on *problem*.
 
     ``hmin`` defaults to the smallest demand height; the paper assumes it
     is known to (or fixed a priori for) all processors.
     """
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
@@ -55,7 +53,7 @@ def solve_narrow_trees(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     guarantee = (2 * delta * delta + 1) / result.slackness
     return AlgorithmReport(

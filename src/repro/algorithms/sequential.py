@@ -28,7 +28,7 @@ from repro.core.framework import (
     TwoPhaseResult,
     run_first_phase,
     run_second_phase,
-    validate_engine_knobs,
+    validate_engine,
 )
 from repro.core.problem import Problem
 from repro.core.types import InstanceId
@@ -39,9 +39,9 @@ from repro.trees.root_fixing import build_root_fixing
 class EarliestInSigmaOracle:
     """'MIS' oracle returning the single earliest instance in sigma.
 
-    A module-level class (not a closure) so the oracle pickles, which
-    the parallel engine's process backend requires;
-    ``rank`` maps instance id -> (network order, -capture depth, id).
+    A module-level class (not a closure) so the oracle pickles, like
+    the bundled oracles; ``rank`` maps instance id -> (network order,
+    -capture depth, id).
     """
 
     def __init__(self, rank: Dict[InstanceId, Tuple[int, int, int]]) -> None:
@@ -60,15 +60,13 @@ def solve_sequential(
     problem: Problem,
     use_alpha: Optional[bool] = None,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Appendix A sequential algorithm.
 
     ``use_alpha`` defaults to skipping alpha exactly when no demand has
     more than one instance (the single-tree refinement).
     """
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not problem.is_unit_height:
         raise ValueError("the Appendix A algorithm is for the unit-height case")
     instances = problem.instances
@@ -107,7 +105,7 @@ def solve_sequential(
     dual, stack, events, counters = run_first_phase(
         instances, layout, UnitRaise(use_alpha=use_alpha), [1.0],
         EarliestInSigmaOracle(rank),
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     solution = run_second_phase(stack, counters=counters)
     result = TwoPhaseResult(

@@ -18,7 +18,7 @@ from repro.core.framework import (
     geometric_thresholds,
     run_two_phase,
     unit_xi,
-    validate_engine_knobs,
+    validate_engine,
 )
 from repro.core.problem import Problem
 
@@ -34,11 +34,9 @@ def solve_unit_lines(
     allow_heights: bool = False,
     xi: Optional[float] = None,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 7.1 algorithm on a line-network problem."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "
@@ -51,7 +49,7 @@ def solve_unit_lines(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     guarantee = (delta + 1) / result.slackness
     return AlgorithmReport(

@@ -16,7 +16,7 @@ from repro.core.framework import (
     geometric_thresholds,
     run_two_phase,
     unit_xi,
-    validate_engine_knobs,
+    validate_engine,
 )
 from repro.core.problem import Problem
 
@@ -33,8 +33,6 @@ def solve_unit_trees(
     allow_heights: bool = False,
     xi: Optional[float] = None,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """Run the Theorem 5.3 algorithm on *problem*.
 
@@ -56,18 +54,10 @@ def solve_unit_trees(
         Override the stage ratio (defaults to ``2(Delta+1)/(2(Delta+1)+1)``
         for the realized ``Delta``, i.e. ``14/15`` when ``Delta = 6``).
     engine:
-        First-phase engine: ``'reference'``, ``'incremental'``,
-        ``'parallel'`` or ``'vectorized'`` (the numpy columnar kernel).
-    workers:
-        Pool size for ``engine='parallel'`` (default: usable CPUs,
-        capped); rejected for the serial engines.
-    backend:
-        Execution backend for ``engine='parallel'``: ``'thread'``
-        (default), ``'process'`` (real CPU parallelism via pickled epoch
-        jobs) or ``'serial'`` (debugging); rejected for the serial
-        engines.
+        First-phase engine: ``'reference'``, ``'incremental'`` or
+        ``'vectorized'`` (the numpy columnar kernel).
     """
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError(
             "unit-height algorithm requires unit heights "
@@ -80,7 +70,7 @@ def solve_unit_trees(
     thresholds = geometric_thresholds(xi, epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), thresholds, mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     guarantee = (delta + 1) / result.slackness
     return AlgorithmReport(

@@ -18,11 +18,9 @@ compare.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import AlgorithmReport, line_layouts
 from repro.core.dual import HeightRaise, UnitRaise
-from repro.core.framework import run_two_phase, validate_engine_knobs
+from repro.core.framework import run_two_phase, validate_engine
 from repro.core.problem import Problem
 from repro.core.solution import combine_per_network
 
@@ -37,18 +35,16 @@ def solve_ps_unit_lines(
     seed: int = 0,
     allow_heights: bool = False,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """The PS unit-height line algorithm (single stage, lambda=1/(5+eps))."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not allow_heights and not problem.is_unit_height:
         raise ValueError("PS unit-height baseline requires unit heights")
     layout = line_layouts(problem)
     lambda0 = 1.0 / (5.0 + epsilon)
     result = run_two_phase(
         problem.instances, layout, UnitRaise(), [lambda0], mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     delta = max(layout.critical_set_size, 1)
     return AlgorithmReport(
@@ -66,28 +62,22 @@ def solve_ps_arbitrary_lines(
     mis: str = "luby",
     seed: int = 0,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> AlgorithmReport:
     """The PS arbitrary-height line algorithm (wide/narrow combination)."""
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if not problem.has_wide:
-        return _ps_narrow(
-            problem, epsilon, mis, seed, engine, workers, backend
-        )
+        return _ps_narrow(problem, epsilon, mis, seed, engine)
     if not problem.has_narrow:
         return solve_ps_unit_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-            engine=engine, workers=workers, backend=backend,
+            engine=engine,
         )
     wide_problem, narrow_problem = problem.split_by_width()
     wide = solve_ps_unit_lines(
         wide_problem, epsilon=epsilon, mis=mis, seed=seed, allow_heights=True,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
-    narrow = _ps_narrow(
-        narrow_problem, epsilon, mis, seed, engine, workers, backend
-    )
+    narrow = _ps_narrow(narrow_problem, epsilon, mis, seed, engine)
     combined = combine_per_network(
         wide.solution, narrow.solution, sorted(problem.networks)
     )
@@ -102,15 +92,14 @@ def solve_ps_arbitrary_lines(
 
 def _ps_narrow(
     problem: Problem, epsilon: float, mis: str, seed: int,
-    engine: str = "reference", workers: Optional[int] = None,
-    backend: Optional[str] = None,
+    engine: str = "reference",
 ) -> AlgorithmReport:
     """PS narrow side: height raise rule, single-stage threshold."""
     layout = line_layouts(problem)
     lambda0 = 1.0 / (5.0 + epsilon)
     result = run_two_phase(
         problem.instances, layout, HeightRaise(), [lambda0], mis=mis, seed=seed,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     delta = max(layout.critical_set_size, 1)
     return AlgorithmReport(

@@ -2,7 +2,6 @@
 from repro.core.demand import Demand, DemandInstance, WindowDemand
 from repro.core.dual import DualState, HeightRaise, RaiseEvent, UnitRaise
 from repro.core.framework import (
-    BACKENDS,
     ENGINES,
     InstanceLayout,
     PhaseCounters,
@@ -26,7 +25,6 @@ from repro.core.solution import (
 from repro.core.types import EPS, EdgeKey, edge_key
 
 __all__ = [
-    "BACKENDS",
     "CapacityLedger",
     "Demand",
     "DemandInstance",

@@ -1,6 +1,6 @@
 """Shared artifacts of the first-phase engines.
 
-Every engine (reference, incremental, parallel) consumes an
+Every engine (reference, incremental, vectorized) consumes an
 :class:`InstanceLayout` and produces the same artifact bundle: a final
 :class:`~repro.core.dual.DualState`, the raise-event log, the stack of
 MIS batches for the second phase, and a :class:`PhaseCounters` work
@@ -78,15 +78,8 @@ class PhaseCounters:
     stages_entered: int = 0
     #: adjacency entries materialized or mutated while preparing each
     #: step's restricted conflict graph (entry plus neighbor-set size, so
-    #: the number is comparable across engines).  The incremental and
-    #: parallel engines run one kernel on the same per-epoch adjacency
-    #: slices, so their counts are equal.
+    #: the number is comparable across engines).
     adjacency_touches: int = 0
-    #: Worker-attribution fields (parallel engine only; zero elsewhere):
-    #: number of wavefronts the epoch plan was executed in, and the
-    #: worker-pool size used.  Excluded from engine-equivalence checks.
-    wavefronts: int = 0
-    workers_used: int = 0
     #: Second-phase work accounting: fits-checks attempted, instances
     #: admitted, and instances rejected during the stack pop.
     #: Engine-independent, but kept out of the default semantic tuple so
@@ -102,8 +95,8 @@ class PhaseCounters:
 
     #: Fields that must be identical across engines for the same run.
     #: ``satisfaction_checks``/``stages_entered``/``adjacency_touches``
-    #: measure *engine* work, ``wavefronts``/``workers_used`` attribute
-    #: it to workers -- none of those are part of the semantic artifact.
+    #: measure *engine* work, so they are not part of the semantic
+    #: artifact.
     SEMANTIC_FIELDS = (
         "epochs", "stages", "steps", "raises", "mis_rounds",
         "max_steps_per_stage", "phase2_rounds",
@@ -114,12 +107,11 @@ class PhaseCounters:
     #: recorded before these fields existed must keep verifying).
     ADMISSION_FIELDS = ("admission_checks", "admitted", "rejected")
 
-    #: Fields :meth:`fold_phase1` does not sum: ``epochs``, the worker
-    #: attribution and the second phase are the caller's to account, and
-    #: ``max_steps_per_stage`` is maxed.
+    #: Fields :meth:`fold_phase1` does not sum: ``epochs`` and the second
+    #: phase are the caller's to account, and ``max_steps_per_stage`` is
+    #: maxed.
     UNFOLDED_FIELDS = (
         "epochs", "max_steps_per_stage", "phase2_rounds",
-        "wavefronts", "workers_used",
     ) + ADMISSION_FIELDS
 
     def fold_phase1(self, part: "PhaseCounters") -> None:
@@ -127,7 +119,7 @@ class PhaseCounters:
 
         Every field outside :data:`UNFOLDED_FIELDS` is summed, so a new
         work counter is folded without touching the engines that merge
-        per-epoch counters (the incremental and parallel engines).
+        per-epoch counters (the incremental engine and its journal).
         """
         for f in _FOLDED_FIELDS:
             setattr(self, f, getattr(self, f) + getattr(part, f))

@@ -8,11 +8,7 @@ only the stages some member fails; see
 The per-epoch loop body lives in :func:`run_epoch_incremental`, and
 every epoch runs it on the slices of an
 :class:`~repro.core.plan.EpochPlan`: the epoch's members, their
-conflict adjacency and their reverse index.  The parallel engine
-(:mod:`repro.core.engines.parallel`) executes the same body over the
-same slices, so given equal inputs (members, dual values visible to
-the epoch, oracle draws) both produce bit-identical events, stack
-batches and counter increments.  An installed
+conflict adjacency and their reverse index.  An installed
 :class:`~repro.core.engines.journal.FirstPhaseJournal` only wraps that
 call: it checks each epoch's signature, replays a certified epoch
 instead of running it, and records every epoch for the next solve.
@@ -84,7 +80,7 @@ def run_epoch_incremental(
     ``index`` may be the global instance index or one restricted to
     *members*: dirty sets are always intersected with the member set,
     so both give identical behaviour (the restricted one is just
-    cheaper -- that is the parallel engine's slicing win).  Likewise
+    cheaper, which is why every epoch runs on plan slices).  Likewise
     ``conflict_adj`` may be global or member-restricted: the active-set
     view intersects neighbor sets with the unsatisfied members anyway.
     """

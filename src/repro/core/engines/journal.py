@@ -84,9 +84,10 @@ class EpochRecord:
     started; ``events``/``stack`` are its raise log and MIS batches
     (``order`` fields are renumbered on replay, everything else is
     replayed verbatim); ``counters`` is the *per-epoch* work account,
-    folded into the global counters exactly like the parallel engine
-    merges per-epoch jobs.  Treat records as immutable: a replayed
-    record is re-linked, shared, into the fresh journal.
+    folded into the global counters exactly like an epoch that ran
+    (:meth:`~repro.core.engines.artifacts.PhaseCounters.fold_phase1`).
+    Treat records as immutable: a replayed record is re-linked, shared,
+    into the fresh journal.
     """
 
     signature: Tuple

@@ -3,7 +3,7 @@
 Every step rescans all group members for ``tau``-satisfaction and
 rebuilds the restricted conflict graph from scratch, ``O(steps x
 group^2)`` work per stage.  It is the executable specification against
-which the incremental and parallel engines are golden-tested.
+which the incremental and vectorized engines are golden-tested.
 """
 from __future__ import annotations
 

@@ -22,9 +22,9 @@ Engines
 -------
 
 This module is the stable facade over the engine implementations in
-:mod:`repro.core.engines`; four interchangeable first-phase engines sit
+:mod:`repro.core.engines`; three interchangeable first-phase engines sit
 behind the ``engine=`` switch of :func:`run_two_phase` /
-:func:`run_first_phase`:
+:func:`run_first_phase`, all of them serial:
 
 * ``engine="reference"`` (default) -- the literal Figure 7 loop: every
   step rescans all group members for ``tau``-satisfaction and rebuilds
@@ -46,16 +46,6 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   on the slices of an :class:`~repro.core.plan.EpochPlan` -- its own
   conflict adjacency and reverse index, never the global cross-epoch
   graph (:mod:`repro.core.engines.incremental`).
-* ``engine="parallel"`` -- the plan -> execute -> merge engine
-  (:mod:`repro.core.engines.parallel`): the same epoch kernel on the
-  same plan slices, but the plan's *waves* of epochs that share no path
-  edge and no demand run concurrently over per-epoch state, and the
-  per-epoch artifacts are merged back in epoch order.  It is the only
-  engine with executor knobs: ``backend=`` picks the execution
-  substrate (``"thread"`` pool (default), ``"process"`` pool with
-  pickled job slices for real CPU parallelism, or ``"serial"`` for
-  debugging; see :mod:`repro.core.engines.backends`) and ``workers=``
-  sizes the pool.
 * ``engine="vectorized"`` -- the array-native columnar kernel
   (:mod:`repro.core.engines.columnar`): the whole phase is re-encoded
   once into numpy struct-of-arrays blocks (CSR path/critical-edge
@@ -63,21 +53,21 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   per-step operation -- tau-satisfaction, MIS, dual raises, dirty-set
   recomputation -- runs as vectorized kernels over persistent float64
   dual arrays, committing back to dict form at each epoch boundary.
-  Always serial.  Bit-identical to ``incremental`` for the bundled
-  raise rules and MIS oracles; custom rules/oracles fall back to an
-  exact shadow mode.
+  Bit-identical to ``incremental`` for the bundled raise rules and MIS
+  oracles; custom rules/oracles fall back to an exact shadow mode.
 
-All engines -- and all parallel backends -- produce bit-identical
-artifacts (solutions, raise events, stacks, schedule counters) for the
-bundled MIS oracles; the golden suites in
-``tests/test_engine_equivalence.py`` and ``tests/test_backends.py``
-enforce this.  :class:`PhaseCounters` exposes ``satisfaction_checks``,
+All engines produce bit-identical artifacts (solutions, raise events,
+stacks, schedule counters) for the bundled MIS oracles; the golden
+suites in ``tests/test_engine_equivalence.py`` enforce this.
+:class:`PhaseCounters` exposes ``satisfaction_checks``,
 ``stages_entered`` and ``adjacency_touches`` so the asymptotic win is
-measurable (see
-``benchmarks/bench_e16_engine_scaling.py`` and
-``benchmarks/bench_e17_parallel_epochs.py``;
+measurable (see ``benchmarks/bench_e16_engine_scaling.py``;
 ``benchmarks/bench_e21_vectorized_kernel.py`` times the columnar
-kernel against the incremental engine).
+kernel against the incremental engine).  Figure 7 runs epochs strictly
+in sequence and distributes only each step's MIS, which
+:mod:`repro.distributed` simulates message for message; multi-core
+serving forks whole services (:mod:`repro.service.shard`) instead of
+splitting one first phase.
 
 The second phase has a single implementation, the literal
 reversed-stack pop of :mod:`repro.core.engines.admission`, and every
@@ -86,59 +76,31 @@ path runs it, the delta-serving path included.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.demand import DemandInstance
 from repro.core.dual import RaiseEvent, RaiseRule
 from repro.core.engines import (
-    BACKENDS,
     FirstPhaseArtifacts,
     InstanceLayout,
     PhaseCounters,
     run_first_phase_incremental,
-    run_first_phase_parallel,
     run_first_phase_reference,
     run_first_phase_vectorized,
     run_second_phase,
 )
-from repro.core.engines.backends import resolve_workers
 from repro.core.result import TwoPhaseResult
 from repro.distributed.conflict import build_conflict_graph
 from repro.distributed.mis import MISOracle, make_mis_oracle
 
 #: The interchangeable first-phase engines (see the module docstring).
-ENGINES = ("reference", "incremental", "parallel", "vectorized")
+ENGINES = ("reference", "incremental", "vectorized")
 
 
 def validate_engine(engine: str) -> str:
     """Validate a first-phase engine name (the single source of truth)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    return engine
-
-
-def validate_engine_knobs(
-    engine: str, workers: Optional[int] = None, backend: Optional[str] = None
-) -> str:
-    """Validate an engine name together with its executor knobs.
-
-    The one check behind :func:`run_first_phase`, every ``solve_*``
-    entry point and
-    :meth:`~repro.service.fingerprint.SolveKnobs.validate`, so a bad
-    combination fails at a single site before any layout work.
-    ``engine="parallel"`` gets the executor's own ``(workers, backend)``
-    resolution (:func:`~repro.core.engines.backends.resolve_workers`);
-    every other engine runs serially and rejects both knobs.
-    """
-    validate_engine(engine)
-    if engine == "parallel":
-        resolve_workers(workers, backend)
-        return engine
-    for knob, value in (("workers", workers), ("backend", backend)):
-        if value is not None:
-            raise ValueError(
-                f"{knob}= applies only to engine='parallel', not {engine!r}"
-            )
     return engine
 
 
@@ -209,8 +171,6 @@ def run_first_phase(
     thresholds: Sequence[float],
     mis_oracle: MISOracle,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> FirstPhaseArtifacts:
     """Run the first phase (Figure 7) and return its artifacts.
 
@@ -219,23 +179,15 @@ def run_first_phase(
     last entry is the slackness every instance ends up satisfying.
     ``engine`` selects the implementation (see the module docstring);
     all engines produce identical artifacts for the bundled MIS oracles.
-    ``workers`` sizes ``engine="parallel"``'s pool (default: the usable
-    CPUs, capped) and ``backend`` picks its execution substrate
-    ('thread', 'process' or 'serial'); both are rejected for the serial
-    engines.  Only the reference engine builds the global conflict
-    graph; the others work on per-epoch slices or conflict buckets.
+    Only the reference engine builds the global conflict graph; the
+    others work on per-epoch slices or conflict buckets.
     """
     validate_thresholds(thresholds)
-    validate_engine_knobs(engine, workers, backend)
+    validate_engine(engine)
     if engine == "reference":
         return run_first_phase_reference(
             instances, layout, raise_rule, thresholds, mis_oracle,
             build_conflict_graph(instances),
-        )
-    if engine == "parallel":
-        return run_first_phase_parallel(
-            instances, layout, raise_rule, thresholds, mis_oracle,
-            workers=workers, backend=backend,
         )
     if engine == "vectorized":
         return run_first_phase_vectorized(
@@ -254,22 +206,19 @@ def run_two_phase(
     mis: str = "luby",
     seed: int = 0,
     engine: str = "reference",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> TwoPhaseResult:
     """Run both phases and assemble a :class:`TwoPhaseResult`.
 
     ``mis`` selects the oracle (``'luby'``, ``'hash'`` or ``'greedy'``);
     ``seed`` makes randomized runs reproducible; ``engine`` selects the
-    first-phase implementation (``'reference'``, ``'incremental'``,
-    ``'parallel'`` or ``'vectorized'``, equivalent by construction --
-    see the module docstring); ``workers`` and ``backend`` configure
-    ``engine="parallel"``'s pool and execution substrate.
+    first-phase implementation (``'reference'``, ``'incremental'`` or
+    ``'vectorized'``, equivalent by construction -- see the module
+    docstring).
     """
     oracle = make_mis_oracle(mis, seed)
     dual, stack, events, counters = run_first_phase(
         instances, layout, raise_rule, thresholds, oracle,
-        engine=engine, workers=workers, backend=backend,
+        engine=engine,
     )
     solution = run_second_phase(stack, counters=counters)
     return TwoPhaseResult(

@@ -17,19 +17,18 @@ power :class:`repro.distributed.conflict.InstanceIndex`.
 * per-epoch conflict adjacency (the conflict graph induced on the
   group -- all any engine's MIS ever looks at),
 * per-epoch :class:`~repro.distributed.conflict.InstanceIndex` reverse
-  indices (dirty-set queries restricted to the group),
-* the epoch-interaction graph, and
-* *waves*: the longest-path layering of the interaction precedence DAG
-  (``j -> k`` iff ``j < k`` and they interact).  Epochs in one wave are
-  pairwise non-interacting, and every interacting predecessor of an
-  epoch sits in an earlier wave -- so a wave's epochs can execute
-  concurrently while the whole schedule stays equivalent to the strict
-  sequential order.  Waves are the independence classes the parallel
-  engine (:mod:`repro.core.engines.parallel`) executes.
+  indices (dirty-set queries restricted to the group), and
+* the epoch-interaction graph, along which
+  :func:`~repro.core.engines.journal.predict_dirty_epochs` propagates a
+  perturbation to the later epochs it can reach.
+
+The incremental engine (:mod:`repro.core.engines.incremental`) runs
+every epoch, in order, on these slices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Set
 
 from repro.core.demand import DemandInstance
@@ -40,12 +39,7 @@ from repro.distributed.conflict import ConflictAdjacency, InstanceIndex
 
 @dataclass
 class EpochPlan:
-    """A plan for executing the first phase's epochs out of strict order.
-
-    ``waves[w]`` lists the epochs (ascending) executable concurrently in
-    wave ``w``; empty epochs (no members) carry no constraints and land
-    in wave 0.
-    """
+    """Per-epoch slices of a first phase, plus the epochs' interactions."""
 
     n_epochs: int
     #: epoch -> its group members, in global instance order.
@@ -56,54 +50,6 @@ class EpochPlan:
     index: Dict[int, InstanceIndex]
     #: epoch -> interacting epochs (symmetric, irreflexive).
     interactions: Dict[int, Set[int]]
-    #: epoch -> path edges / demands it shares with *other* epochs: the
-    #: only dual-variable keys whose master values an epoch can inherit
-    #: from earlier waves (everything else it touches is private to it).
-    shared_edges: Dict[int, Set] = field(default_factory=dict)
-    shared_demands: Dict[int, Set] = field(default_factory=dict)
-    #: independence classes in execution order.
-    waves: List[List[int]] = field(default_factory=list)
-
-    @property
-    def n_waves(self) -> int:
-        """Length of the wave schedule (sequential depth)."""
-        return len(self.waves)
-
-    @property
-    def width(self) -> int:
-        """Max number of *non-empty* epochs in one wave -- the measured
-        epoch-independence width (1 means no exploitable parallelism)."""
-        widths = [
-            sum(1 for k in wave if self.members.get(k))
-            for wave in self.waves
-        ]
-        return max(widths, default=0)
-
-    def verify(self) -> None:
-        """Check the plan's defining invariants (for tests and benches).
-
-        Raises ``AssertionError`` if a wave contains interacting epochs,
-        if an interacting pair is not ordered by wave the way epoch order
-        demands, or if the waves don't partition ``1..n_epochs``.
-        """
-        seen: List[int] = []
-        wave_of: Dict[int, int] = {}
-        for w, wave in enumerate(self.waves):
-            for k in wave:
-                wave_of[k] = w
-            seen.extend(wave)
-            for a in wave:
-                inside = self.interactions.get(a, set()).intersection(wave)
-                assert not inside, f"wave {w} contains interacting epochs {a} and {inside}"
-        assert sorted(seen) == list(range(1, self.n_epochs + 1)), (
-            "waves must partition the epochs"
-        )
-        for k, nbrs in self.interactions.items():
-            for j in nbrs:
-                if j < k:
-                    assert wave_of[j] < wave_of[k], (
-                        f"interacting epochs {j} < {k} must run in earlier waves"
-                    )
 
     @staticmethod
     def build(
@@ -113,8 +59,8 @@ class EpochPlan:
 
         Each group's conflict graph is built directly from the group's
         own edge and demand buckets, so cross-epoch conflict pairs are
-        never materialized.  The incremental and parallel engines run
-        every epoch on these slices.
+        never materialized.  The incremental engine runs every epoch on
+        these slices.
         """
         groups = group_members(instances, layout)
         members: Dict[int, List[DemandInstance]] = {}
@@ -156,38 +102,17 @@ class EpochPlan:
         interactions: Dict[int, Set[int]] = {
             k: set() for k in range(1, layout.n_epochs + 1)
         }
-        shared_edges: Dict[int, Set] = {k: set() for k in groups}
-        shared_demands: Dict[int, Set] = {k: set() for k in groups}
-        for e, bucket in epochs_by_edge.items():
+        for bucket in chain(epochs_by_edge.values(), epochs_by_demand.values()):
             if len(bucket) < 2:
                 continue
             for a in bucket:
                 interactions[a] |= bucket
-                shared_edges[a].add(e)
-        for dem, bucket in epochs_by_demand.items():
-            if len(bucket) < 2:
-                continue
-            for a in bucket:
-                interactions[a] |= bucket
-                shared_demands[a].add(dem)
         for k, nbrs in interactions.items():
             nbrs.discard(k)
-        # Longest-path layering of the precedence DAG (edges j -> k for
-        # interacting j < k): wave(k) = 1 + max wave over predecessors.
-        level: Dict[int, int] = {}
-        for k in range(1, layout.n_epochs + 1):
-            preds = [level[j] for j in interactions[k] if j < k]
-            level[k] = (1 + max(preds)) if preds else 0
-        waves: List[List[int]] = [[] for _ in range(max(level.values(), default=-1) + 1)]
-        for k in sorted(level):
-            waves[level[k]].append(k)
         return EpochPlan(
             n_epochs=layout.n_epochs,
             members=members,
             adjacency=adjacency,
             index=index,
             interactions=interactions,
-            shared_edges=shared_edges,
-            shared_demands=shared_demands,
-            waves=waves,
         )

@@ -65,9 +65,9 @@ class TwoPhaseResult:
         and the final dual assignments *as ordered items* -- so two runs
         compare equal only if their dual dicts also agree on insertion
         order, which ``DualState.value()`` (float summation order) and
-        downstream certificates depend on.  The cross-engine/backends
-        differential harness (``tests/test_backends.py``) compares
-        exactly this.
+        downstream certificates depend on.  The cross-engine golden
+        suites (``tests/test_engine_equivalence.py``) compare each of
+        these fields.
         """
         return (
             tuple(d.instance_id for d in self.solution.selected),

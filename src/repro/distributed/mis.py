@@ -19,7 +19,8 @@ coordinate.  Three oracles are provided:
   per *epoch*, derived from ``(seed, epoch)``: processors working in
   different epochs share no randomness, which mirrors the distributed
   reality and makes epoch executions order-independent -- the property
-  the parallel first-phase engine relies on for bit-identical replay.
+  the warm-start journal relies on to replay or re-run any epoch
+  bit-identically.
 * hash-Luby (``make_mis_oracle('hash', seed)``) -- identical process,
   but each priority is a cryptographic hash of (seed, instance key,
   context, iteration).  Any processor can recompute any priority
@@ -28,6 +29,8 @@ coordinate.  Three oracles are provided:
   distributed executors produce *identical* runs.
 * :func:`greedy_mis` -- deterministic lowest-id sweep, a sequential
   stand-in for the deterministic distributed option.
+
+Seeds must be exact ``int`` values (:func:`validate_seed`).
 """
 from __future__ import annotations
 
@@ -145,6 +148,21 @@ def hash_luby_mis(
     )
 
 
+def validate_seed(seed: int, name: str = "seed") -> int:
+    """Return *seed* if it is an exact ``int``; raise ``ValueError`` if not.
+
+    Cache keys encode a seed as an integer, while the oracles consume
+    the raw value: Luby multiplies it into each substream seed and
+    hash-Luby hashes its ``repr``.  A float, bool or string seed would
+    key like an integer yet draw differently, so the oracle factory and
+    :meth:`~repro.service.fingerprint.SolveKnobs.validate` both run this
+    check.  *name* labels the error for other integer key fields.
+    """
+    if type(seed) is not int:
+        raise ValueError(f"{name} must be an int, got {seed!r}")
+    return seed
+
+
 def luby_substream_seed(seed: int, epoch: int) -> int:
     """The derived integer seed of epoch *epoch*'s Luby RNG substream."""
     return seed * 0x9E3779B1 + epoch
@@ -153,14 +171,12 @@ def luby_substream_seed(seed: int, epoch: int) -> int:
 class LubyOracle:
     """Luby's MIS with one independent RNG substream per epoch.
 
-    A module-level class (not a closure) so the oracle *pickles*: the
-    parallel engine's process backend ships each epoch job -- oracle
-    included, cloned per job via a pickle round-trip -- to a worker
-    process.  An unpickled copy starts
-    epoch substreams from the same derived seeds, so it draws exactly
-    the priorities the original would for any epoch it has not yet
-    touched -- which is every epoch the copy will run, since an epoch
-    executes on exactly one worker.
+    An epoch's draws depend only on ``(seed, epoch)``, never on which
+    other epochs ran before it, so a journaled solve can replay some
+    epochs and re-run others and still draw exactly the priorities a
+    cold solve would.  A module-level class (not a closure), so the
+    oracle pickles; an unpickled copy starts epoch substreams from the
+    same derived seeds.
     """
 
     def __init__(self, seed: int) -> None:
@@ -176,8 +192,6 @@ class LubyOracle:
         """
         rng = self._rngs.get(epoch)
         if rng is None:
-            # dict.setdefault is atomic under the GIL, and an epoch
-            # only ever runs on one worker, so lazy creation is safe.
             rng = self._rngs.setdefault(
                 epoch, random.Random(luby_substream_seed(self.seed, epoch))
             )
@@ -215,15 +229,15 @@ def make_mis_oracle(kind: str, seed: int) -> MISOracle:
 
     ``kind`` is ``'luby'`` (per-epoch seeded RNG substreams), ``'hash'``
     (hash-based priorities; bit-identical to the message-passing
-    protocol) or ``'greedy'`` (deterministic sweep).
+    protocol) or ``'greedy'`` (deterministic sweep).  *seed* must be an
+    exact ``int`` (:func:`validate_seed`).
 
-    All three factory-made oracles are safe to share across concurrently
-    executing epochs (``greedy`` and ``hash`` are stateless; ``'luby'``
-    keys its mutable RNG state by the context's epoch, so each epoch
-    consumes only its own substream regardless of how epoch executions
-    interleave) and all three pickle -- the wire requirement of the
-    parallel engine's process backend (``tests/test_picklability.py``).
+    ``greedy`` and ``hash`` are stateless; ``'luby'`` keys its mutable
+    RNG state by the context's epoch, so each epoch consumes only its
+    own substream regardless of which epochs ran before it.  All three
+    pickle (``tests/test_picklability.py``).
     """
+    validate_seed(seed)
     if kind == "greedy":
         return greedy_mis
     if kind == "luby":

@@ -4,9 +4,10 @@ A long-lived serving loop in front of the two-phase framework --
 canonical request fingerprinting (:mod:`repro.service.fingerprint`), a
 two-tier verified result cache with TTL/invalidation
 (:mod:`repro.service.cache`), a coalescing, batching
-:class:`SchedulingService` (:mod:`repro.service.server`), and an
-asyncio front door with a JSON-over-TCP endpoint
-(:mod:`repro.service.async_front`), the delta-solve ingredients --
+:class:`SchedulingService` (:mod:`repro.service.server`) on warm
+request pools (:mod:`repro.service.pools`), and an asyncio front door
+with a JSON-over-TCP endpoint (:mod:`repro.service.async_front`), the
+delta-solve ingredients --
 sketches, problem diffs, change-storm debouncing
 (:mod:`repro.service.delta`), schedule-diff egress
 (:mod:`repro.service.diff`), and a sharded tier -- consistent-hash

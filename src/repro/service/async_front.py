@@ -32,10 +32,9 @@ high-water marks so an operator can see saturation directly.
 **Drain.**  :meth:`drain` stops the TCP listener, lets every admitted
 and queued request resolve, answers late arrivals with a rejection, and
 closes the remaining connections; :meth:`aclose` (also the ``async
-with`` exit) drains and then tears down the process-wide executor
-pools via :func:`~repro.core.engines.backends.shutdown_pools`, so a
-cleanly closed front door leaves zero live worker threads or
-processes.
+with`` exit) drains and then tears down the process-wide service
+pools via :func:`~repro.service.pools.shutdown_pools`, so a cleanly
+closed front door leaves zero live worker threads.
 
 **Delta requests.**  :meth:`solve_delta` is the awaitable face of
 :meth:`SchedulingService.solve_delta` -- answer a perturbed problem by
@@ -72,9 +71,9 @@ The ``metrics`` op is the structured telemetry face (see
 :mod:`repro.obs`): a mergeable registry snapshot, the SLO attainment
 report when the wrapped service configured one, and the same snapshot
 rendered as Prometheus text exposition (``text``).  It answers even on
-a telemetry-disabled service -- then it carries just the always-on
-executor/pool series from the process-default registry.  ``stats``
-is unchanged for compatibility.
+a telemetry-disabled service -- then it carries whatever the
+process-default registry holds.  ``stats`` is unchanged for
+compatibility.
 
 Three optional request fields extend the solve ops without changing
 the line discipline.  ``"trajectory": name`` (with ``"step": k``)
@@ -113,13 +112,13 @@ try:  # numpy is a core dependency, but jsonable() must not require it
 except ImportError:  # pragma: no cover
     _np = None
 
-from repro.core.engines.backends import shutdown_pools
 from repro.core.problem import Problem
 from repro.obs import render_prometheus
 from repro.service.cache import report_semantic_digest
 from repro.service.delta import ChangeDebouncer, delta_key
 from repro.service.diff import SchedulePusher, schedule_table, table_digest
 from repro.service.fingerprint import SolveKnobs
+from repro.service.pools import shutdown_pools
 from repro.service.server import (
     SchedulingService,
     ServiceError,
@@ -714,11 +713,9 @@ class AsyncSchedulingService:
     async def aclose(self, shutdown_executors: bool = True) -> None:
         """Drain, then (by default) tear down the warm executor pools.
 
-        The pool teardown
-        (:func:`~repro.core.engines.backends.shutdown_pools`) is
-        process-wide -- every family, epoch pools included -- which is
-        exactly what a serving process wants on the way out: zero live
-        executors after a clean close.  Pass
+        The pool teardown (:func:`~repro.service.pools.shutdown_pools`)
+        is process-wide, which is exactly what a serving process wants
+        on the way out: zero live executors after a clean close.  Pass
         ``shutdown_executors=False`` when other services in the process
         keep running; pools re-warm on demand either way.
         """

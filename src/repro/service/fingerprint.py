@@ -42,13 +42,13 @@ submission.  Hits on a byte-identical resubmission (the overwhelmingly
 common traffic pattern) are bit-identical outright.
 
 :class:`SolveKnobs` folds the solve configuration -- epsilon, MIS
-oracle, seed, engine, backend, decomposition -- into the key, since
-each of those can change the semantic artifact.  The ``workers`` pool
-size is deliberately *excluded*: job chunking and the ordered merge
-make the semantic tuple independent of pool sizing.  The key tuple
-also keeps a plan-granularity and an admission-engine slot, each fixed
-at the one mode left (strict epochs, the reference pop), so keys
-minted before those knobs were retired stay valid.
+oracle, seed, engine, decomposition -- into the key, since each of
+those can change the semantic artifact.  The key tuple also keeps a
+backend, a plan-granularity and an admission-engine slot, each fixed
+at the constant every serial-engine key has always carried (``None``,
+``None``, the reference pop), so keys minted before those knobs were
+retired stay valid.  The seed and ``capacity_epoch`` are keyed as the
+exact integers :meth:`SolveKnobs.validate` requires.
 
 ``capacity_epoch`` is the one knob that is *not* about the solve at
 all: it is a monotonically bumped generation counter for mutable
@@ -94,11 +94,12 @@ from hashlib import sha256
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms.auto import validate_retired_knobs
 from repro.core.canonical import canonical_bytes
 from repro.core.demand import WindowDemand
-from repro.core.engines.backends import resolve_backend
-from repro.core.framework import validate_engine_knobs
+from repro.core.framework import validate_engine
 from repro.core.problem import Problem
+from repro.distributed.mis import validate_seed
 from repro.trees.tree import TreeNetwork
 
 __all__ = [
@@ -376,15 +377,11 @@ class SolveKnobs:
     """The solve configuration folded into a cache key.
 
     Defaults mirror the service's solve path: the incremental engine,
-    Luby's oracle, the ideal tree decomposition.  ``workers`` is an
-    execution hint only -- it never changes the semantic artifact, so
-    it is excluded from :meth:`canonical_form`.  ``workers`` and
-    ``backend`` apply to ``engine="parallel"`` only; every other engine
-    runs serially, rejects both, and keys with its backend and
-    granularity slots ``None``.
-    ``plan_granularity`` and ``phase2_engine`` are retired knobs that
-    accept only their one surviving mode (see
-    :func:`~repro.algorithms.auto.solve_auto`).
+    Luby's oracle, the ideal tree decomposition.  ``workers``,
+    ``backend``, ``plan_granularity`` and ``phase2_engine`` are retired
+    knobs that accept only their one surviving value (see
+    :func:`~repro.algorithms.auto.validate_retired_knobs`); they are not
+    keyed.
     """
 
     epsilon: float = 0.1
@@ -403,67 +400,45 @@ class SolveKnobs:
     phase2_engine: str = "reference"
 
     def validate(self) -> "SolveKnobs":
-        """Reject invalid knob names *and combinations* early.
+        """Reject invalid knobs early.
 
-        The combination check matters to the cache: for serial engines
-        :meth:`canonical_form` normalizes the parallel-only knobs away,
-        so an invalid combination like ``engine="incremental",
-        backend="process"`` would *key the same* as its valid
-        normalization -- and whether it errored or silently succeeded
-        would then depend on cache state.  Validating before any cache
-        interaction (the service does) keeps rejection deterministic.
-        ``workers`` is not keyed at all, so it gets the executor's own
-        check (:func:`~repro.core.framework.validate_engine_knobs`).
+        The service runs this before any cache interaction, so an
+        invalid request errors deterministically instead of being
+        answered whenever some valid request that keys the same happens
+        to be cached.  The seed and ``capacity_epoch`` must be exact
+        integers (:func:`~repro.distributed.mis.validate_seed`): a
+        float or bool seed would otherwise key like an integer one yet
+        draw differently.
         """
-        validate_engine_knobs(self.engine, self.workers, self.backend)
-        if self.capacity_epoch < 0:
+        validate_engine(self.engine)
+        validate_retired_knobs(
+            self.workers, self.backend, self.plan_granularity,
+            self.phase2_engine,
+        )
+        validate_seed(self.seed)
+        if validate_seed(self.capacity_epoch, "capacity_epoch") < 0:
             raise ValueError(
                 f"capacity_epoch must be >= 0, got {self.capacity_epoch}"
-            )
-        if self.phase2_engine != "reference":
-            raise ValueError(
-                f"unknown phase2 engine {self.phase2_engine!r}; "
-                "only 'reference' remains"
-            )
-        if self.plan_granularity not in (None, "epoch"):
-            raise ValueError(
-                f"unknown plan granularity {self.plan_granularity!r}; "
-                "only 'epoch' remains"
-            )
-        if self.plan_granularity is not None and self.engine != "parallel":
-            raise ValueError(
-                "plan_granularity= applies only to engine='parallel', "
-                f"not {self.engine!r}"
             )
         return self
 
     def canonical_form(self) -> Tuple:
         """The key-relevant knobs as a tuple.
 
-        Assumes :meth:`validate` passed: the executor knob slots
-        normalize to ``None`` for the serial engines, and
-        ``backend=None`` resolves through the environment exactly as
-        the engine would, so a run keyed under ``REPRO_BACKEND=process``
-        cannot alias one keyed under the thread default.  The
-        granularity and admission-engine slots hold the only surviving
-        modes, spelled as every key minted so far spells them.
+        Assumes :meth:`validate` passed.  The backend, granularity and
+        admission-engine slots hold the constants every serial-engine
+        key has carried since those knobs existed.
         """
-        if self.engine == "parallel":
-            backend: Optional[str] = resolve_backend(self.backend)
-            granularity: Optional[str] = "epoch"
-        else:
-            backend = None
-            granularity = None
         return (
             _KNOBS_TAG,
             float(self.epsilon),
             self.mis,
-            int(self.seed),
+            self.seed,
             self.engine,
-            backend,
-            granularity,
+            None,
+            None,
             self.decomposition,
-            int(self.capacity_epoch),
+            self.capacity_epoch,
             "reference",
         )
 

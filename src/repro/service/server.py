@@ -16,11 +16,11 @@ does not provide.  A request travels three short stages:
    onto one solve).
 3. **Dispatch** -- genuinely new requests run
    :func:`~repro.algorithms.auto.solve_auto` with their per-request
-   engine/backend knobs on the warm service pool
-   (:func:`~repro.core.engines.backends.shared_service_pool`), so a
-   batch of distinct requests executes concurrently while each solve
-   may itself fan epoch waves out over the thread or process epoch
-   pools.
+   knobs on the warm service pool
+   (:func:`~repro.service.pools.shared_service_pool`), so a batch of
+   distinct requests executes concurrently; each solve is serial.
+   Multi-core serving forks whole services instead
+   (:class:`~repro.service.shard.ShardCluster`).
 
 Failures stay attributable: any exception raised by a solve -- a
 :class:`~repro.core.problem.ProblemError` from instance expansion
@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.algorithms.auto import problem_family, solve_auto
 from repro.algorithms.base import AlgorithmReport
-from repro.core.engines.backends import default_workers, shared_service_pool
 from repro.core.engines.journal import FirstPhaseJournal, journal_context
 from repro.core.problem import Problem
 from repro.obs import (
@@ -63,6 +62,7 @@ from repro.service.delta import (
     diff_problems,
 )
 from repro.service.fingerprint import Fingerprint, SolveKnobs, solve_fingerprint
+from repro.service.pools import default_workers, shared_service_pool
 from repro.workloads import build_workload
 
 __all__ = [
@@ -187,7 +187,6 @@ class SchedulingService:
     workers:
         Size of the request-dispatch pool (default: usable CPUs,
         capped) -- how many *distinct* requests solve concurrently.
-        Independent of each request's own ``workers`` engine knob.
     default_knobs:
         Knobs applied by :meth:`submit_problem` when the caller gives
         none.  Defaults to the incremental engine -- the serial
@@ -240,8 +239,10 @@ class SchedulingService:
         slo_targets: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.workers = workers if workers is not None else default_workers()
-        if self.workers < 1:
-            raise ValueError(f"service workers must be positive, got {self.workers}")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(
+                f"service workers must be a positive int, got {self.workers!r}"
+            )
         self.default_knobs = default_knobs
         self.keep_artifacts = keep_artifacts
         if metrics is None or metrics is False:
@@ -559,8 +560,6 @@ class SchedulingService:
                 seed=k.seed,
                 decomposition=k.decomposition,
                 engine=k.engine,
-                workers=k.workers,
-                backend=k.backend,
             )
 
         if journal is None:
@@ -906,7 +905,7 @@ class SchedulingService:
     def metrics_registry(self) -> MetricsRegistry:
         """The registry this service records into -- the process
         default when telemetry is off, so ``{"op": "metrics"}`` always
-        answers (executor/backend gauges land there regardless)."""
+        answers."""
         return self.metrics if self.metrics is not None else default_registry()
 
     def metrics_snapshot(self) -> dict:

@@ -182,8 +182,8 @@ def _shard_serve(conn, service_kwargs: dict, host: str, port: int = 0) -> None:
 
 
 def _shard_worker_main(conn, service_kwargs: dict, host: str, port: int = 0) -> None:
-    # Fresh fork: the backends register_at_fork hook already cleared
-    # the inherited warm-pool registries, so this child builds its own
+    # Fresh fork: the pools register_at_fork hook already cleared the
+    # inherited warm-pool registry, so this child builds its own
     # executors instead of deadlocking on the parent's dead threads.
     try:
         _shard_serve(conn, service_kwargs, host, port)
@@ -195,8 +195,8 @@ class ShardCluster:
     """N shard worker processes, each a full async front door.
 
     Workers are forked (``multiprocessing`` fork context -- the
-    :mod:`repro.core.engines.backends` ``register_at_fork`` hook makes
-    the warm pools fork-safe), bind ephemeral ports, and report their
+    :mod:`repro.service.pools` ``register_at_fork`` hook makes the warm
+    pools fork-safe), bind ephemeral ports, and report their
     addresses over a pipe.  ``service_kwargs`` go to every shard's
     :class:`AsyncSchedulingService` -- pass one shared ``disk_dir`` for
     the warm-handoff disk tier.

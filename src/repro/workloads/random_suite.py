@@ -29,9 +29,8 @@ differently:
 * ``multi-tenant-forest`` -- many small disjoint tenant trees, each with
   its own demand mix and only a couple of local demands: the regime
   where first-phase epochs are most independent of each other (few
-  shared edges/demands across groups), i.e. where the epoch-graph
-  planner (:mod:`repro.core.plan`) finds the widest waves for
-  ``engine="parallel"``.
+  shared edges/demands across groups), so the epoch-interaction graph
+  of :mod:`repro.core.plan` is sparsest here.
 * ``diurnal-cycle`` -- window demands whose arrival intensity follows a
   sinusoidal day/night cycle over the timeline: load swells and ebbs in
   smooth waves rather than bursts, the classic VoD traffic shape.  One

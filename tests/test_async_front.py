@@ -13,11 +13,11 @@ import threading
 import pytest
 
 from repro.algorithms import solve_auto
-from repro.core.engines import backends
 from repro.service import (
     AsyncSchedulingService,
     ServiceError,
     SolveRequest,
+    pools,
     report_semantic_digest,
 )
 from repro.workloads import build_workload
@@ -203,6 +203,19 @@ class TestWireProtocol:
              "knobs": KNOBS},
             {"id": 6, "workload": "bursty-lines", "size": 14, "seed": 1,
              "knobs": {**KNOBS, "phase2_engine": "vectorized"}},
+            {"id": 7, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "engine": "parallel"}},
+            {"id": 8, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "workers": 2}},
+            {"id": 9, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "backend": "thread"}},
+            {"id": 10, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "plan_granularity": "epoch"}},
+            # Knob seeds that would key like the integer seed 1.
+            {"id": 11, "trajectory": "churn-lines", "size": 12, "seed": 1,
+             "knobs": {**KNOBS, "seed": 1.5}},
+            {"id": 12, "trajectory": "churn-lines", "size": 12, "seed": 1,
+             "knobs": {**KNOBS, "mis": "hash", "seed": True}},
         ]
         front, responses = asyncio.run(self.roundtrip(lines))
         by_id = {r.get("id"): r for r in responses}
@@ -213,9 +226,15 @@ class TestWireProtocol:
         assert not by_id[4]["ok"]
         assert by_id[5]["ok"], "a valid request after garbage must still serve"
         assert by_id[5]["semantic_digest"] == direct_digest()
-        # A retired admission engine is rejected, never served from the
-        # reference pop's cache entry or solved.
-        assert not by_id[6]["ok"] and "phase2 engine" in by_id[6]["error"]
+        # Retired knobs and the deleted epoch executor's engine name are
+        # rejected, never served from id 5's cache entry or solved; so
+        # are seeds that are not exact ints.
+        for rid, name in (
+            (6, "phase2_engine"), (7, "unknown engine 'parallel'"),
+            (8, "workers"), (9, "backend"), (10, "plan_granularity"),
+            (11, "seed must be an int"), (12, "seed must be an int"),
+        ):
+            assert not by_id[rid]["ok"] and name in by_id[rid]["error"], rid
         assert front.stats["service"]["solves"] == 1
 
     def test_oversized_line_answers_and_flushes_accepted_work(self):
@@ -538,11 +557,9 @@ class TestGracefulDrain:
             # __aexit__ ran aclose(): drained + pools torn down.
 
         asyncio.run(run())
-        assert not backends._THREAD_POOLS
-        assert not backends._PROCESS_POOLS
-        assert not backends._SERVICE_POOLS
+        assert not pools._SERVICE_POOLS
         assert not any(
-            t.name.startswith(("repro-service", "repro-epoch", "repro-admission"))
+            t.name.startswith(("repro-service", "repro-admission"))
             for t in threading.enumerate()
         ), "a closed front door must leave no live pool threads"
 

@@ -1,42 +1,158 @@
-"""Golden cross-engine differential harness for the execution backends.
+"""Golden cross-backend differential harness.
 
-The parallel engine's three backends (thread pool, process pool, inline
-serial) must be **bit-identical** to ``engine="incremental"`` -- and to
-each other -- for every registry workload and every bundled MIS oracle.
-One comparable value captures the whole contract:
-:meth:`TwoPhaseResult.semantic_tuple` folds the
-selected ids, the full raise log (exact float deltas), the stack shape,
-the schedule counters and the final dual assignments *as ordered items*
-into a single tuple, so any divergence -- including a dual dict whose
-keys were created in a different order, which would silently change
-``DualState.value()``'s float summation -- fails loudly.
+Every solve is serial: the three engines run epochs strictly in
+sequence.  What runs in parallel is whole solves, on the execution
+backends of the serving tier:
 
-The full sweep (every workload x oracle x backend, reference engine
+* ``serial`` -- inline, in the caller's thread;
+* ``thread`` -- a pool worker thread, the way
+  :class:`~repro.service.server.SchedulingService` runs each cache miss
+  (several at once);
+* ``process`` -- a forked worker process, the way
+  :class:`~repro.service.shard.ShardCluster` runs each shard; the
+  report comes back through ``pickle``.
+
+A solve on any backend must be **bit-identical** to
+``engine="incremental"`` run inline -- as must the reference and
+vectorized engines -- for every registry workload and every bundled MIS
+oracle.  One comparable value captures the whole contract:
+:meth:`TwoPhaseResult.semantic_tuple` folds the selected ids, the full
+raise log (exact float deltas), the stack shape, the schedule counters
+and the final dual assignments *as ordered items* into a single tuple,
+so any divergence -- including a dual dict whose keys were created in a
+different order, which would silently change ``DualState.value()``'s
+float summation -- fails loudly.
+
+The full sweep (every workload x oracle x backend, the other engines
 included) is marked ``slow``; the quick CI legs run the unmarked smoke
 subset (`-m "not slow"`), which still crosses every backend.
+
+The module also holds the surviving checks of the retired executor
+knobs (``workers=`` / ``backend=`` reach only ``solve_auto`` and
+``SolveKnobs``, which accept ``None`` alone) and the lifecycle of the
+warm request pools, and it provides :func:`run_on_backend` and
+:func:`run_engine_case` to the suites that cross every engine.
 """
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
+from repro.algorithms import solve_auto
 from repro.algorithms.arbitrary_lines import solve_arbitrary_lines
 from repro.algorithms.arbitrary_trees import solve_arbitrary_trees
-from repro.core.engines import BACKENDS
+from repro.core.framework import ENGINES
+from repro.service import SchedulingService, SolveKnobs, pools
 from repro.workloads import build_workload, get_workload, workload_names
 
 ORACLES = ("greedy", "luby", "hash")
+
+#: Where a whole solve can run; see the module docstring.
+BACKENDS = ("thread", "process", "serial")
+
+#: The engine cases of the suites that cross every engine: the three
+#: serial engines, plus ``"parallel"`` -- concurrent solves, the
+#: parallelism the serving tier keeps (see :func:`run_engine_case`).
+ENGINE_CASES = (*ENGINES, "parallel")
+
+#: Seconds a call may run on a backend before its test fails rather
+#: than hangs.
+BACKEND_TIMEOUT_S = 300
 
 #: (size, seed, epsilon) per workload kind; fixed scenarios ignore size.
 SWEEP_SIZE = 26
 SWEEP_SEED = 4
 EPSILON = {"tree": 0.25, "line": 0.3}
 
-#: Per-(workload, oracle) incremental/reference runs are shared across
-#: the backend parametrization; solving them once keeps the sweep from
-#: being quadratically slow.
+#: Per-(workload, oracle) engine runs are shared across the backend
+#: parametrization; solving them once keeps the sweep from being
+#: quadratically slow.
 _BASELINES = {}
+
+
+def run_on_backend(backend, fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` on one execution backend; returns its
+    result or re-raises its exception."""
+    if backend == "serial":
+        return fn(*args, **kwargs)
+    if backend == "thread":
+        return run_on_threads(1, fn, *args, **kwargs)[0].result()
+    if backend == "process":
+        return run_in_fork(fn, *args, **kwargs)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def run_on_threads(copies, fn, *args, **kwargs):
+    """Run *copies* calls of ``fn(*args, **kwargs)`` at once on pool
+    threads; returns their futures, all done."""
+    pool = ThreadPoolExecutor(max_workers=copies)
+    try:
+        futures = [pool.submit(fn, *args, **kwargs) for _ in range(copies)]
+        _, pending = wait(futures, timeout=BACKEND_TIMEOUT_S)
+        if pending:
+            raise TimeoutError(f"{fn.__name__} hung on a pool thread")
+        return futures
+    finally:
+        pool.shutdown(wait=False)
+
+
+def _send_outcome(conn, fn, args, kwargs):
+    """Body of the worker process of :func:`run_in_fork`."""
+    try:
+        outcome = (True, fn(*args, **kwargs))
+    except Exception as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
+
+
+def run_in_fork(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` in a forked worker process, the start
+    method :class:`~repro.service.shard.ShardCluster` forks its shards
+    with; the result (or exception) comes back through ``pickle``."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_send_outcome, args=(sender, fn, args, kwargs)
+    )
+    worker.start()
+    sender.close()
+    try:
+        if not receiver.poll(BACKEND_TIMEOUT_S):
+            raise TimeoutError(f"{fn.__name__} hung in a worker process")
+        ok, value = receiver.recv()
+    finally:
+        receiver.close()
+        worker.join(timeout=10)
+        if worker.is_alive():
+            worker.kill()
+            worker.join()
+    if not ok:
+        raise value
+    return value
+
+
+def run_engine_case(engine, fn, *args, **kwargs):
+    """Run ``fn(*args, engine=..., **kwargs)`` for one of
+    :data:`ENGINE_CASES`; returns every run's result.
+
+    A serial engine runs once, inline.  ``"parallel"`` runs the
+    incremental engine twice at once on two pool threads, as concurrent
+    cache misses of one service do.  Both runs must end alike: if one
+    raises, both must raise the same error, which is re-raised here.
+    """
+    if engine != "parallel":
+        return [fn(*args, engine=engine, **kwargs)]
+    futures = run_on_threads(2, fn, *args, engine="incremental", **kwargs)
+    errors = [future.exception() for future in futures]
+    if any(error is not None for error in errors):
+        assert len({repr(error) for error in errors}) == 1, (
+            f"concurrent runs ended differently: {errors}"
+        )
+        raise errors[0]
+    return [future.result() for future in futures]
 
 
 def solve(name, mis, **kwargs):
@@ -50,13 +166,10 @@ def solve(name, mis, **kwargs):
     )
 
 
-def baseline(name, mis):
-    key = (name, mis)
+def baseline(name, mis, engine="incremental"):
+    key = (name, mis, engine)
     if key not in _BASELINES:
-        _BASELINES[key] = {
-            "incremental": solve(name, mis, engine="incremental"),
-            "reference": solve(name, mis, engine="reference"),
-        }
+        _BASELINES[key] = solve(name, mis, engine=engine)
     return _BASELINES[key]
 
 
@@ -81,29 +194,34 @@ def assert_identical_reports(expected, got, what):
 
 
 class TestGoldenSweep:
-    """Every registry workload x engine x backend x oracle."""
+    """Every registry workload x oracle x backend, and x engine."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mis", ORACLES)
     @pytest.mark.parametrize("name", workload_names())
     def test_backend_matches_incremental(self, name, mis, backend):
-        base = baseline(name, mis)
-        workers = 1 if backend == "serial" else 2
-        par = solve(
-            name, mis, engine="parallel", workers=workers, backend=backend
-        )
+        got = run_on_backend(backend, solve, name, mis, engine="incremental")
         assert_identical_reports(
-            base["incremental"], par, f"{name}/{mis}/parallel-{backend}"
+            baseline(name, mis), got, f"{name}/{mis}/{backend}"
         )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mis", ORACLES)
     @pytest.mark.parametrize("name", workload_names())
     def test_reference_matches_incremental(self, name, mis):
-        base = baseline(name, mis)
         assert_identical_reports(
-            base["reference"], base["incremental"], f"{name}/{mis}/reference"
+            baseline(name, mis, "reference"), baseline(name, mis),
+            f"{name}/{mis}/reference",
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mis", ORACLES)
+    @pytest.mark.parametrize("name", workload_names())
+    def test_vectorized_matches_incremental(self, name, mis):
+        assert_identical_reports(
+            baseline(name, mis), solve(name, mis, engine="vectorized"),
+            f"{name}/{mis}/vectorized",
         )
 
 
@@ -114,21 +232,29 @@ class TestSmokeSweep:
     @pytest.mark.parametrize("mis", ("greedy", "luby"))
     @pytest.mark.parametrize("name", ("multi-tenant-forest", "bursty-lines"))
     def test_backend_matches_incremental(self, name, mis, backend):
-        base = baseline(name, mis)
-        workers = 1 if backend == "serial" else 2
-        par = solve(
-            name, mis, engine="parallel", workers=workers, backend=backend
-        )
+        got = run_on_backend(backend, solve, name, mis, engine="incremental")
         assert_identical_reports(
-            base["incremental"], par, f"{name}/{mis}/parallel-{backend}"
+            baseline(name, mis), got, f"{name}/{mis}/{backend}"
         )
 
 
 class TestBackendKnob:
-    def test_unknown_backend_rejected_early(self):
+    """``workers=`` and ``backend=`` configured the deleted epoch
+    executor.  Only ``solve_auto`` and ``SolveKnobs`` still take them,
+    for existing callers, and accept ``None`` alone."""
+
+    def test_unknown_backend_rejected_early(self, monkeypatch):
+        import repro.algorithms.auto as auto
+
+        def spy(*args, **kwargs):
+            raise AssertionError("solve started before knob validation")
+
         problem = build_workload("multi-tenant-forest", 12, seed=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            solve_arbitrary_trees(problem, engine="parallel", backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            solve_arbitrary_trees(problem, backend="gpu")
+        monkeypatch.setattr(auto, "solve_arbitrary_trees", spy)
+        with pytest.raises(ValueError, match="backend='gpu' is retired"):
+            solve_auto(problem, backend="gpu")
 
     @pytest.mark.parametrize("knob", ["backend", "workers"])
     @pytest.mark.parametrize(
@@ -142,68 +268,80 @@ class TestBackendKnob:
         problem = build_workload("multi-tenant-forest", 12, seed=0)
         layout, _ = tree_layouts(problem, "ideal")
         value = "serial" if knob == "backend" else 2
-        with pytest.raises(ValueError, match=f"{knob}= applies only"):
+        with pytest.raises(TypeError, match=knob):
             run_two_phase(
                 problem.instances, layout, UnitRaise(), [0.9],
                 mis="greedy", engine=engine, **{knob: value},
             )
+        with pytest.raises(ValueError, match=f"{knob}={value!r} is retired"):
+            solve_auto(problem, engine=engine, **{knob: value})
 
     def test_serial_backend_rejects_pooled_workers(self):
-        from repro.core.engines import ParallelEpochExecutor
+        # Every solve runs serially now, so backend='serial' is retired
+        # with the rest; pooled workers belong to the service's request
+        # pool, never to a solve.
+        problem = build_workload("multi-tenant-forest", 12, seed=0)
+        for knobs in (dict(workers=3, backend="serial"), dict(backend="serial")):
+            with pytest.raises(ValueError, match="is retired"):
+                solve_auto(problem, **knobs)
+            with pytest.raises(ValueError, match="is retired"):
+                SolveKnobs(**knobs).validate()
+        assert SchedulingService(workers=3).workers == 3
 
-        with pytest.raises(ValueError, match="serial"):
-            ParallelEpochExecutor(workers=3, backend="serial")
-        assert ParallelEpochExecutor(backend="serial").workers == 1
-
-    def test_env_var_resolves_default_backend(self):
-        # The CI smoke leg runs the unmodified suite under
-        # REPRO_BACKEND=process; resolution must honor it only when the
-        # caller left backend=None.
+    def test_env_var_resolves_default_backend(self, monkeypatch):
+        # REPRO_BACKEND once picked the executor's default backend.  It
+        # is read nowhere now: a setting left in an environment must
+        # change neither a solve nor its cache key.
         code = (
-            "from repro.core.engines import ParallelEpochExecutor;"
-            "assert ParallelEpochExecutor(workers=2).backend_name == 'process';"
-            "assert ParallelEpochExecutor(workers=2, backend='thread')"
-            ".backend_name == 'thread';"
-            "print('ok')"
+            "from repro.algorithms import solve_auto;"
+            "from repro.service import SolveKnobs, report_semantic_digest,"
+            " solve_fingerprint;"
+            "from repro.workloads import build_workload;"
+            "p = build_workload('multi-tenant-forest', 12, seed=0);"
+            "print(report_semantic_digest(solve_auto(p, engine='incremental')),"
+            " solve_fingerprint(p, SolveKnobs(engine='incremental')).digest)"
         )
-        env = dict(os.environ, REPRO_BACKEND="process")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.returncode == 0, out.stderr
-        assert "ok" in out.stdout
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        outputs = []
+        for setting in (None, "process"):
+            env = dict(os.environ)
+            if setting is not None:
+                env["REPRO_BACKEND"] = setting
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in ("src", env.get("PYTHONPATH", "")) if p
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=env,
+                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                timeout=BACKEND_TIMEOUT_S,
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout.split())
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
 
-    def test_env_var_with_unknown_backend_fails(self):
-        from repro.core.engines import resolve_backend
+    def test_env_var_with_unknown_backend_fails(self, monkeypatch):
+        # An unknown backend still fails, by name, wherever a caller
+        # passes it; the environment is not consulted, so an unknown
+        # REPRO_BACKEND neither fails nor changes a solve.
+        from repro.service import report_semantic_digest
 
-        assert resolve_backend(None) in BACKENDS
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("quantum")
-
-    def test_env_resolved_serial_coerces_pooled_workers(self, monkeypatch):
-        # REPRO_BACKEND=serial must run unmodified callers that pass
-        # workers=N with backend=None -- coercing to one worker, not
-        # crashing; the workers/serial conflict error is reserved for an
-        # *explicit* backend='serial'.
-        from repro.core.engines import ParallelEpochExecutor
-
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        executor = ParallelEpochExecutor(workers=4)
-        assert executor.backend_name == "serial"
-        assert executor.workers == 1
-        with pytest.raises(ValueError, match="serial"):
-            ParallelEpochExecutor(workers=4, backend="serial")
+        problem = build_workload("multi-tenant-forest", 12, seed=0)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        expected = report_semantic_digest(solve_auto(problem))
+        monkeypatch.setenv("REPRO_BACKEND", "quantum")
+        assert report_semantic_digest(solve_auto(problem)) == expected
+        with pytest.raises(ValueError, match="backend='quantum' is retired"):
+            solve_auto(problem, backend="quantum")
+        with pytest.raises(ValueError, match="backend='quantum' is retired"):
+            SolveKnobs(backend="quantum").validate()
 
 
 class TestExecutorLifecycle:
-    """The warm-pool registries must never leak executors: setdefault
-    losers are shut down, broken process pools are shut down on
-    eviction, and ``shutdown_pools()`` tears every family down."""
+    """The warm request-pool registry of :mod:`repro.service.pools` must
+    never leak executors: setdefault losers are shut down, and
+    ``shutdown_pools()`` empties the registry and joins every thread."""
 
     def test_warm_pool_race_shuts_down_losers(self):
         # Hammer _warm_pool from many threads racing on one empty key;
@@ -211,9 +349,6 @@ class TestExecutorLifecycle:
         # and every loser must have been shut down (not orphaned with
         # live idle threads).
         import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.core.engines.backends import _warm_pool
 
         n_threads = 16
         rounds = 25
@@ -227,96 +362,53 @@ class TestExecutorLifecycle:
             return pool
 
         for _ in range(rounds):
-            pools = {}
+            registry = {}
             barrier = threading.Barrier(n_threads)
             winners = []
 
             def hammer():
                 barrier.wait()
-                winners.append(_warm_pool(pools, 2, factory))
+                winners.append(pools._warm_pool(registry, 2, factory))
 
             threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            assert len(pools) == 1
-            assert all(w is pools[2] for w in winners), (
+            assert len(registry) == 1
+            assert all(w is registry[2] for w in winners), (
                 "every racer must receive the one registered pool"
             )
             for pool in constructed:
-                if pool is not pools[2]:
+                if pool is not registry[2]:
                     assert pool._shutdown, "losing executor leaked un-shutdown"
-            pools[2].shutdown(wait=True)
+            registry[2].shutdown(wait=True)
             constructed.clear()
 
     def test_shutdown_pools_empties_every_family(self):
-        from repro.core.engines import backends
-
-        # Warm one pool in each family, then tear down.
-        backends._shared_thread_pool(2)
-        backends.shared_service_pool(2)
-        backends._shared_process_pool(2)
-        assert backends._THREAD_POOLS and backends._SERVICE_POOLS
-        assert backends._PROCESS_POOLS
-        count = backends.shutdown_pools(wait=True)
-        assert count >= 3
-        assert not backends._THREAD_POOLS
-        assert not backends._PROCESS_POOLS
-        assert not backends._SERVICE_POOLS
+        # The request pools are the one family left; one pool per
+        # worker count.
+        pools.shared_service_pool(2)
+        pools.shared_service_pool(3)
+        assert len(pools._SERVICE_POOLS) >= 2
+        count = pools.shutdown_pools(wait=True)
+        assert count >= 2
+        assert not pools._SERVICE_POOLS
         # Teardown is not terminal: the next fetch re-warms on demand.
-        pool = backends._shared_thread_pool(2)
+        pool = pools.shared_service_pool(2)
         fut = pool.submit(lambda: 41 + 1)
         assert fut.result() == 42
-        assert backends.shutdown_pools(wait=True) == 1
+        assert pools.shutdown_pools(wait=True) == 1
 
     def test_no_live_pool_threads_after_shutdown(self):
         import threading
 
-        from repro.core.engines import backends
-
-        pool = backends.shared_service_pool(3)
+        pool = pools.shared_service_pool(3)
         pool.submit(lambda: None).result()  # force a worker to spawn
         assert any(
             t.name.startswith("repro-service") for t in threading.enumerate()
         )
-        backends.shutdown_pools(wait=True)
+        pools.shutdown_pools(wait=True)
         assert not any(
             t.name.startswith("repro-service") for t in threading.enumerate()
         ), "shutdown_pools(wait=True) must join every pool thread"
-
-    def test_broken_process_pool_eviction_shuts_pool_down(self):
-        # A BrokenProcessPool must evict the poisoned executor from the
-        # warm registry *and* shut it down -- popping without shutdown
-        # leaks its management thread and dead workers.  Simulated with
-        # a stub pool so the test is deterministic and fast.
-        from concurrent.futures.process import BrokenProcessPool
-
-        import pytest
-
-        from repro.core.engines import backends
-
-        class StubBrokenPool:
-            def __init__(self):
-                self.shutdown_calls = []
-
-            def submit(self, fn, *args):
-                raise BrokenProcessPool("worker died abruptly")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                self.shutdown_calls.append((wait, cancel_futures))
-
-        workers = 7919  # a key no real solve uses
-        stub = StubBrokenPool()
-        backends._PROCESS_POOLS[workers] = stub
-        backend = backends.ProcessBackend(workers)
-        backend._prepare = lambda jobs: jobs  # dummy jobs: skip slicing
-        try:
-            with pytest.raises(BrokenProcessPool):
-                backend.run_wave([object(), object()])
-            assert workers not in backends._PROCESS_POOLS, (
-                "broken pool must be evicted from the warm registry"
-            )
-            assert stub.shutdown_calls, "evicted broken pool must be shut down"
-        finally:
-            backends._PROCESS_POOLS.pop(workers, None)

@@ -197,6 +197,14 @@ class TestOracleFactory:
             oracle([], {}, None)
 
     @pytest.mark.parametrize("kind", ["greedy", "luby", "hash"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_non_int_seeds_rejected(self, kind, seed):
+        # Cache keys encode seeds as integers; the oracles consume the
+        # raw value, so only exact ints may reach them.
+        with pytest.raises(ValueError, match="seed must be an int"):
+            make_mis_oracle(kind, seed)
+
+    @pytest.mark.parametrize("kind", ["greedy", "luby", "hash"])
     def test_oracle_outputs_valid_mis(self, kind):
         instances, adj = _mis_fixture(11)
         oracle = make_mis_oracle(kind, 3)

@@ -7,8 +7,8 @@ storms and wire requests included.  A hypothesis-driven trajectory
 driver sweeps mutation streams across the engine matrix; targeted
 tests pin each decision arm (ancestor-miss, sketch collision caught as
 network-change, too-dirty, exact-hit revert); fault-injection tests
-kill a process-pool worker mid-wave, expire the ancestor mid-coalesce,
-and sever a wire connection mid-batch.
+kill a solve mid-phase, expire the ancestor mid-coalesce, and sever a
+wire connection mid-batch.
 
 No ``pytest-asyncio``: each async test drives its own loop with
 ``asyncio.run`` (the repo convention, see ``test_async_front.py``).
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import solve_auto
-from repro.core.engines import backends
+from repro.core.framework import ENGINES
 from repro.core.problem import Problem
 from repro.service import (
     DELTA_OUTCOMES,
@@ -39,14 +39,18 @@ from repro.service import (
 )
 from repro.trees.tree import TreeNetwork
 from repro.workloads import build_trajectory, build_workload, trajectory_names
+from tests.test_backends import run_on_backend
 
 KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
 #: The engine/backend matrix: only the incremental engine can warm-start
 #: (the others report ``engine-fallback``), but digest identity must
-#: hold everywhere.
+#: hold everywhere.  The ``parallel`` rows run the incremental engine's
+#: whole replay in parallel with the caller, on a pool thread and in a
+#: forked worker process.
 ENGINE_BACKENDS = [
     ("incremental", None),
     ("reference", None),
+    ("vectorized", None),
     ("parallel", "thread"),
     ("parallel", "process"),
 ]
@@ -80,8 +84,6 @@ def cold_digest(problem, knobs):
         seed=knobs.seed,
         decomposition=knobs.decomposition,
         engine=knobs.engine,
-        workers=knobs.workers,
-        backend=knobs.backend,
     )
     return report_semantic_digest(report)
 
@@ -109,6 +111,16 @@ def replay(svc, trajectory, knobs):
     return outcomes
 
 
+def matrix_outcomes(engine):
+    """Replay the engine matrix's trajectory through a fresh service;
+    returns its delta outcomes."""
+    knobs = SolveKnobs(engine=engine, mis="greedy", epsilon=0.25, seed=3)
+    return replay(
+        service(), build_trajectory("tenant-churn", 16, seed=3, steps=4),
+        knobs,
+    )
+
+
 class TestTrajectoryDriver:
     """The hypothesis sweep: any registered trajectory, any seed, any
     engine -- delta answers must be bitwise the cold answers."""
@@ -119,15 +131,13 @@ class TestTrajectoryDriver:
         size=st.sampled_from([12, 16]),
         seed=st.integers(min_value=0, max_value=4),
         steps=st.integers(min_value=3, max_value=5),
-        engine_backend=st.sampled_from(ENGINE_BACKENDS[:3]),
+        engine=st.sampled_from(ENGINES),
     )
     def test_delta_equals_cold_along_any_trajectory(
-        self, name, size, seed, steps, engine_backend
+        self, name, size, seed, steps, engine
     ):
-        engine, backend = engine_backend
         knobs = SolveKnobs(
-            engine=engine, backend=backend, mis="greedy",
-            epsilon=0.25, seed=seed,
+            engine=engine, mis="greedy", epsilon=0.25, seed=seed,
         )
         outcomes = replay(
             service(), build_trajectory(name, size, seed=seed, steps=steps),
@@ -139,15 +149,13 @@ class TestTrajectoryDriver:
     @pytest.mark.parametrize("engine,backend", ENGINE_BACKENDS)
     def test_engine_backend_matrix(self, engine, backend):
         # The full matrix deterministically, process backend included
-        # (kept out of the hypothesis sweep: pool spawn is seconds).
-        knobs = SolveKnobs(
-            engine=engine, backend=backend, mis="greedy",
-            epsilon=0.25, seed=3,
-        )
-        outcomes = replay(
-            service(), build_trajectory("tenant-churn", 16, seed=3, steps=4),
-            knobs,
-        )
+        # (kept out of the hypothesis sweep: a fork per example).
+        if engine == "parallel":
+            engine = "incremental"
+            outcomes = run_on_backend(backend, matrix_outcomes, engine)
+            assert outcomes == matrix_outcomes(engine)
+        else:
+            outcomes = matrix_outcomes(engine)
         if engine == "incremental":
             assert "warm" in outcomes, (
                 "an id-stable churn stream must warm-start on the "
@@ -475,55 +483,39 @@ class FakeClock:
 
 
 class TestFaultInjection:
-    def test_process_worker_death_mid_wave_fails_attributably(self):
-        """A process-pool worker dying mid-wave during a delta re-solve
-        must fail the request attributably, evict the poisoned pool,
-        and leave the service able to serve the retry bit-identically.
-        """
-        from concurrent.futures.process import BrokenProcessPool
+    def test_process_worker_death_mid_wave_fails_attributably(
+        self, monkeypatch
+    ):
+        """A solve dying mid-phase on its pool worker during a delta
+        re-solve must fail the request attributably, leave nothing in
+        flight or indexed, and leave the service able to serve the
+        retry bit-identically."""
+        import repro.core.engines.incremental as incremental
 
-        class StubBrokenPool:
-            def __init__(self):
-                self.shutdown_calls = []
+        real = incremental.run_epoch_incremental
+        epochs_run = []
 
-            def submit(self, fn, *args):
-                raise BrokenProcessPool("worker died mid-wave")
+        def dying(epoch, *args):
+            epochs_run.append(epoch)
+            if len(epochs_run) == 2:
+                raise RuntimeError("worker died mid-wave")
+            return real(epoch, *args)
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                self.shutdown_calls.append((wait, cancel_futures))
-
-        workers = 3
-        knobs = SolveKnobs(
-            engine="parallel", backend="process", workers=workers,
-            mis="greedy", epsilon=0.25,
-        )
-        # Forest workload: its epoch waves hold multiple component
-        # jobs, so the wave genuinely fans out to the pool (a 1-job
-        # wave would run inline and never touch the dying worker).
+        knobs = SolveKnobs(**KNOBS)
         problem = build_workload("multi-tenant-forest", 16, seed=1)
         svc = service()
-        stub = StubBrokenPool()
-        saved = backends._PROCESS_POOLS.pop(workers, None)
-        backends._PROCESS_POOLS[workers] = stub
-        try:
-            with pytest.raises(ServiceError, match="mid-wave"):
-                svc.solve_delta(request(problem, knobs, label="doomed"))
-            assert stub.shutdown_calls, "poisoned pool must be shut down"
-            assert backends._PROCESS_POOLS.get(workers) is not stub, (
-                "poisoned pool must leave the warm registry"
-            )
-            # The retry re-warms a real pool and serves correctly.
-            result = svc.solve_delta(request(problem, knobs, label="retry"))
-            assert result.delta.outcome == "engine-fallback"
-            assert report_semantic_digest(result.report) == cold_digest(
-                problem, knobs
-            )
-        finally:
-            pool = backends._PROCESS_POOLS.pop(workers, None)
-            if pool is not None:
-                pool.shutdown(wait=True)
-            if saved is not None:
-                backends._PROCESS_POOLS[workers] = saved
+        monkeypatch.setattr(incremental, "run_epoch_incremental", dying)
+        with pytest.raises(ServiceError, match="doomed.*mid-wave"):
+            svc.solve_delta(request(problem, knobs, label="doomed"))
+        monkeypatch.undo()
+        assert len(epochs_run) == 2, "the solve must die in its second epoch"
+        assert svc.stats["inflight"] == 0
+        assert svc.stats["ancestors"] == 0
+        result = svc.solve_delta(request(problem, knobs, label="retry"))
+        assert result.delta.outcome == "ancestor-miss"
+        assert report_semantic_digest(result.report) == cold_digest(
+            problem, knobs
+        )
 
     def test_ancestor_expiry_mid_coalesce_degrades_to_cold(self):
         """The ancestor's cache entry expiring while a storm is parked

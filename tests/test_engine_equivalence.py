@@ -1,21 +1,21 @@
 """Golden equivalence of the first-phase engines.
 
-The incremental dirty-set engine, the parallel plan/execute/merge
-engine and the vectorized columnar kernel must be *bit-identical* to
-the reference Figure 7 loop -- not merely "as good": the same solution
-ids, the same raise events in the same order with the same deltas, the
-same stack shape and schedule counters, and the same final dual
-assignment -- for every algorithm, every MIS oracle, the paper's
-worked examples, and seeded random-suite workloads.  Any divergence
-means the dirty-set propagation missed an affected instance (or
-invented one, desynching a Luby RNG substream), that the epoch plan
-let interacting epochs run out of order, or that the columnar kernel's
+The incremental dirty-set engine and the vectorized columnar kernel
+must be *bit-identical* to the reference Figure 7 loop -- not merely
+"as good": the same solution ids, the same raise events in the same
+order with the same deltas, the same stack shape and schedule
+counters, and the same final dual assignment -- for every algorithm,
+every MIS oracle, the paper's worked examples, and seeded random-suite
+workloads.  Any divergence means the dirty-set propagation missed an
+affected instance (or invented one, desynching a Luby RNG substream),
+that a plan slice dropped a conflict, or that the columnar kernel's
 float schedule drifted from the dict engine's association order.
 
-Every case in this suite runs all four engines: ``both_engines``
-asserts the parallel engine (2 workers) and the vectorized kernel
-against the incremental one inline and returns the (reference,
-incremental) pair for the caller's own comparison.
+Every case in this suite runs all three engines: ``both_engines``
+asserts the vectorized kernel against the incremental one inline and
+returns the (reference, incremental) pair for the caller's own
+comparison.  The golden sweep over every registry workload and oracle
+lives in ``test_backends.py``.
 """
 from dataclasses import fields
 
@@ -35,6 +35,7 @@ from repro.baselines.panconesi_sozio import (
 from repro.core.engines import PhaseCounters
 from repro.workloads import build_workload, random_tree_problem, scenario
 from repro.workloads.trees import random_forest
+from tests.test_backends import run_on_backend
 
 ORACLES = ("greedy", "luby", "hash")
 
@@ -66,8 +67,10 @@ def assert_results_identical(ref, inc):
     assert rc.semantic_tuple(include_admission=True) == ic.semantic_tuple(
         include_admission=True
     )
-    assert ref.dual.alpha == inc.dual.alpha
-    assert ref.dual.beta == inc.dual.beta
+    # Ordered items: DualState.value() sums in insertion order, so the
+    # dual dicts must agree on it, not just on their contents.
+    assert list(ref.dual.alpha.items()) == list(inc.dual.alpha.items())
+    assert list(ref.dual.beta.items()) == list(inc.dual.beta.items())
     assert ref.thresholds == inc.thresholds
 
 
@@ -87,13 +90,11 @@ def assert_reports_identical(ref, inc):
 
 
 def both_engines(solver, problem, **kwargs):
-    """Run all engines; parallel and vectorized are asserted against
-    incremental here."""
+    """Run all engines; vectorized is asserted against incremental
+    here."""
     ref = solver(problem, engine="reference", **kwargs)
     inc = solver(problem, engine="incremental", **kwargs)
-    par = solver(problem, engine="parallel", workers=2, **kwargs)
     vec = solver(problem, engine="vectorized", **kwargs)
-    assert_reports_identical(inc, par)
     assert_reports_identical(inc, vec)
     return ref, inc
 
@@ -120,10 +121,8 @@ class TestUnitTrees:
     @pytest.mark.parametrize("mis", ORACLES)
     @pytest.mark.parametrize("seed", [0, 12, 60])
     def test_multi_tenant_forest(self, mis, seed):
-        # The headline workload of the parallel engine: the only bundled
-        # family whose epoch plans have multiple waves, so this is where
-        # the wave-merge path (dual insertion order included) is really
-        # exercised.
+        # Many small disjoint tenant trees: the most independent epochs
+        # of the bundled families.
         problem = build_workload("multi-tenant-forest", 60, seed=seed)
         ref, inc = both_engines(
             solve_unit_trees, problem, epsilon=0.2, mis=mis, seed=seed
@@ -239,26 +238,27 @@ class TestEngineValidation:
         problem = scenario("figure6")
         with pytest.raises(ValueError, match="unknown engine"):
             solve_unit_trees(problem, engine="warp")
+        # The epoch executor is gone with its engine name.
+        with pytest.raises(ValueError, match="unknown engine 'parallel'"):
+            solve_auto(problem, engine="parallel")
 
     def test_unknown_phase2_engine_rejected_early(self):
         # solve_auto keeps the retired knobs for existing callers, but
-        # only their surviving modes: the reference pop, strict epochs.
+        # only their surviving values: the reference pop, no executor.
         problem = scenario("figure6")
         for phase2 in ("warp", "sliced", "vectorized"):
-            with pytest.raises(ValueError, match="unknown phase2 engine"):
+            with pytest.raises(ValueError, match="phase2_engine=.* is retired"):
                 solve_auto(problem, phase2_engine=phase2)
-        for granularity in ("component", "auto"):
-            with pytest.raises(ValueError, match="plan granularity"):
-                solve_auto(
-                    problem, engine="parallel", plan_granularity=granularity
-                )
-        with pytest.raises(ValueError, match="plan_granularity= applies only"):
-            solve_auto(problem, engine="incremental", plan_granularity="epoch")
+        for granularity in ("epoch", "component", "auto"):
+            with pytest.raises(
+                ValueError, match="plan_granularity=.* is retired"
+            ):
+                solve_auto(problem, plan_granularity=granularity)
         assert_reports_identical(
-            solve_auto(problem, engine="parallel", workers=2),
+            solve_auto(problem, engine="incremental"),
             solve_auto(
-                problem, engine="parallel", workers=2,
-                plan_granularity="epoch", phase2_engine="reference",
+                problem, engine="incremental", workers=None, backend=None,
+                plan_granularity=None, phase2_engine="reference",
             ),
         )
 
@@ -276,28 +276,34 @@ class TestEngineValidation:
 
     def test_workers_rejected_for_serial_engines(self):
         problem = scenario("figure6")
-        with pytest.raises(ValueError, match="workers"):
-            solve_unit_trees(problem, engine="incremental", workers=2)
+        with pytest.raises(ValueError, match="workers=2 is retired"):
+            solve_auto(problem, engine="incremental", workers=2)
 
     @pytest.mark.parametrize(
         "knobs",
         [
             dict(engine="incremental", workers=2),
             dict(engine="reference", backend="thread"),
+            dict(engine="vectorized", plan_granularity="epoch"),
         ],
-        ids=["incremental-workers", "reference-backend"],
+        ids=[
+            "incremental-workers", "reference-backend",
+            "vectorized-plan_granularity",
+        ],
     )
     def test_bad_knobs_rejected_before_any_layout_work(
         self, knobs, monkeypatch
     ):
-        import repro.algorithms.unit_trees as unit_trees
+        import repro.algorithms.auto as auto
 
         def spy(*args, **kwargs):
-            raise AssertionError("layout built before knob validation")
+            raise AssertionError("solve started before knob validation")
 
-        monkeypatch.setattr(unit_trees, "tree_layouts", spy)
-        with pytest.raises(ValueError, match="applies only"):
-            solve_unit_trees(scenario("figure6"), **knobs)
+        monkeypatch.setattr(auto, "solve_arbitrary_trees", spy)
+        monkeypatch.setattr(auto, "solve_arbitrary_lines", spy)
+        knob = next(k for k in knobs if k != "engine")
+        with pytest.raises(ValueError, match=f"{knob}=.* is retired"):
+            solve_auto(scenario("figure6"), **knobs)
 
 
 class TestWorkSavings:
@@ -314,23 +320,25 @@ class TestWorkSavings:
         assert ref.result.counters.satisfaction_checks > 0
         assert inc.result.counters.adjacency_touches > 0
 
+
     def test_parallel_counters_match_except_attribution(self):
-        # Both engines run one epoch kernel on the same plan slices, so
-        # every work meter matches too; only the worker-attribution
-        # fields (which the incremental engine leaves at zero) differ.
+        # Parallel work now means whole solves in other processes, the
+        # way shard workers run.  A forked solve reports every work
+        # meter exactly as the inline one does, and with no worker
+        # attribution fields left, no field is exempt.
         problem = build_workload("powerlaw-trees", 60, seed=13)
         inc = solve_unit_trees(
             problem, epsilon=0.2, mis="greedy", seed=13, engine="incremental"
         )
-        par = solve_unit_trees(
-            problem, epsilon=0.2, mis="greedy", seed=13,
-            engine="parallel", workers=2,
+        par = run_on_backend(
+            "process", solve_unit_trees, problem, epsilon=0.2, mis="greedy",
+            seed=13, engine="incremental",
         )
         assert_reports_identical(inc, par)
-        attribution = ("wavefronts", "workers_used")
-        for f in fields(PhaseCounters):
-            if f.name not in attribution:
-                assert getattr(par.result.counters, f.name) == getattr(
-                    inc.result.counters, f.name
-                ), f.name
+        names = [f.name for f in fields(PhaseCounters)]
+        assert not {"wavefronts", "workers_used"} & set(names)
+        for name in names:
+            assert getattr(par.result.counters, name) == getattr(
+                inc.result.counters, name
+            ), name
         assert inc.result.counters.adjacency_touches > 0

@@ -9,8 +9,9 @@ property Lemma 3.1's charging argument needs).  A regression test pins
 the progress guard: a non-progressing MIS oracle must abort with an
 error naming the stalled (epoch, stage) after at most ``len(members)``
 steps, not silently loop -- also deep in a schedule, past stages the
-incremental engine skips.  The due-stage bisection behind that skip is
-checked against a linear scan at float boundaries.
+incremental engine skips, and in each of two solves run at once.  The
+due-stage bisection behind that skip is checked against a linear scan
+at float boundaries.
 """
 import math
 
@@ -23,7 +24,6 @@ from repro.core.demand import Demand
 from repro.core.dual import DualState, HeightRaise, UnitRaise
 from repro.core.engines.incremental import first_failing_stage
 from repro.core.framework import (
-    ENGINES,
     InstanceLayout,
     geometric_thresholds,
     narrow_xi,
@@ -37,6 +37,7 @@ from repro.distributed.conflict import build_conflict_graph, is_independent
 from repro.distributed.mis import make_mis_oracle
 from repro.trees.tree import TreeNetwork
 from repro.workloads import build_workload, scenario, workload_names
+from tests.test_backends import ENGINE_CASES, run_engine_case
 
 COMMON = dict(
     max_examples=15,
@@ -142,7 +143,7 @@ def _oracle_stalling_in_epoch_2(candidates, adjacency, context):
 
 
 class TestProgressGuard:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_CASES)
     def test_stall_aborts_with_epoch_and_stage(self, engine):
         problem = scenario("figure2-unit")
         instances = problem.instances
@@ -152,9 +153,9 @@ class TestProgressGuard:
             n_epochs=1,
         )
         with pytest.raises(RuntimeError) as excinfo:
-            run_first_phase(
+            run_engine_case(
+                engine, run_first_phase,
                 instances, layout, UnitRaise(), [0.9], _stalling_oracle,
-                engine=engine,
             )
         message = str(excinfo.value)
         assert "epoch 1" in message
@@ -162,7 +163,7 @@ class TestProgressGuard:
         # The guard fires at len(members), not one step late.
         assert f"exceeded {len(instances)} steps" in message
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_CASES)
     def test_stall_deep_in_schedule_names_its_stage(self, engine):
         # Epoch 1 raises <0,1> to tight, which leaves <0,2> (profit 2)
         # with LHS 0.5: it satisfies stages 1 and 2 of the schedule and
@@ -179,13 +180,13 @@ class TestProgressGuard:
             n_epochs=2,
         )
         with pytest.raises(RuntimeError, match="epoch 2, stage 3:"):
-            run_first_phase(
+            run_engine_case(
+                engine, run_first_phase,
                 problem.instances, layout, UnitRaise(),
                 geometric_thresholds(0.9, 0.3), _oracle_stalling_in_epoch_2,
-                engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_CASES)
     def test_guard_does_not_fire_on_healthy_runs(self, engine):
         # A real oracle satisfies >= 1 member per step, so even the
         # worst case (sequential: one raise per step) stays within the
@@ -204,13 +205,15 @@ class TestProgressGuard:
             for d in problem.instances:
                 groups.setdefault(layout.group_of[d.instance_id], []).append(d)
             rule = UnitRaise() if name in TREE_UNIT else HeightRaise()
-            result = run_two_phase(
+            results = run_engine_case(
+                engine, run_two_phase,
                 problem.instances, layout, rule,
                 geometric_thresholds(0.9, 0.3),
-                mis="greedy", seed=1, engine=engine,
+                mis="greedy", seed=1,
             )
             largest_group = max(len(v) for v in groups.values())
-            assert result.counters.max_steps_per_stage <= largest_group
+            for result in results:
+                assert result.counters.max_steps_per_stage <= largest_group
 
 
 def linear_first_failing_stage(lhs, profit, thresholds, lo):

@@ -36,7 +36,9 @@ from repro.core.canonical import (
     stable_digest,
 )
 from repro.core.demand import Demand, WindowDemand
+from repro.core.framework import ENGINES
 from repro.core.problem import Problem
+from repro.service import SchedulingService, SolveRequest
 from repro.service.delta import delta_key, diff_problems, problem_sketch
 from repro.service.fingerprint import (
     SolveKnobs,
@@ -102,8 +104,7 @@ def relabeled(problem: Problem, seed: int) -> Problem:
     return Problem(networks=networks, demands=demands, access=access)
 
 
-#: Non-default knobs for the byte-identity checks (serial engine, so the
-#: key does not depend on ``REPRO_BACKEND``).
+#: Non-default knobs for the byte-identity checks.
 SPEC_KNOBS = SolveKnobs(seed=3, epsilon=0.2, capacity_epoch=1)
 
 
@@ -377,15 +378,6 @@ GOLDEN = [
         "2caeee15cfc9c8bbc20cd0414c8f2ec06c5bd76b259aa181d33a79d545a0cdd9",
         "e1500ec5e9747900b6a406b58d9b62976961862d6e58059c940ff6d4c276f65c",
     ),
-    # The pooled engine fills the backend and granularity slots.
-    (
-        lambda: build_workload("multi-tenant-forest", 24, seed=7),
-        SolveKnobs(
-            engine="parallel", backend="process", plan_granularity="epoch"
-        ),
-        "4b43239af493fe15eefdee58e536f4ad5c688e3989c1f87f153bc2eb04489009",
-        "89241e7ef89d7324280df7ea592b6bfa942d57a8bbe5018aef6d4c4f461fc0d8",
-    ),
 ]
 
 
@@ -457,84 +449,121 @@ class TestComponentMemo:
 class TestSolveKnobs:
     def test_each_knob_changes_the_key(self):
         problem = build_workload("bursty-lines", 10, seed=0)
-        # backend pinned so the variant set is REPRO_BACKEND-independent
-        base = SolveKnobs(engine="parallel", backend="thread")
+        base = SolveKnobs()
         fp = solve_fingerprint(problem, base)
         variants = [
             replace(base, epsilon=0.2),
             replace(base, mis="greedy"),
             replace(base, seed=1),
-            replace(base, engine="incremental"),
-            replace(base, backend="process"),
+            replace(base, engine="vectorized"),
             replace(base, decomposition="balancing"),
+            replace(base, capacity_epoch=1),
         ]
         others = {solve_fingerprint(problem, k).digest for k in variants}
         assert fp.digest not in others
         assert len(others) == len(variants)
 
     def test_workers_is_not_part_of_the_key(self):
+        # Neither the retired workers knob nor the size of the serving
+        # pool ever reaches the key.
         problem = build_workload("bursty-lines", 10, seed=0)
-        a = solve_fingerprint(problem, SolveKnobs(engine="parallel", workers=2))
-        b = solve_fingerprint(problem, SolveKnobs(engine="parallel", workers=8))
-        assert a == b
+        a = solve_fingerprint(problem, SolveKnobs(workers=2))
+        b = solve_fingerprint(problem, SolveKnobs(workers=8))
+        assert a == b == solve_fingerprint(problem, SolveKnobs())
+        request = SolveRequest(problem=problem, knobs=SolveKnobs())
+        for workers in (1, 3):
+            service = SchedulingService(workers=workers)
+            assert service.solve(request).fingerprint == a
 
     def test_parallel_only_knobs_normalize_for_serial_engines(self):
+        # Every engine is serial: the backend and granularity slots hold
+        # the same constants whatever the retired knobs say, so every
+        # engine keys exactly as without them.
         problem = build_workload("bursty-lines", 10, seed=0)
-        a = solve_fingerprint(problem, SolveKnobs(engine="incremental"))
-        b = solve_fingerprint(
-            problem, SolveKnobs(engine="incremental", workers=4)
-        )
-        assert a == b
-
-    def test_env_backend_resolves_into_the_key(self, monkeypatch):
-        problem = build_workload("bursty-lines", 10, seed=0)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        thread_fp = solve_fingerprint(problem, SolveKnobs(engine="parallel"))
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        process_fp = solve_fingerprint(problem, SolveKnobs(engine="parallel"))
-        assert thread_fp != process_fp
-        explicit = solve_fingerprint(
-            problem, SolveKnobs(engine="parallel", backend="process")
-        )
-        assert process_fp == explicit
+        for engine in ENGINES:
+            a = solve_fingerprint(problem, SolveKnobs(engine=engine))
+            for retired in (
+                dict(workers=4), dict(backend="thread"),
+                dict(plan_granularity="epoch"),
+            ):
+                b = solve_fingerprint(
+                    problem, SolveKnobs(engine=engine, **retired)
+                )
+                assert a == b, (engine, retired)
 
     def test_vectorized_rejects_executor_knobs(self):
-        # Only engine='parallel' runs on an executor; the vectorized
-        # engine is serial, so it rejects both executor knobs the way
-        # the other serial engines do.
+        # No engine runs on an executor: the vectorized engine rejects
+        # both retired executor knobs, like every other engine.
         for knobs in (
             SolveKnobs(engine="vectorized", workers=2),
             SolveKnobs(engine="vectorized", backend="thread"),
         ):
-            with pytest.raises(ValueError, match="applies only"):
+            with pytest.raises(ValueError, match="is retired"):
                 knobs.validate()
         SolveKnobs(engine="vectorized").validate()
 
     def test_retired_knobs_accept_only_their_surviving_mode(self):
-        # plan_granularity and phase2_engine keep their key slots, fixed
-        # at strict epochs and the reference pop; every other value
-        # they once took is rejected before any cache interaction.
+        # workers, backend and plan_granularity accept only None,
+        # phase2_engine only the reference pop, and the epoch executor's
+        # engine name is gone; every other value they once took is
+        # rejected before any cache interaction.
         problem = build_workload("bursty-lines", 10, seed=0)
         for knobs in (
             SolveKnobs(phase2_engine="bogus"),
             SolveKnobs(phase2_engine="sliced"),
             SolveKnobs(phase2_engine="vectorized"),
         ):
-            with pytest.raises(ValueError, match="unknown phase2 engine"):
+            with pytest.raises(ValueError, match="phase2_engine=.* is retired"):
                 knobs.validate()
-        for granularity in ("component", "auto"):
-            with pytest.raises(ValueError, match="plan granularity"):
-                SolveKnobs(
-                    engine="parallel", plan_granularity=granularity
-                ).validate()
-        with pytest.raises(ValueError, match="plan_granularity= applies"):
-            SolveKnobs(
-                engine="incremental", plan_granularity="epoch"
-            ).validate()
-        strict = SolveKnobs(engine="parallel", plan_granularity="epoch")
-        assert solve_fingerprint(problem, strict.validate()) == (
-            solve_fingerprint(problem, replace(strict, plan_granularity=None))
+        for knobs, name in (
+            (SolveKnobs(plan_granularity="epoch"), "plan_granularity"),
+            (SolveKnobs(plan_granularity="component"), "plan_granularity"),
+            (SolveKnobs(workers=1), "workers"),
+            (SolveKnobs(workers=4), "workers"),
+            (SolveKnobs(backend="serial"), "backend"),
+            (SolveKnobs(backend="process"), "backend"),
+            (SolveKnobs(engine="parallel"), "unknown engine 'parallel'"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                knobs.validate()
+        surviving = SolveKnobs(
+            workers=None, backend=None, plan_granularity=None,
+            phase2_engine="reference",
         )
+        assert solve_fingerprint(problem, surviving.validate()) == (
+            solve_fingerprint(problem, SolveKnobs())
+        )
+
+    @pytest.mark.parametrize(
+        "seed, mis", [(1.5, "luby"), (1.0, "luby"), (True, "hash")]
+    )
+    def test_non_int_seed_never_keys_like_an_int(self, seed, mis):
+        # The key once encoded int(seed) while the oracle drew from the
+        # raw value: seed=1.5 shared seed=1's key and cached answer.
+        problem = build_workload("bursty-lines", 10, seed=0)
+        knobs = SolveKnobs(mis=mis, seed=seed)
+        twin = SolveKnobs(mis=mis, seed=1)
+        assert solve_fingerprint(problem, knobs) != solve_fingerprint(
+            problem, twin
+        )
+        assert delta_key(problem, knobs) != delta_key(problem, twin)
+        with pytest.raises(ValueError, match="seed must be an int"):
+            knobs.validate()
+
+    def test_non_int_seed_and_capacity_epoch_rejected(self):
+        # Checked by validation only: a string seed must never reach an
+        # oracle, where Luby would multiply it into a substream seed.
+        for knobs, name in (
+            (SolveKnobs(seed="1"), "seed"),
+            (SolveKnobs(seed=None), "seed"),
+            (SolveKnobs(capacity_epoch=1.5), "capacity_epoch"),
+            (SolveKnobs(capacity_epoch=True), "capacity_epoch"),
+            (SolveKnobs(capacity_epoch="2"), "capacity_epoch"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                knobs.validate()
+        with pytest.raises(ValueError, match="capacity_epoch must be >= 0"):
+            SolveKnobs(capacity_epoch=-1).validate()
 
 
 class TestCanonicalBytes:

@@ -38,6 +38,7 @@ from repro.workloads import (
     scenario,
 )
 from repro.workloads.trees import random_forest
+from tests.test_backends import ENGINE_CASES, run_engine_case, run_on_backend
 from tests.test_engine_equivalence import assert_results_identical
 
 
@@ -256,7 +257,7 @@ class TestCounters:
         with pytest.raises(ValueError):
             run_two_phase(problem.instances, layout, UnitRaise(), [], mis="greedy")
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_CASES)
     @pytest.mark.parametrize(
         "thresholds, bad_index",
         [([1.5], 0), ([-1.0], 0), ([0.9, 0.5], 1)],
@@ -268,9 +269,9 @@ class TestCounters:
         problem = scenario("figure2-unit")
         layout, _ = tree_layouts(problem, "ideal")
         with pytest.raises(ValueError, match=f"threshold {bad_index}"):
-            run_two_phase(
-                problem.instances, layout, UnitRaise(), thresholds,
-                mis="greedy", engine=engine,
+            run_engine_case(
+                engine, run_two_phase, problem.instances, layout,
+                UnitRaise(), thresholds, mis="greedy",
             )
 
     def test_equal_neighbour_thresholds_run_identically(self):
@@ -306,11 +307,11 @@ class TestStagesEntered:
             geometric_thresholds(xi, 0.1),
         )
 
-    def run(self, engine, instances=None, **knobs):
+    def run(self, engine, instances=None):
         instances, layout, rule, thresholds = self.narrow_line_case(instances)
         _, _, events, counters = run_first_phase(
             instances, layout, rule, thresholds, make_mis_oracle("luby", 3),
-            engine=engine, **knobs,
+            engine=engine,
         )
         return events, counters
 
@@ -319,15 +320,13 @@ class TestStagesEntered:
         assert counters.stages_entered == counters.stages
 
     @pytest.mark.parametrize(
-        "engine, knobs",
-        [
-            ("incremental", {}),
-            ("parallel", {"backend": "thread", "workers": 2}),
-            ("parallel", {"backend": "process", "workers": 2}),
-        ],
+        "backend", ["serial", "thread", "process"],
+        ids=["incremental", "parallel-thread", "parallel-process"],
     )
-    def test_skipping_engines_enter_only_stages_with_raises(self, engine, knobs):
-        events, counters = self.run(engine, **knobs)
+    def test_skipping_engines_enter_only_stages_with_raises(self, backend):
+        # The incremental engine inline, and in parallel with the
+        # caller: on a pool thread and in a forked process.
+        events, counters = run_on_backend(backend, self.run, "incremental")
         assert counters.stages_entered == stages_with_raises(events)
         assert counters.stages_entered < counters.stages
 

@@ -1,20 +1,25 @@
-"""Tests for the parallel first-phase engine (plan -> execute -> merge).
+"""Parallelism after the epoch executor: worker pools and worker counts.
 
-Golden equivalence across algorithms lives in
-``test_engine_equivalence.py`` (every case there runs the parallel
-engine too); this module covers the executor itself: the workers knob,
-plan passthrough, worker-count invariance, the worker-attribution
-counters, and the per-epoch Luby substreams that make epoch executions
-order-independent.
+Every engine runs its epochs strictly in sequence; the service runs
+whole solves in parallel instead, one per request-pool thread.  This
+module covers what that leaves: the ``workers`` knob of
+:class:`~repro.service.server.SchedulingService` and its sizing against
+the CPUs the process may use, worker-count invariance of concurrent
+solves, counters and event orders that do not depend on where a solve
+ran, and the per-epoch Luby substreams that keep each epoch's draws
+independent of the epochs run before it (journal replay relies on
+them).
 """
+import threading
+from dataclasses import fields
+
 import pytest
 
 from repro.algorithms.base import line_layouts, tree_layouts
 from repro.core.dual import HeightRaise, UnitRaise
-from repro.core.engines import backends as backends_mod
-from repro.core.engines.backends import MAX_DEFAULT_WORKERS, usable_cpu_count
-from repro.core.engines.parallel import ParallelEpochExecutor, default_workers
+from repro.core.engines import PhaseCounters
 from repro.core.framework import (
+    ENGINES,
     geometric_thresholds,
     narrow_xi,
     run_first_phase,
@@ -23,7 +28,16 @@ from repro.core.framework import (
 )
 from repro.core.plan import EpochPlan
 from repro.distributed.mis import luby_substream_seed, make_mis_oracle
+from repro.service import SchedulingService
+from repro.service import pools as pools_mod
+from repro.service.pools import (
+    MAX_DEFAULT_WORKERS,
+    default_workers,
+    shared_service_pool,
+    usable_cpu_count,
+)
 from repro.workloads import build_workload
+from tests.test_backends import BACKEND_TIMEOUT_S
 
 
 def setup_case(name, size, seed):
@@ -57,11 +71,11 @@ class TestWorkersKnob:
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "two"])
     def test_invalid_workers_rejected(self, bad):
         with pytest.raises(ValueError, match="workers"):
-            ParallelEpochExecutor(workers=bad)
+            SchedulingService(workers=bad)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
-        assert ParallelEpochExecutor().workers == default_workers()
+        assert SchedulingService().workers == default_workers()
 
 
 class TestUsableCpuCount:
@@ -74,9 +88,9 @@ class TestUsableCpuCount:
         # os.process_cpu_count (3.13+) is affinity-aware; when present
         # it is authoritative even if os.cpu_count says otherwise.
         monkeypatch.setattr(
-            backends_mod.os, "process_cpu_count", lambda: 3, raising=False
+            pools_mod.os, "process_cpu_count", lambda: 3, raising=False
         )
-        monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(pools_mod.os, "cpu_count", lambda: 64)
         assert usable_cpu_count() == 3
         assert default_workers() == 3
 
@@ -84,13 +98,13 @@ class TestUsableCpuCount:
         # Without process_cpu_count, a 2-CPU affinity mask on a 64-CPU
         # machine must yield 2 workers, not 8.
         monkeypatch.setattr(
-            backends_mod.os, "process_cpu_count", None, raising=False
+            pools_mod.os, "process_cpu_count", None, raising=False
         )
         monkeypatch.setattr(
-            backends_mod.os, "sched_getaffinity", lambda pid: {0, 5},
+            pools_mod.os, "sched_getaffinity", lambda pid: {0, 5},
             raising=False,
         )
-        monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(pools_mod.os, "cpu_count", lambda: 64)
         assert usable_cpu_count() == 2
         assert default_workers() == 2
 
@@ -99,38 +113,39 @@ class TestUsableCpuCount:
             raise OSError("no affinity support")
 
         monkeypatch.setattr(
-            backends_mod.os, "process_cpu_count", None, raising=False
+            pools_mod.os, "process_cpu_count", None, raising=False
         )
         monkeypatch.setattr(
-            backends_mod.os, "sched_getaffinity", boom, raising=False
+            pools_mod.os, "sched_getaffinity", boom, raising=False
         )
-        monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(pools_mod.os, "cpu_count", lambda: 6)
         assert usable_cpu_count() == 6
 
     def test_unknown_probes_yield_one(self, monkeypatch):
         monkeypatch.setattr(
-            backends_mod.os, "process_cpu_count", None, raising=False
+            pools_mod.os, "process_cpu_count", None, raising=False
         )
         monkeypatch.delattr(
-            backends_mod.os, "sched_getaffinity", raising=False
+            pools_mod.os, "sched_getaffinity", raising=False
         )
-        monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(pools_mod.os, "cpu_count", lambda: None)
         assert usable_cpu_count() == 1
         assert default_workers() == 1
 
     def test_default_workers_cap(self, monkeypatch):
         monkeypatch.setattr(
-            backends_mod.os, "process_cpu_count", lambda: 128, raising=False
+            pools_mod.os, "process_cpu_count", lambda: 128, raising=False
         )
         assert default_workers() == MAX_DEFAULT_WORKERS
 
     def test_workers_rejected_for_serial_engines(self):
+        # The framework takes no executor knob at all any more.
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 24, seed=1
         )
         oracle = make_mis_oracle("greedy", 0)
-        for engine in ("reference", "incremental"):
-            with pytest.raises(ValueError, match="workers"):
+        for engine in ENGINES:
+            with pytest.raises(TypeError, match="workers"):
                 run_first_phase(
                     problem.instances, layout, rule, thresholds, oracle,
                     engine=engine, workers=2,
@@ -139,54 +154,70 @@ class TestUsableCpuCount:
     @pytest.mark.parametrize("name", ["multi-tenant-forest", "bursty-lines"])
     @pytest.mark.parametrize("mis", ["greedy", "luby", "hash"])
     def test_worker_count_invariance(self, name, mis):
+        # However many solves a request pool runs at once, each one is
+        # bit-identical to the solve run alone.
         problem, layout, rule, thresholds = setup_case(name, 40, seed=5)
         baseline = run_two_phase(
             problem.instances, layout, rule, thresholds,
             mis=mis, seed=5, engine="incremental",
         )
         for workers in (1, 2, 3, 8):
-            par = run_two_phase(
-                problem.instances, layout, rule, thresholds,
-                mis=mis, seed=5, engine="parallel", workers=workers,
-            )
-            results_equal(baseline, par)
+            pool = shared_service_pool(workers)
+            futures = [
+                pool.submit(
+                    run_two_phase, problem.instances, layout, rule,
+                    thresholds, mis=mis, seed=5, engine="incremental",
+                )
+                for _ in range(workers)
+            ]
+            for future in futures:
+                results_equal(baseline, future.result(BACKEND_TIMEOUT_S))
 
 
 class TestExecutor:
     def test_worker_attribution_counters(self):
+        # Counters attribute nothing to workers any more: a solve on a
+        # request-pool thread reports exactly the counters of the same
+        # solve inline.
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 40, seed=9
         )
-        plan = EpochPlan.build(problem.instances, layout)
-        # backend pinned: a REPRO_BACKEND=serial override would truthfully
-        # report workers_used=1 and fail the attribution assertion below.
-        result = run_two_phase(
-            problem.instances, layout, rule, thresholds,
-            mis="greedy", seed=9, engine="parallel", workers=3,
-            backend="thread",
-        )
-        assert result.counters.workers_used == 3
-        assert result.counters.wavefronts == plan.n_waves
-        # Serial engines never set the attribution fields.
-        inc = run_two_phase(
-            problem.instances, layout, rule, thresholds,
-            mis="greedy", seed=9, engine="incremental",
-        )
-        assert inc.counters.wavefronts == 0 and inc.counters.workers_used == 0
-        assert result.counters.semantic_tuple() == inc.counters.semantic_tuple()
+        names = {f.name for f in fields(PhaseCounters)}
+        assert not names & {"wavefronts", "workers_used"}
+        ran_on = []
+
+        def solve():
+            ran_on.append(threading.current_thread().name)
+            return run_two_phase(
+                problem.instances, layout, rule, thresholds,
+                mis="greedy", seed=9, engine="incremental",
+            )
+
+        pooled = shared_service_pool(3).submit(solve).result(BACKEND_TIMEOUT_S)
+        inline = solve()
+        assert ran_on[0].startswith("repro-service")
+        assert ran_on[1] == threading.current_thread().name
+        for name in sorted(names):
+            assert getattr(pooled.counters, name) == getattr(
+                inline.counters, name
+            ), name
+        assert pooled.counters.semantic_tuple() == inline.counters.semantic_tuple()
 
     def test_event_orders_are_globally_sequential(self):
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 60, seed=11
         )
-        result = run_two_phase(
-            problem.instances, layout, rule, thresholds,
-            mis="greedy", seed=11, engine="parallel", workers=4,
-        )
-        assert [e.order for e in result.events] == list(range(len(result.events)))
-        # Events arrive in epoch-major order, like the serial engines.
-        epochs = [e.step_tuple[0] for e in result.events]
-        assert epochs == sorted(epochs)
+        for engine in ENGINES:
+            result = run_two_phase(
+                problem.instances, layout, rule, thresholds,
+                mis="greedy", seed=11, engine=engine,
+            )
+            assert [e.order for e in result.events] == list(
+                range(len(result.events))
+            ), engine
+            # Events arrive in epoch-major order.
+            epochs = [e.step_tuple[0] for e in result.events]
+            assert epochs == sorted(epochs), engine
 
 
 class TestLubySubstreams:
@@ -197,7 +228,7 @@ class TestLubySubstreams:
     def test_oracle_draws_are_epoch_local(self):
         # Consuming draws in one epoch must not shift another epoch's
         # stream: querying epochs in different interleavings gives the
-        # same answer per (epoch, context).
+        # same answer per (epoch, context).  Journal replay relies on it.
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 30, seed=13
         )

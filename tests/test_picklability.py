@@ -1,23 +1,25 @@
-"""Picklability regression tests for the process backend's wire format.
+"""Picklability regression tests.
 
-``backend="process"`` ships :class:`EpochJob` bundles to worker
-processes (each with a private MIS oracle clone made by a pickle
-round-trip) and gets :class:`EpochOutcome` / ``FirstPhaseArtifacts``
-back.  Anything in that closure losing picklability (a lambda
-slipping into an oracle factory, an unpicklable field on a dataclass)
-would break the process backend at a distance, so this module pins it
-directly: every ``make_mis_oracle`` product, every plan-derived job
-slice, and the full first-phase artifact bundle must round-trip through
-``pickle`` -- and behave identically afterwards.
+The service's disk cache tier pickles solved reports, first-phase
+artifacts included, and a solve run in a forked worker process hands
+its result back by ``pickle`` too.
+Anything losing picklability (a lambda slipping into an oracle
+factory, an unpicklable field on a dataclass) would fail far from its
+cause, so this module pins it directly: every ``make_mis_oracle``
+product, every plan-derived epoch slice, and the full first-phase
+artifact bundle must round-trip through ``pickle`` -- and behave
+identically afterwards.
 """
 import pickle
 
 import pytest
 
+from repro.algorithms import solve_auto
 from repro.algorithms.base import tree_layouts
 from repro.algorithms.sequential import EarliestInSigmaOracle
-from repro.core.dual import UnitRaise
-from repro.core.engines import EpochJob, run_epoch_job
+from repro.core.dual import DualState, UnitRaise
+from repro.core.engines import PhaseCounters
+from repro.core.engines.incremental import run_epoch_incremental
 from repro.core.framework import (
     geometric_thresholds,
     run_first_phase,
@@ -25,7 +27,14 @@ from repro.core.framework import (
 )
 from repro.core.plan import EpochPlan
 from repro.distributed.mis import make_mis_oracle
+from repro.service import (
+    SchedulingService,
+    SolveKnobs,
+    SolveRequest,
+    report_semantic_digest,
+)
 from repro.workloads import build_workload
+from tests.test_backends import run_on_backend
 
 ORACLES = ("greedy", "luby", "hash")
 
@@ -81,93 +90,124 @@ class TestOraclePicklability:
         assert oracle.rank == rank
 
 
+def assert_artifacts_equal(got, want):
+    dual2, stack2, events2, counters2 = got
+    dual, stack, events, counters = want
+    assert dual2.alpha == dual.alpha and dual2.beta == dual.beta
+    assert list(dual2.alpha) == list(dual.alpha)  # insertion order too
+    assert list(dual2.beta) == list(dual.beta)
+    assert [[d.instance_id for d in b] for b in stack2] == [
+        [d.instance_id for d in b] for b in stack
+    ]
+    assert [
+        (e.order, e.instance.instance_id, e.delta, e.critical_edges,
+         e.step_tuple)
+        for e in events2
+    ] == [
+        (e.order, e.instance.instance_id, e.delta, e.critical_edges,
+         e.step_tuple)
+        for e in events
+    ]
+    assert counters2 == counters
+
+
 class TestJobSlicePicklability:
     @pytest.mark.parametrize("mis", ORACLES)
     def test_plan_job_slices_roundtrip(self, mis):
-        """The exact wire form the process backend submits must pickle,
-        and an unpickled job must compute the identical outcome."""
+        """Each epoch's plan slice -- the members, reverse index and
+        conflict adjacency the incremental runner works on -- must
+        pickle, and the runner fed unpickled slices and a fresh
+        unpickled oracle clone per epoch must compute exactly the
+        first phase of the engine."""
         problem, layout, thresholds = setup_case()
         plan = EpochPlan.build(problem.instances, layout)
-        oracle = make_mis_oracle(mis, 3)
         rule = UnitRaise()
-        jobs = [
-            EpochJob(
-                epoch, plan.members[epoch], plan.index[epoch],
-                plan.adjacency[epoch], layout, rule, thresholds,
-                roundtrip(oracle), {}, {},
+        oracle = make_mis_oracle(mis, 3)
+        dual = DualState(use_height_rule=rule.use_height_rule)
+        events, stack, counters = [], [], PhaseCounters()
+        order = 0
+        for epoch in range(1, layout.n_epochs + 1):
+            counters.epochs += 1
+            if not plan.members.get(epoch):
+                continue
+            members, index, adjacency = roundtrip(
+                (plan.members[epoch], plan.index[epoch], plan.adjacency[epoch])
             )
-            for epoch in sorted(plan.members)
-            if plan.members[epoch]
-        ]
-        assert jobs, "workload produced no jobs"
-        for job in jobs:
-            wire = job.sliced()
-            copy = roundtrip(wire)
-            # The slice carries exactly the member rows of the layout.
-            assert set(copy.layout.pi) == {d.instance_id for d in job.members}
-            local = run_epoch_job(roundtrip(wire))
-            direct = run_epoch_job(wire)
-            assert local.alpha_writes == direct.alpha_writes
-            assert local.beta_writes == direct.beta_writes
-            assert [
-                (e.order, e.instance.instance_id, e.delta) for e in local.events
-            ] == [
-                (e.order, e.instance.instance_id, e.delta) for e in direct.events
+            assert [d.instance_id for d in members] == [
+                d.instance_id for d in plan.members[epoch]
             ]
-            assert local.counters.semantic_tuple() == direct.counters.semantic_tuple()
+            assert adjacency == plan.adjacency[epoch]
+            part = PhaseCounters()
+            order = run_epoch_incremental(
+                epoch, members, {d.instance_id: d for d in members}, dual,
+                index, adjacency, layout, rule, thresholds,
+                roundtrip(oracle), events, stack, part, order,
+            )
+            counters.fold_phase1(part)
+        assert events, "workload produced no raises"
+        engine = run_first_phase(
+            problem.instances, layout, rule, thresholds,
+            make_mis_oracle(mis, 3), engine="incremental",
+        )
+        assert_artifacts_equal((dual, stack, events, counters), engine)
 
 
 class TestProcessWirePreparation:
-    def test_prepare_gives_every_job_a_private_oracle(self):
-        # The pool's feeder thread pickles submitted jobs concurrently
-        # with the caller-runs chunk executing; a stateful oracle shared
-        # across the wave's jobs could be mutated mid-pickle.  _prepare
-        # must therefore seal each wire job with its own oracle clone.
-        from repro.core.engines.backends import ProcessBackend
+    def test_prepare_gives_every_job_a_private_oracle(self, monkeypatch):
+        # A stateful oracle shared by two solves would interleave their
+        # draws.  Every solve the service runs -- several at once on its
+        # request pool -- must build an oracle of its own.
+        import repro.core.framework as framework
 
-        problem, layout, thresholds = setup_case(size=16, seed=1)
-        plan = EpochPlan.build(problem.instances, layout)
-        shared = make_mis_oracle("luby", 5)
-        jobs = [
-            EpochJob(
-                epoch, plan.members[epoch], plan.index[epoch],
-                plan.adjacency[epoch], layout, UnitRaise(), thresholds,
-                shared, {}, {},
+        made = []
+        real = framework.make_mis_oracle
+
+        def spy(kind, seed):
+            oracle = real(kind, seed)
+            made.append(oracle)
+            return oracle
+
+        monkeypatch.setattr(framework, "make_mis_oracle", spy)
+        problem = build_workload("multi-tenant-forest", 16, seed=1)
+        requests = [
+            SolveRequest(
+                problem=problem,
+                knobs=SolveKnobs(mis="luby", seed=seed, engine="incremental"),
             )
-            for epoch in sorted(plan.members)
-            if plan.members[epoch]
+            for seed in range(3)
         ]
-        assert len(jobs) >= 2, "need multiple epochs to exercise sharing"
-        prepared = ProcessBackend(2)._prepare(jobs)
-        oracles = [job.mis_oracle for job in prepared]
-        assert all(o is not shared for o in oracles)
-        assert len({id(o) for o in oracles}) == len(oracles)
+        results = SchedulingService(workers=3).solve_batch(requests)
+        assert len(made) >= len(requests)
+        assert len({id(oracle) for oracle in made}) == len(made)
+        monkeypatch.undo()
+        for request, result in zip(requests, results):
+            k = request.knobs
+            direct = solve_auto(
+                problem, epsilon=k.epsilon, mis=k.mis, seed=k.seed,
+                engine=k.engine,
+            )
+            assert report_semantic_digest(result.report) == (
+                report_semantic_digest(direct)
+            )
 
 
 class TestArtifactsPicklability:
-    @pytest.mark.parametrize("engine", ["incremental", "parallel"])
+    @pytest.mark.parametrize("engine", ["incremental", "vectorized", "parallel"])
     def test_first_phase_artifacts_roundtrip(self, engine):
+        # "parallel": the incremental engine in a forked worker process,
+        # whose artifacts come back through pickle.
         problem, layout, thresholds = setup_case(size=24, seed=2)
-        kwargs = {"workers": 2} if engine == "parallel" else {}
-        dual, stack, events, counters = run_first_phase(
+        args = (
             problem.instances, layout, UnitRaise(), thresholds,
-            make_mis_oracle("greedy", 0), engine=engine, **kwargs,
+            make_mis_oracle("greedy", 0),
         )
-        dual2, stack2, events2, counters2 = roundtrip(
-            (dual, stack, events, counters)
-        )
-        assert dual2.alpha == dual.alpha and dual2.beta == dual.beta
-        assert list(dual2.alpha) == list(dual.alpha)  # insertion order too
-        assert [[d.instance_id for d in b] for b in stack2] == [
-            [d.instance_id for d in b] for b in stack
-        ]
-        assert [
-            (e.order, e.instance.instance_id, e.delta, e.critical_edges,
-             e.step_tuple)
-            for e in events2
-        ] == [
-            (e.order, e.instance.instance_id, e.delta, e.critical_edges,
-             e.step_tuple)
-            for e in events
-        ]
-        assert counters2 == counters
+        if engine == "parallel":
+            artifacts = run_on_backend(
+                "process", run_first_phase, *args, engine="incremental"
+            )
+            assert_artifacts_equal(
+                artifacts, run_first_phase(*args, engine="incremental")
+            )
+        else:
+            artifacts = run_first_phase(*args, engine=engine)
+        assert_artifacts_equal(roundtrip(artifacts), artifacts)

@@ -5,7 +5,7 @@ The acceptance contract of the service layer:
 * **Bit-identity** -- served results equal direct
   :func:`repro.algorithms.solve_auto` calls
   (``TwoPhaseResult.semantic_tuple()`` through the report digest) for
-  every engine x backend combination, cold and cached;
+  every engine and execution backend, cold and cached;
 * **Keying** -- resubmission and isomorphic relabelings hit the cache;
   different knobs do not;
 * **Coalescing** -- duplicate in-flight requests share one future and
@@ -22,7 +22,6 @@ from dataclasses import replace
 import pytest
 
 from repro.algorithms import solve_auto
-from repro.core.engines import BACKENDS
 from repro.core.problem import Problem
 from repro.service import (
     SchedulingService,
@@ -33,6 +32,7 @@ from repro.service import (
 )
 from repro.trees.tree import TreeNetwork
 from repro.workloads import build_workload
+from tests.test_backends import BACKENDS, run_on_backend
 
 #: One tree family and one line family keep the sweep CI-sized while
 #: crossing the solve_auto dispatch both ways.
@@ -61,10 +61,23 @@ def direct_digest(name, size, **knob_kwargs):
         seed=knobs.seed,
         decomposition=knobs.decomposition,
         engine=knobs.engine,
-        workers=knobs.workers,
-        backend=knobs.backend,
     )
     return report_semantic_digest(report)
+
+
+def served_digests(name, size):
+    """Cold and cached digests of one incremental-engine request served
+    by a fresh service, and the service's solve count."""
+    service = SchedulingService(workers=2)
+    request = make_request(name, size, engine="incremental")
+    cold = service.solve(request)
+    cached = service.solve(request)
+    assert cold.status == "miss" and cached.status == "hit"
+    return (
+        report_semantic_digest(cold.report),
+        report_semantic_digest(cached.report),
+        service.stats["solves"],
+    )
 
 
 class TestBitIdentity:
@@ -86,20 +99,16 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name,size", SWEEP)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_backends(self, name, size, backend):
-        service = SchedulingService(workers=2)
-        workers = 1 if backend == "serial" else 2
-        request = make_request(
-            name, size, engine="parallel", workers=workers, backend=backend
+        # A whole service -- the unit a shard worker forks -- serves the
+        # same bits inline, on a pool thread and in a forked process.
+        cold, cached, solves = run_on_backend(
+            backend, served_digests, name, size
         )
-        cold = service.solve(request)
-        cached = service.solve(request)
-        expected = direct_digest(
-            name, size, engine="parallel", workers=workers, backend=backend
-        )
-        assert report_semantic_digest(cold.report) == expected
-        assert report_semantic_digest(cached.report) == expected
+        expected = direct_digest(name, size, engine="incremental")
+        assert cold == expected and cached == expected
+        assert solves == 1
         # Cross-engine bit-identity carries through the service too.
-        assert expected == direct_digest(name, size, engine="incremental")
+        assert expected == direct_digest(name, size, engine="reference")
 
     def test_luby_oracle_round_trips(self):
         service = SchedulingService(workers=2)
@@ -253,8 +262,8 @@ class TestErrorAttribution:
         assert "bursty-lines" not in str(err.value)
 
     def test_invalid_knob_combo_rejected_before_the_cache(self):
-        # engine='incremental' + backend='process' normalizes to the
-        # same cache key as the valid backend=None request; it must be
+        # The retired backend knob is not keyed, so backend='process'
+        # keys the same as the valid backend=None request; it must be
         # rejected deterministically, never served from that entry.
         service = SchedulingService(workers=2)
         valid = make_request("bursty-lines", 14, engine="incremental")
@@ -264,7 +273,7 @@ class TestErrorAttribution:
             knobs=replace(valid.knobs, backend="process"),
             label="bad-combo",
         )
-        with pytest.raises(ServiceError, match="bad-combo.*applies only"):
+        with pytest.raises(ServiceError, match="bad-combo.*is retired"):
             service.solve(invalid)
         assert service.stats["solves"] == 1
 
@@ -274,9 +283,9 @@ class TestErrorAttribution:
         # validation stands between it and a "hit".
         service = SchedulingService(workers=2)
         for twin, workers in (
-            (dict(engine="parallel", workers=2), 0),
+            (dict(engine="incremental"), 0),
             (dict(engine="vectorized"), -1),
-            (dict(engine="parallel", backend="serial"), 2),
+            (dict(engine="reference"), 2),
         ):
             valid = make_request("bursty-lines", 14, **twin)
             service.solve(valid)
@@ -288,6 +297,31 @@ class TestErrorAttribution:
             )
             assert invalid.fingerprint() == valid.fingerprint()
             with pytest.raises(ServiceError, match="bad-workers.*workers"):
+                service.solve(invalid)
+            assert service.stats["solves"] == solves
+
+    def test_non_int_seed_never_served_from_an_int_twin(self):
+        # Keys once encoded int(seed) while the oracle drew from the raw
+        # value, so seed=1.5 (and seed=True under hash-Luby) answered
+        # from seed=1's entry with another seed's schedule.
+        service = SchedulingService(workers=2)
+        problem = build_workload("bursty-lines", 14, seed=SEED)
+        for mis, seed in (("luby", 1.5), ("greedy", 1.0), ("hash", True)):
+            valid = SolveRequest(
+                problem=problem,
+                knobs=SolveKnobs(epsilon=EPSILON, mis=mis, seed=1),
+            )
+            service.solve(valid)
+            solves = service.stats["solves"]
+            invalid = SolveRequest(
+                problem=valid.problem,
+                knobs=replace(valid.knobs, seed=seed),
+                label="bad-seed",
+            )
+            assert invalid.fingerprint() != valid.fingerprint()
+            with pytest.raises(
+                ServiceError, match="bad-seed.*seed must be an int"
+            ):
                 service.solve(invalid)
             assert service.stats["solves"] == solves
 
