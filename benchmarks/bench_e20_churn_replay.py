@@ -24,6 +24,8 @@ cache admission; only the warm start differs) -- and reports per
   fall back -- the honest cost of the design),
 * median delta-solve and median cold-solve latency, their ratio, and
   the epoch replay fraction of the warm solves,
+* unasserted, the median latency of a plain (non-delta) solve of the
+  delta side's own snapshot objects on a third artifact-free service,
 * correctness: **every** snapshot's delta result is digest-identical
   (:func:`repro.service.report_semantic_digest`) to its cold solve --
   asserted, not sampled.
@@ -32,6 +34,14 @@ Acceptance (asserted at the largest replay size of each
 ratio-flagged trajectory -- see ``FULL_FAMILIES``): median delta-solve
 latency <= 0.5x median cold-solve latency.  ``--quick`` runs the
 CI-sized replay; ``--json OUT`` emits findings JSON.
+
+**Cold means cold.**  Paths, decompositions and layerings are memoized
+on the network objects (:class:`repro.trees.tree.NetworkMemo`), and a
+trajectory's snapshots share theirs, so a plain solve of a snapshot
+the delta side already served reuses all of its layout work.  The cold
+baseline therefore rebuilds every snapshot from scratch, the way a
+wire request does (trajectories are prefix-stable), and the plain
+column shows the memo-assisted non-delta solve next to it.
 """
 import sys
 from pathlib import Path
@@ -91,9 +101,10 @@ def _replay(name: str, size: int, steps: int):
     baseline = SchedulingService(
         keep_artifacts=False, disk_dir=None, workers=2
     )
+    plain = SchedulingService(keep_artifacts=False, disk_dir=None, workers=2)
     knobs = SolveKnobs(**KNOBS)
     trajectory = build_trajectory(name, size, seed=STREAM_SEED, steps=steps)
-    delta_lat, cold_lat = [], []
+    delta_lat, cold_lat, plain_lat = [], [], []
     outcomes = {}
     replayed = rerun = 0
     for step in trajectory:
@@ -116,15 +127,24 @@ def _replay(name: str, size: int, steps: int):
                 outcomes[stats.outcome] = outcomes.get(stats.outcome, 0) + 1
                 replayed += stats.epochs_replayed
                 rerun += stats.epochs_rerun
-        # The cold baseline: a fresh request object so the memoized
-        # fingerprint is honestly recomputed, against a service whose
-        # only fast path is an exact cache hit (a churn revert) --
-        # those hits are excluded from the cold median.
+        # The cold baseline: the snapshot rebuilt from scratch, so no
+        # fingerprint, path or layout memo carries over, against a
+        # service whose only fast path is an exact cache hit (a churn
+        # revert) -- those hits are excluded from the cold median.
+        rebuilt = build_trajectory(
+            name, size, seed=STREAM_SEED, steps=step.index + 1
+        )[step.index].problem
         cold = baseline.solve(
-            SolveRequest(problem=step.problem, knobs=knobs, label=request.label)
+            SolveRequest(problem=rebuilt, knobs=knobs, label=request.label)
         )
         if step.index > 0 and cold.status == "miss":
             cold_lat.append(cold.latency_s)
+        # The plain column: the delta side's own objects, memos warm.
+        warm_plain = plain.solve(
+            SolveRequest(problem=step.problem, knobs=knobs, label=request.label)
+        )
+        if step.index > 0 and warm_plain.status == "miss":
+            plain_lat.append(warm_plain.latency_s)
         served = service.solve(request).report
         assert report_semantic_digest(served) == report_semantic_digest(
             cold.report
@@ -141,6 +161,7 @@ def _replay(name: str, size: int, steps: int):
         "warm": outcomes.get("warm", 0),
         "median_delta_ms": _median(delta_lat) * 1e3,
         "median_cold_ms": _median(cold_lat) * 1e3,
+        "median_plain_ms": _median(plain_lat) * 1e3,
         "ratio": _median(delta_lat) / _median(cold_lat),
         "replay_fraction": (replayed / total_epochs) if total_epochs else 0.0,
         "service_stats": service.stats,
@@ -176,6 +197,7 @@ def run_experiment(quick: bool = False):
                     m["snapshots"] - 1 - m["warm"] - hits,
                     f"{m['replay_fraction']:.2f}",
                     f"{m['median_cold_ms']:.1f}",
+                    f"{m['median_plain_ms']:.1f}",
                     f"{m['median_delta_ms']:.1f}",
                     f"{m['ratio']:.2f}x",
                 ]
@@ -193,7 +215,7 @@ def run_experiment(quick: bool = False):
     out = table(
         [
             "trajectory", "size", "snaps", "warm", "hit", "fallback",
-            "replay frac", "cold ms", "delta ms", "ratio",
+            "replay frac", "cold ms", "plain ms", "delta ms", "ratio",
         ],
         rows,
     )
@@ -219,6 +241,7 @@ if __name__ == "__main__":
             f"{m['trajectory']}@{m['size']}: {m['warm']}/{m['snapshots'] - 1} "
             f"warm, replay fraction {m['replay_fraction']:.2f}, "
             f"median delta {m['median_delta_ms']:.1f}ms vs cold "
-            f"{m['median_cold_ms']:.1f}ms ({m['ratio']:.2f}x)"
+            f"{m['median_cold_ms']:.1f}ms ({m['ratio']:.2f}x; plain "
+            f"{m['median_plain_ms']:.1f}ms)"
         )
     emit_json(json_path, "e20", title, findings)

@@ -8,17 +8,18 @@ examples, tests and benchmarks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.framework import InstanceLayout, TwoPhaseResult
 from repro.core.engines.journal import active_journal
 from repro.core.problem import Problem
 from repro.core.solution import Solution
-from repro.lines.layered import layered_by_length
+from repro.core.types import EdgeKey
+from repro.lines.layered import critical_slots, length_class
 from repro.trees.balancing import build_balancing
 from repro.trees.decomposition import TreeDecomposition
 from repro.trees.ideal import build_ideal
-from repro.trees.layered import LayeredDecomposition, layered_from_tree_decomposition
+from repro.trees.layered import path_layering
 from repro.trees.root_fixing import build_root_fixing
 from repro.trees.tree import TreeNetwork
 
@@ -74,14 +75,17 @@ def tree_layouts(
     """Build per-network tree decompositions and merge their layered
     decompositions into one :class:`InstanceLayout` (Lemma 4.3).
 
-    When a first-phase journal is active (the delta-solve path), the
-    per-network work is served from the journal's layout cache where
-    the inputs match: a tree decomposition is a pure function of the
-    network, and a layered decomposition of (decomposition, instance
-    expansion), so the cache keys embed exactly that content and a
-    reused object is value-identical to a rebuild.  This -- not the
-    epoch replay -- is the bulk of a warm start's latency win: churn
-    mutates demands far more often than networks.
+    A tree decomposition depends on its network alone (Lemma 4.1), and
+    an instance's group and critical edges on that decomposition and
+    the instance's vertex path alone (Lemma 4.2): both are memoized on
+    the network (:class:`~repro.trees.tree.NetworkMemo`), so a layout
+    is assembled from lookups and only new networks or new paths do
+    any work.  A path with a non-``int`` endpoint is computed fresh,
+    like the path itself.
+
+    Under an active first-phase journal (the delta-solve path), every
+    network whose layout needed no new decomposition and no new path
+    layering counts one ``layouts_reused``.
     """
     try:
         builder = DECOMPOSITION_BUILDERS[decomposition]
@@ -92,61 +96,76 @@ def tree_layouts(
         )
     journal = active_journal()
     decomps: Dict[int, TreeDecomposition] = {}
-    layered: List[LayeredDecomposition] = []
+    group_of: Dict[int, int] = {}
+    pi: Dict[int, Tuple[EdgeKey, ...]] = {}
+    n_epochs = 0
     by_net = problem.instances_by_network
     for nid in sorted(problem.networks):
         instances = by_net.get(nid, ())
         if not instances:
             continue
         net = problem.networks[nid]
-        td = ld = None
-        if journal is not None:
-            dkey = (nid, decomposition, net.vertices, tuple(sorted(net.edges())))
-            lkey = dkey + (instances,)
-            td = journal.lookup_decomp(dkey)
-            ld = journal.lookup_layered(lkey)
-        if ld is not None:
+        trees = net.memo.trees
+        entry = trees.get(decomposition)
+        reused = entry is not None
+        if entry is None:
+            entry = trees.setdefault(decomposition, (builder(net), {}))
+        td, by_path = entry
+        for d in instances:
+            path = d.path_vertex_seq
+            exact = type(d.u) is int and type(d.v) is int
+            layering = by_path.get(path) if exact else None
+            if layering is None:
+                reused = False
+                layering = path_layering(td, path)
+                if exact:
+                    by_path[path] = layering
+            group_of[d.instance_id], pi[d.instance_id] = layering
+        if reused and journal is not None:
             journal.layouts_reused += 1
-        if td is None:
-            td = builder(net)
-        if ld is None:
-            ld = layered_from_tree_decomposition(td, instances)
-        if journal is not None:
-            journal.record_layouts(dkey, td, lkey, ld)
         decomps[nid] = td
-        layered.append(ld)
-    return InstanceLayout.from_layered(layered), decomps
+        n_epochs = max(n_epochs, td.max_depth)
+    return InstanceLayout(group_of=group_of, pi=pi, n_epochs=n_epochs), decomps
 
 
 def line_layouts(problem: Problem) -> InstanceLayout:
     """Length-class layered decompositions for every line-network
     (Section 7, ``Delta = 3``).
 
-    Like :func:`tree_layouts`, an active first-phase journal (the
-    delta-solve path) serves the per-network work from its
-    content-keyed layout cache: ``layered_by_length`` is a pure
-    function of (network id, instance expansion), which is exactly
-    what the key embeds, so a reused object is value-identical to a
-    rebuild.
+    An instance's critical slots depend on its endpoints alone and are
+    memoized on the network like :func:`tree_layouts`' layerings; its
+    group depends on the shortest instance of its network, so groups
+    are recomputed per call.  Under an active first-phase journal,
+    every network that needed no new critical slots counts one
+    ``layouts_reused``.
     """
     journal = active_journal()
-    layered: List[LayeredDecomposition] = []
+    group_of: Dict[int, int] = {}
+    pi: Dict[int, Tuple[EdgeKey, ...]] = {}
+    n_epochs = 0
     by_net = problem.instances_by_network
     for nid in sorted(problem.networks):
-        if not problem.networks[nid].is_path_graph():
+        net = problem.networks[nid]
+        if not net.is_path_graph():
             raise ValueError(f"network {nid} is not a line-network")
         instances = by_net.get(nid, ())
         if not instances:
             continue
-        ld = lkey = None
-        if journal is not None:
-            lkey = (nid, "length", instances)
-            ld = journal.lookup_layered(lkey)
-        if ld is not None:
+        slots = net.memo.line_slots
+        l_min = min(d.length for d in instances)
+        reused = True
+        for d in instances:
+            k = length_class(d.length, l_min)
+            exact = type(d.u) is int and type(d.v) is int
+            critical = slots.get((d.u, d.v)) if exact else None
+            if critical is None:
+                reused = False
+                critical = critical_slots(nid, d)
+                if exact:
+                    slots[(d.u, d.v)] = critical
+            group_of[d.instance_id] = k
+            pi[d.instance_id] = critical
+            n_epochs = max(n_epochs, k)
+        if reused and journal is not None:
             journal.layouts_reused += 1
-        else:
-            ld = layered_by_length(nid, instances)
-        if journal is not None:
-            journal.record_layered(lkey, ld)
-        layered.append(ld)
-    return InstanceLayout.from_layered(layered)
+    return InstanceLayout(group_of=group_of, pi=pi, n_epochs=n_epochs)

@@ -107,24 +107,15 @@ class PhaseLog:
 
 @dataclass
 class SolveJournal:
-    """Every first phase of one solve, in call order, plus the solve's
-    layout work.
+    """Every first phase of one solve, in call order.
 
-    ``decomps`` holds the per-network tree decompositions and
-    ``layered`` the per-(network, instance-expansion) layered
-    decompositions built during the solve
-    (:func:`repro.algorithms.base.tree_layouts` reads and writes them
-    through the active journal).  Keys embed the *full* network content
-    -- and, for ``layered``, the exact instance tuple -- so a reused
-    entry is value-identical to a rebuild by construction; a mutated
-    network or demand set simply misses and rebuilds.  This is where
-    most of a warm start's latency win lives: decompositions are pure
-    functions of the networks, which churn rarely touches.
+    Layout work is not journaled: decompositions and layerings depend on
+    the networks alone and are memoized on the network objects
+    (:class:`~repro.trees.tree.NetworkMemo`), which a churn snapshot
+    shares with its ancestor.
     """
 
     phases: List[PhaseLog] = field(default_factory=list)
-    decomps: Dict[Tuple, object] = field(default_factory=dict)
-    layered: Dict[Tuple, object] = field(default_factory=dict)
 
 
 def phase_config(
@@ -244,7 +235,9 @@ class FirstPhaseJournal:
     dirty-epoch *prediction*.  ``journal`` accumulates this solve's own
     records -- replayed epochs re-link the ancestor's record objects --
     so a chain of delta solves always has a complete, current journal
-    to hand to the next mutation.
+    to hand to the next mutation.  It holds no layouts: those come from
+    the network memos, and the journal only counts, in
+    ``layouts_reused``, the networks whose memo served a whole layout.
     """
 
     ancestor: Optional[SolveJournal] = None
@@ -257,31 +250,10 @@ class FirstPhaseJournal:
     epochs_rerun: int = 0
     predicted_dirty: int = 0
     prediction_misses: int = 0
+    #: Networks whose layout needed no new decomposition and no new
+    #: path layering (counted by the layout builders of
+    #: :mod:`repro.algorithms.base`).
     layouts_reused: int = 0
-
-    # -- layout cache (see :class:`SolveJournal`) ----------------------
-    def lookup_decomp(self, key: Tuple):
-        """A cached tree decomposition, ancestor first, else this solve's."""
-        if self.ancestor is not None and key in self.ancestor.decomps:
-            return self.ancestor.decomps[key]
-        return self.journal.decomps.get(key)
-
-    def lookup_layered(self, key: Tuple):
-        """A cached layered decomposition, ancestor first."""
-        if self.ancestor is not None and key in self.ancestor.layered:
-            return self.ancestor.layered[key]
-        return self.journal.layered.get(key)
-
-    def record_layouts(self, dkey: Tuple, decomp, lkey: Tuple, layered) -> None:
-        """Record this solve's layout objects (re-linking reused ones),
-        so the next delta in the chain inherits a complete cache."""
-        self.journal.decomps[dkey] = decomp
-        self.journal.layered[lkey] = layered
-
-    def record_layered(self, lkey: Tuple, layered) -> None:
-        """Record one layered decomposition alone -- the line-network
-        path, which has no tree decomposition to cache alongside."""
-        self.journal.layered[lkey] = layered
 
     def begin_phase(
         self, config: Tuple, plan

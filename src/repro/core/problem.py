@@ -8,6 +8,11 @@ expanding demands into the set ``D`` of demand instances, each a concrete
 
 Window demands (Section 7) expand into one instance per accessible
 resource per feasible start slot.
+
+Paths and window placements depend on the network alone, so they come
+from each network's memo (:class:`~repro.trees.tree.NetworkMemo`);
+expansion itself only constructs the :class:`DemandInstance` objects,
+whose ids depend on the problem.
 """
 from __future__ import annotations
 
@@ -24,6 +29,20 @@ AnyDemand = Union[Demand, WindowDemand]
 
 class ProblemError(ValueError):
     """Raised when the problem input is inconsistent."""
+
+
+def _window_placements(a: WindowDemand, net: TreeNetwork) -> Tuple:
+    """``(start, end vertex, vertex path, edge set)`` of every placement
+    of *a* that fits on the line *net*."""
+    n_slots = net.n_vertices - 1
+    out = []
+    for s in a.start_slots:
+        end_vertex = s + a.processing
+        if end_vertex > n_slots:
+            continue  # placement falls off the timeline
+        verts = tuple(range(s, end_vertex + 1))
+        out.append((s, end_vertex, verts, frozenset(net.path_edges(s, end_vertex))))
+    return tuple(out)
 
 
 @dataclass
@@ -134,8 +153,7 @@ class Problem:
                 f"demand {a.demand_id} endpoints <{a.u}, {a.v}> missing from "
                 f"network {net.network_id}"
             )
-        verts = net.path_vertices(a.u, a.v)
-        edges = frozenset(net.path_edges(a.u, a.v))
+        verts, edges = net.instance_path(a.u, a.v)
         out.append(
             DemandInstance(
                 instance_id=next_id,
@@ -159,13 +177,14 @@ class Problem:
                 f"window demand {a.demand_id} requires a line-network; "
                 f"network {net.network_id} is not a path"
             )
-        n_slots = net.n_vertices - 1
-        for s in a.start_slots:
-            end_vertex = s + a.processing
-            if end_vertex > n_slots:
-                continue  # placement falls off the timeline
-            verts = tuple(range(s, end_vertex + 1))
-            edges = frozenset(net.path_edges(s, end_vertex))
+        window = (a.release, a.deadline, a.processing)
+        exact = type(a.release) is type(a.deadline) is type(a.processing) is int
+        placements = net.memo.windows.get(window) if exact else None
+        if placements is None:
+            placements = _window_placements(a, net)
+            if exact:
+                net.memo.windows[window] = placements
+        for s, end_vertex, verts, edges in placements:
             out.append(
                 DemandInstance(
                     instance_id=next_id,

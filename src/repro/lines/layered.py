@@ -30,29 +30,46 @@ def layered_by_length(
     mine = [d for d in instances if d.network_id == network_id]
     if not mine:
         return LayeredDecomposition(network_id=network_id, group_of={}, pi={}, length=0)
-    lengths = [d.length for d in mine]
-    l_min = min(lengths)
+    l_min = min(d.length for d in mine)
     group_of: Dict[InstanceId, int] = {}
     pi: Dict[InstanceId, Tuple[EdgeKey, ...]] = {}
-    n_groups = 0
     for d in mine:
-        k = 1
-        bound = 2 * l_min  # group k holds lengths in [2^(k-1) Lmin, 2^k Lmin)
-        while d.length >= bound:
-            bound *= 2
-            k += 1
-        group_of[d.instance_id] = k
-        n_groups = max(n_groups, k)
-        s, e = instance_slots(d)
-        mid = instance_mid_slot(d)
-        critical = sorted(
+        group_of[d.instance_id] = length_class(d.length, l_min)
+        pi[d.instance_id] = critical_slots(network_id, d)
+    return LayeredDecomposition(
+        network_id=network_id,
+        group_of=group_of,
+        pi=pi,
+        length=max(group_of.values()),
+    )
+
+
+def length_class(length: int, l_min: int) -> int:
+    """The group ``k`` with ``2^(k-1) Lmin <= length < 2^k Lmin``."""
+    k = 1
+    bound = 2 * l_min
+    while length >= bound:
+        bound *= 2
+        k += 1
+    return k
+
+
+def critical_slots(network_id: int, d: DemandInstance) -> Tuple[EdgeKey, ...]:
+    """``pi(d)``: the edges of the timeslots ``s(d)``, ``mid(d)`` and
+    ``e(d)``, sorted.
+
+    A function of ``d``'s endpoints alone, which is what lets
+    :func:`repro.algorithms.base.line_layouts` memoize it on the
+    network.
+    """
+    s, e = instance_slots(d)
+    mid = instance_mid_slot(d)
+    return tuple(
+        sorted(
             {
                 slot_to_edge(network_id, s),
                 slot_to_edge(network_id, mid),
                 slot_to_edge(network_id, e),
             }
         )
-        pi[d.instance_id] = tuple(critical)
-    return LayeredDecomposition(
-        network_id=network_id, group_of=group_of, pi=pi, length=n_groups
     )

@@ -113,6 +113,7 @@ except ImportError:  # pragma: no cover
     _np = None
 
 from repro.core.problem import Problem
+from repro.distributed.mis import validate_seed
 from repro.obs import render_prometheus
 from repro.service.cache import report_semantic_digest
 from repro.service.delta import ChangeDebouncer, delta_key
@@ -640,23 +641,28 @@ class AsyncSchedulingService:
         ``build_trajectory(name, size, seed, steps=k+1)`` is the same
         problem regardless of how many further steps exist -- so the
         wire face stays a pure value: no server-side trajectory state.
+
+        ``size``, ``seed`` and ``step`` must be exact ints (a float or
+        bool would otherwise be served as the int it truncates to), and
+        a ``"seed"`` in ``knobs`` overrides the solve seed, which
+        defaults to the problem seed.
         """
         if "workload" in message and "trajectory" in message:
             raise ValueError("pass workload or trajectory, not both")
         try:
-            size = int(message["size"])
+            size = validate_seed(message["size"], "size")
         except KeyError as exc:
             raise ValueError(f"request is missing field {exc}") from exc
-        seed = int(message.get("seed", 0))
+        seed = validate_seed(message.get("seed", 0))
         knobs = message.get("knobs") or {}
         if not isinstance(knobs, dict):
             raise ValueError("knobs must be a JSON object of SolveKnobs fields")
+        knobs.setdefault("seed", seed)
         if "trajectory" in message:
             name = message["trajectory"]
-            step = int(message.get("step", 0))
+            step = validate_seed(message.get("step", 0), "step")
             if step < 0:
                 raise ValueError(f"step must be >= 0, got {step}")
-            knobs.setdefault("seed", seed)
             snapshot = build_trajectory(
                 name, size, seed=seed, steps=step + 1
             )[step]
@@ -669,7 +675,9 @@ class AsyncSchedulingService:
             name = message["workload"]
         except KeyError as exc:
             raise ValueError(f"request is missing field {exc}") from exc
-        return SolveRequest.from_workload(name, size, seed=seed, **knobs)
+        return SolveRequest.from_workload(
+            name, size, seed=seed, knobs=SolveKnobs(**knobs)
+        )
 
     # ------------------------------------------------------------------
     # Drain / shutdown

@@ -60,6 +60,7 @@ __all__ = [
     "DeltaStats",
     "ProblemDelta",
     "TOO_DIRTY_FRACTION",
+    "adopt_network_memos",
     "delta_key",
     "diff_problems",
     "problem_sketch",
@@ -189,6 +190,22 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
         touched_edges=frozenset(touched_edges),
         networks_changed=networks_changed,
     )
+
+
+def adopt_network_memos(old: Problem, new: Problem) -> None:
+    """Let each rebuilt network of *new* share the memo of the same-id
+    network of *old* (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`).
+
+    A wire request rebuilds every object, so its networks equal the
+    ancestor's without being the same objects, and would otherwise
+    re-derive every path and layout.  Adoption takes only a network
+    with no memo of its own and the identical ordered adjacency, so
+    what it serves is exactly what the network would build itself.
+    """
+    for nid, net in new.networks.items():
+        ancestor = old.networks.get(nid)
+        if ancestor is not None and ancestor is not net:
+            net.adopt_memo(ancestor)
 
 
 @dataclass

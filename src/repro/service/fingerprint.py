@@ -78,12 +78,14 @@ the per-problem refinement, record sort and hash still run on every
 call.
 
 The contract: networks and demands are immutable values once
-fingerprinted -- the same assumption ``Problem.instances`` and the
-identity fast paths of :func:`~repro.service.delta.diff_problems`
-already make.  The entry is an attribute of the object itself, so it
-lives exactly as long as the network or demand: nothing global keeps
-one alive, there is no size to tune, and threads racing on a cold
-object merely compute the same entry twice.  There is no per-``Problem``
+fingerprinted -- the same assumption the identity fast paths of
+:func:`~repro.service.delta.diff_problems` make, and the network's own
+memo of paths and layouts (:class:`~repro.trees.tree.NetworkMemo`,
+which ``Problem.instances`` and the layout builders read).  The entry
+is an attribute of the object itself, so it lives exactly as long as
+the network or demand: nothing global keeps one alive, there is no
+size to tune, and threads racing on a cold object merely compute the
+same entry twice.  There is no per-``Problem``
 memo: ``Problem`` is a mutable dataclass, and a caller who edits its
 ``demands`` or ``access`` in place must get a fresh key.
 """

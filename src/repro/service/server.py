@@ -58,6 +58,7 @@ from repro.service.delta import (
     DeltaArtifacts,
     DeltaStats,
     ProblemDelta,
+    adopt_network_memos,
     delta_key,
     diff_problems,
 )
@@ -804,7 +805,11 @@ class SchedulingService:
         have already left the index).  Outside the lock:
         diff the few survivors against *problem* -- the expensive step
         -- and pick the smallest touched-demand set among those whose
-        networks are unchanged.  ``None`` when nothing usable remains;
+        networks are unchanged.  Before the diffs, *problem*'s rebuilt
+        networks adopt the candidates' network memos where they are
+        the same network (:func:`~repro.service.delta.adopt_network_memos`),
+        so a wire-built snapshot reuses its ancestor's paths and
+        layouts.  ``None`` when nothing usable remains;
         a bucket where *every* candidate changed networks returns the
         newest such diff, letting the caller report
         ``"network-change"`` rather than a bare miss.
@@ -826,6 +831,10 @@ class SchedulingService:
                 self._unindex_ancestor(digest)
         best: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
         collided: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
+        # Adopt before any diff: diffing expands *problem*, which gives
+        # its networks memos of their own, and those never adopt.
+        for _, artifacts in candidates:
+            adopt_network_memos(artifacts.problem, problem)
         for cand_fp, artifacts in candidates:
             delta = diff_problems(artifacts.problem, problem)
             if delta.networks_changed:

@@ -16,6 +16,7 @@ throughout the test suite.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.demand import DemandInstance
@@ -81,7 +82,7 @@ class TreeDecomposition:
             raise InvalidDecompositionError("decomposition tree is disconnected")
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def max_depth(self) -> int:
         """Depth of ``H`` (root at depth 1, per the paper)."""
         return max(self.depth.values())

@@ -37,16 +37,18 @@ def wings(d: DemandInstance, y: Vertex) -> Tuple[EdgeKey, ...]:
 
     One edge if ``y`` is an endpoint of the path, two otherwise.
     """
-    seq = d.path_vertex_seq
-    try:
-        i = seq.index(y)
-    except ValueError:
+    if y not in d.path_vertex_seq:
         raise LayeredDecompositionError(f"{y} is not on the path of instance {d.instance_id}")
+    return _wings(d.network_id, d.path_vertex_seq, y)
+
+
+def _wings(network_id: int, seq: Sequence[Vertex], y: Vertex) -> Tuple[EdgeKey, ...]:
+    i = seq.index(y)
     out: List[EdgeKey] = []
     if i > 0:
-        out.append(edge_key(d.network_id, seq[i - 1], seq[i]))
+        out.append(edge_key(network_id, seq[i - 1], seq[i]))
     if i < len(seq) - 1:
-        out.append(edge_key(d.network_id, seq[i], seq[i + 1]))
+        out.append(edge_key(network_id, seq[i], seq[i + 1]))
     return tuple(out)
 
 
@@ -57,13 +59,39 @@ def bending_point(network: TreeNetwork, d: DemandInstance, u: Vertex) -> Vertex:
     to ``y`` avoids every other vertex of ``path(d)`` -- equivalently,
     the vertex of ``path(d)`` closest to ``u`` in the tree.
     """
-    on_path = set(d.path_vertex_seq)
+    return _bending_point(network, d.path_vertex_seq, set(d.path_vertex_seq), u)
+
+
+def _bending_point(
+    network: TreeNetwork, seq: Sequence[Vertex], on_path: Set[Vertex], u: Vertex
+) -> Vertex:
     if u in on_path:
         return u
-    for x in network.path_vertices(u, d.path_vertex_seq[0]):
+    for x in network.path_vertices(u, seq[0]):
         if x in on_path:
             return x
     raise AssertionError("path to an endpoint must hit the demand path")  # pragma: no cover
+
+
+def path_layering(
+    decomposition: TreeDecomposition, path: Sequence[Vertex]
+) -> Tuple[int, Tuple[EdgeKey, ...]]:
+    """Lemma 4.2 for one instance: ``(group, critical edges)`` of an
+    instance of the decomposed network whose vertex path is *path*.
+
+    Both depend on the decomposition and the path alone, which is what
+    lets :func:`repro.algorithms.base.tree_layouts` memoize them per
+    path on the network.
+    """
+    network = decomposition.network
+    nid = network.network_id
+    z = decomposition.capture_node_of_path(path)
+    critical: Set[EdgeKey] = set(_wings(nid, path, z))
+    on_path = set(path)
+    for u in decomposition.pivot_set(z):
+        critical.update(_wings(nid, path, _bending_point(network, path, on_path, u)))
+    group = decomposition.max_depth - decomposition.depth[z] + 1
+    return group, tuple(sorted(critical))
 
 
 @dataclass
@@ -128,7 +156,6 @@ def layered_from_tree_decomposition(
     ``H`` land in group 1 (processed first).
     """
     network = decomposition.network
-    depth_of_tree = decomposition.max_depth
     group_of: Dict[InstanceId, int] = {}
     pi: Dict[InstanceId, Tuple[EdgeKey, ...]] = {}
     for d in instances:
@@ -137,16 +164,12 @@ def layered_from_tree_decomposition(
                 f"instance {d.instance_id} belongs to network {d.network_id}, "
                 f"not {network.network_id}"
             )
-        z = decomposition.capture_node(d)
-        group_of[d.instance_id] = depth_of_tree - decomposition.depth[z] + 1
-        critical: Set[EdgeKey] = set(wings(d, z))
-        for u in decomposition.pivot_set(z):
-            y = bending_point(network, d, u)
-            critical.update(wings(d, y))
-        pi[d.instance_id] = tuple(sorted(critical))
+        group_of[d.instance_id], pi[d.instance_id] = path_layering(
+            decomposition, d.path_vertex_seq
+        )
     return LayeredDecomposition(
         network_id=network.network_id,
         group_of=group_of,
         pi=pi,
-        length=depth_of_tree,
+        length=decomposition.max_depth,
     )

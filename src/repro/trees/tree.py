@@ -12,6 +12,18 @@ every other layer is built on:
 
 Line-networks are path-shaped tree-networks (see :mod:`repro.lines.line`),
 so Sections 5-7 of the paper all run on this one substrate.
+
+**Memo.**  Everything a solve derives from a network alone -- its
+instance paths, window placements, tree decompositions and their
+per-path layerings (Lemmas 4.1-4.3, Section 7) -- is computed once per
+network object and kept in its :class:`NetworkMemo`.  The contract is
+the one the fingerprint memo already relies on: a network is an
+immutable value once built.  The memo lives exactly as long as the
+network (no global table, no size to tune), holds one entry per
+distinct path asked of it, and threads racing to fill an entry compute
+equal values.  Only exact-``int`` endpoints are memoized: a float, bool
+or numpy-int endpoint keys equal to an int but yields differently typed
+paths, so it is always computed fresh.
 """
 from __future__ import annotations
 
@@ -19,13 +31,49 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.types import EdgeKey, NetworkId, Vertex, edge_key
 
+#: An instance path: its vertex sequence and its edge set.
+InstancePath = Tuple[Tuple[Vertex, ...], FrozenSet[EdgeKey]]
+
 
 class NotATreeError(ValueError):
     """Raised when the supplied edge set does not form a tree."""
 
 
+class NetworkMemo:
+    """What the write path derives from one network alone.
+
+    Each field is a pure function of the network's id and ordered
+    adjacency, filled on first use by the code that derives it:
+    :meth:`TreeNetwork.is_path_graph` and
+    :meth:`TreeNetwork.instance_path` here,
+    :attr:`repro.core.problem.Problem.instances` (window placements),
+    :func:`repro.algorithms.base.tree_layouts` and
+    :func:`repro.algorithms.base.line_layouts` (layerings).
+    """
+
+    __slots__ = ("is_path", "paths", "windows", "trees", "line_slots")
+
+    def __init__(self) -> None:
+        #: ``is_path_graph()``, once asked.
+        self.is_path: Optional[bool] = None
+        #: ``(u, v)`` -> :data:`InstancePath`.
+        self.paths: Dict[Tuple[Vertex, Vertex], InstancePath] = {}
+        #: ``(release, deadline, processing)`` -> the window's placements
+        #: ``(start, end vertex, vertex path, edge set)`` on this line.
+        self.windows: Dict[Tuple[int, int, int], Tuple] = {}
+        #: decomposition name -> ``(tree decomposition, {vertex path:
+        #: (group, critical edges)})`` (Lemma 4.2).
+        self.trees: Dict[str, Tuple[object, Dict]] = {}
+        #: ``(u, v)`` -> critical edges of the length-class layering.
+        self.line_slots: Dict[Tuple[Vertex, Vertex], Tuple[EdgeKey, ...]] = {}
+
+
 class TreeNetwork:
     """An undirected tree over integer vertices, with path/LCA queries.
+
+    A network is an immutable value: nothing changes it after
+    construction, and :attr:`memo` (see the module docstring) relies on
+    that.
 
     Parameters
     ----------
@@ -69,6 +117,42 @@ class TreeNetwork:
         self._parent: Dict[Vertex, Optional[Vertex]] = {}
         self._depth: Dict[Vertex, int] = {}
         self._build_rooted_index()
+
+    # ------------------------------------------------------------------
+    # Memo
+    # ------------------------------------------------------------------
+    @property
+    def memo(self) -> NetworkMemo:
+        """This network's :class:`NetworkMemo`, created on first use.
+
+        ``dict.setdefault`` installs it atomically, so threads racing
+        on a new network end up sharing one memo.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self.__dict__.setdefault("_memo", NetworkMemo())
+        return memo
+
+    def adopt_memo(self, other: "TreeNetwork") -> bool:
+        """Share *other*'s memo; return whether it was adopted.
+
+        Only a network without a memo of its own adopts, and only from
+        one with the same id (value and type) and the identical ordered
+        adjacency: every list in the same order, since decompositions
+        follow adjacency order.  Equal payloads are not enough -- the
+        same edges listed in another order can build another
+        decomposition.
+        """
+        memo = other.__dict__.get("_memo")
+        if memo is None or "_memo" in self.__dict__:
+            return False
+        if (
+            type(self.network_id) is not type(other.network_id)
+            or self.network_id != other.network_id
+            or self._adj != other._adj
+        ):
+            return False
+        return self.__dict__.setdefault("_memo", memo) is memo
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -116,7 +200,10 @@ class TreeNetwork:
 
     def is_path_graph(self) -> bool:
         """Whether the network is a line (every vertex has degree <= 2)."""
-        return all(len(self._adj[v]) <= 2 for v in self._vertices)
+        memo = self.memo
+        if memo.is_path is None:
+            memo.is_path = all(len(self._adj[v]) <= 2 for v in self._vertices)
+        return memo.is_path
 
     # ------------------------------------------------------------------
     # Rooted index and path queries
@@ -191,9 +278,27 @@ class TreeNetwork:
 
     def path_edges(self, u: Vertex, v: Vertex) -> Tuple[EdgeKey, ...]:
         """Edges of the unique path from *u* to *v*, in path order."""
-        verts = self.path_vertices(u, v)
+        return self._edges_along(self.path_vertices(u, v))
+
+    def _edges_along(self, verts: Tuple[Vertex, ...]) -> Tuple[EdgeKey, ...]:
         nid = self.network_id
         return tuple(edge_key(nid, a, b) for a, b in zip(verts, verts[1:]))
+
+    def instance_path(self, u: Vertex, v: Vertex) -> InstancePath:
+        """``(path_vertices(u, v), frozenset(path_edges(u, v)))``.
+
+        Memoized for exact-``int`` endpoints; any other endpoint type is
+        computed fresh and never stored (see the module docstring).
+        """
+        if type(u) is not int or type(v) is not int:
+            verts = self.path_vertices(u, v)
+            return verts, frozenset(self._edges_along(verts))
+        paths = self.memo.paths
+        path = paths.get((u, v))
+        if path is None:
+            verts = self.path_vertices(u, v)
+            path = paths[(u, v)] = (verts, frozenset(self._edges_along(verts)))
+        return path
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         """Number of edges on the unique path between *u* and *v*."""

@@ -216,6 +216,19 @@ class TestWireProtocol:
              "knobs": {**KNOBS, "seed": 1.5}},
             {"id": 12, "trajectory": "churn-lines", "size": 12, "seed": 1,
              "knobs": {**KNOBS, "mis": "hash", "seed": True}},
+            # A knob seed overrides the solve seed of a workload request.
+            {"id": 13, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "mis": "luby", "seed": 2}},
+            # size, seed and step must be exact ints, never truncated.
+            {"id": 14, "workload": "bursty-lines", "size": 8.9, "seed": 1},
+            {"id": 15, "workload": "bursty-lines", "size": 8, "seed": True},
+            {"id": 16, "workload": "bursty-lines", "size": 14, "seed": 1.0},
+            {"id": 17, "trajectory": "churn-lines", "size": "12", "seed": 1},
+            {"id": 18, "trajectory": "churn-lines", "size": 12, "seed": "1"},
+            {"id": 19, "trajectory": "churn-lines", "size": 12, "seed": 1,
+             "step": 1.7},
+            {"id": 20, "trajectory": "churn-lines", "size": 12, "seed": 1,
+             "step": True},
         ]
         front, responses = asyncio.run(self.roundtrip(lines))
         by_id = {r.get("id"): r for r in responses}
@@ -233,9 +246,22 @@ class TestWireProtocol:
             (6, "phase2_engine"), (7, "unknown engine 'parallel'"),
             (8, "workers"), (9, "backend"), (10, "plan_granularity"),
             (11, "seed must be an int"), (12, "seed must be an int"),
+            (14, "size must be an int"), (15, "seed must be an int"),
+            (16, "seed must be an int"), (17, "size must be an int"),
+            (18, "seed must be an int"), (19, "step must be an int"),
+            (20, "step must be an int"),
         ):
             assert not by_id[rid]["ok"] and name in by_id[rid]["error"], rid
-        assert front.stats["service"]["solves"] == 1
+        luby = {
+            seed: report_semantic_digest(solve_auto(
+                build_workload("bursty-lines", 14, seed=1),
+                **{**KNOBS, "mis": "luby", "seed": seed},
+            ))
+            for seed in (1, 2)
+        }
+        assert luby[1] != luby[2]
+        assert by_id[13]["ok"] and by_id[13]["semantic_digest"] == luby[2]
+        assert front.stats["service"]["solves"] == 2
 
     def test_oversized_line_answers_and_flushes_accepted_work(self):
         # A line past the stream limit breaks the line discipline, so

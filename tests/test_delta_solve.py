@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import solve_auto
+from repro.core.demand import Demand
 from repro.core.framework import ENGINES
 from repro.core.problem import Problem
 from repro.service import (
@@ -185,12 +186,12 @@ class TestTrajectoryDriver:
         )
 
     def test_line_layout_cache_reused_on_warm_replay(self):
-        # line_layouts consults the journal's content-keyed layout cache
-        # exactly like tree_layouts: demand churn local to one
-        # line-network must not rebuild the layered decomposition of the
-        # other.  (The registry line workloads give every demand access
-        # to every network, so a hand-rolled access split is needed to
-        # leave one network untouched.)
+        # line_layouts serves critical slots from the network memo
+        # exactly like tree_layouts serves layerings: demand churn
+        # local to one line-network must not recompute the layered
+        # decomposition of the other.  (The registry line workloads
+        # give every demand access to every network, so a hand-rolled
+        # access split is needed to leave one network untouched.)
         from repro.core.demand import WindowDemand
         from repro.trees.tree import make_line_network
 
@@ -215,11 +216,150 @@ class TestTrajectoryDriver:
         assert result.delta is not None and result.delta.outcome == "warm"
         assert result.delta.layouts_reused > 0, (
             "the untouched line-network's layered decomposition must "
-            "come from the journal layout cache"
+            "come from the network memo"
         )
         assert report_semantic_digest(result.report) == cold_digest(
             mutated, knobs
         )
+
+
+#: A 15-vertex tree labelled 0, 8, 16, ...: the labels collide in small
+#: hash tables, so the ideal decomposition's balancer start -- and with
+#: it the decomposition and the answer -- follows the edge-list order
+#: (reversing it changes both on CPython 3.11).
+ORDER_EDGES = [
+    (0, 8), (0, 16), (16, 24), (8, 32), (0, 40), (8, 48), (24, 56),
+    (48, 64), (40, 72), (32, 80), (32, 88), (56, 96), (96, 104), (72, 112),
+]
+ORDER_DEMANDS = [
+    (48, 32, 2.0), (0, 56, 4.0), (56, 96, 2.0), (56, 64, 7.0),
+    (80, 40, 1.0), (8, 96, 3.0), (32, 0, 3.0), (104, 32, 5.0),
+]
+
+
+def wire_snapshot(name, size, seed, step):
+    """Snapshot *step* rebuilt from scratch, as a wire request does
+    (solve seed = trajectory seed)."""
+    return AsyncSchedulingService._wire_request({
+        "trajectory": name, "size": size, "seed": seed, "step": step,
+        "knobs": dict(KNOBS),
+    })
+
+
+def spy_layout_work(monkeypatch):
+    """Count ``build_ideal`` calls and fresh per-path layerings."""
+    from repro.algorithms import base
+
+    builds, layerings = [], []
+    ideal, layering = base.DECOMPOSITION_BUILDERS["ideal"], base.path_layering
+
+    def counted_ideal(net):
+        builds.append(net.network_id)
+        return ideal(net)
+
+    def counted_layering(td, path):
+        layerings.append(path)
+        return layering(td, path)
+
+    monkeypatch.setitem(base.DECOMPOSITION_BUILDERS, "ideal", counted_ideal)
+    monkeypatch.setattr(base, "path_layering", counted_layering)
+    return builds, layerings
+
+
+class TestNetworkMemo:
+    """Layouts are memoized on the network objects, and a delta's
+    rebuilt networks adopt the ancestor's memo only when they are the
+    same network, adjacency order included."""
+
+    def test_build_counts(self, monkeypatch):
+        builds, _ = spy_layout_work(monkeypatch)
+        svc = service()
+        knobs = SolveKnobs(**KNOBS, seed=1)
+        trajectory = build_trajectory("tenant-churn", 24, seed=1, steps=6)
+        assert [s.kind for s in trajectory] == [
+            "base", "resize", "resize", "resize", "add", "onboard",
+        ]
+        svc.solve(request(trajectory[0].problem, knobs))
+        assert len(builds) == sum(
+            1 for ds in trajectory[0].problem.instances_by_network.values()
+            if ds
+        )
+        # Warm deltas on the trajectory's shared network objects.
+        for step in trajectory[1:4]:
+            del builds[:]
+            result = svc.solve_delta(request(step.problem, knobs))
+            assert result.delta.outcome == "warm" and builds == []
+        # A warm delta on a snapshot rebuilt from scratch adopts.
+        del builds[:]
+        result = svc.solve_delta(wire_snapshot("tenant-churn", 24, 1, 4))
+        assert result.delta.outcome == "warm" and builds == []
+        # Onboarding changes the sketch: the cold fallback decomposes
+        # only the new tenant's network.
+        del builds[:]
+        result = svc.solve_delta(request(trajectory[5].problem, knobs))
+        assert result.delta.outcome == "ancestor-miss"
+        new = set(trajectory[5].problem.networks) - set(
+            trajectory[4].problem.networks
+        )
+        assert builds == list(new) and len(new) == 1
+
+    def test_wire_built_warm_delta_reuses_every_layout(self, monkeypatch):
+        builds, layerings = spy_layout_work(monkeypatch)
+        svc, twin = service(), service()
+        knobs = SolveKnobs(**KNOBS, seed=3)
+        trajectory = build_trajectory("tenant-churn", 32, seed=3, steps=9)
+        svc.solve(wire_snapshot("tenant-churn", 32, 3, 0))
+        twin.solve(request(trajectory[0].problem, knobs))
+        warm = 0
+        for step in trajectory[1:]:
+            req = wire_snapshot("tenant-churn", 32, 3, step.index)
+            assert all(
+                req.problem.networks[nid] is not net
+                for nid, net in step.problem.networks.items()
+            )
+            del builds[:], layerings[:]
+            result = svc.solve_delta(req)
+            shared = twin.solve_delta(request(step.problem, knobs))
+            assert report_semantic_digest(result.report) == cold_digest(
+                req.problem, knobs
+            )
+            if result.delta is None:
+                continue  # a churn revert: an exact hit
+            assert result.delta.outcome == "warm"
+            warm += 1
+            assert builds == [] and layerings == []
+            assert result.delta.layouts_reused > 0
+            assert result.delta.layouts_reused == shared.delta.layouts_reused
+        assert warm >= 6
+
+    def test_reordered_edges_are_not_adopted(self):
+        def problem(edges, bump=None):
+            demands = [
+                Demand(i, u, v, profit=p + (0.5 if i == bump else 0.0))
+                for i, (u, v, p) in enumerate(ORDER_DEMANDS)
+            ]
+            return Problem(networks={0: TreeNetwork(0, edges)}, demands=demands)
+
+        svc = service()
+        knobs = SolveKnobs(**KNOBS)
+        ancestor = problem(ORDER_EDGES)
+        svc.solve(request(ancestor, knobs))
+        # Equal payloads (sorted edges), so the delta runs warm; the
+        # reversed adjacency must not adopt the ancestor's memo.
+        reordered = problem(list(reversed(ORDER_EDGES)), bump=7)
+        result = svc.solve_delta(request(reordered, knobs))
+        assert result.delta.outcome == "warm"
+        assert report_semantic_digest(result.report) == cold_digest(
+            reordered, knobs
+        )
+        assert reordered.networks[0].memo is not ancestor.networks[0].memo
+        assert result.delta.layouts_reused == 0
+        # The same edges in the same order do adopt.
+        same = problem(ORDER_EDGES, bump=6)
+        result = svc.solve_delta(request(same, knobs))
+        assert result.delta.outcome == "warm"
+        assert same.networks[0].memo is ancestor.networks[0].memo
+        assert report_semantic_digest(result.report) == cold_digest(same, knobs)
 
 
 class TestDecisionArms:
