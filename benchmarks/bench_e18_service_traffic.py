@@ -148,21 +148,30 @@ def _telemetry_overhead() -> float:
       spans, ``finish``, SLO observe) against a private registry;
     * the **denominator** -- per-request serving cost -- from a
       telemetry-off quick replay (min-of-N, so a noisy slow replay
-      cannot flatter the ratio).
+      cannot flatter the ratio).  Each replay, the warm-up included,
+      gets a freshly built population: networks memoize their
+      layouts, so re-serving objects an earlier replay solved would
+      time memo-warm solves that the main replay's fresh requests
+      never get.
 
     Their ratio bounds the replay slowdown telemetry can cause: a hit
     pays exactly the measured sequence, and the few extra span records
     of a cold request are amortized over a solve that is three orders
     of magnitude longer.
     """
-    population = _population(QUICK_POPULATION)
+    def fresh():
+        """A rebuilt population, fingerprinted outside any timing."""
+        population = _population(QUICK_POPULATION)
+        for request in population:
+            request.fingerprint()
+        return population
+
+    population = fresh()
     stream = _zipf_stream(
         len(population), QUICK_REQUESTS, random.Random(STREAM_SEED)
     )
-    for request in population:
-        request.fingerprint()
     _replay_elapsed(population, stream, None)  # warm pools/allocator
-    replay = min(_replay_elapsed(population, stream, None) for _ in range(3))
+    replay = min(_replay_elapsed(fresh(), stream, None) for _ in range(3))
     per_request = replay / len(stream)
 
     registry = MetricsRegistry()

@@ -1,31 +1,31 @@
 """E20 -- delta-solve under churn: replaying seeded mutation streams.
 
-Claim reproduced: an incremental re-solve path makes a scheduling
-service cheap under *churn* -- the production regime where the problem
-mutates continuously (demands arrive and cancel, bids change, tenants
-onboard) and every mutation needs a fresh certified schedule.  The
-delta path (:mod:`repro.service.delta` +
-:mod:`repro.core.engines.journal`) warm-starts each snapshot from the
-journal of its cached ancestor, replays the epochs whose recorded
-input signatures still match, and re-runs only the dirty ones -- so
-the answer is *bitwise* the cold answer at a fraction of the cost.
+Claim reproduced: a delta path makes a scheduling service cheap under
+*churn* -- the production regime where the problem mutates
+continuously (demands arrive and cancel, bids change, tenants onboard)
+and every mutation needs a fresh certified schedule.  A network's
+decompositions depend on the network alone (Lemma 4.1), and paths,
+decompositions and layerings are memoized on the network objects
+(:class:`repro.trees.tree.NetworkMemo`).  A churn snapshot keeps its
+ancestor's networks, so the delta path (:mod:`repro.service.delta`)
+finds the cached ancestor and runs the plain solve on memo-warm
+networks: it skips the cold layout, and the answer is *bitwise* the
+cold answer because it is the same solve.
 
 The experiment replays the registered churn trajectories
 (:mod:`repro.workloads.trajectories`) through a
 ``SchedulingService(keep_artifacts=True)``, solving every snapshot
-both ways -- ``solve_delta`` against the warm service, and
-``solve`` against a second, artifact-free service that can only go
-cold (an apples-to-apples baseline: both sides pay fingerprinting and
-cache admission; only the warm start differs) -- and reports per
-(trajectory, size):
+both ways -- ``solve_delta`` against the warm service, and ``solve``
+of the snapshot rebuilt from scratch against a second, artifact-free
+service (both sides pay fingerprinting and cache admission; only the
+layout reuse differs) -- and reports per (trajectory, size):
 
-* the outcome mix (warm replays vs the cold fallbacks: tenant
-  onboarding changes the network sketch, so those snapshots *must*
-  fall back -- the honest cost of the design),
-* median delta-solve and median cold-solve latency, their ratio, and
-  the epoch replay fraction of the warm solves,
+* the outcome mix (warm deltas vs the fallbacks: tenant onboarding
+  changes the network sketch, so those snapshots find no ancestor),
+* median delta-solve and median cold-solve latency, and their ratio,
 * unasserted, the median latency of a plain (non-delta) solve of the
-  delta side's own snapshot objects on a third artifact-free service,
+  delta side's own snapshot objects on a third artifact-free service
+  -- the same memo-warm solve without the ancestor lookup,
 * correctness: **every** snapshot's delta result is digest-identical
   (:func:`repro.service.report_semantic_digest`) to its cold solve --
   asserted, not sampled.
@@ -59,14 +59,13 @@ from repro.workloads import build_trajectory, trajectory_names
 
 #: (trajectory, sizes, steps, assert_ratio) replay plans.  The latency
 #: acceptance is asserted at each flagged trajectory's largest size,
-#: where the warm path's fixed overheads (fingerprint, diff,
-#: signatures) are best amortized.  ``churn-lines`` is deliberately
-#: *unflagged*: a line trajectory at these scales has ~3 first-phase
-#: epochs and a single demand mutation dirties all of them (its
-#: instances land on most length classes), so certified replay has
-#: nothing to skip -- the table reports that honest ~1.0x rather than
-#: hiding the family.  Digest identity is still asserted on every
-#: snapshot of every family.
+#: where the delta path's fixed overheads (fingerprint, sketch, diff)
+#: are best amortized against the layout it skips.  ``churn-lines`` is
+#: deliberately *unflagged*: a line layout is cheap (critical slots per
+#: endpoint pair, Section 7), so a line snapshot's solve is mostly the
+#: first phase, which a delta request runs in full -- the table reports
+#: that honest ~1.0x rather than hiding the family.  Digest identity is
+#: still asserted on every snapshot of every family.
 FULL_FAMILIES = (
     ("tenant-churn", (32, 64, 96), 20, True),
     ("capacity-steps", (48, 96, 128), 16, True),
@@ -80,8 +79,8 @@ STREAM_SEED = 20
 #: Required median delta / median cold latency ratio at the largest
 #: size (i.e. delta must be at least 2x cheaper than solving cold).
 MAX_DELTA_RATIO = 0.5
-#: Solve knobs of every snapshot: the journaled incremental engine with
-#: the deterministic oracle, so delta and cold runs are comparable.
+#: Solve knobs of every snapshot: the incremental engine with the
+#: deterministic oracle, so delta and cold runs are comparable.
 KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
 
 
@@ -106,7 +105,6 @@ def _replay(name: str, size: int, steps: int):
     trajectory = build_trajectory(name, size, seed=STREAM_SEED, steps=steps)
     delta_lat, cold_lat, plain_lat = [], [], []
     outcomes = {}
-    replayed = rerun = 0
     for step in trajectory:
         request = SolveRequest(
             problem=step.problem, knobs=knobs,
@@ -120,13 +118,11 @@ def _replay(name: str, size: int, steps: int):
             if result.delta is None:
                 # Churn walked back to an already-served state (e.g. an
                 # add undone by a drop): an exact fingerprint hit, the
-                # one outcome cheaper than a warm replay.
+                # one outcome cheaper than a warm delta.
                 outcomes["hit"] = outcomes.get("hit", 0) + 1
             else:
-                stats = result.delta
-                outcomes[stats.outcome] = outcomes.get(stats.outcome, 0) + 1
-                replayed += stats.epochs_replayed
-                rerun += stats.epochs_rerun
+                outcome = result.delta.outcome
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
         # The cold baseline: the snapshot rebuilt from scratch, so no
         # fingerprint, path or layout memo carries over, against a
         # service whose only fast path is an exact cache hit (a churn
@@ -152,7 +148,6 @@ def _replay(name: str, size: int, steps: int):
             f"{request.label} ({step.kind}): delta result diverged "
             "from the cold solve"
         )
-    total_epochs = replayed + rerun
     return {
         "trajectory": name,
         "size": size,
@@ -163,7 +158,6 @@ def _replay(name: str, size: int, steps: int):
         "median_cold_ms": _median(cold_lat) * 1e3,
         "median_plain_ms": _median(plain_lat) * 1e3,
         "ratio": _median(delta_lat) / _median(cold_lat),
-        "replay_fraction": (replayed / total_epochs) if total_epochs else 0.0,
         "service_stats": service.stats,
     }
 
@@ -195,7 +189,6 @@ def run_experiment(quick: bool = False):
                     m["warm"],
                     hits,
                     m["snapshots"] - 1 - m["warm"] - hits,
-                    f"{m['replay_fraction']:.2f}",
                     f"{m['median_cold_ms']:.1f}",
                     f"{m['median_plain_ms']:.1f}",
                     f"{m['median_delta_ms']:.1f}",
@@ -215,7 +208,7 @@ def run_experiment(quick: bool = False):
     out = table(
         [
             "trajectory", "size", "snaps", "warm", "hit", "fallback",
-            "replay frac", "cold ms", "plain ms", "delta ms", "ratio",
+            "cold ms", "plain ms", "delta ms", "ratio",
         ],
         rows,
     )
@@ -239,8 +232,7 @@ if __name__ == "__main__":
     for m in findings["families"]:
         print(
             f"{m['trajectory']}@{m['size']}: {m['warm']}/{m['snapshots'] - 1} "
-            f"warm, replay fraction {m['replay_fraction']:.2f}, "
-            f"median delta {m['median_delta_ms']:.1f}ms vs cold "
+            f"warm, median delta {m['median_delta_ms']:.1f}ms vs cold "
             f"{m['median_cold_ms']:.1f}ms ({m['ratio']:.2f}x; plain "
             f"{m['median_plain_ms']:.1f}ms)"
         )

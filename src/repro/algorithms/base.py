@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.framework import InstanceLayout, TwoPhaseResult
-from repro.core.engines.journal import active_journal
 from repro.core.problem import Problem
 from repro.core.solution import Solution
 from repro.core.types import EdgeKey
@@ -82,10 +81,6 @@ def tree_layouts(
     is assembled from lookups and only new networks or new paths do
     any work.  A path with a non-``int`` endpoint is computed fresh,
     like the path itself.
-
-    Under an active first-phase journal (the delta-solve path), every
-    network whose layout needed no new decomposition and no new path
-    layering counts one ``layouts_reused``.
     """
     try:
         builder = DECOMPOSITION_BUILDERS[decomposition]
@@ -94,7 +89,6 @@ def tree_layouts(
             f"unknown decomposition {decomposition!r}; "
             f"choose from {sorted(DECOMPOSITION_BUILDERS)}"
         )
-    journal = active_journal()
     decomps: Dict[int, TreeDecomposition] = {}
     group_of: Dict[int, int] = {}
     pi: Dict[int, Tuple[EdgeKey, ...]] = {}
@@ -107,7 +101,6 @@ def tree_layouts(
         net = problem.networks[nid]
         trees = net.memo.trees
         entry = trees.get(decomposition)
-        reused = entry is not None
         if entry is None:
             entry = trees.setdefault(decomposition, (builder(net), {}))
         td, by_path = entry
@@ -116,13 +109,10 @@ def tree_layouts(
             exact = type(d.u) is int and type(d.v) is int
             layering = by_path.get(path) if exact else None
             if layering is None:
-                reused = False
                 layering = path_layering(td, path)
                 if exact:
                     by_path[path] = layering
             group_of[d.instance_id], pi[d.instance_id] = layering
-        if reused and journal is not None:
-            journal.layouts_reused += 1
         decomps[nid] = td
         n_epochs = max(n_epochs, td.max_depth)
     return InstanceLayout(group_of=group_of, pi=pi, n_epochs=n_epochs), decomps
@@ -135,11 +125,8 @@ def line_layouts(problem: Problem) -> InstanceLayout:
     An instance's critical slots depend on its endpoints alone and are
     memoized on the network like :func:`tree_layouts`' layerings; its
     group depends on the shortest instance of its network, so groups
-    are recomputed per call.  Under an active first-phase journal,
-    every network that needed no new critical slots counts one
-    ``layouts_reused``.
+    are recomputed per call.
     """
-    journal = active_journal()
     group_of: Dict[int, int] = {}
     pi: Dict[int, Tuple[EdgeKey, ...]] = {}
     n_epochs = 0
@@ -153,19 +140,15 @@ def line_layouts(problem: Problem) -> InstanceLayout:
             continue
         slots = net.memo.line_slots
         l_min = min(d.length for d in instances)
-        reused = True
         for d in instances:
             k = length_class(d.length, l_min)
             exact = type(d.u) is int and type(d.v) is int
             critical = slots.get((d.u, d.v)) if exact else None
             if critical is None:
-                reused = False
                 critical = critical_slots(nid, d)
                 if exact:
                     slots[(d.u, d.v)] = critical
             group_of[d.instance_id] = k
             pi[d.instance_id] = critical
             n_epochs = max(n_epochs, k)
-        if reused and journal is not None:
-            journal.layouts_reused += 1
     return InstanceLayout(group_of=group_of, pi=pi, n_epochs=n_epochs)

@@ -3,15 +3,15 @@
 ``reference`` is the executable specification (the literal Figure 7
 loop) and the only engine that builds the global conflict graph.
 ``incremental`` is the dirty-set production engine, run on per-epoch
-:class:`~repro.core.plan.EpochPlan` slices, with an optional journal
-that replays certified epochs.  ``vectorized`` is the numpy-columnar
-kernel (:mod:`repro.core.engines.columnar`).  All three engines are
-serial and produce bit-identical semantic artifacts for the bundled
-raise rules and MIS oracles; :mod:`repro.core.framework` is the stable
-facade that selects between them.
+:class:`~repro.core.plan.EpochPlan` slices.  ``vectorized`` is the
+numpy-columnar kernel (:mod:`repro.core.engines.columnar`).  All three
+engines are serial and produce bit-identical semantic artifacts for
+the bundled raise rules and MIS oracles; :mod:`repro.core.framework` is
+the stable facade that selects between them.  No engine warm-starts: a
+delta solve is a plain solve (:mod:`repro.service.delta`).
 
 The second phase (:mod:`repro.core.engines.admission`) is the
-reversed-stack reference pop on every path, delta solves included.
+reversed-stack reference pop on every path.
 """
 from repro.core.engines.admission import run_second_phase
 from repro.core.engines.artifacts import (
@@ -30,34 +30,14 @@ from repro.core.engines.incremental import (
     run_epoch_incremental,
     run_first_phase_incremental,
 )
-from repro.core.engines.journal import (
-    EpochRecord,
-    FirstPhaseJournal,
-    PhaseLog,
-    SolveJournal,
-    active_journal,
-    epoch_signature,
-    journal_context,
-    phase_config,
-    predict_dirty_epochs,
-)
 from repro.core.engines.reference import run_first_phase_reference
 
 __all__ = [
     "ColumnarLayout",
-    "EpochRecord",
     "FirstPhaseArtifacts",
-    "FirstPhaseJournal",
     "InstanceLayout",
     "PhaseCounters",
-    "PhaseLog",
-    "SolveJournal",
-    "active_journal",
-    "epoch_signature",
     "group_members",
-    "journal_context",
-    "phase_config",
-    "predict_dirty_epochs",
     "run_epoch_columnar",
     "run_epoch_incremental",
     "run_first_phase_incremental",

@@ -5,8 +5,8 @@ reverse and greedily admits every instance that keeps the solution
 feasible (:class:`~repro.core.solution.CapacityLedger`).  The pop here
 is byte-for-byte the historical ``run_second_phase`` loop -- the
 executable specification -- plus an account of the admission work it
-did.  It is a pure function of the stack, so every path (cold, delta,
-journaled or not) runs this one pop.
+did.  It is a pure function of the stack, and every path, delta
+solves included, runs this one pop.
 """
 from __future__ import annotations
 

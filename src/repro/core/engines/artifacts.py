@@ -11,7 +11,7 @@ facade.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.demand import DemandInstance
@@ -107,38 +107,12 @@ class PhaseCounters:
     #: recorded before these fields existed must keep verifying).
     ADMISSION_FIELDS = ("admission_checks", "admitted", "rejected")
 
-    #: Fields :meth:`fold_phase1` does not sum: ``epochs`` and the second
-    #: phase are the caller's to account, and ``max_steps_per_stage`` is
-    #: maxed.
-    UNFOLDED_FIELDS = (
-        "epochs", "max_steps_per_stage", "phase2_rounds",
-    ) + ADMISSION_FIELDS
-
-    def fold_phase1(self, part: "PhaseCounters") -> None:
-        """Add one epoch's first-phase counters into this total.
-
-        Every field outside :data:`UNFOLDED_FIELDS` is summed, so a new
-        work counter is folded without touching the engines that merge
-        per-epoch counters (the incremental engine and its journal).
-        """
-        for f in _FOLDED_FIELDS:
-            setattr(self, f, getattr(self, f) + getattr(part, f))
-        self.max_steps_per_stage = max(
-            self.max_steps_per_stage, part.max_steps_per_stage
-        )
-
     def semantic_tuple(self, include_admission: bool = False) -> Tuple[int, ...]:
         """The engine-independent schedule counters, for equivalence checks."""
         fields = self.SEMANTIC_FIELDS
         if include_admission:
             fields = fields + self.ADMISSION_FIELDS
         return tuple(getattr(self, f) for f in fields)
-
-
-_FOLDED_FIELDS = tuple(
-    f.name for f in fields(PhaseCounters)
-    if f.name not in PhaseCounters.UNFOLDED_FIELDS
-)
 
 
 FirstPhaseArtifacts = Tuple[

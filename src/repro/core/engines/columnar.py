@@ -20,9 +20,9 @@ numpy-columnar encoding of the epoch's members instead of python dicts:
   :class:`~repro.core.dual.RaiseEvent` / stack batches and the touched
   dual keys committed to the master
   :class:`~repro.core.dual.DualState` in first-write order with their
-  final array values (bitwise the values per-event replay would
+  final array values (bitwise the values applying each event in turn would
   produce -- see :func:`commit_epoch`), so ``TwoPhaseResult`` and every
-  downstream consumer (second phase, journal, service digests) see
+  downstream consumer (second phase, service digests) see
   artifacts indistinguishable from the serial engines'.
 
 Conflict buckets instead of adjacency

@@ -8,14 +8,10 @@ only the stages some member fails; see
 The per-epoch loop body lives in :func:`run_epoch_incremental`, and
 every epoch runs it on the slices of an
 :class:`~repro.core.plan.EpochPlan`: the epoch's members, their
-conflict adjacency and their reverse index.  An installed
-:class:`~repro.core.engines.journal.FirstPhaseJournal` only wraps that
-call: it checks each epoch's signature, replays a certified epoch
-instead of running it, and records every epoch for the next solve.
+conflict adjacency and their reverse index.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Mapping, Sequence
 
 from repro.core.demand import DemandInstance
@@ -25,12 +21,6 @@ from repro.core.engines.artifacts import (
     InstanceLayout,
     PhaseCounters,
     stall_error,
-)
-from repro.core.engines.journal import (
-    EpochRecord,
-    active_journal,
-    epoch_signature,
-    phase_config,
 )
 from repro.core.plan import EpochPlan
 from repro.core.types import InstanceId
@@ -206,94 +196,22 @@ def run_first_phase_incremental(
 
     Each epoch runs on its :class:`~repro.core.plan.EpochPlan` slices
     (Figure 7's MIS only ever looks at the current group, so
-    cross-epoch conflict pairs are never built).  When a
-    :class:`~repro.core.engines.journal.FirstPhaseJournal` is installed
-    (:func:`~repro.core.engines.journal.journal_context`), each
-    non-empty epoch is also signature-checked against the journal's
-    ancestor: a match replays the recorded events onto the dual instead
-    of running the epoch, and either way the epoch is recorded, so
-    every journaled solve yields a complete journal for the next one.
+    cross-epoch conflict pairs are never built).
     """
     dual = DualState(use_height_rule=raise_rule.use_height_rule)
     by_id = {d.instance_id: d for d in instances}
     plan = EpochPlan.build(instances, layout)
-    journal = active_journal()
-    past = log = None
-    if journal is not None:
-        config = phase_config(layout, raise_rule, thresholds, mis_oracle)
-        past, log, predicted = journal.begin_phase(config, plan)
     events: List[RaiseEvent] = []
     stack: List[List[DemandInstance]] = []
     counters = PhaseCounters()
     order = 0
     for epoch in range(1, layout.n_epochs + 1):
-        members = plan.members.get(epoch, [])
         counters.epochs += 1
-        if not members:
-            continue
-        if log is not None:
-            signature = epoch_signature(members, dual, layout)
-            record = past.records.get(epoch) if past is not None else None
-            if record is not None and record.signature == signature:
-                order = _replay_epoch(
-                    record, dual, raise_rule, events, stack, order
-                )
-                counters.fold_phase1(record.counters)
-                log.records[epoch] = record
-                journal.epochs_replayed += 1
-                continue
-            if past is not None and epoch not in predicted:
-                journal.prediction_misses += 1
-        part = PhaseCounters()
-        start_ev, start_st = len(events), len(stack)
-        order = run_epoch_incremental(
-            epoch, members, by_id, dual, plan.index[epoch],
-            plan.adjacency[epoch], layout, raise_rule, thresholds,
-            mis_oracle, events, stack, part, order,
-        )
-        counters.fold_phase1(part)
-        if log is not None:
-            log.records[epoch] = EpochRecord(
-                signature=signature,
-                events=tuple(events[start_ev:]),
-                stack=tuple(tuple(b) for b in stack[start_st:]),
-                counters=part,
+        members = plan.members.get(epoch)
+        if members:
+            order = run_epoch_incremental(
+                epoch, members, by_id, dual, plan.index[epoch],
+                plan.adjacency[epoch], layout, raise_rule, thresholds,
+                mis_oracle, events, stack, counters, order,
             )
-            journal.epochs_rerun += 1
     return dual, stack, events, counters
-
-
-def _replay_epoch(
-    record: EpochRecord,
-    dual: DualState,
-    raise_rule: RaiseRule,
-    events: List[RaiseEvent],
-    stack: List[List[DemandInstance]],
-    order: int,
-) -> int:
-    """Re-apply a recorded epoch's writes to *dual*; returns next order.
-
-    Mirrors :meth:`RaiseRule.apply` write-for-write: ``delta == 0.0``
-    is exactly apply's no-write early return (``slack <= EPS``), since
-    a positive slack over these rules' positive denominators cannot
-    round to zero; otherwise alpha moves by the recorded delta and each
-    critical edge by the rule's ``beta_increment`` -- a pure function
-    of (delta, n_crit), so recomputing it reproduces the recorded run's
-    float bit-for-bit.  Only the ``order`` field can differ from the
-    recording (earlier epochs may have replayed a different event
-    count), so events are re-stamped when needed and shared otherwise.
-    """
-    alpha, beta = dual.alpha, dual.beta
-    for ev in record.events:
-        if ev.delta != 0.0:
-            if raise_rule.use_alpha:
-                a = ev.instance.demand_id
-                alpha[a] = alpha.get(a, 0.0) + ev.delta
-            inc = raise_rule.beta_increment(ev.delta, len(ev.critical_edges))
-            for e in ev.critical_edges:
-                beta[e] = beta.get(e, 0.0) + inc
-        events.append(ev if ev.order == order else replace(ev, order=order))
-        order += 1
-    for batch in record.stack:
-        stack.append(list(batch))
-    return order

@@ -18,9 +18,10 @@ coordinate.  Three oracles are provided:
   (``make_mis_oracle('luby', seed)``) keeps one independent substream
   per *epoch*, derived from ``(seed, epoch)``: processors working in
   different epochs share no randomness, which mirrors the distributed
-  reality and makes epoch executions order-independent -- the property
-  the warm-start journal relies on to replay or re-run any epoch
-  bit-identically.
+  reality and makes epoch executions order-independent: an epoch's
+  draws depend on ``(seed, epoch)`` alone, so every engine -- the
+  columnar kernel draws from :meth:`LubyOracle.substream` directly --
+  sees the same priorities in each epoch, bit for bit.
 * hash-Luby (``make_mis_oracle('hash', seed)``) -- identical process,
   but each priority is a cryptographic hash of (seed, instance key,
   context, iteration).  Any processor can recompute any priority
@@ -172,9 +173,9 @@ class LubyOracle:
     """Luby's MIS with one independent RNG substream per epoch.
 
     An epoch's draws depend only on ``(seed, epoch)``, never on which
-    other epochs ran before it, so a journaled solve can replay some
-    epochs and re-run others and still draw exactly the priorities a
-    cold solve would.  A module-level class (not a closure), so the
+    other epochs ran before it, so every engine draws exactly the
+    priorities the reference loop would, however it reaches the
+    epoch's substream.  A module-level class (not a closure), so the
     oracle pickles; an unpickled copy starts epoch substreams from the
     same derived seeds.
     """

@@ -8,7 +8,7 @@ two-tier verified result cache with TTL/invalidation
 request pools (:mod:`repro.service.pools`), and an asyncio front door
 with a JSON-over-TCP endpoint (:mod:`repro.service.async_front`), the
 delta-solve ingredients --
-sketches, problem diffs, change-storm debouncing
+sketches, problem diffs, network-memo adoption, change-storm debouncing
 (:mod:`repro.service.delta`), schedule-diff egress
 (:mod:`repro.service.diff`), and a sharded tier -- consistent-hash
 router over forked shard workers (:mod:`repro.service.shard`).
@@ -34,9 +34,7 @@ from repro.service.cache import (
 )
 from repro.service.delta import (
     DELTA_OUTCOMES,
-    TOO_DIRTY_FRACTION,
     ChangeDebouncer,
-    DeltaArtifacts,
     DeltaStats,
     ProblemDelta,
     delta_key,
@@ -81,7 +79,6 @@ __all__ = [
     "CacheStats",
     "ChangeDebouncer",
     "DELTA_OUTCOMES",
-    "DeltaArtifacts",
     "DeltaStats",
     "DeltaSyncError",
     "Fingerprint",
@@ -101,7 +98,6 @@ __all__ = [
     "ShardUnavailable",
     "SolveKnobs",
     "SolveRequest",
-    "TOO_DIRTY_FRACTION",
     "apply_delta",
     "default_registry",
     "delta_key",

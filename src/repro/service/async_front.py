@@ -37,8 +37,8 @@ pools via :func:`~repro.service.pools.shutdown_pools`, so a cleanly
 closed front door leaves zero live worker threads.
 
 **Delta requests.**  :meth:`solve_delta` is the awaitable face of
-:meth:`SchedulingService.solve_delta` -- answer a perturbed problem by
-warm-starting from a cached ancestor's journal.  With
+:meth:`SchedulingService.solve_delta` -- answer a perturbed problem on
+the network memos of a cached ancestor.  With
 ``delta_debounce > 0`` the front door additionally coalesces *change
 storms*: rapid-fire delta submissions whose problems share a
 :func:`~repro.service.delta.delta_key` collapse into one solve of the
@@ -601,7 +601,7 @@ class AsyncSchedulingService:
         """
         if "epoch_below" not in message:
             raise ValueError("invalidate requires an epoch_below field")
-        epoch_below = int(message["epoch_below"])
+        epoch_below = validate_seed(message["epoch_below"], "epoch_below")
         loop = asyncio.get_running_loop()
         dropped = await loop.run_in_executor(
             self._admission(),

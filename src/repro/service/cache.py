@@ -175,11 +175,12 @@ class CacheEntry:
     value: object = field(repr=False)
     expires_at: Optional[float] = None
     epoch: int = 0
-    #: Opaque warm-start payload (the delta path's solve journal),
-    #: stored only under ``keep_artifacts=True`` and only in the memory
-    #: tier -- :meth:`ResultCache.write_disk` strips it, so the disk
-    #: pickle never re-serializes first-phase internals and an entry
-    #: reloaded from disk simply has no warm-start to offer.
+    #: Opaque delta-path payload (the solved problem, whose networks a
+    #: later delta request can adopt memos from), stored only under
+    #: ``keep_artifacts=True`` and only in the memory tier --
+    #: :meth:`ResultCache.write_disk` strips it, so the disk pickle
+    #: never re-serializes the problem and an entry reloaded from disk
+    #: simply is no ancestor.
     artifacts: object = field(default=None, repr=False, compare=False)
 
 
@@ -210,10 +211,11 @@ class ResultCache:
         The monotonic clock TTL deadlines are stamped and checked
         against.  Injectable so tests can advance time explicitly.
     keep_artifacts:
-        Opt-in: retain warm-start artifacts handed to ``put``/
-        ``make_entry`` on the in-memory entry.  Off by default so
-        ordinary serving never pays the memory (artifacts can dwarf the
-        report) -- and artifacts never reach the disk tier either way.
+        Opt-in: retain the artifacts handed to ``put``/``make_entry``
+        (the delta path's solved problem) on the in-memory entry.  Off
+        by default so ordinary serving never pays the memory (artifacts
+        can dwarf the report) -- and artifacts never reach the disk tier
+        either way.
     """
 
     def __init__(
@@ -328,7 +330,7 @@ class ResultCache:
         explicitly for a never-expiring entry, or a float override.
         *artifacts* is dropped unless the cache opted into
         ``keep_artifacts`` -- the digest never covers it, it is a
-        warm-start accelerant, not part of the cached answer.
+        delta-path accelerant, not part of the cached answer.
         """
         if ttl is _UNSET_TTL:
             ttl = self.ttl
@@ -355,7 +357,7 @@ class ResultCache:
 
         Still side-effect free (the expired entry is left for the next
         real lookup to evict and count); the delta path uses this to
-        screen warm-start ancestors without perturbing LRU order or
+        screen delta ancestors without perturbing LRU order or
         hit/expiration accounting.
         """
         entry = self._entries.get(fingerprint.digest)
@@ -507,9 +509,8 @@ class ResultCache:
         if self.disk_dir is None:
             return False
         if getattr(entry, "artifacts", None) is not None:
-            # Warm-start artifacts are a memory-tier accelerant only:
-            # pickling a whole first-phase journal per store is exactly
-            # the cost keep_artifacts= exists to avoid.
+            # Artifacts are a memory-tier accelerant only: pickling a
+            # whole problem per store is a cost nothing reads back.
             entry = replace(entry, artifacts=None)
         tmp: Optional[Path] = None
         try:

@@ -1,10 +1,17 @@
-"""Delta-solve support: sketches, problem diffs, debounced change storms.
+"""Delta-solve support: sketches, problem diffs, memo adoption, and
+debounced change storms.
 
 The delta path answers a *perturbed* problem -- one demand added, one
-profit bumped -- by warm-starting from the journal of a cached ancestor
-solve instead of solving cold.  This module holds the service-layer
-ingredients; the replay machinery itself lives in
-:mod:`repro.core.engines.journal`.
+profit bumped -- with the same plain solve a cold request runs.  What
+it adds is an ancestor: a cached solve of an earlier snapshot whose
+networks the new problem shares.  A network's tree decompositions
+depend on the network alone (Lemma 4.1), and an instance's group and
+critical edges on that decomposition and the instance's path (Lemmas
+4.2-4.3), so all of it is memoized on the network object
+(:class:`~repro.trees.tree.NetworkMemo`).  A snapshot that shares its
+ancestor's network objects, or adopts their memos, skips that layout
+work.  Warm and cold requests run the same solve, so their answers
+are bit-identical by construction.
 
 **Sketch.**  The exact fingerprint
 (:func:`~repro.service.fingerprint.solve_fingerprint`) changes under
@@ -14,19 +21,22 @@ id-free network shapes, with the demand side left out entirely.  Every
 demand-level mutation (add, drop, profit/height change) preserves it,
 so all snapshots of a churn trajectory that leave the networks alone
 share one sketch -- that is the bucket the service's ancestor index is
-keyed by (:func:`delta_key` additionally folds in the solve knobs,
-since a journal recorded under different knobs can never certify).
+keyed by (:func:`delta_key` additionally folds in the solve knobs).
 Sketch equality is deliberately weak: two genuinely different problems
-may collide.  Collisions are harmless -- the ancestor is only a warm
-start, and :func:`diff_problems` plus per-epoch signature checks decide
-what, if anything, is reused.
+may collide.  Collisions are harmless -- an ancestor only lends
+network memos, and only to networks that are the same network.
 
 **Diff.**  :func:`diff_problems` compares demand records by id
-(payload + access set) and network shapes by id.  Its touched sets
-drive the dirty-epoch *prediction* and the too-dirty bail; correctness
-never depends on the diff being tight.  ``networks_changed`` is the
-sketch-collision backstop: a same-shape network swap collides in the
-sketch but is caught here and falls back to a cold solve.
+(payload + access set) and network shapes by id.  The service picks
+the ancestor with the fewest touched demands, and reports the count.
+``networks_changed`` is the sketch-collision backstop: a same-shape
+network swap collides in the sketch but is caught here and reported
+as ``network-change`` instead of ``warm``.
+
+**Adoption.**  A wire request rebuilds every object, so its networks
+equal the ancestor's without being the same objects.
+:func:`adopt_network_memos` lets each of them share the memo of the
+same network in the ancestor.
 
 **Debounce.**  :class:`ChangeDebouncer` coalesces change storms on the
 async front door, the event-driven rescheduling shape of openwsn's
@@ -44,7 +54,6 @@ from hashlib import sha256
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.core.canonical import stable_digest
-from repro.core.engines.journal import SolveJournal
 from repro.core.problem import Problem
 from repro.service.fingerprint import (
     SolveKnobs,
@@ -56,10 +65,8 @@ from repro.service.fingerprint import (
 __all__ = [
     "ChangeDebouncer",
     "DELTA_OUTCOMES",
-    "DeltaArtifacts",
     "DeltaStats",
     "ProblemDelta",
-    "TOO_DIRTY_FRACTION",
     "adopt_network_memos",
     "delta_key",
     "diff_problems",
@@ -68,17 +75,13 @@ __all__ = [
 
 _DELTA_KEY_TAG = "delta-key/v1"
 
-#: Bail to a cold solve when the diff touches more than this fraction
-#: of the new problem's demands: past that point the "re-run dirty
-#: epochs" story degenerates to "re-run everything plus bookkeeping".
-TOO_DIRTY_FRACTION = 0.5
-
 #: The ways a delta request can resolve (``DeltaStats.outcome``):
-#: ``"warm"`` ran the certified-replay solve; the rest fell back cold,
-#: naming why -- no cached ancestor under the delta key, a network
-#: shape changed (including sketch collisions caught by the diff), the
-#: diff touched too many demands, or the requested engine is not the
-#: journaled incremental one.
+#: ``"warm"`` found a live ancestor with the same networks; the rest
+#: name why not -- no cached ancestor under the delta key, or a network
+#: shape changed (including sketch collisions caught by the diff).
+#: Every outcome runs the same plain solve.  ``"too-dirty"`` and
+#: ``"engine-fallback"`` are retired and never emitted; they stay
+#: listed because counters keyed by every name here still read them.
 DELTA_OUTCOMES = (
     "warm",
     "ancestor-miss",
@@ -104,9 +107,9 @@ def problem_sketch(problem: Problem) -> str:
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
     """The ancestor-index bucket: sketch plus the solve-knob key.
 
-    Folding the knobs in means an ancestor recorded under a different
-    oracle, seed, epsilon or capacity epoch is never even considered --
-    its journal's phase configs could not certify anyway.
+    Folding the knobs in gives each knob setting buckets of its own, so
+    a trajectory served under two settings keeps one line of ancestors
+    per setting.
     """
     return stable_digest(
         (_DELTA_KEY_TAG, problem_sketch(problem), knobs.canonical_form())
@@ -124,29 +127,17 @@ class ProblemDelta:
     changed: Tuple[int, ...]
     #: Union of the three id sets.
     touched_demands: frozenset
-    #: Path edges of every instance of a touched demand, on either
-    #: side of the diff -- the keys a perturbation can move duals on.
-    touched_edges: frozenset
-    #: Any network added, removed, or reshaped (id-wise).  Warm starts
-    #: are refused outright in this case: instance paths and layouts
-    #: are network-derived, so nothing certifies cheaply.
+    #: Any network added, removed, or reshaped (id-wise): the request
+    #: then answers ``network-change``, not ``warm``.
     networks_changed: bool
-
-    def dirty_fraction(self, new: Problem) -> float:
-        """Touched demands over the new problem's demand count."""
-        if not new.demands:
-            return 1.0 if self.touched_demands else 0.0
-        return len(self.touched_demands) / len(new.demands)
 
 
 def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
-    """Diff two problems into the sets the delta path steers by.
+    """Diff two problems by demand id and network id.
 
     Demands are matched by id; a demand counts as changed when its
-    id-free payload *or* its access tuple differs.  Touched edges come
-    from the instance expansions of both problems -- the ancestor's
-    ``instances`` cached property is already warm from its solve, and
-    the new problem's expansion is needed by the solve anyway.
+    id-free payload *or* its access tuple differs.  Nothing is
+    expanded into instances.
     """
     # Identity fast-paths throughout: trajectory snapshots share the
     # objects a mutation did not rebuild, so ``is`` dodges the payload
@@ -175,26 +166,19 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     changed = tuple(
         sorted(i for i in old_by_id if i in new_by_id and demand_differs(i))
     )
-    touched = frozenset(added) | frozenset(removed) | frozenset(changed)
-    touched_edges = set()
-    if touched:
-        for problem in (old, new):
-            for inst in problem.instances:
-                if inst.demand_id in touched:
-                    touched_edges |= inst.path_edges
     return ProblemDelta(
         added=added,
         removed=removed,
         changed=changed,
-        touched_demands=touched,
-        touched_edges=frozenset(touched_edges),
+        touched_demands=frozenset(added + removed + changed),
         networks_changed=networks_changed,
     )
 
 
-def adopt_network_memos(old: Problem, new: Problem) -> None:
+def adopt_network_memos(old: Problem, new: Problem) -> int:
     """Let each rebuilt network of *new* share the memo of the same-id
-    network of *old* (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`).
+    network of *old* (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`);
+    returns how many adopted one.
 
     A wire request rebuilds every object, so its networks equal the
     ancestor's without being the same objects, and would otherwise
@@ -202,21 +186,12 @@ def adopt_network_memos(old: Problem, new: Problem) -> None:
     with no memo of its own and the identical ordered adjacency, so
     what it serves is exactly what the network would build itself.
     """
+    adopted = 0
     for nid, net in new.networks.items():
         ancestor = old.networks.get(nid)
         if ancestor is not None and ancestor is not net:
-            net.adopt_memo(ancestor)
-
-
-@dataclass
-class DeltaArtifacts:
-    """What a cache entry retains for future warm starts: the solved
-    problem object (its ``instances`` expansion stays warm for diffs)
-    and the solve's journal.  Lives only in the memory tier -- see
-    ``ResultCache(keep_artifacts=True)``."""
-
-    problem: Problem
-    journal: SolveJournal
+            adopted += net.adopt_memo(ancestor)
+    return adopted
 
 
 @dataclass(frozen=True)
@@ -224,16 +199,15 @@ class DeltaStats:
     """Per-request delta telemetry, attached to the service result."""
 
     outcome: str
-    #: Short fingerprint of the warm-start ancestor (warm outcomes only).
+    #: Short fingerprint of the ancestor (warm outcomes only).
     ancestor: Optional[str] = None
+    #: Demands the diff against that ancestor added, removed or changed
+    #: (warm outcomes only).
     touched_demands: int = 0
-    touched_edges: int = 0
-    epochs_replayed: int = 0
-    epochs_rerun: int = 0
-    predicted_dirty: int = 0
-    prediction_misses: int = 0
-    phases: int = 0
-    layouts_reused: int = 0
+    #: Networks of this request that adopted an ancestor's memo -- the
+    #: one thing a delta request does that a plain solve does not.
+    #: Zero when the request shares the ancestor's network objects.
+    networks_adopted: int = 0
 
     def snapshot(self) -> dict:
         """A plain-dict copy (wire responses, findings JSON)."""
@@ -241,13 +215,7 @@ class DeltaStats:
             "outcome": self.outcome,
             "ancestor": self.ancestor,
             "touched_demands": self.touched_demands,
-            "touched_edges": self.touched_edges,
-            "epochs_replayed": self.epochs_replayed,
-            "epochs_rerun": self.epochs_rerun,
-            "predicted_dirty": self.predicted_dirty,
-            "prediction_misses": self.prediction_misses,
-            "phases": self.phases,
-            "layouts_reused": self.layouts_reused,
+            "networks_adopted": self.networks_adopted,
         }
 
     def numeric_counters(self) -> dict:

@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.algorithms.auto import problem_family, solve_auto
 from repro.algorithms.base import AlgorithmReport
-from repro.core.engines.journal import FirstPhaseJournal, journal_context
 from repro.core.problem import Problem
 from repro.obs import (
     MetricsRegistry,
@@ -54,8 +53,6 @@ from repro.obs import (
 from repro.service.cache import ResultCache
 from repro.service.delta import (
     DELTA_OUTCOMES,
-    TOO_DIRTY_FRACTION,
-    DeltaArtifacts,
     DeltaStats,
     ProblemDelta,
     adopt_network_memos,
@@ -73,9 +70,9 @@ __all__ = [
     "SolveRequest",
 ]
 
-#: How many warm-start ancestors one delta bucket retains (newest-last
-#: LRU): a churn trajectory needs exactly one live ancestor, a small
-#: surplus tolerates interleaved trajectories sharing a sketch.
+#: How many ancestors one delta bucket retains (newest-last LRU): a
+#: churn trajectory needs exactly one live ancestor, a small surplus
+#: tolerates interleaved trajectories sharing a sketch.
 _DELTA_ANCESTOR_CAP = 4
 
 
@@ -145,10 +142,11 @@ class ServiceResult:
     ``status`` is ``"hit"`` (served from cache, either tier),
     ``"miss"`` (a fresh cold solve ran; coalesced callers share the
     miss result of the one solve that served them) or ``"delta"`` (a
-    :meth:`SchedulingService.submit_delta` request warm-started from a
-    cached ancestor's journal -- certified bit-identical to a cold
-    solve, see :mod:`repro.service.delta`).  ``latency_s`` measures
-    this request's submit-to-resolution wall-clock.
+    :meth:`SchedulingService.submit_delta` request that found a cached
+    ancestor with the same networks and solved on its network memos --
+    the same solve a miss runs, see :mod:`repro.service.delta`).
+    ``latency_s`` measures this request's submit-to-resolution
+    wall-clock.
     """
 
     report: AlgorithmReport = field(repr=False)
@@ -204,12 +202,12 @@ class SchedulingService:
     clock:
         Monotonic clock for TTL deadlines (injectable for tests).
     keep_artifacts:
-        Opt into warm-start journaling: incremental-engine solves run
-        journaled, the journal rides the cache entry (memory tier only)
-        and the entry is indexed by its delta key, making it a
-        candidate ancestor for :meth:`submit_delta`.  Off by default --
-        journals cost memory and a little recording time, and a service
-        that never sees delta traffic should pay neither.
+        Retain each solved problem so :meth:`submit_delta` can find it
+        as an ancestor: the problem rides its cache entry (memory tier
+        only) and the entry is indexed by its delta key.  Off by
+        default -- a retained problem keeps its whole instance
+        expansion alive, and a service that never sees delta traffic
+        should not pay for that.
     metrics:
         Telemetry switch.  ``None`` (default) disables request tracing
         entirely -- the instrumented path degenerates to no-op spans.
@@ -286,13 +284,14 @@ class SchedulingService:
         self._delta_requests = 0
         self._delta_outcomes: Dict[str, int] = {o: 0 for o in DELTA_OUTCOMES}
         #: Numeric DeltaStats counters summed over every delta request
-        #: (warm and fallback alike), so operators can read replay
-        #: effectiveness off one ``stats`` call instead of sampling
-        #: per-request results.  Seeded from a snapshot's numeric keys
-        #: so the counters read zero before any delta traffic, but the
-        #: accumulation in :meth:`_solve_delta_into` iterates the live
-        #: snapshot -- a counter added to ``DeltaStats`` later still
-        #: shows up in ``stats["delta_totals"]``.
+        #: (warm and fallback alike), so operators can read how much
+        #: delta traffic reused off one ``stats`` call instead of
+        #: sampling per-request results.  Seeded from a snapshot's
+        #: numeric keys so the counters read zero before any delta
+        #: traffic, but the accumulation in :meth:`_solve_delta_into`
+        #: iterates the live snapshot -- a counter added to
+        #: ``DeltaStats`` later still shows up in
+        #: ``stats["delta_totals"]``.
         self._delta_totals: Dict[str, int] = {
             k: 0 for k in DeltaStats(outcome="warm").numeric_counters()
         }
@@ -324,13 +323,13 @@ class SchedulingService:
 
         The front of the pipeline is identical -- exact-fingerprint
         cache hits and in-flight coalescing behave exactly as for
-        :meth:`submit` (an unchanged resubmission is a ``"hit"``, never
-        a replay).  Only a genuinely new fingerprint diverges: the
-        worker looks up a warm-start ancestor under the request's delta
-        key and runs the certified-replay solve, falling back to a cold
-        solve (``DeltaStats.outcome`` says why) whenever warm-starting
-        is impossible; either way the result is bit-identical to a cold
-        solve of this exact problem.
+        :meth:`submit` (an unchanged resubmission is a ``"hit"``).  Only
+        a genuinely new fingerprint diverges: the worker looks up an
+        ancestor under the request's delta key, lets the request's
+        rebuilt networks adopt the ancestor's network memos, and then
+        runs the same plain solve :meth:`submit` would, on any engine.
+        ``DeltaStats.outcome`` says whether an ancestor was found, and
+        the answer is bit-identical to a cold solve either way.
         """
         return self._submit_common(request, self._solve_delta_into)
 
@@ -539,73 +538,50 @@ class SchedulingService:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _journals(self, knobs: SolveKnobs) -> bool:
-        """Whether a solve under *knobs* records a warm-start journal:
-        only the incremental engine reads a journal, and only
-        a ``keep_artifacts`` service has anywhere to put the result."""
-        return self.keep_artifacts and knobs.engine == "incremental"
-
-    def _solve_request(
-        self,
-        request: SolveRequest,
-        journal: Optional[FirstPhaseJournal],
-    ) -> AlgorithmReport:
-        """Run the solve, journaled when a journal is supplied."""
+    def _solve_request(self, request: SolveRequest) -> AlgorithmReport:
+        """Run the plain solve of *request* under its knobs."""
         k = request.knobs
-
-        def call() -> AlgorithmReport:
-            return solve_auto(
-                request.problem,
-                epsilon=k.epsilon,
-                mis=k.mis,
-                seed=k.seed,
-                decomposition=k.decomposition,
-                engine=k.engine,
-            )
-
-        if journal is None:
-            return call()
-        with journal_context(journal):
-            return call()
+        return solve_auto(
+            request.problem,
+            epsilon=k.epsilon,
+            mis=k.mis,
+            seed=k.seed,
+            decomposition=k.decomposition,
+            engine=k.engine,
+        )
 
     def _admit_result(
         self,
         request: SolveRequest,
         fp: Fingerprint,
         report: AlgorithmReport,
-        journal: Optional[FirstPhaseJournal],
         key: Optional[str] = None,
     ) -> None:
-        """Admit a solved report; index it as a delta ancestor if journaled.
+        """Admit a solved report; on a ``keep_artifacts`` service, also
+        index it as a delta ancestor.
 
         Digest and disk write are the expensive admission steps; they
         run on the calling worker thread, outside the lock.  The write
         is best-effort inside the cache -- a failed persist degrades to
         memory-only, it never fails the request -- and strips the
-        artifacts either way, so journals never get pickled.  The entry
-        inherits the request's capacity epoch, so a later bulk
-        invalidation can find it.  *key* lets the delta path hand down
-        its already-computed :func:`delta_key` (sketching walks every
-        network; doing it twice per request is measurable).
+        retained problem either way.  The entry inherits the request's
+        capacity epoch, so a later bulk invalidation can find it.
+        *key* lets the delta path hand down its already-computed
+        :func:`delta_key` (sketching walks every network; doing it
+        twice per request is measurable).
         """
-        artifacts = (
-            DeltaArtifacts(problem=request.problem, journal=journal.journal)
-            if journal is not None
-            else None
-        )
+        problem = request.problem if self.keep_artifacts else None
         entry = self.cache.make_entry(
-            fp, report, epoch=request.knobs.capacity_epoch, artifacts=artifacts
+            fp, report, epoch=request.knobs.capacity_epoch, artifacts=problem
         )
         self.cache.write_disk(entry)
-        if artifacts is None:
-            key = None
-        elif key is None:
-            key = delta_key(request.problem, request.knobs)
+        if problem is not None and key is None:
+            key = delta_key(problem, request.knobs)
         with self._lock:
             self._solves += 1
             self.cache.stats.stores += 1
             self.cache.admit(entry)
-            if key is not None:
+            if problem is not None:
                 self._register_ancestor(key, fp)
 
     def _register_ancestor(self, key: str, fp: Fingerprint) -> None:
@@ -650,13 +626,10 @@ class SchedulingService:
     ) -> None:
         try:
             with trace.span("solve") as solving:
-                journal = (
-                    FirstPhaseJournal() if self._journals(request.knobs) else None
-                )
-                report = self._solve_request(request, journal)
+                report = self._solve_request(request)
             self._record_solve(trace, getattr(solving, "elapsed", None), "cold")
             with trace.span("digest"):
-                self._admit_result(request, fp, report, journal)
+                self._admit_result(request, fp, report)
             self._finish_request(trace, "cold")
             fut.set_result(
                 ServiceResult(
@@ -730,95 +703,59 @@ class SchedulingService:
     def _delta_solve(
         self, request: SolveRequest, fp: Fingerprint
     ) -> Tuple[AlgorithmReport, DeltaStats]:
-        """The delta decision chain; always ends in an admitted solve.
-
-        Every fallback arm runs the same cold solve a plain
-        :meth:`submit` would (journaled when possible, so the fallback
-        itself seeds the next delta's ancestor) -- the arms differ only
-        in the recorded outcome.
-        """
-        knobs = request.knobs
-        if knobs.engine != "incremental":
-            return self._cold_fallback(request, fp, "engine-fallback")
-        if not self.keep_artifacts:
-            return self._cold_fallback(request, fp, "ancestor-miss")
-        key = delta_key(request.problem, knobs)
-        found = self._find_ancestor(key, request.problem)
+        """Find an ancestor (adopting its network memos), then run and
+        admit the plain solve; the outcome only names what was found."""
+        key = found = None
+        if self.keep_artifacts:
+            key = delta_key(request.problem, request.knobs)
+            found = self._find_ancestor(key, request.problem)
         if found is None:
-            return self._cold_fallback(request, fp, "ancestor-miss", key=key)
-        ancestor_fp, artifacts, delta = found
-        if delta.networks_changed:
-            return self._cold_fallback(request, fp, "network-change", key=key)
-        if delta.dirty_fraction(request.problem) > TOO_DIRTY_FRACTION:
-            return self._cold_fallback(
-                request, fp, "too-dirty", delta=delta, key=key
-            )
-        journal = FirstPhaseJournal(
-            ancestor=artifacts.journal,
-            touched_demands=delta.touched_demands,
-            touched_edges=delta.touched_edges,
-        )
-        report = self._solve_request(request, journal)
-        self._admit_result(request, fp, report, journal, key=key)
-        stats = DeltaStats(
-            outcome="warm",
-            ancestor=ancestor_fp.short,
-            touched_demands=len(delta.touched_demands),
-            touched_edges=len(delta.touched_edges),
-            epochs_replayed=journal.epochs_replayed,
-            epochs_rerun=journal.epochs_rerun,
-            predicted_dirty=journal.predicted_dirty,
-            prediction_misses=journal.prediction_misses,
-            phases=journal.phases,
-            layouts_reused=journal.layouts_reused,
-        )
-        return report, stats
-
-    def _cold_fallback(
-        self,
-        request: SolveRequest,
-        fp: Fingerprint,
-        outcome: str,
-        delta: Optional[ProblemDelta] = None,
-        key: Optional[str] = None,
-    ) -> Tuple[AlgorithmReport, DeltaStats]:
-        journal = FirstPhaseJournal() if self._journals(request.knobs) else None
-        report = self._solve_request(request, journal)
-        self._admit_result(request, fp, report, journal, key=key)
-        stats = DeltaStats(
-            outcome=outcome,
-            touched_demands=0 if delta is None else len(delta.touched_demands),
-            touched_edges=0 if delta is None else len(delta.touched_edges),
-        )
+            stats = DeltaStats(outcome="ancestor-miss")
+        else:
+            ancestor_fp, delta, adopted = found
+            if delta.networks_changed:
+                stats = DeltaStats(
+                    outcome="network-change", networks_adopted=adopted
+                )
+            else:
+                stats = DeltaStats(
+                    outcome="warm",
+                    ancestor=ancestor_fp.short,
+                    touched_demands=len(delta.touched_demands),
+                    networks_adopted=adopted,
+                )
+        report = self._solve_request(request)
+        self._admit_result(request, fp, report, key=key)
         return report, stats
 
     def _find_ancestor(
         self, key: str, problem: Problem
-    ) -> Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]]:
-        """The nearest live ancestor in *key*'s bucket, by diff size.
+    ) -> Optional[Tuple[Fingerprint, ProblemDelta, int]]:
+        """The nearest live ancestor in *key*'s bucket, by diff size,
+        plus how many of *problem*'s networks adopted a memo.
 
         Under the lock: read the bucket newest-first through
         :meth:`~repro.service.cache.ResultCache.peek_fresh` (no recency
         bump -- screening ancestors must not distort the LRU), pruning
-        index entries whose cache entry expired or lost its artifacts
-        (e.g. re-admitted from disk; evicted and invalidated entries
-        have already left the index).  Outside the lock:
-        diff the few survivors against *problem* -- the expensive step
-        -- and pick the smallest touched-demand set among those whose
-        networks are unchanged.  Before the diffs, *problem*'s rebuilt
-        networks adopt the candidates' network memos where they are
-        the same network (:func:`~repro.service.delta.adopt_network_memos`),
-        so a wire-built snapshot reuses its ancestor's paths and
-        layouts.  ``None`` when nothing usable remains;
-        a bucket where *every* candidate changed networks returns the
-        newest such diff, letting the caller report
-        ``"network-change"`` rather than a bare miss.
+        index entries whose cache entry expired or lost its retained
+        problem (e.g. re-admitted from disk; evicted and invalidated
+        entries have already left the index).  Outside the lock:
+        *problem*'s rebuilt networks adopt the candidates' network
+        memos where they are the same network
+        (:func:`~repro.service.delta.adopt_network_memos`), so a
+        wire-built snapshot reuses its ancestor's paths and layouts.
+        Then diff the few survivors against *problem* and pick the
+        smallest touched-demand set among those whose networks are
+        unchanged.  ``None`` when nothing usable remains; a bucket
+        where *every* candidate changed networks returns the newest
+        such diff, letting the caller report ``"network-change"``
+        rather than a bare miss.
         """
         with self._lock:
             bucket = self._delta_index.get(key)
             if not bucket:
                 return None
-            candidates: List[Tuple[Fingerprint, DeltaArtifacts]] = []
+            candidates: List[Tuple[Fingerprint, Problem]] = []
             stale: List[str] = []
             for digest in reversed(bucket):
                 cand_fp = bucket[digest]
@@ -829,23 +766,26 @@ class SchedulingService:
                 candidates.append((cand_fp, entry.artifacts))
             for digest in stale:
                 self._unindex_ancestor(digest)
-        best: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
-        collided: Optional[Tuple[Fingerprint, DeltaArtifacts, ProblemDelta]] = None
-        # Adopt before any diff: diffing expands *problem*, which gives
+        # Adopt before the solve expands *problem*: an expansion gives
         # its networks memos of their own, and those never adopt.
-        for _, artifacts in candidates:
-            adopt_network_memos(artifacts.problem, problem)
-        for cand_fp, artifacts in candidates:
-            delta = diff_problems(artifacts.problem, problem)
+        adopted = sum(
+            adopt_network_memos(ancestor, problem)
+            for _, ancestor in candidates
+        )
+        best: Optional[Tuple[Fingerprint, ProblemDelta]] = None
+        collided: Optional[Tuple[Fingerprint, ProblemDelta]] = None
+        for cand_fp, ancestor in candidates:
+            delta = diff_problems(ancestor, problem)
             if delta.networks_changed:
                 if collided is None:
-                    collided = (cand_fp, artifacts, delta)
+                    collided = (cand_fp, delta)
                 continue
             if best is None or len(delta.touched_demands) < len(
-                best[2].touched_demands
+                best[1].touched_demands
             ):
-                best = (cand_fp, artifacts, delta)
-        return best if best is not None else collided
+                best = (cand_fp, delta)
+        found = best if best is not None else collided
+        return None if found is None else (*found, adopted)
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -61,6 +61,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.distributed.mis import validate_seed
 from repro.obs import default_registry, merge_snapshots, render_prometheus
 from repro.service.async_front import (
     WIRE_LINE_LIMIT,
@@ -836,10 +837,8 @@ class ShardRouter:
     async def _broadcast_invalidate(self, message: dict) -> int:
         if "epoch_below" not in message:
             raise ValueError("invalidate requires an epoch_below field")
-        forward = {
-            "op": "invalidate",
-            "epoch_below": int(message["epoch_below"]),
-        }
+        epoch_below = validate_seed(message["epoch_below"], "epoch_below")
+        forward = {"op": "invalidate", "epoch_below": epoch_below}
         dropped = 0
         for link in self._live_links():
             try:

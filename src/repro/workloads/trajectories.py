@@ -6,8 +6,9 @@ later snapshot applies one small mutation to its predecessor -- the
 change stream a scheduling service sees from a live cluster.  They are
 the input of the delta-solve path (:mod:`repro.service.delta`): every
 mutation here is *id-stable* (existing demand and network ids keep their
-meaning), so consecutive snapshots diff into small touched sets and a
-warm start from the previous snapshot's journal certifies most epochs.
+meaning), so consecutive snapshots diff into small touched sets, and
+all but ``onboard`` keep the previous snapshot's network objects, whose
+memos already hold every layout.
 
 Mutation kinds
 --------------
@@ -17,17 +18,17 @@ Mutation kinds
   old demands keep their instance ids (new ids append at the tail).
 * ``drop-recent`` -- remove the most recently added demand (the tail of
   the demand list), again keeping all surviving instance ids stable.
-  Mid-list drops would shift every later instance id and defeat the
-  per-epoch signature match; churn that *arrives* mid-list is what
-  ``resize`` models instead.
+  A mid-list drop would shift every later instance id; churn that
+  *arrives* mid-list is what ``resize`` models instead.
 * ``resize`` -- scale a random demand's profit (a tenant changing its
-  bid).  Only that demand's epochs re-run.
+  bid).
 * ``capacity-step`` -- scale a random demand's height (its share of
   edge capacity), clamped to its side of the wide/narrow boundary and
   never below the problem's global ``hmin``: crossing either line would
   change the stage-threshold schedule (``narrow_xi`` depends on
-  ``hmin``) or the wide/narrow split, forcing a full re-run instead of
-  a surgical one.  Falls back to ``resize`` when no demand can move.
+  ``hmin``) or the wide/narrow split, a change to the whole problem's
+  shape rather than to one demand.  Falls back to ``resize`` when no
+  demand can move.
 * ``onboard`` -- a new tenant: one fresh network plus one or two
   demands that access only it.  Deliberately *not* sketch-preserving --
   the delta path must detect the network change and fall back cold;

@@ -367,6 +367,46 @@ class TestStatsAndInvalidateWire:
         )
         assert not by_id[4]["ok"] and "epoch_below" in by_id[4]["error"]
 
+    def test_invalidate_rejects_an_epoch_below_that_is_not_an_int(self):
+        # Entries at capacity epochs 1-3.  Coerced with int(), 2.7 and
+        # "2" would drop the epoch-1 entry and true would read as 1.
+        def solve(i, epoch):
+            return {"id": i, "workload": "bursty-lines", "size": 14,
+                    "seed": 1, "knobs": {**KNOBS, "capacity_epoch": epoch}}
+
+        async def run():
+            front = AsyncSchedulingService(capacity=8, workers=2)
+            host, port = await front.serve()
+            reader, writer = await asyncio.open_connection(host, port)
+
+            async def rpc(message):
+                writer.write(json.dumps(message).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            seeded = [await rpc(solve(e, e)) for e in (1, 2, 3)]
+            rejected = [
+                await rpc({"id": 10 + i, "op": "invalidate", "epoch_below": v})
+                for i, v in enumerate((2.7, True, "2"))
+            ]
+            kept = [await rpc(solve(20 + e, e)) for e in (1, 2, 3)]
+            swept = await rpc({"id": 30, "op": "invalidate", "epoch_below": 2})
+            after = [await rpc(solve(40 + e, e)) for e in (1, 2, 3)]
+            writer.close()
+            await writer.wait_closed()
+            await front.drain()
+            return seeded, rejected, kept, swept, after
+
+        seeded, rejected, kept, swept, after = asyncio.run(run())
+        assert [r["status"] for r in seeded] == ["miss"] * 3
+        for r in rejected:
+            assert not r["ok"] and "epoch_below must be an int" in r["error"]
+        assert [r["status"] for r in kept] == ["hit"] * 3, (
+            "a rejected invalidate must drop nothing"
+        )
+        assert swept["ok"] and swept["dropped"] == 1
+        assert [r["status"] for r in after] == ["miss", "hit", "hit"]
+
 
 class TestDeltaPushWire:
     def test_subscription_pushes_full_then_delta(self):

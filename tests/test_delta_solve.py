@@ -2,13 +2,14 @@
 
 The contract under test: whatever a churn trajectory does to a
 problem, ``solve_delta`` answers **bit-identically** to a cold solve
-of the same snapshot -- warm replays, every fallback arm, debounced
-storms and wire requests included.  A hypothesis-driven trajectory
-driver sweeps mutation streams across the engine matrix; targeted
-tests pin each decision arm (ancestor-miss, sketch collision caught as
-network-change, too-dirty, exact-hit revert); fault-injection tests
-kill a solve mid-phase, expire the ancestor mid-coalesce, and sever a
-wire connection mid-batch.
+of the same snapshot -- warm deltas, every fallback arm, debounced
+storms and wire requests included -- and on every engine a warm delta
+adopts its ancestor's network memos instead of rebuilding layouts.  A
+hypothesis sweep replays mutation streams across the engine matrix
+(``TestTrajectoryDriver``); targeted tests pin each decision arm
+(ancestor-miss, sketch collision caught as network-change, exact-hit
+revert); fault-injection tests kill a solve mid-phase, expire the
+ancestor mid-coalesce, and sever a wire connection mid-batch.
 
 No ``pytest-asyncio``: each async test drives its own loop with
 ``asyncio.run`` (the repo convention, see ``test_async_front.py``).
@@ -43,11 +44,10 @@ from repro.workloads import build_trajectory, build_workload, trajectory_names
 from tests.test_backends import run_on_backend
 
 KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
-#: The engine/backend matrix: only the incremental engine can warm-start
-#: (the others report ``engine-fallback``), but digest identity must
-#: hold everywhere.  The ``parallel`` rows run the incremental engine's
-#: whole replay in parallel with the caller, on a pool thread and in a
-#: forked worker process.
+#: The engine/backend matrix: every engine takes the warm path, and
+#: digest identity must hold everywhere.  The ``parallel`` rows run a
+#: whole incremental trajectory on a pool thread and in a forked worker
+#: process (``run_on_backend``).
 ENGINE_BACKENDS = [
     ("incremental", None),
     ("reference", None),
@@ -101,7 +101,7 @@ def replay(svc, trajectory, knobs):
             result = svc.solve_delta(req)
             if result.delta is None:
                 # Churn walked back to an already-served snapshot: an
-                # exact fingerprint hit, by design not a replay.
+                # exact fingerprint hit, by design not a delta solve.
                 assert result.status == "hit"
             else:
                 assert result.delta.outcome in DELTA_OUTCOMES
@@ -144,8 +144,8 @@ class TestTrajectoryDriver:
             service(), build_trajectory(name, size, seed=seed, steps=steps),
             knobs,
         )
-        if engine != "incremental":
-            assert set(outcomes) <= {"engine-fallback"}
+        assert "warm" in outcomes, outcomes
+        assert set(outcomes) <= {"warm", "ancestor-miss", "network-change"}
 
     @pytest.mark.parametrize("engine,backend", ENGINE_BACKENDS)
     def test_engine_backend_matrix(self, engine, backend):
@@ -157,41 +157,19 @@ class TestTrajectoryDriver:
             assert outcomes == matrix_outcomes(engine)
         else:
             outcomes = matrix_outcomes(engine)
-        if engine == "incremental":
-            assert "warm" in outcomes, (
-                "an id-stable churn stream must warm-start on the "
-                "incremental engine"
-            )
-        else:
-            assert outcomes and set(outcomes) == {"engine-fallback"}
-
-    def test_warm_replay_reruns_only_dirty_epochs(self):
-        svc = service()
-        knobs = SolveKnobs(**KNOBS)
-        trajectory = build_trajectory("tenant-churn", 32, seed=1, steps=6)
-        svc.solve(request(trajectory[0].problem, knobs))
-        warm = []
-        for step in trajectory[1:]:
-            result = svc.solve_delta(request(step.problem, knobs))
-            if result.delta is not None and result.delta.outcome == "warm":
-                warm.append(result.delta)
-                assert result.status == "delta"
-        assert warm, "expected warm replays along an id-stable stream"
-        assert any(s.epochs_replayed > 0 for s in warm), (
-            "warm solves must certify-replay clean epochs, not re-run "
-            "everything"
+        assert "warm" in outcomes, (
+            f"an id-stable churn stream must take the warm path on {engine}"
         )
-        assert all(
-            s.epochs_replayed + s.epochs_rerun > 0 and s.ancestor for s in warm
-        )
+        assert set(outcomes) <= {"warm", "ancestor-miss", "network-change"}
 
-    def test_line_layout_cache_reused_on_warm_replay(self):
+    def test_line_layout_cache_reused_on_warm_replay(self, monkeypatch):
         # line_layouts serves critical slots from the network memo
         # exactly like tree_layouts serves layerings: demand churn
         # local to one line-network must not recompute the layered
         # decomposition of the other.  (The registry line workloads
         # give every demand access to every network, so a hand-rolled
         # access split is needed to leave one network untouched.)
+        from repro.algorithms import base
         from repro.core.demand import WindowDemand
         from repro.trees.tree import make_line_network
 
@@ -212,11 +190,19 @@ class TestTrajectoryDriver:
             demands=[replace(demands[0], profit=99.5)] + demands[1:],
             access=dict(problem.access),
         )
+        computed = []
+        slots = base.critical_slots
+
+        def counted(nid, d):
+            computed.append(nid)
+            return slots(nid, d)
+
+        monkeypatch.setattr(base, "critical_slots", counted)
         result = svc.solve_delta(request(mutated, knobs))
         assert result.delta is not None and result.delta.outcome == "warm"
-        assert result.delta.layouts_reused > 0, (
-            "the untouched line-network's layered decomposition must "
-            "come from the network memo"
+        assert computed == [], (
+            "a profit change moves no endpoint: every critical slot "
+            "must come from the network memo"
         )
         assert report_semantic_digest(result.report) == cold_digest(
             mutated, knobs
@@ -237,12 +223,12 @@ ORDER_DEMANDS = [
 ]
 
 
-def wire_snapshot(name, size, seed, step):
+def wire_snapshot(name, size, seed, step, **knobs):
     """Snapshot *step* rebuilt from scratch, as a wire request does
-    (solve seed = trajectory seed)."""
+    (solve seed = trajectory seed; *knobs* override :data:`KNOBS`)."""
     return AsyncSchedulingService._wire_request({
         "trajectory": name, "size": size, "seed": seed, "step": step,
-        "knobs": dict(KNOBS),
+        "knobs": {**KNOBS, **knobs},
     })
 
 
@@ -328,9 +314,32 @@ class TestNetworkMemo:
             assert result.delta.outcome == "warm"
             warm += 1
             assert builds == [] and layerings == []
-            assert result.delta.layouts_reused > 0
-            assert result.delta.layouts_reused == shared.delta.layouts_reused
+            # The rebuilt networks adopt; the shared ones have nothing
+            # to adopt, they are the ancestor's own objects.
+            assert result.delta.networks_adopted == len(req.problem.networks)
+            assert shared.delta.networks_adopted == 0
         assert warm >= 6
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_adopts_on_wire_built_deltas(
+        self, engine, monkeypatch
+    ):
+        # tenant-churn@32#3 resizes demands in steps 1-3 and adds one in
+        # step 4, so every step keeps the base snapshot's networks.
+        builds, _ = spy_layout_work(monkeypatch)
+        svc = service()
+        base = wire_snapshot("tenant-churn", 32, 3, 0, engine=engine)
+        svc.solve(base)
+        for step in range(1, 5):
+            req = wire_snapshot("tenant-churn", 32, 3, step, engine=engine)
+            del builds[:]
+            result = svc.solve_delta(req)
+            assert result.delta.outcome == "warm", step
+            assert builds == [], step
+            assert result.delta.networks_adopted == len(req.problem.networks)
+            assert report_semantic_digest(result.report) == cold_digest(
+                req.problem, req.knobs
+            ), step
 
     def test_reordered_edges_are_not_adopted(self):
         def problem(edges, bump=None):
@@ -353,11 +362,12 @@ class TestNetworkMemo:
             reordered, knobs
         )
         assert reordered.networks[0].memo is not ancestor.networks[0].memo
-        assert result.delta.layouts_reused == 0
+        assert result.delta.networks_adopted == 0
         # The same edges in the same order do adopt.
         same = problem(ORDER_EDGES, bump=6)
         result = svc.solve_delta(request(same, knobs))
         assert result.delta.outcome == "warm"
+        assert result.delta.networks_adopted == 1
         assert same.networks[0].memo is ancestor.networks[0].memo
         assert report_semantic_digest(result.report) == cold_digest(same, knobs)
 
@@ -450,7 +460,9 @@ class TestDecisionArms:
             swapped, knobs
         )
 
-    def test_too_dirty_bails_to_cold(self):
+    def test_delta_touching_every_demand_runs_warm(self):
+        # No diff is too large: the ancestor only lends network memos,
+        # and the solve is the plain one either way.
         problem = build_workload("multi-tenant-forest", 16, seed=2)
         mutated = Problem(
             networks=problem.networks,
@@ -459,13 +471,10 @@ class TestDecisionArms:
             ],
             access=dict(problem.access),
         )
-        assert (
-            diff_problems(problem, mutated).dirty_fraction(mutated) > 0.5
-        )
         svc = service()
         svc.solve(request(problem))
         result = svc.solve_delta(request(mutated))
-        assert result.delta.outcome == "too-dirty"
+        assert result.status == "delta" and result.delta.outcome == "warm"
         assert result.delta.touched_demands == len(problem.demands)
         assert report_semantic_digest(result.report) == cold_digest(
             mutated, SolveKnobs(**KNOBS)
@@ -478,8 +487,8 @@ class TestAncestorIndex:
     def test_index_stays_within_cache_capacity(self):
         # A fingerprint leaves the index with its cache entry, so 40
         # finished trajectories leave no buckets behind.  The outcomes
-        # and replay totals pinned below are those of an index pruned
-        # only on probe, on this workload.  In general, unindexing on
+        # pinned below are those of an index pruned only on probe, on
+        # this workload.  In general, unindexing on
         # eviction can only keep more live ancestors (a dead one no
         # longer takes a bucket slot a live one needs), so it can only
         # turn misses into warm outcomes.
@@ -495,8 +504,6 @@ class TestAncestorIndex:
                 assert stats["ancestor_buckets"] <= capacity
                 assert stats["ancestors"] <= len(svc.cache) <= capacity
         assert outcomes == {"warm": 68, "ancestor-miss": 49, "hit": 3}
-        totals = svc.stats["delta_totals"]
-        assert (totals["epochs_replayed"], totals["epochs_rerun"]) == (197, 69)
 
     def test_invalidation_and_expiry_unindex(self):
         clock = FakeClock(expire_after=50.0)
@@ -669,7 +676,7 @@ class TestFaultInjection:
         final = results[-1]
         assert final.delta is not None
         assert final.delta.outcome == "ancestor-miss", (
-            "an expired ancestor must be pruned, not replayed"
+            "an expired ancestor must be pruned, not used"
         )
         assert report_semantic_digest(final.report) == cold_digest(
             trajectory[-1].problem, SolveKnobs(**KNOBS)
@@ -752,7 +759,7 @@ class TestWireOp:
 
     def test_stats_op_surfaces_delta_totals(self):
         """``{"op": "stats"}`` must carry the accumulated DeltaStats
-        counters, so replay effectiveness is readable off the wire."""
+        counters, so delta reuse is readable off the wire."""
         problem = build_workload("multi-tenant-forest", 16, seed=2)
         mutated = Problem(
             networks=problem.networks,
@@ -780,13 +787,9 @@ class TestWireOp:
         svc_stats = response["stats"]["service"]
         totals = svc_stats["delta_totals"]
         snapshot = warm.delta.snapshot()
-        for key in (
-            "phases", "epochs_replayed", "epochs_rerun", "predicted_dirty",
-            "prediction_misses", "layouts_reused", "touched_demands",
-            "touched_edges",
-        ):
+        for key in ("touched_demands", "networks_adopted"):
             assert totals[key] >= snapshot[key], key
-        assert totals["phases"] >= 1, "the warm replay must be counted"
+        assert totals["touched_demands"] >= 1, "the warm delta must be counted"
         assert svc_stats["delta_outcomes"]["warm"] >= 1
 
     def test_totals_accumulate_counters_added_after_construction(

@@ -5,14 +5,11 @@ Lemma 3.1 on real runs: the interference property, the predecessor
 bound, the dual-objective inequality, and final lambda-satisfaction.
 """
 import math
-from dataclasses import replace
 
 import pytest
 
 from repro.algorithms.base import line_layouts, tree_layouts
-from repro.core.demand import Demand
 from repro.core.dual import HeightRaise, UnitRaise
-from repro.core.engines.journal import FirstPhaseJournal, journal_context
 from repro.core.framework import (
     ENGINES,
     InstanceLayout,
@@ -28,9 +25,7 @@ from repro.core.interference import (
     check_predecessor_bound,
 )
 from repro.core.lp import check_scaled_dual_feasible
-from repro.core.problem import Problem
 from repro.distributed.mis import make_mis_oracle
-from repro.trees.tree import TreeNetwork
 from repro.workloads import (
     build_workload,
     random_line_problem,
@@ -298,17 +293,17 @@ class TestStagesEntered:
     """``stages_entered`` counts the stages an engine actually works in."""
 
     @staticmethod
-    def narrow_line_case(instances=None):
+    def narrow_line_case():
         problem = build_workload("bursty-lines", 24, seed=3)
         layout = line_layouts(problem)
         xi = narrow_xi(max(layout.critical_set_size, 3), problem.hmin)
         return (
-            instances or problem.instances, layout, HeightRaise(),
+            problem.instances, layout, HeightRaise(),
             geometric_thresholds(xi, 0.1),
         )
 
-    def run(self, engine, instances=None):
-        instances, layout, rule, thresholds = self.narrow_line_case(instances)
+    def run(self, engine):
+        instances, layout, rule, thresholds = self.narrow_line_case()
         _, _, events, counters = run_first_phase(
             instances, layout, rule, thresholds, make_mis_oracle("luby", 3),
             engine=engine,
@@ -329,71 +324,6 @@ class TestStagesEntered:
         events, counters = run_on_backend(backend, self.run, "incremental")
         assert counters.stages_entered == stages_with_raises(events)
         assert counters.stages_entered < counters.stages
-
-    def test_journaled_warm_solve_folds_entered_stages(self):
-        instances, layout, _, _ = self.narrow_line_case()
-        cold = FirstPhaseJournal()
-        with journal_context(cold):
-            events, counters = self.run("incremental")
-        assert counters.stages_entered == stages_with_raises(events)
-        # Perturb an instance of the last epoch: it re-runs, the rest replay.
-        victim = max(instances, key=lambda d: layout.group_of[d.instance_id])
-        mutated = [
-            replace(d, profit=d.profit * 1.5) if d is victim else d
-            for d in instances
-        ]
-        warm = FirstPhaseJournal(ancestor=cold.journal)
-        with journal_context(warm):
-            events, counters = self.run("incremental", instances=mutated)
-        assert warm.epochs_replayed > 0 and warm.epochs_rerun > 0
-        assert counters.stages_entered == stages_with_raises(events)
-        _, cold_counters = self.run("incremental", instances=mutated)
-        assert counters.stages_entered == cold_counters.stages_entered
-
-
-class PickOne:
-    """A custom MIS oracle with no ``seed``: the smallest or the
-    largest candidate id, by instance state a config tag cannot see."""
-
-    def __init__(self, largest):
-        self.largest = largest
-
-    def __call__(self, candidates, adjacency, context=None):
-        ids = [d.instance_id for d in candidates]
-        return {max(ids) if self.largest else min(ids)}, 1
-
-
-class TestJournaledCustomOracle:
-    def test_warm_start_never_replays_another_custom_oracle(self):
-        # Two conflicting instances in one epoch: each oracle picks a
-        # different one first, so the two runs push different stacks.
-        problem = Problem(
-            {0: TreeNetwork(0, [(0, 1), (1, 2)])},
-            [Demand(0, 0, 2, 1.0), Demand(1, 0, 1, 1.0)],
-        )
-        instances = problem.instances
-        layout = InstanceLayout(
-            group_of={d.instance_id: 1 for d in instances},
-            pi={d.instance_id: tuple(sorted(d.path_edges)) for d in instances},
-            n_epochs=1,
-        )
-
-        def run(largest):
-            _, stack, events, _ = run_first_phase(
-                instances, layout, UnitRaise(use_alpha=True), [1.0],
-                PickOne(largest), engine="incremental",
-            )
-            return events, [[d.instance_id for d in b] for b in stack]
-
-        cold = FirstPhaseJournal()
-        with journal_context(cold):
-            assert run(largest=False)[1] == [[0], [1]]
-        warm = FirstPhaseJournal(ancestor=cold.journal)
-        with journal_context(warm):
-            events, stack = run(largest=True)
-        assert (events, stack) == run(largest=True)
-        assert stack == [[1], [0]]
-        assert warm.epochs_replayed == 0 and warm.epochs_rerun == 1
 
 
 class TestLayoutMerge:

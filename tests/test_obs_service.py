@@ -153,11 +153,7 @@ class TestServiceTelemetry:
             if name.startswith("repro_delta_") and name.endswith("_total")
         } - {"requests"}
         assert counter_fields == set(totals)
-        assert set(totals) == {
-            "touched_demands", "touched_edges", "epochs_replayed",
-            "epochs_rerun", "predicted_dirty", "prediction_misses",
-            "phases", "layouts_reused",
-        }
+        assert set(totals) == {"touched_demands", "networks_adopted"}
 
     def test_metrics_true_uses_the_process_default_registry(self):
         service = SchedulingService(workers=2, metrics=True)

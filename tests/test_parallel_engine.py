@@ -7,8 +7,8 @@ module covers what that leaves: the ``workers`` knob of
 the CPUs the process may use, worker-count invariance of concurrent
 solves, counters and event orders that do not depend on where a solve
 ran, and the per-epoch Luby substreams that keep each epoch's draws
-independent of the epochs run before it (journal replay relies on
-them).
+independent of the epochs run before it (every engine relies on them
+to draw the reference loop's priorities).
 """
 import threading
 from dataclasses import fields
@@ -228,7 +228,7 @@ class TestLubySubstreams:
     def test_oracle_draws_are_epoch_local(self):
         # Consuming draws in one epoch must not shift another epoch's
         # stream: querying epochs in different interleavings gives the
-        # same answer per (epoch, context).  Journal replay relies on it.
+        # same answer per (epoch, context).
         problem, layout, rule, thresholds = setup_case(
             "multi-tenant-forest", 30, seed=13
         )

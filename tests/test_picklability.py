@@ -137,13 +137,11 @@ class TestJobSlicePicklability:
                 d.instance_id for d in plan.members[epoch]
             ]
             assert adjacency == plan.adjacency[epoch]
-            part = PhaseCounters()
             order = run_epoch_incremental(
                 epoch, members, {d.instance_id: d for d in members}, dual,
                 index, adjacency, layout, rule, thresholds,
-                roundtrip(oracle), events, stack, part, order,
+                roundtrip(oracle), events, stack, counters, order,
             )
-            counters.fold_phase1(part)
         assert events, "workload produced no raises"
         engine = run_first_phase(
             problem.instances, layout, rule, thresholds,

@@ -204,22 +204,22 @@ class TestReportDigest:
 class TestKeepArtifacts:
     def test_artifacts_retained_in_memory_when_opted_in(self):
         cache = value_cache(capacity=4, keep_artifacts=True)
-        cache.put(fp("a"), "A", artifacts={"journal": "warm-start"})
+        cache.put(fp("a"), "A", artifacts={"problem": "retained"})
         entry = cache.peek_entry(fp("a"))
-        assert entry.artifacts == {"journal": "warm-start"}
-        # Artifacts are a warm-start accelerant, never part of the
+        assert entry.artifacts == {"problem": "retained"}
+        # Artifacts are a delta-path accelerant, never part of the
         # cached answer: the digest ignores them.
         assert entry.digest == stable_digest("A")
 
     def test_artifacts_dropped_by_default(self):
         cache = value_cache(capacity=4)
-        cache.put(fp("a"), "A", artifacts={"journal": "warm-start"})
+        cache.put(fp("a"), "A", artifacts={"problem": "retained"})
         assert cache.peek_entry(fp("a")).artifacts is None
 
     def test_artifacts_stripped_from_disk_pickle(self, tmp_path):
         class Unpicklable:
             def __reduce__(self):
-                raise TypeError("journals must never be pickled")
+                raise TypeError("artifacts must never be pickled")
 
         cache = value_cache(
             capacity=4, disk_dir=str(tmp_path), keep_artifacts=True

@@ -166,6 +166,44 @@ class TestRoutedServing:
             "a swept entry must re-solve, not serve stale"
         )
 
+    def test_invalidate_rejects_an_epoch_below_that_is_not_an_int(
+        self, cluster
+    ):
+        # The router checks before fanning out: coerced with int(), each
+        # of these would reach the shards and drop generation 1 there.
+        def solve(i, epoch):
+            return wire(size=15, id=i,
+                        knobs={**KNOBS, "capacity_epoch": epoch})
+
+        def invalidate(i, below):
+            return {"op": "invalidate", "epoch_below": below, "id": i}
+
+        async def body(reader, writer):
+            async def send(message):
+                return await rpc(reader, writer, message)
+
+            seeded = [await send(solve(e, e)) for e in (1, 2)]
+            rejected = [
+                await send(invalidate(10 + i, v))
+                for i, v in enumerate((2.7, True, "2"))
+            ]
+            kept = [await send(solve(20 + e, e)) for e in (1, 2)]
+            swept = await send(invalidate(30, 2))
+            after = [await send(solve(40 + e, e)) for e in (1, 2)]
+            return seeded, rejected, kept, swept, after
+
+        seeded, rejected, kept, swept, after = asyncio.run(
+            with_router(cluster, body)
+        )
+        assert [r["status"] for r in seeded] == ["miss", "miss"]
+        for r in rejected:
+            assert not r["ok"] and "epoch_below must be an int" in r["error"]
+        assert [r["status"] for r in kept] == ["hit", "hit"], (
+            "a rejected invalidate must reach no shard"
+        )
+        assert swept["ok"] and swept["dropped"] >= 1
+        assert [r["status"] for r in after] == ["miss", "hit"]
+
     def test_subscription_tracks_schedule_through_deltas(self, cluster):
         steps = build_trajectory("churn-lines", 16, seed=3, steps=3)
 
