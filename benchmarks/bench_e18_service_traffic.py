@@ -18,10 +18,11 @@ reports:
   and their ratio -- asserted >= 10x (the acceptance line of the
   service layer: a warm hit must be at least an order of magnitude
   cheaper than a cold solve).  The stream replays *prepared* request
-  handles (fingerprints memoized on first use), so a second number is
-  measured separately: the *fresh-handle* hit, which re-fingerprints
-  the whole problem per submission and must still beat a cold solve
-  by >= 3x,
+  handles, whose problems and knobs memoize their part of the
+  fingerprint on first use (a resubmission re-encodes nothing), so a
+  second number is measured separately: the *fresh-handle* hit, which
+  rebuilds and re-fingerprints the whole problem per submission and
+  must still beat a cold solve by >= 3x,
 * coalescing: a burst of identical in-flight requests collapses onto
   one solve,
 * restart warmth: a second service instance sharing the disk tier
@@ -258,9 +259,10 @@ def run_experiment(quick: bool = False):
         )
 
         # Fresh-handle hits: the stream above replays prepared request
-        # objects (fingerprints memoized on first use -- the client
-        # library pattern), so its hit latencies measure lookup alone.
-        # A fresh submission of the same problem pays full
+        # objects (their problems and knobs memoize the fingerprint on
+        # first use -- the client library pattern), so its hit
+        # latencies measure lookup alone.  A fresh submission of the
+        # same workload rebuilds the problem and pays full
         # canonical-form fingerprinting per request; measure that
         # honestly as its own number.
         fresh_latencies = []

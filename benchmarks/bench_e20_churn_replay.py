@@ -23,9 +23,10 @@ layout reuse differs) -- and reports per (trajectory, size):
 * the outcome mix (warm deltas vs the fallbacks: tenant onboarding
   changes the network sketch, so those snapshots find no ancestor),
 * median delta-solve and median cold-solve latency, and their ratio,
-* unasserted, the median latency of a plain (non-delta) solve of the
-  delta side's own snapshot objects on a third artifact-free service
-  -- the same memo-warm solve without the ancestor lookup,
+* unasserted, the median latency of a plain (non-delta) solve on a
+  third artifact-free service of a fresh problem over the delta side's
+  own network and demand objects -- the same memo-warm solve without
+  the ancestor lookup,
 * correctness: **every** snapshot's delta result is digest-identical
   (:func:`repro.service.report_semantic_digest`) to its cold solve --
   asserted, not sampled.
@@ -41,7 +42,10 @@ trajectory's snapshots share theirs, so a plain solve of a snapshot
 the delta side already served reuses all of its layout work.  The cold
 baseline therefore rebuilds every snapshot from scratch, the way a
 wire request does (trajectories are prefix-stable), and the plain
-column shows the memo-assisted non-delta solve next to it.
+column shows the memo-assisted non-delta solve next to it.  A problem
+caches its own expansion and fingerprint, so the plain column solves
+a new problem shell: network and demand memos are as warm as the delta
+side's, the per-problem work is paid as the delta side pays it.
 """
 import sys
 from pathlib import Path
@@ -49,6 +53,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from common import emit_json, parse_bench_args, table
 
+from repro.core.problem import Problem
 from repro.service import (
     SchedulingService,
     SolveKnobs,
@@ -135,9 +140,12 @@ def _replay(name: str, size: int, steps: int):
         )
         if step.index > 0 and cold.status == "miss":
             cold_lat.append(cold.latency_s)
-        # The plain column: the delta side's own objects, memos warm.
+        # The plain column: a new problem over the delta side's own
+        # network and demand objects, whose memos are warm.
+        p = step.problem
+        shell = Problem(p.networks, p.demands, p.access)
         warm_plain = plain.solve(
-            SolveRequest(problem=step.problem, knobs=knobs, label=request.label)
+            SolveRequest(problem=shell, knobs=knobs, label=request.label)
         )
         if step.index > 0 and warm_plain.status == "miss":
             plain_lat.append(warm_plain.latency_s)

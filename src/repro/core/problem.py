@@ -13,12 +13,19 @@ Paths and window placements depend on the network alone, so they come
 from each network's memo (:class:`~repro.trees.tree.NetworkMemo`);
 expansion itself only constructs the :class:`DemandInstance` objects,
 whose ids depend on the problem.
+
+A problem is an immutable value, like its networks and demands: ``D``
+is a pure function of the input, so the expansions are cached on the
+problem, and the service memoizes its fingerprint there too
+(:mod:`repro.service.fingerprint`).  To change a problem, build a new
+one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.core.demand import Demand, DemandInstance, WindowDemand
 from repro.core.types import DemandId, EdgeKey, NetworkId
@@ -45,9 +52,16 @@ def _window_placements(a: WindowDemand, net: TreeNetwork) -> Tuple:
     return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """The throughput maximization problem input.
+
+    A problem is an immutable value: it keeps private copies of the
+    containers it is given, ``demands`` as a tuple and ``networks`` and
+    ``access`` as read-only mappings with tuple values, so nothing can
+    edit it after construction.  Its expansions and fingerprint are
+    cached on it, and a copy or an unpickled problem starts without
+    them.
 
     Parameters
     ----------
@@ -60,35 +74,50 @@ class Problem:
         If omitted, every processor can access every network.
     """
 
-    networks: Dict[NetworkId, TreeNetwork]
-    demands: List[AnyDemand]
-    access: Dict[DemandId, Tuple[NetworkId, ...]] = field(default_factory=dict)
+    networks: Mapping[NetworkId, TreeNetwork]
+    demands: Tuple[AnyDemand, ...]
+    access: Mapping[DemandId, Tuple[NetworkId, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.networks:
             raise ProblemError("at least one network is required")
         if not self.demands:
             raise ProblemError("at least one demand is required")
-        ids = [a.demand_id for a in self.demands]
+        networks = MappingProxyType(dict(self.networks))
+        demands = tuple(self.demands)
+        ids = [a.demand_id for a in demands]
         if len(set(ids)) != len(ids):
             raise ProblemError("demand ids must be unique")
-        for nid, net in self.networks.items():
+        for nid, net in networks.items():
             if net.network_id != nid:
                 raise ProblemError(
                     f"network keyed {nid} reports network_id={net.network_id}"
                 )
-        if not self.access:
-            everything = tuple(sorted(self.networks))
-            self.access = {a.demand_id: everything for a in self.demands}
-        for a in self.demands:
-            nets = self.access.get(a.demand_id)
+        if self.access:
+            # ``tuple(t) is t``: shared access tuples keep their identity.
+            access = {i: tuple(nets) for i, nets in self.access.items()}
+        else:
+            everything = tuple(sorted(networks))
+            access = {a.demand_id: everything for a in demands}
+        object.__setattr__(self, "networks", networks)
+        object.__setattr__(self, "demands", demands)
+        object.__setattr__(self, "access", MappingProxyType(access))
+        for a in demands:
+            nets = access.get(a.demand_id)
             if not nets:
                 raise ProblemError(f"demand {a.demand_id} can access no network")
             for nid in nets:
-                if nid not in self.networks:
+                if nid not in networks:
                     raise ProblemError(
                         f"demand {a.demand_id} lists unknown network {nid}"
                     )
+
+    def __reduce__(self):
+        # Rebuild from plain containers: a mappingproxy does not pickle,
+        # and the cached expansions and fingerprint stay behind.
+        return (
+            type(self), (dict(self.networks), self.demands, dict(self.access))
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -50,7 +50,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from dataclasses import dataclass, field
-from hashlib import sha256
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.core.canonical import stable_digest
@@ -59,7 +58,7 @@ from repro.service.fingerprint import (
     SolveKnobs,
     _demand_entry,
     _network_entry,
-    _sketch_bytes,
+    _sketch_digest,
 )
 
 __all__ = [
@@ -98,10 +97,11 @@ def problem_sketch(problem: Problem) -> str:
     demand-level mutation *and* under network-id relabelings, so a
     trajectory's snapshots bucket together.  Weak by design -- see the
     module docstring for why collisions are safe.  The SHA-256 of the
-    sorted payloads' canonical encoding
-    (:func:`~repro.service.fingerprint._sketch_bytes`).
+    sorted payloads' canonical encoding, memoized on the problem
+    (:func:`~repro.service.fingerprint._sketch_digest`): a problem
+    already fingerprinted has it from the fingerprint's pass.
     """
-    return sha256(_sketch_bytes(problem)).hexdigest()
+    return _sketch_digest(problem)
 
 
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
@@ -140,21 +140,22 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     expanded into instances.
     """
     # Identity fast-paths throughout: trajectory snapshots share the
-    # objects a mutation did not rebuild, so ``is`` dodges the payload
-    # comparisons for everything untouched -- the diff then costs
-    # O(delta) payloads, not O(problem).  (A rebuilt-but-equal object
-    # still compares correctly through its memoized payload.)
-    networks_changed = sorted(old.networks) != sorted(new.networks) or any(
+    # objects a mutation did not rebuild, access tuples included, so
+    # ``is`` dodges the comparisons for everything untouched -- the
+    # diff then costs O(delta) payloads, not O(problem).  (A
+    # rebuilt-but-equal object still compares correctly through its
+    # memoized payload.)
+    networks_changed = old.networks.keys() != new.networks.keys() or any(
         old.networks[nid] is not new.networks[nid]
         and _network_entry(old.networks[nid])[0]
         != _network_entry(new.networks[nid])[0]
         for nid in old.networks
     )
-    old_by_id = {a.demand_id: a for a in old.demands}
-    new_by_id = {a.demand_id: a for a in new.demands}
+    old_by_id, new_by_id = old._demand_index, new._demand_index
 
     def demand_differs(i: int) -> bool:
-        if tuple(sorted(old.access[i])) != tuple(sorted(new.access[i])):
+        old_nets, new_nets = old.access[i], new.access[i]
+        if old_nets is not new_nets and sorted(old_nets) != sorted(new_nets):
             return True
         old_d, new_d = old_by_id[i], new_by_id[i]
         if old_d is new_d:

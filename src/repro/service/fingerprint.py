@@ -68,26 +68,41 @@ first fingerprint on, one memo entry: its id-free payload tuple and
 that payload's canonical bytes, formatted directly (a demand whose
 integer fields are not exact ints takes
 :func:`~repro.core.canonical.canonical_bytes` instead).  The color
-refinement (:func:`_canonical_layout`) runs once per call over those
-entries, and both the spec tuple and the digested bytes are assembled
-from its result, so every digest -- here and the sketch / delta key of
+refinement (:func:`_canonical_layout`) runs over those entries, and
+both the spec tuple and the digested bytes are assembled from its
+result, so every digest -- here and the sketch / delta key of
 :mod:`repro.service.delta` -- is byte-for-byte the SHA-256 of
 ``canonical_bytes`` of the spec.  A churn snapshot that shares its
-networks and all but one demand with its ancestor encodes one demand;
-the per-problem refinement, record sort and hash still run on every
-call.
+networks and all but one demand with its ancestor encodes one demand.
 
-The contract: networks and demands are immutable values once
-fingerprinted -- the same assumption the identity fast paths of
+**Problem memo.**  A :class:`~repro.core.problem.Problem` is an
+immutable value too, so the refinement, the record sort and the hash
+run once per problem object.  Its first :func:`solve_fingerprint`
+stores on it the SHA-256 state after the solve tuple's opening and the
+problem's canonical bytes, and, from the same shape ranks, its sketch
+digest; :func:`repro.service.delta.problem_sketch` fills the sketch
+alone when it comes first.  Every later fingerprint of that object
+copies the state and folds in the knob bytes, so one problem serves
+every knob set.  Only the hash state is kept, not the bytes: a
+``keep_artifacts`` result cache retains its solved problems.  The
+knob bytes are memoized the same way on the (frozen)
+:class:`SolveKnobs` object, so a client that reuses its knobs pays
+their encoding once.  A request that rebuilds its problem -- every
+wire request -- pays one full fingerprint; resubmitting the same
+object pays a hash-state copy.  :func:`problem_fingerprint` is not on
+the serving path and stays unmemoized.
+
+The contract: networks, demands and problems are immutable values --
+the same assumption the identity fast paths of
 :func:`~repro.service.delta.diff_problems` make, and the network's own
 memo of paths and layouts (:class:`~repro.trees.tree.NetworkMemo`,
-which ``Problem.instances`` and the layout builders read).  The entry
+which ``Problem.instances`` and the layout builders read).  Each entry
 is an attribute of the object itself, so it lives exactly as long as
-the network or demand: nothing global keeps one alive, there is no
-size to tune, and threads racing on a cold object merely compute the
-same entry twice.  There is no per-``Problem``
-memo: ``Problem`` is a mutable dataclass, and a caller who edits its
-``demands`` or ``access`` in place must get a fresh key.
+the object: nothing global keeps one alive, there is no size to tune,
+and threads racing on a cold object merely compute the same entry
+twice (problem and knob entries go in through ``dict.setdefault`` on
+the object's ``__dict__``, so the racers share the first).  A
+problem's entries hold no reference to its networks or demands.
 """
 from __future__ import annotations
 
@@ -123,6 +138,15 @@ _SKETCH_TAG = "sketch/v1"
 _PROBLEM_HEAD = b"t(" + canonical_bytes(_PROBLEM_TAG) + b"t("
 _SOLVE_HEAD = b"t(" + canonical_bytes(_SOLVE_TAG)
 _SKETCH_HEAD = b"t(" + canonical_bytes(_SKETCH_TAG) + b"t("
+
+#: Attributes of a problem holding its memo entries (see the module
+#: docstring): the SHA-256 state after ``_SOLVE_HEAD`` and the
+#: problem's canonical bytes, and its sketch digest.
+_SOLVE_MEMO = "_solve_prefix"
+_SKETCH_MEMO = "_sketch_digest"
+#: Attribute of a :class:`SolveKnobs` holding the solve tuple's tail:
+#: the knobs' canonical bytes and the closing ``)``.
+_KNOBS_MEMO = "_solve_suffix"
 
 
 @dataclass(frozen=True)
@@ -282,11 +306,12 @@ def _refine(
     return color
 
 
-def _canonical_layout(problem: Problem) -> Tuple[List, List]:
+def _canonical_layout(problem: Problem) -> Tuple[List, List, Dict[bytes, int]]:
     """The canonical network order and records, built from memo entries.
 
-    Returns the network entries in canonical order and the sorted
-    records as ``(demand entry, canonical access tuple)`` pairs.  Both
+    Returns the network entries in canonical order, the sorted records
+    as ``(demand entry, canonical access tuple)`` pairs, and each
+    network shape's rank (:func:`_shape_ranks`).  Both
     :func:`problem_canonical_form` and the digests are assembled from
     this one result, so the spec and the byte path cannot drift apart.
     """
@@ -321,7 +346,7 @@ def _canonical_layout(problem: Problem) -> Tuple[List, List]:
         (demands[j], keys[j][1])
         for j in sorted(range(len(keys)), key=keys.__getitem__)
     ]
-    return [nets[i] for i in canon_order], records
+    return [nets[i] for i in canon_order], records, shape_rank
 
 
 def problem_canonical_form(problem: Problem) -> Tuple:
@@ -335,7 +360,7 @@ def problem_canonical_form(problem: Problem) -> Tuple:
     (:func:`solve_fingerprint`), assembled from the memoized component
     bytes instead of from the tuple itself.
     """
-    nets, records = _canonical_layout(problem)
+    nets, records, _shape_rank = _canonical_layout(problem)
     return (
         _PROBLEM_TAG,
         tuple(payload for payload, _data in nets),
@@ -343,10 +368,9 @@ def problem_canonical_form(problem: Problem) -> Tuple:
     )
 
 
-def _problem_bytes(problem: Problem) -> bytes:
-    """``canonical_bytes(problem_canonical_form(problem))``, assembled
-    from the memoized component bytes."""
-    nets, records = _canonical_layout(problem)
+def _problem_bytes(nets: List, records: List) -> bytes:
+    """``canonical_bytes(problem_canonical_form(problem))`` from the
+    network entries and records of :func:`_canonical_layout`."""
     parts = [_PROBLEM_HEAD]
     parts += [data for _payload, data in nets]
     parts.append(b")t(")
@@ -358,20 +382,45 @@ def _problem_bytes(problem: Problem) -> bytes:
     return b"".join(parts)
 
 
-def _sketch_bytes(problem: Problem) -> bytes:
-    """``canonical_bytes((_SKETCH_TAG, tuple(sorted(payloads))))`` over
-    the network payloads -- the encoding behind
-    :func:`repro.service.delta.problem_sketch` -- assembled from the
-    memoized network bytes."""
-    nets = [_network_entry(net) for net in problem.networks.values()]
-    rank = _shape_ranks(nets)
-    shapes = sorted([data for _payload, data in nets], key=rank.__getitem__)
-    return b"".join([_SKETCH_HEAD, *shapes, b"))"])
+def _sketch_hex(nets: List, shape_rank: Dict[bytes, int]) -> str:
+    """SHA-256 hex of ``canonical_bytes((_SKETCH_TAG,
+    tuple(sorted(payloads))))`` over the network entries *nets*, in any
+    order: equal ranks mean equal bytes, so sorting the bytes by rank
+    gives one sequence."""
+    shapes = sorted([data for _payload, data in nets], key=shape_rank.__getitem__)
+    return sha256(b"".join([_SKETCH_HEAD, *shapes, b"))"])).hexdigest()
+
+
+def _solve_prefix(problem: Problem):
+    """The SHA-256 state after ``_SOLVE_HEAD`` and the problem's
+    canonical bytes, memoized on the problem.  Filling it stores the
+    sketch digest as well, from the layout's shape ranks."""
+    state = problem.__dict__.get(_SOLVE_MEMO)
+    if state is None:
+        nets, records, shape_rank = _canonical_layout(problem)
+        state = sha256(_SOLVE_HEAD)
+        state.update(_problem_bytes(nets, records))
+        problem.__dict__.setdefault(_SKETCH_MEMO, _sketch_hex(nets, shape_rank))
+        state = problem.__dict__.setdefault(_SOLVE_MEMO, state)
+    return state
+
+
+def _sketch_digest(problem: Problem) -> str:
+    """The digest behind :func:`repro.service.delta.problem_sketch`,
+    memoized on the problem."""
+    sketch = problem.__dict__.get(_SKETCH_MEMO)
+    if sketch is None:
+        nets = [_network_entry(net) for net in problem.networks.values()]
+        sketch = problem.__dict__.setdefault(
+            _SKETCH_MEMO, _sketch_hex(nets, _shape_ranks(nets))
+        )
+    return sketch
 
 
 def problem_fingerprint(problem: Problem) -> Fingerprint:
     """Fingerprint of the problem alone (no solve knobs)."""
-    return Fingerprint(sha256(_problem_bytes(problem)).hexdigest())
+    nets, records, _shape_rank = _canonical_layout(problem)
+    return Fingerprint(sha256(_problem_bytes(nets, records)).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -449,9 +498,21 @@ def solve_fingerprint(problem: Problem, knobs: SolveKnobs) -> Fingerprint:
     """Fingerprint of (problem, solve configuration) -- the cache key.
 
     The SHA-256 of ``canonical_bytes((_SOLVE_TAG,
-    problem_canonical_form(problem), knobs.canonical_form()))``.
+    problem_canonical_form(problem), knobs.canonical_form()))``; the
+    problem's part is memoized on the problem and the knobs' part on
+    the knobs (see the module docstring).
     """
-    digest = sha256(_SOLVE_HEAD)
-    digest.update(_problem_bytes(problem))
-    digest.update(canonical_bytes(knobs.canonical_form()) + b")")
+    digest = _solve_prefix(problem).copy()
+    digest.update(_solve_suffix(knobs))
     return Fingerprint(digest.hexdigest())
+
+
+def _solve_suffix(knobs: SolveKnobs) -> bytes:
+    """``canonical_bytes(knobs.canonical_form()) + b")"``, memoized on
+    the knobs object."""
+    suffix = knobs.__dict__.get(_KNOBS_MEMO)
+    if suffix is None:
+        suffix = knobs.__dict__.setdefault(
+            _KNOBS_MEMO, canonical_bytes(knobs.canonical_form()) + b")"
+        )
+    return suffix

@@ -93,11 +93,6 @@ class SolveRequest:
     problem: Problem
     knobs: SolveKnobs = SolveKnobs()
     label: Optional[str] = None
-    #: Memoized cache key (fingerprinting scans the whole problem; a
-    #: client replaying a prepared request handle pays it once).
-    _fp: Optional[Fingerprint] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_workload(
@@ -127,12 +122,10 @@ class SolveRequest:
         )
 
     def fingerprint(self) -> Fingerprint:
-        """The request's cache key (computed once per request object)."""
-        if self._fp is None:
-            object.__setattr__(
-                self, "_fp", solve_fingerprint(self.problem, self.knobs)
-            )
-        return self._fp
+        """The request's cache key.  The problem and the knobs each
+        memoize their part of it, so resubmitting the same objects
+        re-encodes nothing."""
+        return solve_fingerprint(self.problem, self.knobs)
 
 
 @dataclass

@@ -15,14 +15,19 @@ The cache-key contract of :mod:`repro.service.fingerprint`:
   with a cold memo and with one an ancestor snapshot warmed; a few
   digests, and one hash over the whole sweep's digests, are pinned
   outright;
-* **Memo hygiene** -- the component memo keeps no network or demand
-  alive, and threads racing on a cold memo agree.
+* **Memo hygiene** -- the component and problem memos keep no network
+  or demand alive, threads racing on a cold memo agree, and a
+  memo-warm problem's digests are the spec's without re-running the
+  canonical layout.
 """
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from dataclasses import replace
 from hashlib import sha256
 
@@ -39,8 +44,12 @@ from repro.core.demand import Demand, WindowDemand
 from repro.core.framework import ENGINES
 from repro.core.problem import Problem
 from repro.service import SchedulingService, SolveRequest
+import repro.service.fingerprint as fingerprint_module
 from repro.service.delta import delta_key, diff_problems, problem_sketch
 from repro.service.fingerprint import (
+    _KNOBS_MEMO,
+    _SKETCH_MEMO,
+    _SOLVE_MEMO,
     SolveKnobs,
     _demand_entry,
     _demand_payload,
@@ -401,6 +410,17 @@ class TestComponentMemo:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
+    def test_problem_memo_keeps_nothing_alive(self):
+        problem = build_workload("multi-tenant-forest", 16, seed=4)
+        solve_fingerprint(problem, SolveKnobs())
+        memo = [problem.__dict__[_SOLVE_MEMO], problem.__dict__[_SKETCH_MEMO]]
+        refs = [weakref.ref(net) for net in problem.networks.values()]
+        refs += [weakref.ref(d) for d in problem.demands]
+        del problem
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert isinstance(memo[1], str) and memo[0].copy().hexdigest()
+
     def test_threads_racing_on_a_cold_memo_agree(self):
         # Snapshots of one trajectory share their network objects (and
         # most demands), so eight threads fingerprinting them in
@@ -415,35 +435,140 @@ class TestComponentMemo:
             spec_digests(p, SPEC_KNOBS)[0] for p in snapshots()
         ]
         problems = snapshots()  # fresh objects: a cold memo
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        results = [None] * n_threads
 
         def work(t):
             order = list(range(len(problems)))
             random.Random(t).shuffle(order)
-            barrier.wait(timeout=60)
-            results[t] = {
+            return {
                 i: solve_fingerprint(problems[i], SPEC_KNOBS).digest
                 for i in order
             }
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=work, args=(t,))
-                for t in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for got in results:
+        for got in race(work):
             assert [got[i] for i in range(len(problems))] == expected
+
+    def test_threads_racing_on_a_cold_problem_memo_agree(self):
+        # Every thread keys the same cold problem objects under two
+        # knob sets, half of them sketching before fingerprinting.
+        problems = [
+            build_workload("multi-tenant-forest", 40, seed=2),
+            build_trajectory("churn-lines", 60, seed=3, steps=2)[1].problem,
+        ]
+        knob_sets = (SolveKnobs(), SPEC_KNOBS)
+        expected = [
+            (spec[0], spec[3])
+            for p in problems
+            for spec in (spec_digests(p, k) for k in knob_sets)
+        ]
+
+        def work(t):
+            got = []
+            for p in problems:
+                for knobs in knob_sets:
+                    if t % 2:
+                        key = delta_key(p, knobs)
+                        got.append((solve_fingerprint(p, knobs).digest, key))
+                    else:
+                        fp = solve_fingerprint(p, knobs).digest
+                        got.append((fp, delta_key(p, knobs)))
+            return got
+
+        for got in race(work):
+            assert got == expected
+
+    @pytest.mark.parametrize("fingerprint_first", [True, False])
+    def test_memo_warm_digests_match_spec(self, fingerprint_first):
+        # Fill each problem's memo in one call order under one knob
+        # set, then read it under both: every digest stays the spec's.
+        knob_sets = (SPEC_KNOBS, SolveKnobs())
+        sweeps = [registry_sweep(name) for name in SCALE_NAMES]
+        sweeps.append(
+            ((name, 1), build_workload(name, 1, seed=0))
+            for name in workload_names()
+            if name not in SCALE_NAMES
+        )
+        sweeps += [trajectory_sweep(name) for name in trajectory_names()]
+        for sweep in sweeps:
+            for label, problem in sweep:
+                if fingerprint_first:
+                    solve_fingerprint(problem, knob_sets[0])
+                delta_key(problem, knob_sets[0])
+                solve_fingerprint(problem, knob_sets[0])
+                for knobs in knob_sets:
+                    spec = spec_digests(problem, knobs)
+                    served = solve_fingerprint(problem, knobs).digest
+                    assert (served, delta_key(problem, knobs)) == (
+                        spec[0], spec[3]
+                    ), label
+
+    def test_warm_problem_skips_the_canonical_layout(self, monkeypatch):
+        # Deterministic call counts: a problem object is laid out once;
+        # a rebuilt equal problem is laid out again.  The sketch reuses
+        # the fingerprint's shape ranks, so ``_shape_ranks`` runs only
+        # inside the layout, or once for a sketch that comes first.
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(fingerprint_module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for name in ("_canonical_layout", "_shape_ranks"):
+            monkeypatch.setattr(fingerprint_module, name, counting(name))
+
+        def build():
+            return build_trajectory("tenant-churn", 40, seed=3, steps=2)[1].problem
+
+        problem = build()
+        solve_fingerprint(problem, SolveKnobs())
+        delta_key(problem, SolveKnobs())
+        assert calls == {"_canonical_layout": 1, "_shape_ranks": 1}
+        calls.clear()
+        for knobs in (SolveKnobs(), SPEC_KNOBS):
+            solve_fingerprint(problem, knobs)
+            delta_key(problem, knobs)
+            SolveRequest(problem=problem, knobs=knobs).fingerprint()
+        assert not calls
+        rebuilt = build()
+        delta_key(rebuilt, SolveKnobs())
+        assert calls == {"_shape_ranks": 1}
+        solve_fingerprint(rebuilt, SolveKnobs())
+        assert calls == {"_canonical_layout": 1, "_shape_ranks": 2}
+        assert solve_fingerprint(rebuilt, SPEC_KNOBS) == solve_fingerprint(
+            problem, SPEC_KNOBS
+        )
+        assert calls == {"_canonical_layout": 1, "_shape_ranks": 2}
+
+
+def race(work, n_threads=8):
+    """``work(t)`` for ``t`` in ``range(n_threads)``, on as many threads
+    released together with a tiny switch interval; their results."""
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def run(t):
+        barrier.wait(timeout=60)
+        results[t] = work(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(t,)) for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result is not None for result in results)
+    return results
 
 
 class TestSolveKnobs:
@@ -462,6 +587,29 @@ class TestSolveKnobs:
         others = {solve_fingerprint(problem, k).digest for k in variants}
         assert fp.digest not in others
         assert len(others) == len(variants)
+
+    def test_knob_memo_follows_the_fields(self):
+        # The knobs' key bytes are memoized on the frozen knobs object:
+        # a replaced knob set starts without them, and copies key
+        # exactly as the original.
+        problem = build_workload("bursty-lines", 10, seed=0)
+        knobs = SolveKnobs(seed=3)
+        first = solve_fingerprint(problem, knobs)
+        assert _KNOBS_MEMO in vars(knobs)
+        assert solve_fingerprint(problem, knobs) == first
+        assert first.digest == spec_digests(problem, knobs)[0]
+        changed = replace(knobs, seed=4)
+        assert _KNOBS_MEMO not in vars(changed)
+        assert solve_fingerprint(problem, changed).digest == (
+            spec_digests(problem, changed)[0]
+        )
+        assert solve_fingerprint(problem, changed) != first
+        for dup in (
+            copy.copy(knobs), copy.deepcopy(knobs),
+            pickle.loads(pickle.dumps(knobs)),
+        ):
+            assert dup == knobs
+            assert solve_fingerprint(problem, dup) == first
 
     def test_workers_is_not_part_of_the_key(self):
         # Neither the retired workers knob nor the size of the serving

@@ -1,9 +1,15 @@
 """Tests for the Problem model and instance expansion."""
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core.demand import Demand, WindowDemand
 from repro.core.problem import Problem, ProblemError
+from repro.service.fingerprint import SolveKnobs, solve_fingerprint
 from repro.trees.tree import TreeNetwork, make_line_network
+from repro.workloads import build_workload
 from repro.workloads.trees import random_forest
 
 
@@ -197,3 +203,82 @@ class TestForestGenerator:
         for nid, net in forest.items():
             assert net.network_id == nid
             assert net.n_vertices == 12
+
+
+class TestImmutability:
+    """A problem is an immutable value: every edit raises, and copies
+    rebuild it from its contents."""
+
+    @pytest.fixture
+    def problem(self, two_trees):
+        return Problem(
+            networks=two_trees,
+            demands=[Demand(0, 0, 3, 1.0), Demand(1, 1, 2, 1.0)],
+            access={0: [0, 1], 1: (1,)},
+        )
+
+    def test_attribute_assignment_raises(self, problem):
+        for name in ("networks", "demands", "access"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(problem, name, getattr(problem, name))
+
+    def test_container_edits_raise(self, problem):
+        with pytest.raises(AttributeError):
+            problem.demands.append(Demand(2, 0, 1, 1.0))
+        with pytest.raises(TypeError):
+            problem.access[0] = (0,)
+        with pytest.raises(TypeError):
+            problem.networks[2] = TreeNetwork(2, [(0, 1)])
+        # A list access value was coerced to a tuple.
+        with pytest.raises(AttributeError):
+            problem.access[0].append(1)
+        assert len(problem.demands) == 2
+        assert problem.access[0] == (0, 1)
+
+    def test_inputs_are_copied(self, two_trees):
+        demands = [Demand(0, 0, 3, 1.0)]
+        nets = [0, 1]
+        p = Problem(two_trees, demands, {0: nets})
+        demands.append(Demand(1, 1, 2, 1.0))
+        nets.pop()
+        two_trees[2] = TreeNetwork(2, [(0, 1)])
+        assert len(p.demands) == 1
+        assert p.access[0] == (0, 1)
+        assert 2 not in p.networks
+
+    def test_access_tuples_keep_their_identity(self, two_trees):
+        nets = (0, 1)
+        p = Problem(two_trees, [Demand(0, 0, 3, 1.0)], {0: nets})
+        assert p.access[0] is nets
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            lambda p: pickle.loads(pickle.dumps(p)),
+            copy.copy,
+            copy.deepcopy,
+            replace,
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_copies_are_equal_frozen_and_carry_no_memo(self, duplicate):
+        problem = build_workload("multi-tenant-forest", 12, seed=1)
+        knobs = SolveKnobs()
+        fingerprint = solve_fingerprint(problem, knobs)
+        assert problem.instances  # cached on the original
+        dup = duplicate(problem)
+        assert dup is not problem
+        assert set(vars(dup)) == {"networks", "demands", "access"}
+        assert dup.demands == problem.demands
+        assert dict(dup.access) == dict(problem.access)
+        assert {nid: net.edges() for nid, net in dup.networks.items()} == {
+            nid: net.edges() for nid, net in problem.networks.items()
+        }
+        if all(dup.networks[n] is net for n, net in problem.networks.items()):
+            assert dup == problem
+        with pytest.raises(FrozenInstanceError):
+            dup.demands = ()
+        with pytest.raises(TypeError):
+            dup.access[0] = (0,)
+        assert solve_fingerprint(dup, knobs) == fingerprint
+        assert dup.instances == problem.instances

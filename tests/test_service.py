@@ -187,6 +187,45 @@ class TestKeying:
         )
 
 
+    def test_an_edited_problem_is_never_served_a_stale_answer(self):
+        # A served problem cannot be edited in place: an edit that went
+        # through would key freshly yet solve the problem's cached
+        # expansion, scheduling the removed demand.  The edit must be a
+        # rebuilt problem, and that is served its direct answer.
+        knobs = SolveKnobs(seed=0)
+        service = SchedulingService(workers=1)
+        problem = build_workload("powerlaw-trees", 40, seed=0)
+        first = service.solve(SolveRequest(problem=problem, knobs=knobs))
+        victim = first.report.solution.demand_ids[0]
+        with pytest.raises(AttributeError):
+            problem.demands.remove(problem.demand_by_id(victim))
+        with pytest.raises(TypeError):
+            del problem.access[victim]
+        resubmitted = service.solve(SolveRequest(problem=problem, knobs=knobs))
+        assert resubmitted.status == "hit"
+
+        def without_victim(p):
+            return Problem(
+                dict(p.networks),
+                [a for a in p.demands if a.demand_id != victim],
+                {i: nets for i, nets in p.access.items() if i != victim},
+            )
+
+        edited = service.solve(
+            SolveRequest(problem=without_victim(problem), knobs=knobs)
+        )
+        assert edited.status == "miss"
+        assert victim not in edited.report.solution.demand_ids
+        direct = solve_auto(
+            without_victim(build_workload("powerlaw-trees", 40, seed=0)),
+            epsilon=knobs.epsilon, mis=knobs.mis, seed=knobs.seed,
+            decomposition=knobs.decomposition, engine=knobs.engine,
+        )
+        assert report_semantic_digest(edited.report) == report_semantic_digest(
+            direct
+        )
+
+
 class TestCoalescing:
     def test_inflight_duplicates_share_one_solve(self, monkeypatch):
         import repro.service.server as server_mod
