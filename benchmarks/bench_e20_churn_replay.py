@@ -6,9 +6,9 @@ continuously (demands arrive and cancel, bids change, tenants onboard)
 and every mutation needs a fresh certified schedule.  A network's
 decompositions depend on the network alone (Lemma 4.1), and paths,
 decompositions and layerings are memoized on the network objects
-(:class:`repro.trees.tree.NetworkMemo`).  A churn snapshot keeps its
-ancestor's networks, so the delta path (:mod:`repro.service.delta`)
-finds the cached ancestor and runs the plain solve on memo-warm
+(:class:`repro.trees.tree.NetworkMemo`).  A churn snapshot keeps the
+earlier snapshots' networks, so the delta path
+(:mod:`repro.service.delta`) runs the plain solve on memo-warm
 networks: it skips the cold layout, and the answer is *bitwise* the
 cold answer because it is the same solve.
 
@@ -21,12 +21,13 @@ service (both sides pay fingerprinting and cache admission; only the
 layout reuse differs) -- and reports per (trajectory, size):
 
 * the outcome mix (warm deltas vs the fallbacks: tenant onboarding
-  changes the network sketch, so those snapshots find no ancestor),
+  brings a network the service has never solved on, so those snapshots
+  are not warm),
 * median delta-solve and median cold-solve latency, and their ratio,
 * unasserted, the median latency of a plain (non-delta) solve on a
   third artifact-free service of a fresh problem over the delta side's
-  own network and demand objects -- the same memo-warm solve without
-  the ancestor lookup,
+  own network and demand objects -- the same memo-warm solve through
+  ``solve`` instead of ``solve_delta``,
 * correctness: **every** snapshot's delta result is digest-identical
   (:func:`repro.service.report_semantic_digest`) to its cold solve --
   asserted, not sampled.
@@ -64,8 +65,8 @@ from repro.workloads import build_trajectory, trajectory_names
 
 #: (trajectory, sizes, steps, assert_ratio) replay plans.  The latency
 #: acceptance is asserted at each flagged trajectory's largest size,
-#: where the delta path's fixed overheads (fingerprint, sketch, diff)
-#: are best amortized against the layout it skips.  ``churn-lines`` is
+#: where the per-request costs both sides pay (fingerprint, digest) are
+#: best amortized against the layout the delta side skips.  ``churn-lines`` is
 #: deliberately *unflagged*: a line layout is cheap (critical slots per
 #: endpoint pair, Section 7), so a line snapshot's solve is mostly the
 #: first phase, which a delta request runs in full -- the table reports
@@ -116,7 +117,7 @@ def _replay(name: str, size: int, steps: int):
             label=f"{name}@{size}+{step.index}",
         )
         if step.index == 0:
-            service.solve(request)  # the ancestor every delta hangs off
+            service.solve(request)  # its networks are every delta's
         else:
             result = service.solve_delta(request)
             delta_lat.append(result.latency_s)

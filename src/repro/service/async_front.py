@@ -37,8 +37,8 @@ pools via :func:`~repro.service.pools.shutdown_pools`, so a cleanly
 closed front door leaves zero live worker threads.
 
 **Delta requests.**  :meth:`solve_delta` is the awaitable face of
-:meth:`SchedulingService.solve_delta` -- answer a perturbed problem on
-the network memos of a cached ancestor.  With
+:meth:`SchedulingService.solve_delta` -- a solve that also reports
+whether the request reused the layouts the service already built.  With
 ``delta_debounce > 0`` the front door additionally coalesces *change
 storms*: rapid-fire delta submissions whose problems share a
 :func:`~repro.service.delta.delta_key` collapse into one solve of the

@@ -175,12 +175,10 @@ class CacheEntry:
     value: object = field(repr=False)
     expires_at: Optional[float] = None
     epoch: int = 0
-    #: Opaque delta-path payload (the solved problem, whose networks a
-    #: later delta request can adopt memos from), stored only under
-    #: ``keep_artifacts=True`` and only in the memory tier --
-    #: :meth:`ResultCache.write_disk` strips it, so the disk pickle
-    #: never re-serializes the problem and an entry reloaded from disk
-    #: simply is no ancestor.
+    #: Opaque payload kept alive with the entry (a ``keep_artifacts``
+    #: service's solved networks, with their memos), in the memory tier
+    #: only: :meth:`ResultCache.write_disk` strips it, so an entry
+    #: reloaded from disk carries none.
     artifacts: object = field(default=None, repr=False, compare=False)
 
 
@@ -210,12 +208,10 @@ class ResultCache:
     clock:
         The monotonic clock TTL deadlines are stamped and checked
         against.  Injectable so tests can advance time explicitly.
-    keep_artifacts:
-        Opt-in: retain the artifacts handed to ``put``/``make_entry``
-        (the delta path's solved problem) on the in-memory entry.  Off
-        by default so ordinary serving never pays the memory (artifacts
-        can dwarf the report) -- and artifacts never reach the disk tier
-        either way.
+
+    Artifacts handed to ``put``/``make_entry`` ride the in-memory entry
+    and never reach the disk tier; whether to hand any is the caller's
+    decision (the service's ``keep_artifacts``).
     """
 
     def __init__(
@@ -226,7 +222,6 @@ class ResultCache:
         strict: bool = False,
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        keep_artifacts: bool = False,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
@@ -238,14 +233,8 @@ class ResultCache:
         self.strict = strict
         self.ttl = ttl
         self.clock = clock
-        self.keep_artifacts = keep_artifacts
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        #: Called with the fingerprint digest of every entry that leaves
-        #: the memory tier -- evicted, expired on lookup, or invalidated
-        #: -- under whatever lock the mutating caller holds.  The
-        #: service unindexes delta-solve ancestors through it.
-        self.on_drop: Optional[Callable[[str], None]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -310,7 +299,6 @@ class ResultCache:
         if self._expired(entry):
             del self._entries[fingerprint.digest]
             self.stats.expirations += 1
-            self._dropped(fingerprint.digest)
             return None
         self._entries.move_to_end(fingerprint.digest)
         self.stats.hits += 1
@@ -328,9 +316,8 @@ class ResultCache:
 
         *ttl* defaults to the cache-wide setting; pass ``None``
         explicitly for a never-expiring entry, or a float override.
-        *artifacts* is dropped unless the cache opted into
-        ``keep_artifacts`` -- the digest never covers it, it is a
-        delta-path accelerant, not part of the cached answer.
+        *artifacts* rides the entry; the digest never covers it, it is
+        an accelerant, not part of the cached answer.
         """
         if ttl is _UNSET_TTL:
             ttl = self.ttl
@@ -341,7 +328,7 @@ class ResultCache:
             value=value,
             expires_at=expires_at,
             epoch=epoch,
-            artifacts=artifacts if self.keep_artifacts else None,
+            artifacts=artifacts,
         )
 
     def peek_entry(self, fingerprint: Fingerprint) -> Optional[CacheEntry]:
@@ -351,19 +338,6 @@ class ResultCache:
         as a lookup -- the async front door reuses the recorded digest
         instead of re-digesting reports per response."""
         return self._entries.get(fingerprint.digest)
-
-    def peek_fresh(self, fingerprint: Fingerprint) -> Optional[CacheEntry]:
-        """Like :meth:`peek_entry`, but ``None`` for an expired entry.
-
-        Still side-effect free (the expired entry is left for the next
-        real lookup to evict and count); the delta path uses this to
-        screen delta ancestors without perturbing LRU order or
-        hit/expiration accounting.
-        """
-        entry = self._entries.get(fingerprint.digest)
-        if entry is None or self._expired(entry):
-            return None
-        return entry
 
     def _expired(self, entry: CacheEntry) -> bool:
         # ``getattr``: entries pickled by a pre-TTL cache restore
@@ -376,13 +350,8 @@ class ResultCache:
         self._entries[entry.fingerprint] = entry
         self._entries.move_to_end(entry.fingerprint)
         while len(self._entries) > self.capacity:
-            digest, _evicted = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
-            self._dropped(digest)
-
-    def _dropped(self, digest: str) -> None:
-        if self.on_drop is not None:
-            self.on_drop(digest)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -455,7 +424,6 @@ class ResultCache:
         doomed = [d for d, e in self._entries.items() if match(e)]
         for digest in doomed:
             del self._entries[digest]
-            self._dropped(digest)
         self.stats.invalidations += len(doomed)
         return len(doomed)
 
@@ -509,8 +477,8 @@ class ResultCache:
         if self.disk_dir is None:
             return False
         if getattr(entry, "artifacts", None) is not None:
-            # Artifacts are a memory-tier accelerant only: pickling a
-            # whole problem per store is a cost nothing reads back.
+            # Artifacts are a memory-tier accelerant only: pickling
+            # them per store is a cost nothing reads back.
             entry = replace(entry, artifacts=None)
         tmp: Optional[Path] = None
         try:

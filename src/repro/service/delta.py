@@ -1,42 +1,38 @@
-"""Delta-solve support: sketches, problem diffs, memo adoption, and
+"""Delta-solve support: delta telemetry, sketches, problem diffs, and
 debounced change storms.
 
 The delta path answers a *perturbed* problem -- one demand added, one
-profit bumped -- with the same plain solve a cold request runs.  What
-it adds is an ancestor: a cached solve of an earlier snapshot whose
-networks the new problem shares.  A network's tree decompositions
-depend on the network alone (Lemma 4.1), and an instance's group and
-critical edges on that decomposition and the instance's path (Lemmas
-4.2-4.3), so all of it is memoized on the network object
-(:class:`~repro.trees.tree.NetworkMemo`).  A snapshot that shares its
-ancestor's network objects, or adopts their memos, skips that layout
-work.  Warm and cold requests run the same solve, so their answers
-are bit-identical by construction.
+profit bumped -- with the same plain solve a cold request runs, and
+:meth:`~repro.service.server.SchedulingService.submit_delta` travels
+exactly :meth:`~repro.service.server.SchedulingService.submit`'s path.
+What makes a churn write cheap is layout reuse: a network's tree
+decompositions depend on the network alone (Lemma 4.1), and an
+instance's group and critical edges on that decomposition and the
+instance's path (Lemmas 4.2-4.3), so all of it is memoized on the
+network object (:class:`~repro.trees.tree.NetworkMemo`).  A snapshot
+that shares an earlier snapshot's network objects has those memos; a
+rebuilt one (every wire request) adopts them through the service's
+network table, keyed by each network's content.  Warm and cold
+requests run the same solve, so their answers are bit-identical by
+construction.  A delta request's result only adds :class:`DeltaStats`:
+whether every network carried a memo for the solve, and how many
+adopted one.
 
-**Sketch.**  The exact fingerprint
-(:func:`~repro.service.fingerprint.solve_fingerprint`) changes under
-any perturbation, so it cannot *find* an ancestor.  The sketch is the
-color-refinement prefix of the canonical form: the sorted multiset of
-id-free network shapes, with the demand side left out entirely.  Every
-demand-level mutation (add, drop, profit/height change) preserves it,
-so all snapshots of a churn trajectory that leave the networks alone
-share one sketch -- that is the bucket the service's ancestor index is
-keyed by (:func:`delta_key` additionally folds in the solve knobs).
-Sketch equality is deliberately weak: two genuinely different problems
-may collide.  Collisions are harmless -- an ancestor only lends
-network memos, and only to networks that are the same network.
+**Sketch.**  The sketch is the color-refinement prefix of the canonical
+form: the sorted multiset of id-free network shapes, with the demand
+side left out entirely.  Every demand-level mutation (add, drop,
+profit/height change) preserves it, so all snapshots of a churn
+trajectory that leave the networks alone share one sketch.  The
+serving path no longer reads it: :func:`delta_key` (the sketch plus the
+solve knobs) now only buckets change storms in the async front door's
+:class:`ChangeDebouncer`.  Sketch equality is deliberately weak: two
+genuinely different problems may collide, and a collision inside one
+debounce window answers the earlier waiter with the later problem's
+result, flagged ``superseded`` like any other storm member.
 
 **Diff.**  :func:`diff_problems` compares demand records by id
-(payload + access set) and network shapes by id.  The service picks
-the ancestor with the fewest touched demands, and reports the count.
-``networks_changed`` is the sketch-collision backstop: a same-shape
-network swap collides in the sketch but is caught here and reported
-as ``network-change`` instead of ``warm``.
-
-**Adoption.**  A wire request rebuilds every object, so its networks
-equal the ancestor's without being the same objects.
-:func:`adopt_network_memos` lets each of them share the memo of the
-same network in the ancestor.
+(payload + access set) and network shapes by id.  Nothing on the
+serving path calls it any more; it stays a library function.
 
 **Debounce.**  :class:`ChangeDebouncer` coalesces change storms on the
 async front door, the event-driven rescheduling shape of openwsn's
@@ -66,7 +62,6 @@ __all__ = [
     "DELTA_OUTCOMES",
     "DeltaStats",
     "ProblemDelta",
-    "adopt_network_memos",
     "delta_key",
     "diff_problems",
     "problem_sketch",
@@ -75,10 +70,11 @@ __all__ = [
 _DELTA_KEY_TAG = "delta-key/v1"
 
 #: The ways a delta request can resolve (``DeltaStats.outcome``):
-#: ``"warm"`` found a live ancestor with the same networks; the rest
-#: name why not -- no cached ancestor under the delta key, or a network
-#: shape changed (including sketch collisions caught by the diff).
-#: Every outcome runs the same plain solve.  ``"too-dirty"`` and
+#: ``"warm"`` -- every network of the request carried a memo for the
+#: solve, its own or one adopted from the service's network table --
+#: or ``"ancestor-miss"`` -- some network built its layouts from
+#: scratch, or the service keeps no artifacts.  Every outcome runs the
+#: same plain solve.  ``"network-change"``, ``"too-dirty"`` and
 #: ``"engine-fallback"`` are retired and never emitted; they stay
 #: listed because counters keyed by every name here still read them.
 DELTA_OUTCOMES = (
@@ -96,7 +92,7 @@ def problem_sketch(problem: Problem) -> str:
     Sorted id-free network payloads only: invariant under every
     demand-level mutation *and* under network-id relabelings, so a
     trajectory's snapshots bucket together.  Weak by design -- see the
-    module docstring for why collisions are safe.  The SHA-256 of the
+    module docstring for what a collision does.  The SHA-256 of the
     sorted payloads' canonical encoding, memoized on the problem
     (:func:`~repro.service.fingerprint._sketch_digest`): a problem
     already fingerprinted has it from the fingerprint's pass.
@@ -105,11 +101,10 @@ def problem_sketch(problem: Problem) -> str:
 
 
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
-    """The ancestor-index bucket: sketch plus the solve-knob key.
+    """A change storm's debounce bucket: sketch plus the solve-knob key.
 
     Folding the knobs in gives each knob setting buckets of its own, so
-    a trajectory served under two settings keeps one line of ancestors
-    per setting.
+    a trajectory served under two settings debounces per setting.
     """
     return stable_digest(
         (_DELTA_KEY_TAG, problem_sketch(problem), knobs.canonical_form())
@@ -118,7 +113,7 @@ def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
 
 @dataclass(frozen=True)
 class ProblemDelta:
-    """The id-level diff between an ancestor problem and a new one."""
+    """The id-level diff between an earlier problem and a new one."""
 
     #: Demand ids present only in the new / only in the old problem,
     #: and ids whose record (payload or access set) changed.
@@ -127,8 +122,7 @@ class ProblemDelta:
     changed: Tuple[int, ...]
     #: Union of the three id sets.
     touched_demands: frozenset
-    #: Any network added, removed, or reshaped (id-wise): the request
-    #: then answers ``network-change``, not ``warm``.
+    #: Any network added, removed, or reshaped (id-wise).
     networks_changed: bool
 
 
@@ -176,52 +170,26 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     )
 
 
-def adopt_network_memos(old: Problem, new: Problem) -> int:
-    """Let each rebuilt network of *new* share the memo of the same-id
-    network of *old* (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`);
-    returns how many adopted one.
-
-    A wire request rebuilds every object, so its networks equal the
-    ancestor's without being the same objects, and would otherwise
-    re-derive every path and layout.  Adoption takes only a network
-    with no memo of its own and the identical ordered adjacency, so
-    what it serves is exactly what the network would build itself.
-    """
-    adopted = 0
-    for nid, net in new.networks.items():
-        ancestor = old.networks.get(nid)
-        if ancestor is not None and ancestor is not net:
-            adopted += net.adopt_memo(ancestor)
-    return adopted
-
-
 @dataclass(frozen=True)
 class DeltaStats:
     """Per-request delta telemetry, attached to the service result."""
 
     outcome: str
-    #: Short fingerprint of the ancestor (warm outcomes only).
-    ancestor: Optional[str] = None
-    #: Demands the diff against that ancestor added, removed or changed
-    #: (warm outcomes only).
-    touched_demands: int = 0
-    #: Networks of this request that adopted an ancestor's memo -- the
-    #: one thing a delta request does that a plain solve does not.
-    #: Zero when the request shares the ancestor's network objects.
+    #: Networks of this request that adopted a memo from the network
+    #: table.  Zero when the request shares network objects that
+    #: already carry memos, as an in-process churn stream does.
     networks_adopted: int = 0
 
     def snapshot(self) -> dict:
         """A plain-dict copy (wire responses, findings JSON)."""
         return {
             "outcome": self.outcome,
-            "ancestor": self.ancestor,
-            "touched_demands": self.touched_demands,
             "networks_adopted": self.networks_adopted,
         }
 
     def numeric_counters(self) -> dict:
         """The summable counters of this snapshot -- labels like
-        ``outcome``/``ancestor`` excluded, booleans too (they are ints
+        ``outcome`` excluded, booleans too (they are ints
         to ``isinstance``).  This is the exact key set the service
         folds into ``stats["delta_totals"]`` and into the
         ``repro_delta_*_total`` metric counters, so a field added here

@@ -73,7 +73,8 @@ both the spec tuple and the digested bytes are assembled from its
 result, so every digest -- here and the sketch / delta key of
 :mod:`repro.service.delta` -- is byte-for-byte the SHA-256 of
 ``canonical_bytes`` of the spec.  A churn snapshot that shares its
-networks and all but one demand with its ancestor encodes one demand.
+networks and all but one demand with the previous one encodes one
+demand.
 
 **Problem memo.**  A :class:`~repro.core.problem.Problem` is an
 immutable value too, so the refinement, the record sort and the hash
@@ -83,8 +84,8 @@ problem's canonical bytes, and, from the same shape ranks, its sketch
 digest; :func:`repro.service.delta.problem_sketch` fills the sketch
 alone when it comes first.  Every later fingerprint of that object
 copies the state and folds in the knob bytes, so one problem serves
-every knob set.  Only the hash state is kept, not the bytes: a
-``keep_artifacts`` result cache retains its solved problems.  The
+every knob set.  Only the hash state is kept, not the bytes, so a
+problem a caller keeps around does not keep its encoding alive.  The
 knob bytes are memoized the same way on the (frozen)
 :class:`SolveKnobs` object, so a client that reuses its knobs pays
 their encoding once.  A request that rebuilds its problem -- every

@@ -22,6 +22,15 @@ does not provide.  A request travels three short stages:
    Multi-core serving forks whole services instead
    (:class:`~repro.service.shard.ShardCluster`).
 
+:meth:`SchedulingService.submit` and
+:meth:`SchedulingService.submit_delta` share that path and one worker
+function; a delta request only adds :class:`~repro.service.delta.DeltaStats`
+to its result.  On a ``keep_artifacts`` service the worker first lets
+each network of the request that has no memo yet adopt the memo of an
+equal network the service already solved on (the *network table*, see
+:class:`SchedulingService`), so a rebuilt request -- every wire request
+-- skips the layout work the service has done before.
+
 Failures stay attributable: any exception raised by a solve -- a
 :class:`~repro.core.problem.ProblemError` from instance expansion
 included -- is re-raised as :class:`ServiceError` naming the request's
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -51,16 +60,19 @@ from repro.obs import (
     trace_request,
 )
 from repro.service.cache import ResultCache
-from repro.service.delta import (
-    DELTA_OUTCOMES,
-    DeltaStats,
-    ProblemDelta,
-    adopt_network_memos,
-    delta_key,
-    diff_problems,
+from repro.service.delta import DELTA_OUTCOMES, DeltaStats
+# Not called here any more.  perfbench's tracer wraps these two names in
+# this module (``tracing.CALL_SITES``) and fails if either is missing, so
+# they stay bound until the benchmark's next change re-points it.
+from repro.service.delta import delta_key, diff_problems  # noqa: F401
+from repro.service.fingerprint import (
+    Fingerprint,
+    SolveKnobs,
+    _network_entry,
+    solve_fingerprint,
 )
-from repro.service.fingerprint import Fingerprint, SolveKnobs, solve_fingerprint
 from repro.service.pools import default_workers, shared_service_pool
+from repro.trees.tree import TreeNetwork
 from repro.workloads import build_workload
 
 __all__ = [
@@ -70,10 +82,15 @@ __all__ = [
     "SolveRequest",
 ]
 
-#: How many ancestors one delta bucket retains (newest-last LRU): a
-#: churn trajectory needs exactly one live ancestor, a small surplus
-#: tolerates interleaved trajectories sharing a sketch.
-_DELTA_ANCESTOR_CAP = 4
+#: A network's content: its id and its sorted-edge bytes.
+NetworkKey = Tuple[type, object, bytes]
+
+
+def _network_key(net: TreeNetwork) -> NetworkKey:
+    """*net*'s key in the network table: its id, and the id-free
+    sorted-edge bytes the request's fingerprint memoized on it."""
+    nid = net.network_id
+    return type(nid), nid, _network_entry(net)[1]
 
 
 class ServiceError(RuntimeError):
@@ -133,11 +150,12 @@ class ServiceResult:
     """What the service hands back for one request.
 
     ``status`` is ``"hit"`` (served from cache, either tier),
-    ``"miss"`` (a fresh cold solve ran; coalesced callers share the
-    miss result of the one solve that served them) or ``"delta"`` (a
-    :meth:`SchedulingService.submit_delta` request that found a cached
-    ancestor with the same networks and solved on its network memos --
-    the same solve a miss runs, see :mod:`repro.service.delta`).
+    ``"miss"`` (a solve ran; coalesced callers share the miss result of
+    the one solve that served them) or ``"delta"`` (a
+    :meth:`SchedulingService.submit_delta` request on a
+    ``keep_artifacts`` service whose every network carried a memo for
+    its solve, its own or one adopted from the network table -- the
+    same solve a miss runs, see :mod:`repro.service.delta`).
     ``latency_s`` measures this request's submit-to-resolution
     wall-clock.
     """
@@ -195,12 +213,19 @@ class SchedulingService:
     clock:
         Monotonic clock for TTL deadlines (injectable for tests).
     keep_artifacts:
-        Retain each solved problem so :meth:`submit_delta` can find it
-        as an ancestor: the problem rides its cache entry (memory tier
-        only) and the entry is indexed by its delta key.  Off by
-        default -- a retained problem keeps its whole instance
-        expansion alive, and a service that never sees delta traffic
-        should not pay for that.
+        Retain each solved request's network objects, with their memos,
+        on its cache entry (memory tier only), and keep the *network
+        table*: a :class:`weakref.WeakValueDictionary` from a network's
+        content (id and sorted-edge bytes) to the newest network with
+        that content that this service solved on.  Before every solve,
+        each network of the request without a memo of its own adopts
+        its table twin's (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`,
+        which also demands the same ordered adjacency), so a rebuilt
+        request skips the layout work the service already did.  A table
+        entry lives exactly as long as its network: held by a
+        memory-tier entry, or by a caller.  Off by default -- a service
+        without it keeps no networks and builds every layout a request
+        has not built itself.
     metrics:
         Telemetry switch.  ``None`` (default) disables request tracing
         entirely -- the instrumented path degenerates to no-op spans.
@@ -258,22 +283,18 @@ class SchedulingService:
         self._family_cache: Dict[str, str] = {}
         self.cache = ResultCache(
             capacity=capacity, disk_dir=disk_dir, strict=strict_cache,
-            ttl=ttl, clock=clock, keep_artifacts=keep_artifacts,
+            ttl=ttl, clock=clock,
         )
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         self._requests = 0
         self._coalesced = 0
         self._solves = 0
-        #: delta key -> (fingerprint digest -> Fingerprint), newest
-        #: last: the ancestor index submit_delta searches, plus each
-        #: indexed digest's key.  A digest leaves the index with its
-        #: memory-tier cache entry (the cache's ``on_drop``), when its
-        #: bucket overflows, or when a probe finds its entry expired or
-        #: artifact-less -- so the index never outgrows the cache.
-        self._delta_index: Dict[str, "OrderedDict[str, Fingerprint]"] = {}
-        self._ancestor_keys: Dict[str, str] = {}
-        self.cache.on_drop = self._unindex_ancestor
+        #: The network table (see ``keep_artifacts``), guarded by the
+        #: lock; it stays empty on a service without artifacts.
+        self._networks: "weakref.WeakValueDictionary[NetworkKey, TreeNetwork]" = (
+            weakref.WeakValueDictionary()
+        )
         self._delta_requests = 0
         self._delta_outcomes: Dict[str, int] = {o: 0 for o in DELTA_OUTCOMES}
         #: Numeric DeltaStats counters summed over every delta request
@@ -281,7 +302,7 @@ class SchedulingService:
         #: delta traffic reused off one ``stats`` call instead of
         #: sampling per-request results.  Seeded from a snapshot's
         #: numeric keys so the counters read zero before any delta
-        #: traffic, but the accumulation in :meth:`_solve_delta_into`
+        #: traffic, but the accumulation in :meth:`_solve_into`
         #: iterates the live snapshot -- a counter added to
         #: ``DeltaStats`` later still shows up in
         #: ``stats["delta_totals"]``.
@@ -309,27 +330,26 @@ class SchedulingService:
         it, so concurrent memory hits never queue behind another
         request's disk verify.
         """
-        return self._submit_common(request, self._solve_into)
+        return self._submit_common(request, delta=False)
 
     def submit_delta(self, request: SolveRequest) -> "Future[ServiceResult]":
-        """Like :meth:`submit`, but a miss tries the delta path first.
+        """Like :meth:`submit`, plus delta telemetry on a miss.
 
-        The front of the pipeline is identical -- exact-fingerprint
-        cache hits and in-flight coalescing behave exactly as for
-        :meth:`submit` (an unchanged resubmission is a ``"hit"``).  Only
-        a genuinely new fingerprint diverges: the worker looks up an
-        ancestor under the request's delta key, lets the request's
-        rebuilt networks adopt the ancestor's network memos, and then
-        runs the same plain solve :meth:`submit` would, on any engine.
-        ``DeltaStats.outcome`` says whether an ancestor was found, and
-        the answer is bit-identical to a cold solve either way.
+        The request takes exactly :meth:`submit`'s path -- cache hits
+        and in-flight coalescing included (an unchanged resubmission is
+        a ``"hit"`` and carries no telemetry), and a miss runs the same
+        network-table adoption and plain solve, on any engine.  The
+        result only gains :class:`~repro.service.delta.DeltaStats`:
+        ``"warm"`` (status ``"delta"``) when every network of the
+        request carried a memo for the solve, its own or an adopted
+        one, on a ``keep_artifacts`` service, else ``"ancestor-miss"``
+        (status ``"miss"``).  The answer is bit-identical to a cold
+        solve either way.
         """
-        return self._submit_common(request, self._solve_delta_into)
+        return self._submit_common(request, delta=True)
 
     def _submit_common(
-        self,
-        request: SolveRequest,
-        solver: Callable[..., None],
+        self, request: SolveRequest, delta: bool
     ) -> "Future[ServiceResult]":
         t0 = time.perf_counter()  # latency includes fingerprinting
         trace = trace_request(self.metrics)
@@ -406,7 +426,7 @@ class SchedulingService:
             self.cache.stats.misses += 1
         with trace.span("dispatch"):
             shared_service_pool(self.workers).submit(
-                solver, request, fp, fut, t0, trace
+                self._solve_into, request, fp, fut, t0, trace, delta
             )
         return fut
 
@@ -543,60 +563,74 @@ class SchedulingService:
             engine=k.engine,
         )
 
+    def _adopt_memos(
+        self, problem: Problem
+    ) -> Tuple[List[Tuple[NetworkKey, TreeNetwork]], int]:
+        """Let *problem*'s networks without a memo adopt their network
+        table twins' memos; returns those networks with their table
+        keys, and how many adopted.
+
+        A network that already carries a memo needs no lookup
+        (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo` would refuse
+        it), so an in-process stream that shares its network objects
+        does no table work.  The lookup takes the lock; the adjacency
+        comparisons inside ``adopt_memo`` run outside it.  Nothing is
+        looked up on a service without ``keep_artifacts``.
+        """
+        if not self.keep_artifacts:
+            return [], 0
+        fresh = [
+            (_network_key(net), net)
+            for net in problem.networks.values()
+            if not net.has_memo
+        ]
+        if not fresh:
+            return fresh, 0
+        with self._lock:
+            twins = [self._networks.get(key) for key, _ in fresh]
+        adopted = sum(
+            twin is not None and net.adopt_memo(twin)
+            for (_, net), twin in zip(fresh, twins)
+        )
+        return fresh, adopted
+
     def _admit_result(
         self,
         request: SolveRequest,
         fp: Fingerprint,
         report: AlgorithmReport,
-        key: Optional[str] = None,
+        fresh: Sequence[Tuple[NetworkKey, TreeNetwork]],
     ) -> None:
-        """Admit a solved report; on a ``keep_artifacts`` service, also
-        index it as a delta ancestor.
+        """Admit a solved report; on a ``keep_artifacts`` service, retain
+        the request's networks on its entry and register the *fresh*
+        ones (those that had no memo before the solve) as the newest
+        networks with their content.
 
         Digest and disk write are the expensive admission steps; they
         run on the calling worker thread, outside the lock.  The write
         is best-effort inside the cache -- a failed persist degrades to
         memory-only, it never fails the request -- and strips the
-        retained problem either way.  The entry inherits the request's
-        capacity epoch, so a later bulk invalidation can find it.
-        *key* lets the delta path hand down its already-computed
-        :func:`delta_key` (sketching walks every network; doing it
-        twice per request is measurable).
+        retained networks either way.  The entry inherits the request's
+        capacity epoch, so a later bulk invalidation can find it.  A
+        fresh network the solve left without a memo (no demand uses it)
+        gets an empty one here, so its twins can adopt it too.
         """
-        problem = request.problem if self.keep_artifacts else None
+        networks = (
+            tuple(request.problem.networks.values())
+            if self.keep_artifacts else None
+        )
         entry = self.cache.make_entry(
-            fp, report, epoch=request.knobs.capacity_epoch, artifacts=problem
+            fp, report, epoch=request.knobs.capacity_epoch, artifacts=networks
         )
         self.cache.write_disk(entry)
-        if problem is not None and key is None:
-            key = delta_key(problem, request.knobs)
+        for _, net in fresh:
+            net.memo  # noqa: B018 -- the property creates a missing memo
         with self._lock:
             self._solves += 1
             self.cache.stats.stores += 1
             self.cache.admit(entry)
-            if problem is not None:
-                self._register_ancestor(key, fp)
-
-    def _register_ancestor(self, key: str, fp: Fingerprint) -> None:
-        """Index *fp* as the newest ancestor of its delta bucket (caller
-        holds the lock)."""
-        bucket = self._delta_index.setdefault(key, OrderedDict())
-        bucket.pop(fp.digest, None)
-        bucket[fp.digest] = fp
-        self._ancestor_keys[fp.digest] = key
-        while len(bucket) > _DELTA_ANCESTOR_CAP:
-            self._unindex_ancestor(next(iter(bucket)))
-
-    def _unindex_ancestor(self, digest: str) -> None:
-        """Drop *digest* from the ancestor index, and its bucket once
-        empty (caller holds the lock)."""
-        key = self._ancestor_keys.pop(digest, None)
-        if key is None:
-            return
-        bucket = self._delta_index[key]
-        del bucket[digest]
-        if not bucket:
-            del self._delta_index[key]
+            for key, net in fresh:
+                self._networks[key] = net
 
     def _record_solve(self, trace, elapsed: Optional[float], outcome: str) -> None:
         """One observation in the outcome-labeled solve histogram --
@@ -616,65 +650,29 @@ class SchedulingService:
         fut: "Future[ServiceResult]",
         t0: float,
         trace=NULL_TRACE,
+        delta: bool = False,
     ) -> None:
+        """The one worker function: adopt memos, solve, admit, and
+        resolve *fut*; a *delta* request's result also carries
+        :class:`DeltaStats`."""
         try:
             with trace.span("solve") as solving:
+                fresh, adopted = self._adopt_memos(request.problem)
                 report = self._solve_request(request)
-            self._record_solve(trace, getattr(solving, "elapsed", None), "cold")
-            with trace.span("digest"):
-                self._admit_result(request, fp, report)
-            self._finish_request(trace, "cold")
-            fut.set_result(
-                ServiceResult(
-                    report=report,
-                    fingerprint=fp,
-                    status="miss",
-                    latency_s=time.perf_counter() - t0,
-                    label=request.label,
-                )
-            )
-        except BaseException as exc:
-            self._finish_request(trace, "error")
-            fut.set_exception(self._wrap_failure(request, fp, exc))
-        finally:
-            # Deregister only after the cache holds the result (or the
-            # failure is published): a submit racing this window either
-            # joins the still-registered future or hits the cache.
-            with self._lock:
-                self._inflight.pop(fp.digest, None)
-
-    def _solve_delta_into(
-        self,
-        request: SolveRequest,
-        fp: Fingerprint,
-        fut: "Future[ServiceResult]",
-        t0: float,
-        trace=NULL_TRACE,
-    ) -> None:
-        try:
-            with trace.span("solve") as solving:
-                report, stats = self._delta_solve(request, fp)
-            warm = stats.outcome == "warm"
+            warm = delta and self.keep_artifacts and adopted == len(fresh)
             self._record_solve(
                 trace, getattr(solving, "elapsed", None),
                 "delta" if warm else "cold",
             )
-            counters = stats.numeric_counters()
-            with self._lock:
-                self._delta_requests += 1
-                self._delta_outcomes[stats.outcome] += 1
-                # Iterate the live counters, not the totals dict: a
-                # counter later added to DeltaStats must start
-                # accumulating here, not be silently dropped because the
-                # totals were seeded from an older key set.
-                for k, v in counters.items():
-                    self._delta_totals[k] = self._delta_totals.get(k, 0) + v
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_delta_requests_total", outcome=stats.outcome
-                ).inc()
-                for k, v in counters.items():
-                    self.metrics.counter(f"repro_delta_{k}_total").inc(v)
+            with trace.span("digest"):
+                self._admit_result(request, fp, report, fresh)
+            stats = None
+            if delta:
+                stats = DeltaStats(
+                    outcome="warm" if warm else "ancestor-miss",
+                    networks_adopted=adopted,
+                )
+                self._count_delta(stats)
             self._finish_request(trace, "delta" if warm else "cold")
             fut.set_result(
                 ServiceResult(
@@ -690,95 +688,31 @@ class SchedulingService:
             self._finish_request(trace, "error")
             fut.set_exception(self._wrap_failure(request, fp, exc))
         finally:
+            # Deregister only after the cache holds the result (or the
+            # failure is published): a submit racing this window either
+            # joins the still-registered future or hits the cache.
             with self._lock:
                 self._inflight.pop(fp.digest, None)
 
-    def _delta_solve(
-        self, request: SolveRequest, fp: Fingerprint
-    ) -> Tuple[AlgorithmReport, DeltaStats]:
-        """Find an ancestor (adopting its network memos), then run and
-        admit the plain solve; the outcome only names what was found."""
-        key = found = None
-        if self.keep_artifacts:
-            key = delta_key(request.problem, request.knobs)
-            found = self._find_ancestor(key, request.problem)
-        if found is None:
-            stats = DeltaStats(outcome="ancestor-miss")
-        else:
-            ancestor_fp, delta, adopted = found
-            if delta.networks_changed:
-                stats = DeltaStats(
-                    outcome="network-change", networks_adopted=adopted
-                )
-            else:
-                stats = DeltaStats(
-                    outcome="warm",
-                    ancestor=ancestor_fp.short,
-                    touched_demands=len(delta.touched_demands),
-                    networks_adopted=adopted,
-                )
-        report = self._solve_request(request)
-        self._admit_result(request, fp, report, key=key)
-        return report, stats
-
-    def _find_ancestor(
-        self, key: str, problem: Problem
-    ) -> Optional[Tuple[Fingerprint, ProblemDelta, int]]:
-        """The nearest live ancestor in *key*'s bucket, by diff size,
-        plus how many of *problem*'s networks adopted a memo.
-
-        Under the lock: read the bucket newest-first through
-        :meth:`~repro.service.cache.ResultCache.peek_fresh` (no recency
-        bump -- screening ancestors must not distort the LRU), pruning
-        index entries whose cache entry expired or lost its retained
-        problem (e.g. re-admitted from disk; evicted and invalidated
-        entries have already left the index).  Outside the lock:
-        *problem*'s rebuilt networks adopt the candidates' network
-        memos where they are the same network
-        (:func:`~repro.service.delta.adopt_network_memos`), so a
-        wire-built snapshot reuses its ancestor's paths and layouts.
-        Then diff the few survivors against *problem* and pick the
-        smallest touched-demand set among those whose networks are
-        unchanged.  ``None`` when nothing usable remains; a bucket
-        where *every* candidate changed networks returns the newest
-        such diff, letting the caller report ``"network-change"``
-        rather than a bare miss.
-        """
+    def _count_delta(self, stats: DeltaStats) -> None:
+        """Fold one delta request's telemetry into ``stats`` and, with
+        telemetry on, the ``repro_delta_*`` counters."""
+        counters = stats.numeric_counters()
         with self._lock:
-            bucket = self._delta_index.get(key)
-            if not bucket:
-                return None
-            candidates: List[Tuple[Fingerprint, Problem]] = []
-            stale: List[str] = []
-            for digest in reversed(bucket):
-                cand_fp = bucket[digest]
-                entry = self.cache.peek_fresh(cand_fp)
-                if entry is None or entry.artifacts is None:
-                    stale.append(digest)
-                    continue
-                candidates.append((cand_fp, entry.artifacts))
-            for digest in stale:
-                self._unindex_ancestor(digest)
-        # Adopt before the solve expands *problem*: an expansion gives
-        # its networks memos of their own, and those never adopt.
-        adopted = sum(
-            adopt_network_memos(ancestor, problem)
-            for _, ancestor in candidates
-        )
-        best: Optional[Tuple[Fingerprint, ProblemDelta]] = None
-        collided: Optional[Tuple[Fingerprint, ProblemDelta]] = None
-        for cand_fp, ancestor in candidates:
-            delta = diff_problems(ancestor, problem)
-            if delta.networks_changed:
-                if collided is None:
-                    collided = (cand_fp, delta)
-                continue
-            if best is None or len(delta.touched_demands) < len(
-                best[1].touched_demands
-            ):
-                best = (cand_fp, delta)
-        found = best if best is not None else collided
-        return None if found is None else (*found, adopted)
+            self._delta_requests += 1
+            self._delta_outcomes[stats.outcome] += 1
+            # Iterate the live counters, not the totals dict: a counter
+            # later added to DeltaStats must start accumulating here,
+            # not be silently dropped because the totals were seeded
+            # from an older key set.
+            for k, v in counters.items():
+                self._delta_totals[k] = self._delta_totals.get(k, 0) + v
+        if self.metrics is not None:
+            self.metrics.counter(
+                "repro_delta_requests_total", outcome=stats.outcome
+            ).inc()
+            for k, v in counters.items():
+                self.metrics.counter(f"repro_delta_{k}_total").inc(v)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -829,7 +763,7 @@ class SchedulingService:
     @property
     def stats(self) -> dict:
         """Requests seen, coalesced joins, solves run, cache and delta
-        counters."""
+        counters, and the live network-table entries (``networks``)."""
         with self._lock:
             return {
                 "requests": self._requests,
@@ -840,8 +774,7 @@ class SchedulingService:
                 "delta_requests": self._delta_requests,
                 "delta_outcomes": dict(self._delta_outcomes),
                 "delta_totals": dict(self._delta_totals),
-                "ancestor_buckets": len(self._delta_index),
-                "ancestors": len(self._ancestor_keys),
+                "networks": len(self._networks),
             }
 
     def metrics_registry(self) -> MetricsRegistry:

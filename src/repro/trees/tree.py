@@ -19,11 +19,16 @@ per-path layerings (Lemmas 4.1-4.3, Section 7) -- is computed once per
 network object and kept in its :class:`NetworkMemo`.  The contract is
 the one the fingerprint memo already relies on: a network is an
 immutable value once built.  The memo lives exactly as long as the
-network (no global table, no size to tune), holds one entry per
-distinct path asked of it, and threads racing to fill an entry compute
-equal values.  Only exact-``int`` endpoints are memoized: a float, bool
-or numpy-int endpoint keys equal to an int but yields differently typed
-paths, so it is always computed fresh.
+networks holding it (no global table, no size to tune), holds one entry
+per distinct path asked of it, and threads racing to fill an entry
+compute equal values.  A rebuilt twin -- same id, same ordered
+adjacency -- may share an existing network's memo instead of building
+its own (:meth:`TreeNetwork.adopt_memo`), which is how a service lets a
+wire request reuse layouts it already built; so asking a network its
+shape (:meth:`TreeNetwork.is_path_graph`) creates no memo, since a
+network that has one can no longer adopt.  Only exact-``int`` endpoints
+are memoized: a float, bool or numpy-int endpoint keys equal to an int
+but yields differently typed paths, so it is always computed fresh.
 """
 from __future__ import annotations
 
@@ -44,18 +49,15 @@ class NetworkMemo:
 
     Each field is a pure function of the network's id and ordered
     adjacency, filled on first use by the code that derives it:
-    :meth:`TreeNetwork.is_path_graph` and
     :meth:`TreeNetwork.instance_path` here,
     :attr:`repro.core.problem.Problem.instances` (window placements),
     :func:`repro.algorithms.base.tree_layouts` and
     :func:`repro.algorithms.base.line_layouts` (layerings).
     """
 
-    __slots__ = ("is_path", "paths", "windows", "trees", "line_slots")
+    __slots__ = ("paths", "windows", "trees", "line_slots")
 
     def __init__(self) -> None:
-        #: ``is_path_graph()``, once asked.
-        self.is_path: Optional[bool] = None
         #: ``(u, v)`` -> :data:`InstancePath`.
         self.paths: Dict[Tuple[Vertex, Vertex], InstancePath] = {}
         #: ``(release, deadline, processing)`` -> the window's placements
@@ -113,6 +115,7 @@ class TreeNetwork:
                 f"{len(edge_list)} edges over {len(self._adj)} vertices cannot be a tree"
             )
         self._vertices: Tuple[Vertex, ...] = tuple(sorted(self._adj))
+        self._is_path = all(len(nbrs) <= 2 for nbrs in self._adj.values())
         self._root = self._vertices[0]
         self._parent: Dict[Vertex, Optional[Vertex]] = {}
         self._depth: Dict[Vertex, int] = {}
@@ -132,6 +135,11 @@ class TreeNetwork:
         if memo is None:
             memo = self.__dict__.setdefault("_memo", NetworkMemo())
         return memo
+
+    @property
+    def has_memo(self) -> bool:
+        """Whether this network carries a memo yet, its own or adopted."""
+        return "_memo" in self.__dict__
 
     def adopt_memo(self, other: "TreeNetwork") -> bool:
         """Share *other*'s memo; return whether it was adopted.
@@ -200,10 +208,7 @@ class TreeNetwork:
 
     def is_path_graph(self) -> bool:
         """Whether the network is a line (every vertex has degree <= 2)."""
-        memo = self.memo
-        if memo.is_path is None:
-            memo.is_path = all(len(self._adj[v]) <= 2 for v in self._vertices)
-        return memo.is_path
+        return self._is_path
 
     # ------------------------------------------------------------------
     # Rooted index and path queries

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.auto import problem_family
 from repro.algorithms.base import DECOMPOSITION_BUILDERS, line_layouts, tree_layouts
 from repro.core.demand import Demand, WindowDemand
 from repro.core.framework import InstanceLayout
@@ -343,3 +344,18 @@ class TestAdoptMemo:
         old, new = self.warm(), self.warm()
         assert not new.adopt_memo(old)
         assert not TreeNetwork(0, self.EDGES).adopt_memo(TreeNetwork(0, self.EDGES))
+
+    @pytest.mark.parametrize("edges", [EDGES, [(0, 1), (1, 2), (2, 3)]])
+    def test_asking_the_shape_leaves_a_network_free_to_adopt(self, edges):
+        # The service's family label asks every network its shape
+        # before the solve; that must not create a memo, or the
+        # network would then refuse its twin's.
+        old = TreeNetwork(0, edges)
+        old.instance_path(0, 2)
+        new = TreeNetwork(0, edges)
+        problem_family(
+            Problem(networks={0: new}, demands=[Demand(0, 0, 2, profit=1.0)])
+        )
+        assert new.is_path_graph() == (edges != self.EDGES)
+        assert not new.has_memo
+        assert new.adopt_memo(old) and new.memo is old.memo

@@ -202,28 +202,24 @@ class TestReportDigest:
 
 
 class TestKeepArtifacts:
-    def test_artifacts_retained_in_memory_when_opted_in(self):
-        cache = value_cache(capacity=4, keep_artifacts=True)
-        cache.put(fp("a"), "A", artifacts={"problem": "retained"})
-        entry = cache.peek_entry(fp("a"))
-        assert entry.artifacts == {"problem": "retained"}
-        # Artifacts are a delta-path accelerant, never part of the
-        # cached answer: the digest ignores them.
-        assert entry.digest == stable_digest("A")
+    """The cache keeps whatever artifacts it is handed, in memory only;
+    whether to hand any is the service's ``keep_artifacts``."""
 
-    def test_artifacts_dropped_by_default(self):
+    def test_artifacts_retained_in_memory_when_opted_in(self):
         cache = value_cache(capacity=4)
-        cache.put(fp("a"), "A", artifacts={"problem": "retained"})
-        assert cache.peek_entry(fp("a")).artifacts is None
+        cache.put(fp("a"), "A", artifacts={"networks": "retained"})
+        entry = cache.peek_entry(fp("a"))
+        assert entry.artifacts == {"networks": "retained"}
+        # Artifacts are an accelerant, never part of the cached
+        # answer: the digest ignores them.
+        assert entry.digest == stable_digest("A")
 
     def test_artifacts_stripped_from_disk_pickle(self, tmp_path):
         class Unpicklable:
             def __reduce__(self):
                 raise TypeError("artifacts must never be pickled")
 
-        cache = value_cache(
-            capacity=4, disk_dir=str(tmp_path), keep_artifacts=True
-        )
+        cache = value_cache(capacity=4, disk_dir=str(tmp_path))
         # An unpicklable artifact proves stripping happens before the
         # dump, not that the payload merely round-tripped by luck.
         cache.put(fp("a"), "A", artifacts=Unpicklable())
@@ -233,20 +229,17 @@ class TestKeepArtifacts:
         assert cache.peek_entry(fp("a")).artifacts is not None
 
     def test_eviction_to_disk_loses_artifacts(self, tmp_path):
-        cache = value_cache(
-            capacity=1, disk_dir=str(tmp_path), keep_artifacts=True
-        )
+        cache = value_cache(capacity=1, disk_dir=str(tmp_path))
         cache.put(fp("a"), "A", artifacts=("warm",))
         cache.put(fp("b"), "B")  # evicts a's memory entry
         assert cache.stats.evictions == 1
-        # The disk reload serves the value but has no warm-start to
-        # offer -- exactly what the delta path's ancestor screening
-        # (peek_fresh + artifacts check) must tolerate.
+        # The disk reload serves the value but retains nothing: an
+        # entry's artifacts live only as long as its memory-tier copy.
         assert cache.get(fp("a")) == "A"
         assert cache.peek_entry(fp("a")).artifacts is None
 
     def test_overwrite_replaces_artifacts(self):
-        cache = value_cache(capacity=4, keep_artifacts=True)
+        cache = value_cache(capacity=4)
         cache.put(fp("a"), "A", artifacts=("old",))
         cache.put(fp("a"), "A", artifacts=("new",))
         assert cache.peek_entry(fp("a")).artifacts == ("new",)
