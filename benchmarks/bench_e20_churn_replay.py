@@ -47,7 +47,14 @@ column shows the memo-assisted non-delta solve next to it.  A problem
 caches its own expansion and fingerprint, so the plain column solves
 a new problem shell: network and demand memos are as warm as the delta
 side's, the per-problem work is paid as the delta side pays it.
+
+**Same collector state.**  Each step rebuilds the cold snapshot, which
+leaves much garbage, so a cyclic collection would land in whichever
+solve came next.  Every solve starts right after a ``gc.collect()``,
+outside its timed region, so the three columns compare solves, not
+where collections fall.
 """
+import gc
 import sys
 from pathlib import Path
 
@@ -116,6 +123,7 @@ def _replay(name: str, size: int, steps: int):
             problem=step.problem, knobs=knobs,
             label=f"{name}@{size}+{step.index}",
         )
+        gc.collect()
         if step.index == 0:
             service.solve(request)  # its networks are every delta's
         else:
@@ -136,6 +144,7 @@ def _replay(name: str, size: int, steps: int):
         rebuilt = build_trajectory(
             name, size, seed=STREAM_SEED, steps=step.index + 1
         )[step.index].problem
+        gc.collect()
         cold = baseline.solve(
             SolveRequest(problem=rebuilt, knobs=knobs, label=request.label)
         )
@@ -145,6 +154,7 @@ def _replay(name: str, size: int, steps: int):
         # network and demand objects, whose memos are warm.
         p = step.problem
         shell = Problem(p.networks, p.demands, p.access)
+        gc.collect()
         warm_plain = plain.solve(
             SolveRequest(problem=shell, knobs=knobs, label=request.label)
         )

@@ -41,10 +41,10 @@ closed front door leaves zero live worker threads.
 whether the request reused the layouts the service already built.  With
 ``delta_debounce > 0`` the front door additionally coalesces *change
 storms*: rapid-fire delta submissions whose problems share a
-:func:`~repro.service.delta.delta_key` collapse into one solve of the
-latest snapshot after the quiet period
-(:class:`~repro.service.delta.ChangeDebouncer`); earlier waiters get
-the result flagged ``superseded``.  :meth:`drain` force-flushes
+:func:`~repro.service.delta.delta_key` and the same networks (ids and
+content) collapse into one solve of the latest snapshot after the
+quiet period (:class:`~repro.service.delta.ChangeDebouncer`); earlier
+waiters get the result flagged ``superseded``.  :meth:`drain` force-flushes
 pending storms, so no waiter is stranded by shutdown.
 
 Wire protocol (one JSON object per line, responses tagged with the
@@ -105,7 +105,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 try:  # numpy is a core dependency, but jsonable() must not require it
     import numpy as _np
@@ -115,16 +115,17 @@ except ImportError:  # pragma: no cover
 from repro.core.problem import Problem
 from repro.distributed.mis import validate_seed
 from repro.obs import render_prometheus
-from repro.service.cache import report_semantic_digest
 from repro.service.delta import ChangeDebouncer, delta_key
 from repro.service.diff import SchedulePusher, schedule_table, table_digest
 from repro.service.fingerprint import SolveKnobs
 from repro.service.pools import shutdown_pools
 from repro.service.server import (
+    NetworkKey,
     SchedulingService,
     ServiceError,
     ServiceResult,
     SolveRequest,
+    _network_key,
 )
 from repro.workloads.trajectories import build_trajectory
 
@@ -133,6 +134,19 @@ __all__ = ["AsyncSchedulingService", "jsonable"]
 #: Per-line buffer limit of the TCP endpoint (asyncio's default 64 KiB
 #: is small for a request carrying a large knobs object).
 WIRE_LINE_LIMIT = 1 << 20
+
+
+def _storm_key(request: SolveRequest) -> Tuple[str, FrozenSet[NetworkKey]]:
+    """*request*'s change-storm bucket: its
+    :func:`~repro.service.delta.delta_key` plus each network's id and
+    content (the network table's key).  The id-free sketch alone lets
+    two problems whose differently shaped networks swapped ids share a
+    bucket; with the network keys, only snapshots over the same
+    networks supersede each other."""
+    problem = request.problem
+    return delta_key(problem, request.knobs), frozenset(
+        map(_network_key, problem.networks.values())
+    )
 
 
 def jsonable(value):
@@ -273,10 +287,10 @@ class AsyncSchedulingService:
         path underneath -- same admission gate, same accounting.  With
         ``delta_debounce > 0``, the request first parks in the
         :class:`~repro.service.delta.ChangeDebouncer` under its
-        :func:`~repro.service.delta.delta_key` (computed on the
-        admission pool -- it walks every network); only the storm's
-        latest snapshot is solved, and superseded waiters can tell from
-        ``result.superseded``.
+        :func:`~repro.service.delta.delta_key` and its networks' ids
+        and content (computed on the admission pool -- it walks every
+        network); only the storm's latest snapshot is solved, and
+        superseded waiters can tell from ``result.superseded``.
         """
         if self._debouncer is None:
             return await self._admit(request, self.service.submit_delta)
@@ -288,7 +302,7 @@ class AsyncSchedulingService:
             )
         loop = asyncio.get_running_loop()
         key = await loop.run_in_executor(
-            self._admission(), delta_key, request.problem, request.knobs
+            self._admission(), _storm_key, request
         )
         return await self._debouncer.submit(key, request)
 
@@ -612,22 +626,24 @@ class AsyncSchedulingService:
     async def _response_digest(self, result: ServiceResult) -> str:
         """The served report's semantic digest, cheaply.
 
-        Every admitted result already had its digest computed by the
-        cache (the recorded verification digest *is*
-        :func:`report_semantic_digest` of the report under the default
-        configuration), so the hot path is a locked metadata peek.
-        Only when the entry has already left the memory tier (evicted,
-        invalidated) is the digest recomputed -- and then on the
-        admission pool, never on the event loop: digesting a report
-        serializes the whole solution, exactly the class of work the
-        loop must not run.
+        A memory-only cache admits results undigested, so the first
+        response for an entry digests it
+        (:meth:`SchedulingService.result_digest`, whose digest under
+        the default configuration *is*
+        :func:`~repro.service.cache.report_semantic_digest`) and
+        records it on the entry; every later response for it is a
+        locked metadata peek.  Digesting runs on the admission pool,
+        never on the event loop: it serializes the whole solution,
+        exactly the class of work the loop must not run.  An entry that
+        has left the memory tier (evicted, invalidated) is digested the
+        same way, from the served report.
         """
         digest = self.service.peek_digest(result.fingerprint)
         if digest is not None:
             return digest
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._admission(), report_semantic_digest, result.report
+            self._admission(), self.service.result_digest, result
         )
 
     @staticmethod

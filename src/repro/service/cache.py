@@ -6,15 +6,18 @@ process restarts and also acts as the overflow space for in-memory
 evictions.  Both tiers are keyed by the full hex digest of a
 :class:`~repro.service.fingerprint.Fingerprint`.
 
-Entries are *verified*: when a value is admitted, its semantic digest
-(:meth:`TwoPhaseResult.semantic_digest`, folded over the wide/narrow
-parts of composite reports) is recorded next to it, and a disk entry
-is re-checked against that digest after unpickling.  A mismatch --
-bit rot, a partial write, a stale file from an incompatible version --
-counts as a ``verify_failure``: the file is deleted and the lookup
-degrades to a miss (or raises :class:`CacheIntegrityError`, naming the
-offending fingerprint, under ``strict=True``).  A wrong cached answer
-is the one failure mode a result cache must never have.
+Entries are *verified*: on a cache with a disk tier, a value's
+semantic digest (:func:`report_semantic_digest` by default) is
+recorded next to it at admission, and a disk entry is re-checked
+against that digest after unpickling.  A mismatch -- bit rot, a
+partial write, a stale file from an incompatible version -- counts as
+a ``verify_failure``: the file is deleted and the lookup degrades to a
+miss (or raises :class:`CacheIntegrityError`, naming the offending
+fingerprint, under ``strict=True``).  A wrong cached answer is the one
+failure mode a result cache must never have.  A memory-only entry is
+never re-read from bytes, so it is admitted without a digest; the
+first reader that asks for one computes it once
+(:meth:`ResultCache.entry_digest`) and records it on the entry.
 
 Entries can also *age out*: a cache constructed with ``ttl=`` (or a
 ``put``/``make_entry`` given a per-entry override) stamps each entry
@@ -165,13 +168,16 @@ _UNSET_TTL = object()
 class CacheEntry:
     """One admitted value plus its verification digest.
 
-    ``expires_at`` is an absolute deadline on the owning cache's clock
-    (``None`` = never expires); ``epoch`` is the capacity-epoch tag the
-    entry was solved under, the handle for bulk invalidation.
+    ``digest`` is ``None`` on a memory-only entry until its first read
+    (:meth:`ResultCache.entry_digest`); a disk-tier cache records it at
+    admission.  ``expires_at`` is an absolute deadline on the owning
+    cache's clock (``None`` = never expires); ``epoch`` is the
+    capacity-epoch tag the entry was solved under, the handle for bulk
+    invalidation.
     """
 
     fingerprint: str
-    digest: str
+    digest: Optional[str]
     value: object = field(repr=False)
     expires_at: Optional[float] = None
     epoch: int = 0
@@ -197,7 +203,9 @@ class ResultCache:
     digest_fn:
         Maps a value to its verification digest.  The default digests
         :class:`AlgorithmReport` semantic forms; pass a custom callable
-        to cache other payloads.
+        to cache other payloads.  Looked up on the cache at every call,
+        at admission with a disk tier and on an entry's first digest
+        read without one.
     strict:
         When true, a disk entry failing verification raises
         :class:`CacheIntegrityError` instead of degrading to a miss.
@@ -312,9 +320,12 @@ class ResultCache:
         epoch: int = 0,
         artifacts: object = None,
     ) -> CacheEntry:
-        """Build a verified entry (runs the digest; no cache mutation).
+        """Build an entry (no cache mutation).
 
-        *ttl* defaults to the cache-wide setting; pass ``None``
+        With a disk tier this runs ``digest_fn``: the pickle carries the
+        digest a later load verifies against.  A memory-only entry
+        starts without one; :meth:`entry_digest` computes it on first
+        read.  *ttl* defaults to the cache-wide setting; pass ``None``
         explicitly for a never-expiring entry, or a float override.
         *artifacts* rides the entry; the digest never covers it, it is
         an accelerant, not part of the cached answer.
@@ -324,7 +335,7 @@ class ResultCache:
         expires_at = None if ttl is None else self.clock() + float(ttl)
         return CacheEntry(
             fingerprint=fingerprint.digest,
-            digest=self.digest_fn(value),
+            digest=None if self.disk_dir is None else self.digest_fn(value),
             value=value,
             expires_at=expires_at,
             epoch=epoch,
@@ -334,10 +345,24 @@ class ResultCache:
     def peek_entry(self, fingerprint: Fingerprint) -> Optional[CacheEntry]:
         """Memory-tier read with *no* side effects: no recency bump, no
         stats, no expiry eviction.  For callers that want an entry's
-        metadata (the admission digest, the epoch tag) without acting
-        as a lookup -- the async front door reuses the recorded digest
+        metadata (its recorded digest, the epoch tag) without acting as
+        a lookup -- the async front door reuses the recorded digest
         instead of re-digesting reports per response."""
         return self._entries.get(fingerprint.digest)
+
+    def entry_digest(self, entry: CacheEntry) -> str:
+        """*entry*'s digest, computed through ``digest_fn`` and recorded
+        on the entry if it has none yet (a memory-only entry's first
+        read).
+
+        Takes no lock and digests the whole value, so a threaded caller
+        runs it outside the lock that guards the memory tier.  Racing
+        first readers would each digest and record the same string; the
+        service serializes them, so one digests.
+        """
+        if entry.digest is None:
+            entry.digest = self.digest_fn(entry.value)
+        return entry.digest
 
     def _expired(self, entry: CacheEntry) -> bool:
         # ``getattr``: entries pickled by a pre-TTL cache restore

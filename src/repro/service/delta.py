@@ -24,11 +24,12 @@ side left out entirely.  Every demand-level mutation (add, drop,
 profit/height change) preserves it, so all snapshots of a churn
 trajectory that leave the networks alone share one sketch.  The
 serving path no longer reads it: :func:`delta_key` (the sketch plus the
-solve knobs) now only buckets change storms in the async front door's
-:class:`ChangeDebouncer`.  Sketch equality is deliberately weak: two
-genuinely different problems may collide, and a collision inside one
-debounce window answers the earlier waiter with the later problem's
-result, flagged ``superseded`` like any other storm member.
+solve knobs) now only helps bucket change storms in the async front
+door's :class:`ChangeDebouncer`.  Sketch equality is deliberately weak:
+two genuinely different problems may collide (swapping the ids of two
+differently shaped networks keeps the sketch).  So the front door folds
+each network's id and content into the bucket next to the delta key,
+and only snapshots over the same networks supersede each other.
 
 **Diff.**  :func:`diff_problems` compares demand records by id
 (payload + access set) and network shapes by id.  Nothing on the
@@ -46,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.canonical import stable_digest
 from repro.core.problem import Problem
@@ -101,7 +102,8 @@ def problem_sketch(problem: Problem) -> str:
 
 
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
-    """A change storm's debounce bucket: sketch plus the solve-knob key.
+    """The sketch plus the solve-knob key: with each network's id and
+    content, a change storm's debounce bucket in the async front door.
 
     Folding the knobs in gives each knob setting buckets of its own, so
     a trajectory served under two settings debounces per setting.
@@ -239,14 +241,14 @@ class ChangeDebouncer:
             raise ValueError(f"debounce delay must be positive, got {delay}")
         self.delay = delay
         self._solve = solve
-        self._pending: Dict[str, _Pending] = {}
+        self._pending: Dict[Hashable, _Pending] = {}
         self.storms_coalesced = 0
         self.flushes = 0
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    async def submit(self, key: str, request) -> object:
+    async def submit(self, key: Hashable, request) -> object:
         loop = asyncio.get_running_loop()
         fut: asyncio.Future = loop.create_future()
         pending = self._pending.get(key)
@@ -261,11 +263,11 @@ class ChangeDebouncer:
             pending.waiters.append(fut)
         return await fut
 
-    async def _timer(self, key: str) -> None:
+    async def _timer(self, key: Hashable) -> None:
         await asyncio.sleep(self.delay)
         await self._fire(key)
 
-    async def _fire(self, key: str) -> None:
+    async def _fire(self, key: Hashable) -> None:
         pending = self._pending.pop(key, None)
         if pending is None:
             return

@@ -286,6 +286,10 @@ class SchedulingService:
             ttl=ttl, clock=clock,
         )
         self._lock = threading.Lock()
+        #: Serializes first digest reads (:meth:`result_digest`), so
+        #: concurrent first readers of one entry digest it once.
+        #: Never held together with ``_lock``.
+        self._digest_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         self._requests = 0
         self._coalesced = 0
@@ -606,11 +610,13 @@ class SchedulingService:
         ones (those that had no memo before the solve) as the newest
         networks with their content.
 
-        Digest and disk write are the expensive admission steps; they
-        run on the calling worker thread, outside the lock.  The write
-        is best-effort inside the cache -- a failed persist degrades to
-        memory-only, it never fails the request -- and strips the
-        retained networks either way.  The entry inherits the request's
+        Only a service with a disk tier digests the report here: the
+        digest and the disk write run on the calling worker thread,
+        outside the lock.  The write is best-effort inside the cache --
+        a failed persist degrades to memory-only, it never fails the
+        request -- and strips the retained networks either way.  A
+        memory-only entry is admitted undigested; :meth:`result_digest`
+        digests it on first read.  The entry inherits the request's
         capacity epoch, so a later bulk invalidation can find it.  A
         fresh network the solve left without a memo (no demand uses it)
         gets an empty one here, so its twins can adopt it too.
@@ -750,12 +756,34 @@ class SchedulingService:
         )
 
     def peek_digest(self, fingerprint) -> Optional[str]:
-        """The recorded admission digest for *fingerprint*, if its entry
-        is resident in memory -- a side-effect-free metadata read (no
-        recency bump, no stats), taken under the service lock."""
+        """The digest recorded on *fingerprint*'s resident entry, or
+        ``None`` when the entry is not in memory or nothing has digested
+        it yet (:meth:`result_digest`) -- a side-effect-free metadata
+        read (no recency bump, no stats), taken under the service
+        lock."""
         with self._lock:
             entry = self.cache.peek_entry(fingerprint)
             return None if entry is None else entry.digest
+
+    def result_digest(self, result: ServiceResult) -> str:
+        """The semantic digest of *result*'s report.
+
+        When the report is the value of its fingerprint's resident
+        entry, the digest is computed at most once, even by concurrent
+        readers, and recorded on the entry
+        (:meth:`~repro.service.cache.ResultCache.entry_digest`), so
+        later reads are a :meth:`peek_digest`; a report whose entry has
+        left the memory tier is digested on its own.  Either way
+        through the cache's ``digest_fn``, outside the service lock:
+        digesting serializes the whole report, so call this from a
+        worker thread, never an event loop.
+        """
+        with self._lock:
+            entry = self.cache.peek_entry(result.fingerprint)
+        if entry is None or entry.value is not result.report:
+            return self.cache.digest_fn(result.report)
+        with self._digest_lock:
+            return self.cache.entry_digest(entry)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -310,6 +310,63 @@ class TestWireProtocol:
         asyncio.run(run())
 
 
+class TestResponseDigest:
+    """A memory-only cache admits results undigested: the wire digests
+    an entry once, for its first response, on the admission pool and
+    outside the service lock, and every later response peeks."""
+
+    def test_wire_miss_then_two_hits_digest_once_off_loop_and_lock(self):
+        calls = []
+
+        async def run():
+            front = AsyncSchedulingService(capacity=8, workers=2)
+            service, loop_thread = front.service, threading.get_ident()
+            real = service.cache.digest_fn
+
+            def counted(report):
+                # The service lock is not reentrant: held by this
+                # thread, the acquire times out.
+                free = service._lock.acquire(timeout=5)
+                if free:
+                    service._lock.release()
+                calls.append((threading.get_ident() != loop_thread, free))
+                return real(report)
+
+            service.cache.digest_fn = counted
+            host, port = await front.serve()
+            reader, writer = await asyncio.open_connection(host, port)
+            responses = []
+            for i in range(3):  # sequential: a miss, then two hits
+                line = {"id": i, "workload": "bursty-lines", "size": 14,
+                        "seed": 1, "knobs": KNOBS}
+                writer.write(json.dumps(line).encode() + b"\n")
+                await writer.drain()
+                responses.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            await front.drain()
+            return responses
+
+        responses = asyncio.run(run())
+        assert [r["status"] for r in responses] == ["miss", "hit", "hit"]
+        assert all(r["semantic_digest"] == direct_digest() for r in responses)
+        assert calls == [(True, True)]
+
+    def test_an_evicted_entry_is_digested_from_the_served_report(self):
+        async def run():
+            front = AsyncSchedulingService(capacity=1, workers=2)
+            first = await front.solve(request())
+            await front.solve(request(seed=2))  # evicts the first entry
+            evicted = front.service.peek_digest(first.fingerprint)
+            digest = await front._response_digest(first)
+            await front.drain()
+            return evicted, digest
+
+        evicted, digest = asyncio.run(run())
+        assert evicted is None
+        assert digest == direct_digest()
+
+
 class TestStatsAndInvalidateWire:
     def test_stats_round_trips_a_future_non_serializable_counter(self):
         # The regression: one layer growing a non-JSON stat (an object,

@@ -692,6 +692,65 @@ class TestDebounce:
         # One ancestor solve + one coalesced delta solve.
         assert stats["service"]["solves"] == 2
 
+    @staticmethod
+    def pair(first, second):
+        """Send *first*, then once it is parked *second*, to a front door
+        debouncing for 50 ms; their results and the debouncer stats."""
+
+        async def run():
+            front = AsyncSchedulingService(
+                service=service(), delta_debounce=0.05
+            )
+            tasks = [asyncio.ensure_future(front.solve_delta(request(first)))]
+            while not len(front._debouncer):
+                await asyncio.sleep(0.001)
+            tasks.append(
+                asyncio.ensure_future(front.solve_delta(request(second)))
+            )
+            results = await asyncio.gather(*tasks)
+            stats = front.stats["debouncer"]
+            await front.drain()
+            return results, stats
+
+        return asyncio.run(run())
+
+    def test_sketch_twins_do_not_supersede_each_other(self):
+        # Swapping two differently shaped networks' ids keeps the
+        # sketch, so the pair shares a delta_key; it must not share a
+        # storm, or the first waiter is served the other problem.
+        knobs = SolveKnobs(**KNOBS)
+        problems = [
+            TestDecisionArms._two_shape_problem(swap=swap)
+            for swap in (False, True)
+        ]
+        assert delta_key(problems[0], knobs) == delta_key(problems[1], knobs)
+        results, stats = self.pair(*problems)
+        for problem, result in zip(problems, results):
+            assert not result.superseded
+            assert report_semantic_digest(result.report) == cold_digest(
+                problem, knobs
+            )
+        assert stats["flushes"] == 2 and stats["storms_coalesced"] == 0
+
+    def test_snapshots_over_equal_networks_still_coalesce(self):
+        # A rebuilt problem: new network objects with the same ids and
+        # content, and one demand's profit changed.
+        base = TestDecisionArms._two_shape_problem(swap=False)
+        rebuilt = TestDecisionArms._two_shape_problem(swap=False)
+        mutated = Problem(
+            networks=rebuilt.networks,
+            demands=[replace(rebuilt.demands[0], profit=99.5)]
+            + list(rebuilt.demands[1:]),
+            access=dict(rebuilt.access),
+        )
+        results, stats = self.pair(base, mutated)
+        assert [r.superseded for r in results] == [True, False]
+        latest = cold_digest(mutated, SolveKnobs(**KNOBS))
+        assert all(
+            report_semantic_digest(r.report) == latest for r in results
+        )
+        assert stats["flushes"] == 1 and stats["storms_coalesced"] == 1
+
     def test_drain_flushes_pending_storm(self):
         svc = service()
         trajectory = build_trajectory("tenant-churn", 16, seed=1, steps=2)

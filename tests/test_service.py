@@ -16,6 +16,7 @@ The acceptance contract of the service layer:
   serves without re-solving.
 """
 import random
+import sys
 import threading
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from repro.service import (
     report_semantic_digest,
 )
 from repro.trees.tree import TreeNetwork
-from repro.workloads import build_workload
+from repro.workloads import build_trajectory, build_workload
 from tests.test_backends import BACKENDS, run_on_backend
 
 #: One tree family and one line family keep the sweep CI-sized while
@@ -440,6 +441,111 @@ class TestPersistence:
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
             SchedulingService(workers=0)
+
+
+def counting_digest(service):
+    """Replace *service*'s cache ``digest_fn`` on the instance, as the
+    serving benchmark's tracer does; returns the list of digested
+    values, which grows with every call."""
+    calls = []
+    real = service.cache.digest_fn
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    service.cache.digest_fn = counted
+    return calls
+
+
+class TestDigestOnRead:
+    """A memory-only cache digests a result only when something reads
+    its digest; a disk tier digests at admission, because the pickle
+    carries the digest its reload verifies."""
+
+    def test_memory_only_writes_and_reads_never_digest(self):
+        service = SchedulingService(workers=2, keep_artifacts=True)
+        calls = counting_digest(service)
+        knobs = SolveKnobs(epsilon=EPSILON, mis="greedy")
+        for step in build_trajectory("tenant-churn", 16, seed=1, steps=4):
+            request = SolveRequest(problem=step.problem, knobs=knobs)
+            service.solve_delta(request)
+            assert service.solve(request).status == "hit"
+        service.solve_batch([make_request("bursty-lines", 14)] * 2)
+        assert service.solve(make_request("bursty-lines", 14)).status == "hit"
+        assert service.stats["solves"] == 5
+        assert calls == []
+
+    def test_a_disk_tier_digests_once_per_admission_and_verifies(
+        self, tmp_path
+    ):
+        requests = [
+            make_request("multi-tenant-forest", 16),
+            make_request("bursty-lines", 14),
+        ]
+        first = SchedulingService(workers=2, disk_dir=str(tmp_path))
+        calls = counting_digest(first)
+        cold = [first.solve(r) for r in requests]
+        assert [first.solve(r).status for r in requests] == ["hit", "hit"]
+        assert calls == [r.report for r in cold]
+        # The recorded digest is the one a reload verifies against.
+        second = SchedulingService(workers=2, disk_dir=str(tmp_path))
+        warm = [second.solve(r) for r in requests]
+        assert [r.status for r in warm] == ["hit", "hit"]
+        assert second.stats["cache"]["disk_hits"] == 2
+        assert second.stats["cache"]["verify_failures"] == 0
+        for request, result in zip(requests, warm):
+            assert second.peek_digest(request.fingerprint()) == (
+                report_semantic_digest(result.report)
+            )
+
+    def test_the_first_read_digests_once_and_records_it(self):
+        service = SchedulingService(workers=2, capacity=1)
+        calls = counting_digest(service)
+        request = make_request("bursty-lines", 14)
+        expected = direct_digest("bursty-lines", 14)
+        miss = service.solve(request)
+        assert service.peek_digest(miss.fingerprint) is None
+        assert service.result_digest(miss) == expected
+        hit = service.solve(request)
+        assert hit.status == "hit"
+        assert service.peek_digest(hit.fingerprint) == expected
+        assert service.result_digest(hit) == expected
+        assert len(calls) == 1
+        # Evicted (capacity 1): digested from the served report, and
+        # recorded nowhere.
+        service.solve(make_request("bursty-lines", 15))
+        assert service.peek_digest(miss.fingerprint) is None
+        assert service.result_digest(miss) == expected
+        assert len(calls) == 2
+
+    def test_racing_first_readers_digest_once(self):
+        # More readers than cores and a short switch interval: every
+        # reader of one undigested entry must get its digest, and only
+        # one may compute it.
+        service = SchedulingService(workers=2)
+        calls = counting_digest(service)
+        result = service.solve(make_request("bursty-lines", 14))
+        barrier = threading.Barrier(8)
+        digests = []
+
+        def read():
+            barrier.wait(timeout=30)
+            digests.append(service.result_digest(result))
+
+        readers = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert digests == [direct_digest("bursty-lines", 14)] * 8
+        assert len(calls) == 1
 
 
 class TestOptionalLabels:
