@@ -14,9 +14,10 @@ size; at the largest bursty-lines and multi-tenant-forest sizes the
 vectorized kernel is at least ``MIN_SPEEDUP`` x faster wall-clock.
 
 The incremental baseline runs every epoch on its plan slices (the
-epoch's own conflict adjacency and reverse index), never the global
-cross-epoch conflict graph, so the ratio measures the columnar kernel
-against the dict kernel alone.
+epoch's members and reverse index; each stage it enters builds its
+conflict graph from the buckets its unsatisfied members touch), never
+the global cross-epoch conflict graph, so the ratio measures the
+columnar kernel against the dict kernel alone.
 
 Methodology notes (both matter on a loaded shared box):
 

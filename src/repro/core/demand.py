@@ -19,6 +19,22 @@ from typing import FrozenSet, Tuple
 from repro.core.types import DemandId, EdgeKey, InstanceId, NetworkId, Vertex
 
 
+def check_instance_path(
+    path_vertex_seq: Tuple[Vertex, ...], path_edges: FrozenSet[EdgeKey]
+) -> None:
+    """The path invariants of a :class:`DemandInstance`: at least one
+    edge, and one edge per consecutive vertex pair.
+
+    Raises ``ValueError`` otherwise.  Problem expansion checks each
+    memoized path once, where the memo is filled, and builds its
+    instances without re-checking.
+    """
+    if len(path_vertex_seq) < 2:
+        raise ValueError("a demand instance must span at least one edge")
+    if len(path_edges) != len(path_vertex_seq) - 1:
+        raise ValueError("path_edges inconsistent with path_vertex_seq")
+
+
 def _check_profit_height(profit: float, height: float) -> None:
     if not profit > 0:
         raise ValueError(f"profit must be positive, got {profit}")
@@ -123,10 +139,7 @@ class DemandInstance:
     start_slot: Tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.path_vertex_seq) < 2:
-            raise ValueError("a demand instance must span at least one edge")
-        if len(self.path_edges) != len(self.path_vertex_seq) - 1:
-            raise ValueError("path_edges inconsistent with path_vertex_seq")
+        check_instance_path(self.path_vertex_seq, self.path_edges)
 
     @property
     def length(self) -> int:

@@ -67,9 +67,10 @@ class PhaseCounters:
     #: communication rounds: per step, Time(MIS) + 1 round to broadcast the
     #: new dual values; phase 2 costs one announcement round per stack entry.
     phase2_rounds: int = 0
-    #: calls to ``DualState.is_satisfied`` made by the first phase -- the
-    #: reference engine pays steps x group per stage, the incremental
-    #: engine group + dirty-set rechecks.
+    #: satisfaction evaluations made by the first phase -- the reference
+    #: engine pays steps x group ``DualState.is_satisfied`` calls per
+    #: stage, the incremental engine one due-stage evaluation per member
+    #: per epoch plus one per dirty-set recheck.
     satisfaction_checks: int = 0
     #: (epoch, stage) pairs the engine worked in.  The reference and
     #: columnar engines enter every stage of a non-empty epoch; the
@@ -77,8 +78,14 @@ class PhaseCounters:
     #: fails, so only stages with at least one raise are entered.
     stages_entered: int = 0
     #: adjacency entries materialized or mutated while preparing each
-    #: step's restricted conflict graph (entry plus neighbor-set size, so
-    #: the number is comparable across engines).
+    #: step's restricted conflict graph, each counted as entry plus
+    #: neighbor-set size.  The reference engine counts every unsatisfied
+    #: member's global neighbor set per step; the incremental engine
+    #: counts each entry of the graph a stage builds on its unsatisfied
+    #: members (neighbors restricted to them) plus each entry it drops
+    #: as a member satisfies; the columnar kernel, which builds no
+    #: adjacency, counts one per unsatisfied row at stage entry and one
+    #: per retired row.
     adjacency_touches: int = 0
     #: Second-phase work accounting: fits-checks attempted, instances
     #: admitted, and instances rejected during the stack pop.

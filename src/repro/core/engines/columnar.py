@@ -31,8 +31,9 @@ Conflict buckets instead of adjacency
 The conflict graph over one epoch's members is a union of cliques: all
 instances whose path contains edge ``e`` conflict pairwise, and all
 instances of demand ``a`` conflict pairwise.  The kernel therefore
-never materializes pairwise adjacency (the quadratic cost the
-incremental engine pays in ``conflict_adj``): it keeps one CSR *bucket*
+never materializes pairwise adjacency (the incremental engine builds
+it per stage, over the stage's unsatisfied members, because its MIS
+oracles take a dict adjacency): it keeps one CSR *bucket*
 per edge column and per demand, and every per-step graph operation --
 MIS local minima, blocking chosen rows' neighbors, collecting the dirty
 set after a raise -- becomes a segmented ``np.minimum.reduceat`` /

@@ -7,12 +7,16 @@ only the stages some member fails; see
 
 The per-epoch loop body lives in :func:`run_epoch_incremental`, and
 every epoch runs it on the slices of an
-:class:`~repro.core.plan.EpochPlan`: the epoch's members, their
-conflict adjacency and their reverse index.
+:class:`~repro.core.plan.EpochPlan`: the epoch's members and their
+edge/demand reverse index.  Each stage the loop enters builds the
+conflict graph induced on its unsatisfied members from the buckets
+they touch; each due-stage check runs through
+:func:`due_stage_finder`, the specification
+:func:`first_failing_stage` with its per-call overhead taken out.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Sequence
 
 from repro.core.demand import DemandInstance
 from repro.core.dual import DualState, RaiseEvent, RaiseRule
@@ -22,9 +26,9 @@ from repro.core.engines.artifacts import (
     PhaseCounters,
     stall_error,
 )
-from repro.core.plan import EpochPlan
-from repro.core.types import InstanceId
-from repro.distributed.conflict import ConflictAdjacency, InstanceIndex
+from repro.core.plan import EpochPlan, stage_adjacency
+from repro.core.types import EPS, InstanceId
+from repro.distributed.conflict import InstanceIndex
 from repro.distributed.mis import MISOracle
 
 
@@ -49,13 +53,60 @@ def first_failing_stage(
     return lo
 
 
+def due_stage_finder(
+    dual: DualState, thresholds: Sequence[float]
+) -> Callable[[DemandInstance, int], int]:
+    """``due(d, lo)``: the first stage at or after *lo* that *d* fails now.
+
+    Exactly ``first_failing_stage(dual.lhs(d), d.profit, thresholds,
+    lo)``, with the per-call overhead taken out: the LHS adds the same
+    terms in the same left-to-right order through locally bound dict
+    lookups, and the search inlines :meth:`DualState.lhs_satisfies`.
+    Failing is monotone in the stage, so a member past the last stage
+    stays there, and the search probes stage *lo* and the last stage
+    first -- most evaluations end there, a member still due where it
+    was or satisfying the whole schedule -- and bisects only between
+    them.  The dual's dicts are bound once, so *dual* must only be
+    mutated in place (as every raise rule does).
+    """
+    beta_get = dual.beta.get
+    alpha_get = dual.alpha.get
+    use_height_rule = dual.use_height_rule
+    n_stages = len(thresholds)
+    last = thresholds[-1]
+
+    def due(d: DemandInstance, lo: int) -> int:
+        if lo >= n_stages:
+            return lo
+        beta_sum = 0.0
+        for e in d.path_edges:
+            beta_sum += beta_get(e, 0.0)
+        coeff = d.height if use_height_rule else 1.0
+        lhs = alpha_get(d.demand_id, 0.0) + coeff * beta_sum
+        profit = d.profit
+        if lhs >= thresholds[lo] * profit - EPS:
+            if lhs >= last * profit - EPS:
+                return n_stages
+            # Stage lo holds and the last fails: bisect in between.
+            lo += 1
+            hi = n_stages - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if lhs >= thresholds[mid] * profit - EPS:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        return lo
+
+    return due
+
+
 def run_epoch_incremental(
     epoch: int,
     members: Sequence[DemandInstance],
     by_id: Mapping[InstanceId, DemandInstance],
     dual: DualState,
     index: InstanceIndex,
-    conflict_adj: ConflictAdjacency,
     layout: InstanceLayout,
     raise_rule: RaiseRule,
     thresholds: Sequence[float],
@@ -69,22 +120,22 @@ def run_epoch_incremental(
 
     ``index`` may be the global instance index or one restricted to
     *members*: dirty sets are always intersected with the member set,
-    so both give identical behaviour (the restricted one is just
-    cheaper, which is why every epoch runs on plan slices).  Likewise
-    ``conflict_adj`` may be global or member-restricted: the active-set
-    view intersects neighbor sets with the unsatisfied members anyway.
+    and a stage's conflict graph is induced on its unsatisfied members
+    (:func:`~repro.core.plan.stage_adjacency`), so both give identical
+    behaviour (the restricted one is just cheaper, which is why every
+    epoch runs on plan slices).
     """
     n_stages = len(thresholds)
+    due_stage = due_stage_finder(dual, thresholds)
     # Each member's *due stage*: the first stage (0-based) whose
     # threshold its LHS, as of its last evaluation, fails; n_stages
     # once it fails none.  One full evaluation per member per epoch;
     # afterwards only dirty members are re-evaluated.
     due: Dict[InstanceId, int] = {}
     waiting: Dict[int, set] = {}  # due stage -> members due there
+    counters.satisfaction_checks += len(members)
     for d in members:
-        counters.satisfaction_checks += 1
-        k = first_failing_stage(dual.lhs(d), d.profit, thresholds)
-        due[d.instance_id] = k
+        k = due[d.instance_id] = due_stage(d, 0)
         if k < n_stages:
             waiting.setdefault(k, set()).add(d.instance_id)
     # A stage no member is due at would rescan to an empty unsatisfied
@@ -95,12 +146,13 @@ def run_epoch_incremental(
         unsat = waiting.pop(k)
         stage_no = k + 1
         counters.stages_entered += 1
-        # Active-set view of the conflict graph, built once per stage
-        # and shrunk in place as instances satisfy.
-        active_adj: ConflictAdjacency = {}
-        for i in unsat:
-            active_adj[i] = conflict_adj[i] & unsat
-            counters.adjacency_touches += 1 + len(conflict_adj[i])
+        # The conflict graph induced on the stage's unsatisfied members,
+        # built once from the buckets they touch and shrunk in place as
+        # instances satisfy.
+        active_adj = stage_adjacency(index, [by_id[i] for i in unsat])
+        counters.adjacency_touches += len(active_adj) + sum(
+            map(len, active_adj.values())
+        )
         step = 0
         while unsat:
             step += 1
@@ -134,11 +186,11 @@ def run_epoch_incremental(
             # stage only moves later: members due now retire when
             # tau-satisfied, later ones move to a later bucket.
             newly_satisfied = []
-            for i in sorted(dirty & due.keys()):
-                d = by_id[i]
-                counters.satisfaction_checks += 1
+            recheck = sorted(dirty & due.keys())
+            counters.satisfaction_checks += len(recheck)
+            for i in recheck:
                 old = due[i]
-                new = first_failing_stage(dual.lhs(d), d.profit, thresholds, old)
+                new = due_stage(by_id[i], old)
                 if new == old:
                     continue
                 due[i] = new
@@ -196,7 +248,10 @@ def run_first_phase_incremental(
 
     Each epoch runs on its :class:`~repro.core.plan.EpochPlan` slices
     (Figure 7's MIS only ever looks at the current group, so
-    cross-epoch conflict pairs are never built).
+    cross-epoch conflict pairs are never built), and a stage's
+    adjacency view is built from the epoch's edge and demand buckets
+    that its unsatisfied members touch: conflicts among members that
+    are already satisfied when the stage opens are never built either.
     """
     dual = DualState(use_height_rule=raise_rule.use_height_rule)
     by_id = {d.instance_id: d for d in instances}
@@ -210,8 +265,8 @@ def run_first_phase_incremental(
         members = plan.members.get(epoch)
         if members:
             order = run_epoch_incremental(
-                epoch, members, by_id, dual, plan.index[epoch],
-                plan.adjacency[epoch], layout, raise_rule, thresholds,
-                mis_oracle, events, stack, counters, order,
+                epoch, members, by_id, dual, plan.index[epoch], layout,
+                raise_rule, thresholds, mis_oracle, events, stack,
+                counters, order,
             )
     return dual, stack, events, counters

@@ -43,9 +43,11 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   member fails to the next instead of visiting every threshold.  The
   per-step ``restrict()`` rebuild is replaced by an active-set
   adjacency view that shrinks as instances satisfy.  Every epoch runs
-  on the slices of an :class:`~repro.core.plan.EpochPlan` -- its own
-  conflict adjacency and reverse index, never the global cross-epoch
-  graph (:mod:`repro.core.engines.incremental`).
+  on the slices of an :class:`~repro.core.plan.EpochPlan` -- its
+  members and their edge/demand reverse index, never the global
+  cross-epoch graph -- and each stage it enters builds its adjacency
+  view from the buckets its unsatisfied members touch
+  (:mod:`repro.core.engines.incremental`).
 * ``engine="vectorized"`` -- the array-native columnar kernel
   (:mod:`repro.core.engines.columnar`): the whole phase is re-encoded
   once into numpy struct-of-arrays blocks (CSR path/critical-edge

@@ -5,23 +5,26 @@ its MIS looks only at conflicts among ``Gk``'s members, and its
 dirty-set queries only ever need members.  :class:`EpochPlan`
 materializes, per epoch,
 
-* the slice of the instance set (members, in input order),
-* the conflict adjacency induced on the group -- all any engine's MIS
-  ever looks at -- and
+* the slice of the instance set (members, in input order) and
 * a :class:`~repro.distributed.conflict.InstanceIndex` reverse index
-  over the members (dirty-set queries restricted to the group).
+  over the members: one bucket per edge and per demand.
 
-The incremental engine (:mod:`repro.core.engines.incremental`) runs
-every epoch, in order, on these slices.
+Two instances conflict exactly when they share a bucket, so the index
+is also the epoch's conflict graph in bucket form: each stage the
+incremental engine (:mod:`repro.core.engines.incremental`) enters
+links only its unsatisfied members, through the buckets they touch
+(:func:`stage_adjacency`), and no pairwise adjacency is built for the
+whole epoch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.core.demand import DemandInstance
 from repro.core.engines.artifacts import InstanceLayout, group_members
-from repro.core.types import InstanceId
+from repro.core.types import DemandId, EdgeKey, InstanceId
 from repro.distributed.conflict import ConflictAdjacency, InstanceIndex
 
 
@@ -32,8 +35,6 @@ class EpochPlan:
     n_epochs: int
     #: epoch -> its group members, in global instance order.
     members: Dict[int, List[DemandInstance]]
-    #: epoch -> conflict adjacency induced on its members.
-    adjacency: Dict[int, ConflictAdjacency]
     #: epoch -> reverse edge/demand index over its members.
     index: Dict[int, InstanceIndex]
 
@@ -41,43 +42,64 @@ class EpochPlan:
     def build(
         instances: Sequence[DemandInstance], layout: InstanceLayout
     ) -> "EpochPlan":
-        """Build the plan for *instances* under *layout*.
-
-        Each group's conflict graph is built directly from the group's
-        own edge and demand buckets, so cross-epoch conflict pairs are
-        never materialized.  The incremental engine runs every epoch on
-        these slices.
-        """
+        """Build the plan for *instances* under *layout*: one bucketing
+        pass per epoch, over the epoch's own members."""
         groups = group_members(instances, layout)
-        members: Dict[int, List[DemandInstance]] = {}
-        adjacency: Dict[int, ConflictAdjacency] = {}
         index: Dict[int, InstanceIndex] = {}
         for epoch, mine in groups.items():
-            members[epoch] = mine
-            # One bucketing pass per epoch feeds both the reverse index
-            # and the group conflict adjacency.
             by_edge: Dict[object, Set[InstanceId]] = {}
             by_demand: Dict[int, Set[InstanceId]] = {}
             for d in mine:
-                by_demand.setdefault(d.demand_id, set()).add(d.instance_id)
+                i = d.instance_id
+                bucket = by_demand.get(d.demand_id)
+                if bucket is None:
+                    by_demand[d.demand_id] = {i}
+                else:
+                    bucket.add(i)
                 for e in d.path_edges:
-                    by_edge.setdefault(e, set()).add(d.instance_id)
+                    bucket = by_edge.get(e)
+                    if bucket is None:
+                        by_edge[e] = {i}
+                    else:
+                        bucket.add(i)
             # Plain sets instead of InstanceIndex's canonical frozensets:
             # nothing mutates the buckets after this point, and skipping
             # the conversion keeps plan construction cheap.
             index[epoch] = InstanceIndex(by_edge=by_edge, by_demand=by_demand)
-            adj: ConflictAdjacency = {d.instance_id: set() for d in mine}
-            for bucket in list(by_edge.values()) + list(by_demand.values()):
-                if len(bucket) < 2:
-                    continue
-                for i in bucket:
-                    adj[i] |= bucket
-            for i, nbrs in adj.items():
-                nbrs.discard(i)
-            adjacency[epoch] = adj
-        return EpochPlan(
-            n_epochs=layout.n_epochs,
-            members=members,
-            adjacency=adjacency,
-            index=index,
-        )
+        return EpochPlan(n_epochs=layout.n_epochs, members=groups, index=index)
+
+
+def stage_adjacency(
+    index: InstanceIndex, instances: Iterable[DemandInstance]
+) -> ConflictAdjacency:
+    """The conflict graph induced on *instances*, every one of which
+    *index* covers.
+
+    Two instances conflict exactly when they share a demand or an edge
+    bucket, so the induced graph links the given instances within every
+    bucket that two or more of them fall in.  Only the buckets
+    *instances* touch are visited.  Equals
+    ``restrict(build_conflict_graph(covered), ids)`` for the instances
+    *index* covers and the ids of *instances*.
+    """
+    ids: Set[InstanceId] = set()
+    demands: Set[DemandId] = set()
+    edges: Set[EdgeKey] = set()
+    for d in instances:
+        ids.add(d.instance_id)
+        demands.add(d.demand_id)
+        edges |= d.path_edges
+    adj: ConflictAdjacency = {i: set() for i in ids}
+    if len(adj) < 2:
+        return adj
+    by_demand, by_edge = index.by_demand, index.by_edge
+    for bucket in chain(
+        [by_demand[a] for a in demands], [by_edge[e] for e in edges]
+    ):
+        shared = bucket & ids
+        if len(shared) > 1:
+            for i in shared:
+                adj[i] |= shared
+    for i, nbrs in adj.items():
+        nbrs.discard(i)
+    return adj

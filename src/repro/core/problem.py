@@ -10,9 +10,10 @@ Window demands (Section 7) expand into one instance per accessible
 resource per feasible start slot.
 
 Paths and window placements depend on the network alone, so they come
-from each network's memo (:class:`~repro.trees.tree.NetworkMemo`);
-expansion itself only constructs the :class:`DemandInstance` objects,
-whose ids depend on the problem.
+from each network's memo (:class:`~repro.trees.tree.NetworkMemo`),
+which checks each path once, when it stores it; expansion itself only
+constructs the :class:`DemandInstance` objects, whose ids depend on
+the problem, field by field and without re-checking their paths.
 
 A problem is an immutable value, like its networks and demands: ``D``
 is a pure function of the input, so the expansions are cached on the
@@ -25,10 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
-from repro.core.demand import Demand, DemandInstance, WindowDemand
-from repro.core.types import DemandId, EdgeKey, NetworkId
+from repro.core.demand import (
+    Demand,
+    DemandInstance,
+    WindowDemand,
+    check_instance_path,
+)
+from repro.core.types import DemandId, EdgeKey, NetworkId, Vertex
 from repro.trees.tree import TreeNetwork
 
 AnyDemand = Union[Demand, WindowDemand]
@@ -40,7 +48,8 @@ class ProblemError(ValueError):
 
 def _window_placements(a: WindowDemand, net: TreeNetwork) -> Tuple:
     """``(start, end vertex, vertex path, edge set)`` of every placement
-    of *a* that fits on the line *net*."""
+    of *a* that fits on the line *net*, each path checked by
+    :func:`~repro.core.demand.check_instance_path`."""
     n_slots = net.n_vertices - 1
     out = []
     for s in a.start_slots:
@@ -48,8 +57,48 @@ def _window_placements(a: WindowDemand, net: TreeNetwork) -> Tuple:
         if end_vertex > n_slots:
             continue  # placement falls off the timeline
         verts = tuple(range(s, end_vertex + 1))
-        out.append((s, end_vertex, verts, frozenset(net.path_edges(s, end_vertex))))
+        edges = frozenset(net.path_edges(s, end_vertex))
+        check_instance_path(verts, edges)
+        out.append((s, end_vertex, verts, edges))
     return tuple(out)
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _instance(
+    instance_id: int,
+    a: AnyDemand,
+    network_id: NetworkId,
+    u: Vertex,
+    v: Vertex,
+    verts: Tuple[Vertex, ...],
+    edges: FrozenSet[EdgeKey],
+    start_slot: Optional[Tuple[int, ...]],
+) -> DemandInstance:
+    """The :class:`DemandInstance` of demand *a* on the checked path
+    ``(verts, edges)``, built without the dataclass ``__init__``.
+
+    Equal to the dataclass-built instance.  Its path was checked where
+    the network memo stored it (:meth:`TreeNetwork.instance_path`,
+    :func:`_window_placements`), so ``__post_init__`` is skipped.  The
+    fields are set in declaration order, as the dataclass ``__init__``
+    sets them, so every instance keeps the class's key-sharing
+    ``__dict__``.
+    """
+    d = _new_object(DemandInstance)
+    _set_field(d, "instance_id", instance_id)
+    _set_field(d, "demand_id", a.demand_id)
+    _set_field(d, "network_id", network_id)
+    _set_field(d, "u", u)
+    _set_field(d, "v", v)
+    _set_field(d, "profit", a.profit)
+    _set_field(d, "height", a.height)
+    _set_field(d, "path_vertex_seq", verts)
+    _set_field(d, "path_edges", edges)
+    _set_field(d, "start_slot", start_slot)
+    return d
 
 
 @dataclass(frozen=True)
@@ -184,17 +233,7 @@ class Problem:
             )
         verts, edges = net.instance_path(a.u, a.v)
         out.append(
-            DemandInstance(
-                instance_id=next_id,
-                demand_id=a.demand_id,
-                network_id=net.network_id,
-                u=a.u,
-                v=a.v,
-                profit=a.profit,
-                height=a.height,
-                path_vertex_seq=verts,
-                path_edges=edges,
-            )
+            _instance(next_id, a, net.network_id, a.u, a.v, verts, edges, None)
         )
         return next_id + 1
 
@@ -213,20 +252,10 @@ class Problem:
             placements = _window_placements(a, net)
             if exact:
                 net.memo.windows[window] = placements
+        nid = net.network_id
         for s, end_vertex, verts, edges in placements:
             out.append(
-                DemandInstance(
-                    instance_id=next_id,
-                    demand_id=a.demand_id,
-                    network_id=net.network_id,
-                    u=s,
-                    v=end_vertex,
-                    profit=a.profit,
-                    height=a.height,
-                    path_vertex_seq=verts,
-                    path_edges=edges,
-                    start_slot=(s,),
-                )
+                _instance(next_id, a, nid, s, end_vertex, verts, edges, (s,))
             )
             next_id += 1
         return next_id

@@ -2,7 +2,7 @@
 
 A request moving through :class:`~repro.service.server.SchedulingService`
 passes distinct phases -- validate, fingerprint, cache probe, dispatch,
-solve, digest -- and the interesting question in production is *which
+solve, admit -- and the interesting question in production is *which
 phase* the wall-clock went to (a slow cache probe and a slow solve need
 opposite fixes).  :class:`Trace` is a lightweight per-request recorder:
 
@@ -47,10 +47,13 @@ __all__ = [
     "trace_request",
 ]
 
-#: Canonical request phases, in pipeline order.  Other layers may add
-#: their own phase labels (the async front door records ``admission``);
-#: these are the ones the scheduling service itself emits.
-PHASES = ("validate", "fingerprint", "cache_probe", "dispatch", "solve", "digest")
+#: Canonical request phases, in pipeline order: the ones every request
+#: the scheduling service solves passes.  Other labels are recorded
+#: outside this pipeline: the async front door records ``admission``,
+#: and the service records ``digest`` wherever its cache's digest
+#: function actually runs (a disk-tier admission, inside ``admit``, and
+#: an entry's first digest read).
+PHASES = ("validate", "fingerprint", "cache_probe", "dispatch", "solve", "admit")
 
 PHASE_HISTOGRAM = "repro_service_phase_seconds"
 REQUEST_HISTOGRAM = "repro_service_request_seconds"

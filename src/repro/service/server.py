@@ -604,30 +604,36 @@ class SchedulingService:
         fp: Fingerprint,
         report: AlgorithmReport,
         fresh: Sequence[Tuple[NetworkKey, TreeNetwork]],
+        trace,
     ) -> None:
         """Admit a solved report; on a ``keep_artifacts`` service, retain
         the request's networks on its entry and register the *fresh*
         ones (those that had no memo before the solve) as the newest
         networks with their content.
 
-        Only a service with a disk tier digests the report here: the
-        digest and the disk write run on the calling worker thread,
-        outside the lock.  The write is best-effort inside the cache --
-        a failed persist degrades to memory-only, it never fails the
-        request -- and strips the retained networks either way.  A
-        memory-only entry is admitted undigested; :meth:`result_digest`
-        digests it on first read.  The entry inherits the request's
-        capacity epoch, so a later bulk invalidation can find it.  A
-        fresh network the solve left without a memo (no demand uses it)
-        gets an empty one here, so its twins can adopt it too.
+        Only a service with a disk tier digests the report here, timed
+        as *trace*'s ``digest`` phase: the digest and the disk write run
+        on the calling worker thread, outside the lock.  The write is
+        best-effort inside the cache -- a failed persist degrades to
+        memory-only, it never fails the request -- and strips the
+        retained networks either way.  A memory-only entry is admitted
+        undigested; :meth:`result_digest` digests it on first read.  The
+        entry inherits the request's capacity epoch, so a later bulk
+        invalidation can find it.  A fresh network the solve left
+        without a memo (no demand uses it) gets an empty one here, so
+        its twins can adopt it too.
         """
         networks = (
             tuple(request.problem.networks.values())
             if self.keep_artifacts else None
         )
-        entry = self.cache.make_entry(
-            fp, report, epoch=request.knobs.capacity_epoch, artifacts=networks
-        )
+        # Only a disk-tier entry is digested as it is made.
+        digesting = trace if self.cache.disk_dir is not None else NULL_TRACE
+        with digesting.span("digest"):
+            entry = self.cache.make_entry(
+                fp, report, epoch=request.knobs.capacity_epoch,
+                artifacts=networks,
+            )
         self.cache.write_disk(entry)
         for _, net in fresh:
             net.memo  # noqa: B018 -- the property creates a missing memo
@@ -670,8 +676,8 @@ class SchedulingService:
                 trace, getattr(solving, "elapsed", None),
                 "delta" if warm else "cold",
             )
-            with trace.span("digest"):
-                self._admit_result(request, fp, report, fresh)
+            with trace.span("admit"):
+                self._admit_result(request, fp, report, fresh, trace)
             stats = None
             if delta:
                 stats = DeltaStats(
@@ -776,14 +782,27 @@ class SchedulingService:
         left the memory tier is digested on its own.  Either way
         through the cache's ``digest_fn``, outside the service lock:
         digesting serializes the whole report, so call this from a
-        worker thread, never an event loop.
+        worker thread, never an event loop.  With telemetry on, each
+        ``digest_fn`` run here is one observation of the ``digest``
+        phase, labelled with the fingerprint's family when telemetry
+        has classified it (else ``unknown``); a read that finds the
+        digest recorded observes nothing.
         """
         with self._lock:
             entry = self.cache.peek_entry(result.fingerprint)
         if entry is None or entry.value is not result.report:
-            return self.cache.digest_fn(result.report)
+            with self._digest_span(result.fingerprint):
+                return self.cache.digest_fn(result.report)
         with self._digest_lock:
-            return self.cache.entry_digest(entry)
+            if entry.digest is not None:
+                return entry.digest
+            with self._digest_span(result.fingerprint):
+                return self.cache.entry_digest(entry)
+
+    def _digest_span(self, fingerprint: Fingerprint):
+        """A ``digest`` phase span outside any request's trace."""
+        family = self._family_cache.get(fingerprint.digest, "unknown")
+        return trace_request(self.metrics, family=family).span("digest")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core.demand import check_instance_path
 from repro.core.types import EdgeKey, NetworkId, Vertex, edge_key
 
 #: An instance path: its vertex sequence and its edge set.
@@ -294,16 +295,23 @@ class TreeNetwork:
 
         Memoized for exact-``int`` endpoints; any other endpoint type is
         computed fresh and never stored (see the module docstring).
+        Either way the path passes
+        :func:`~repro.core.demand.check_instance_path` before it is
+        returned, so a memoized path is checked once, when it is stored.
         """
         if type(u) is not int or type(v) is not int:
-            verts = self.path_vertices(u, v)
-            return verts, frozenset(self._edges_along(verts))
+            return self._instance_path(u, v)
         paths = self.memo.paths
         path = paths.get((u, v))
         if path is None:
-            verts = self.path_vertices(u, v)
-            path = paths[(u, v)] = (verts, frozenset(self._edges_along(verts)))
+            path = paths[(u, v)] = self._instance_path(u, v)
         return path
+
+    def _instance_path(self, u: Vertex, v: Vertex) -> InstancePath:
+        verts = self.path_vertices(u, v)
+        edges = frozenset(self._edges_along(verts))
+        check_instance_path(verts, edges)
+        return verts, edges
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         """Number of edges on the unique path between *u* and *v*."""

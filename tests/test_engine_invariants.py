@@ -11,8 +11,10 @@ error naming the stalled (epoch, stage) after at most ``len(members)``
 steps, not silently loop -- also deep in a schedule, past stages the
 incremental engine skips, and in each of two solves run at once.  The
 due-stage bisection behind that skip is checked against a linear scan
-at float boundaries.
+at float boundaries, and the engine's inlined due-stage search against
+that bisection of ``DualState.lhs``.
 """
+import dataclasses
 import math
 
 import pytest
@@ -20,9 +22,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import line_layouts, tree_layouts
-from repro.core.demand import Demand
+from repro.core.demand import Demand, DemandInstance
 from repro.core.dual import DualState, HeightRaise, UnitRaise
-from repro.core.engines.incremental import first_failing_stage
+from repro.core.engines.incremental import (
+    due_stage_finder,
+    first_failing_stage,
+)
 from repro.core.framework import (
     InstanceLayout,
     geometric_thresholds,
@@ -247,6 +252,44 @@ def due_stage_cases(draw):
     return lhs, profit, thresholds, lo
 
 
+@st.composite
+def dual_due_stage_cases(draw):
+    """A dual state, an instance whose LHS sits on or one ulp beside
+    some threshold's satisfaction edge (its profit chosen to put it
+    there), a schedule as above and a start index."""
+    thresholds = geometric_thresholds(
+        draw(st.floats(min_value=0.05, max_value=0.998)),
+        draw(st.floats(min_value=0.01, max_value=0.95)),
+    )
+    j = draw(st.integers(min_value=0, max_value=len(thresholds) - 1))
+    if draw(st.booleans()):
+        thresholds.insert(j, thresholds[j])
+    dual = DualState(use_height_rule=draw(st.booleans()))
+    length = draw(st.integers(min_value=1, max_value=6))
+    weights = st.one_of(st.none(), st.floats(min_value=0.0, max_value=50.0))
+    verts = tuple(range(length + 1))
+    for u, w in zip(verts, draw(st.lists(weights, min_size=length, max_size=length))):
+        if w is not None:
+            dual.beta[(0, u, u + 1)] = w
+    alpha = draw(weights)
+    if alpha is not None:
+        dual.alpha[7] = alpha
+    d = DemandInstance(
+        instance_id=0, demand_id=7, network_id=0, u=0, v=length,
+        profit=1.0, height=draw(st.floats(min_value=0.01, max_value=1.0)),
+        path_vertex_seq=verts,
+        path_edges=frozenset((0, u, u + 1) for u in verts[:-1]),
+    )
+    profit = max((dual.lhs(d) + EPS) / thresholds[j], 1e-3)
+    profit = draw(
+        st.sampled_from(
+            [math.nextafter(profit, 0.0), profit, math.nextafter(profit, math.inf)]
+        )
+    )
+    lo = draw(st.integers(min_value=0, max_value=len(thresholds)))
+    return dual, dataclasses.replace(d, profit=profit), thresholds, lo
+
+
 class TestDueStage:
     @given(due_stage_cases())
     @settings(max_examples=300, deadline=None)
@@ -254,4 +297,15 @@ class TestDueStage:
         lhs, profit, thresholds, lo = case
         assert first_failing_stage(lhs, profit, thresholds, lo) == (
             linear_first_failing_stage(lhs, profit, thresholds, lo)
+        )
+
+    @given(dual_due_stage_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_finder_matches_specification(self, case):
+        # The engine's inlined LHS and search against the specification
+        # they replace: DualState.lhs, then first_failing_stage.
+        dual, d, thresholds, lo = case
+        due = due_stage_finder(dual, thresholds)
+        assert due(d, lo) == first_failing_stage(
+            dual.lhs(d), d.profit, thresholds, lo
         )

@@ -1,31 +1,52 @@
 """Tests for the per-epoch planner (:mod:`repro.core.plan`).
 
-The plan's contract: per-epoch slices partition the instance set, and
-the per-epoch adjacency/index agree with their global counterparts
-restricted to the group.
+The plan's contract: per-epoch slices partition the instance set, the
+per-epoch index agrees with the global one restricted to the group,
+and the conflict graph a stage builds from the index's buckets for any
+subset of an epoch's members is the global conflict graph induced on
+that subset.
 """
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.base import line_layouts, tree_layouts
-from repro.core.plan import EpochPlan
+from repro.core.plan import EpochPlan, stage_adjacency
 from repro.distributed.conflict import (
     build_conflict_graph,
     build_instance_index,
     restrict,
 )
-from repro.workloads import build_workload
+from repro.workloads import REGISTRY, build_workload
 
 TREE_WORKLOADS = ["powerlaw-trees", "deep-trees", "multi-tenant-forest"]
 LINE_WORKLOADS = ["bursty-lines", "wide-vod-lines"]
+#: Every tree and every line workload of the registry.
+ALL_WORKLOADS = sorted(REGISTRY)
 
 
 def make_plan(name, size=40, seed=3):
     problem = build_workload(name, size, seed=seed)
-    if name in LINE_WORKLOADS:
+    if REGISTRY[name].kind == "line":
         layout = line_layouts(problem)
     else:
         layout, _ = tree_layouts(problem, "ideal")
     return problem, layout, EpochPlan.build(problem.instances, layout)
+
+
+@lru_cache(maxsize=None)
+def plan_with_graphs(name):
+    """*name*'s plan, its global conflict graph, and each epoch's
+    conflict graph over its members (shared by hypothesis examples)."""
+    problem, layout, plan = make_plan(name)
+    global_adj = build_conflict_graph(problem.instances)
+    epoch_adj = {
+        epoch: build_conflict_graph(mine)
+        for epoch, mine in plan.members.items()
+    }
+    return plan, global_adj, epoch_adj
 
 
 class TestSlices:
@@ -41,13 +62,32 @@ class TestSlices:
             ids = [d.instance_id for d in mine]
             assert ids == sorted(ids)
 
-    @pytest.mark.parametrize("name", TREE_WORKLOADS + LINE_WORKLOADS)
-    def test_adjacency_matches_global_restriction(self, name):
-        problem, layout, plan = make_plan(name)
-        global_adj = build_conflict_graph(problem.instances)
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_adjacency_matches_global_restriction(self, name, data):
+        # A stage's unsatisfied set is any subset of its epoch's
+        # members; the graph built from the buckets it touches must be
+        # the epoch's (and the global) conflict graph induced on it.
+        plan, global_adj, epoch_adj = plan_with_graphs(name)
+        epoch = data.draw(st.sampled_from(sorted(plan.members)), "epoch")
+        mine = plan.members[epoch]
+        picked = data.draw(
+            st.sets(st.sampled_from(range(len(mine)))), "subset"
+        )
+        subset = [mine[k] for k in sorted(picked)]
+        ids = [d.instance_id for d in subset]
+        got = stage_adjacency(plan.index[epoch], subset)
+        assert got == restrict(epoch_adj[epoch], ids)
+        assert got == restrict(global_adj, ids)
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_whole_epoch_adjacency_matches_global_restriction(self, name):
+        plan, global_adj, epoch_adj = plan_with_graphs(name)
         for epoch, mine in plan.members.items():
             ids = [d.instance_id for d in mine]
-            assert plan.adjacency[epoch] == restrict(global_adj, ids)
+            got = stage_adjacency(plan.index[epoch], mine)
+            assert got == epoch_adj[epoch] == restrict(global_adj, ids)
 
     @pytest.mark.parametrize("name", TREE_WORKLOADS)
     def test_index_agrees_with_global_on_members(self, name):
@@ -66,12 +106,12 @@ class TestSlices:
 
 def verify(plan, layout):
     """A plan's structural invariants: only non-empty epochs in
-    ``1..n_epochs`` carry slices, and each carries all three."""
+    ``1..n_epochs`` carry slices, and each carries both."""
     epochs = set(range(1, layout.n_epochs + 1))
     assert plan.n_epochs == layout.n_epochs
     assert set(plan.members) <= epochs
     assert all(plan.members.values())
-    assert set(plan.adjacency) == set(plan.index) == set(plan.members)
+    assert set(plan.index) == set(plan.members)
 
 
 class TestWaves:

@@ -6,7 +6,9 @@ The acceptance contract of the observability layer:
   metrics status (``cold`` / ``hit`` / ``coalesced`` / ``delta``) and
   problem family (``line`` / ``tree``);
 * **Phase coverage** -- a cold solve records every phase of the
-  request lifecycle into ``repro_service_phase_seconds``;
+  request lifecycle into ``repro_service_phase_seconds``, and the
+  ``digest`` phase counts exactly the digests computed (a disk-tier
+  admission, an entry's first digest read);
 * **Digest identity** -- telemetry on, telemetry off, and a direct
   :func:`solve_auto` call all serve the same bits;
 * **SLO** -- per-family targets ride the same histograms, attainment
@@ -91,6 +93,12 @@ class TestServiceTelemetry:
         assert series(counters, name, status="error") is None
 
     def test_cold_solve_records_every_phase(self):
+        # Admission is the last pipeline phase; the digest is recorded
+        # outside the pipeline, only where it is computed (below).
+        assert PHASES == (
+            "validate", "fingerprint", "cache_probe", "dispatch", "solve",
+            "admit",
+        )
         registry = MetricsRegistry()
         service = SchedulingService(workers=2, metrics=registry)
         service.solve(make_request())
@@ -109,6 +117,49 @@ class TestServiceTelemetry:
             histograms, "repro_service_request_seconds",
             family="line", status="cold",
         ) == 1
+
+    def test_memory_only_cold_solve_records_admit_and_no_digest(self):
+        registry = MetricsRegistry()
+        service = SchedulingService(workers=2, metrics=registry)
+        service.solve(make_request())
+        histograms = registry.snapshot()["histograms"]
+        assert series(
+            histograms, "repro_service_phase_seconds",
+            phase="admit", family="line",
+        ) == 1
+        assert series(
+            histograms, "repro_service_phase_seconds", phase="digest"
+        ) is None
+
+    def test_disk_tier_solve_records_one_digest(self, tmp_path):
+        registry = MetricsRegistry()
+        service = SchedulingService(
+            workers=2, metrics=registry, disk_dir=str(tmp_path)
+        )
+        service.solve(make_request())
+        histograms = registry.snapshot()["histograms"]
+        assert series(
+            histograms, "repro_service_phase_seconds",
+            phase="digest", family="line",
+        ) == 1
+
+    def test_first_digest_read_records_one_digest_and_a_repeat_none(self):
+        registry = MetricsRegistry()
+        service = SchedulingService(workers=2, metrics=registry)
+        result = service.solve(make_request())
+
+        def digests():
+            return series(
+                registry.snapshot()["histograms"],
+                "repro_service_phase_seconds", phase="digest", family="line",
+            )
+
+        assert digests() is None
+        first = service.result_digest(result)
+        assert digests() == 1
+        assert service.result_digest(result) == first
+        assert digests() == 1
+        assert first == direct_digest()
 
     def test_family_label_splits_line_and_tree(self):
         registry = MetricsRegistry()

@@ -27,6 +27,7 @@ from repro.core.framework import (
     unit_xi,
 )
 from repro.core.plan import EpochPlan
+from repro.distributed.conflict import build_conflict_graph, restrict
 from repro.distributed.mis import luby_substream_seed, make_mis_oracle
 from repro.service import SchedulingService
 from repro.service import pools as pools_mod
@@ -233,6 +234,7 @@ class TestLubySubstreams:
             "multi-tenant-forest", 30, seed=13
         )
         plan = EpochPlan.build(problem.instances, layout)
+        conflicts = build_conflict_graph(problem.instances)
         rich = [k for k, mine in plan.members.items() if len(mine) >= 2][:2]
         if len(rich) < 2:
             pytest.skip("workload draw produced fewer than two rich epochs")
@@ -240,9 +242,8 @@ class TestLubySubstreams:
 
         def query(oracle, epoch):
             members = plan.members[epoch]
-            return oracle(
-                members, plan.adjacency[epoch], (epoch, 1, 1)
-            )[0]
+            adjacency = restrict(conflicts, [d.instance_id for d in members])
+            return oracle(members, adjacency, (epoch, 1, 1))[0]
 
         first = make_mis_oracle("luby", 42)
         res_a, res_b = query(first, a), query(first, b)

@@ -25,7 +25,8 @@ from repro.core.framework import (
     run_first_phase,
     unit_xi,
 )
-from repro.core.plan import EpochPlan
+from repro.core.plan import EpochPlan, stage_adjacency
+from repro.distributed.conflict import build_conflict_graph, restrict
 from repro.distributed.mis import make_mis_oracle
 from repro.service import (
     SchedulingService,
@@ -52,6 +53,14 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
+def epoch_adjacency(problem, members):
+    """The conflict graph induced on one epoch's *members*."""
+    return restrict(
+        build_conflict_graph(problem.instances),
+        [d.instance_id for d in members],
+    )
+
+
 class TestOraclePicklability:
     @pytest.mark.parametrize("mis", ORACLES)
     def test_factory_products_roundtrip_and_agree(self, mis):
@@ -63,8 +72,9 @@ class TestOraclePicklability:
             if not members:
                 continue
             ctx = (epoch, 1, 1)
-            assert original(members, plan.adjacency[epoch], ctx) == copy(
-                members, plan.adjacency[epoch], ctx
+            adjacency = epoch_adjacency(problem, members)
+            assert original(members, adjacency, ctx) == copy(
+                members, adjacency, ctx
             ), f"{mis} oracle diverged after pickling (epoch {epoch})"
 
     def test_luby_copy_does_not_share_rng_state(self):
@@ -72,15 +82,16 @@ class TestOraclePicklability:
         plan = EpochPlan.build(problem.instances, layout)
         epoch = next(k for k, m in sorted(plan.members.items()) if len(m) >= 2)
         members = plan.members[epoch]
+        adjacency = epoch_adjacency(problem, members)
         original = make_mis_oracle("luby", 7)
         copy = roundtrip(original)
         # Draining draws on the copy must not advance the original's
         # substream: both see the fresh epoch stream on first use.
         for _ in range(3):
-            copy(members, plan.adjacency[epoch], (epoch, 1, 1))
+            copy(members, adjacency, (epoch, 1, 1))
         fresh = make_mis_oracle("luby", 7)
-        assert original(members, plan.adjacency[epoch], (epoch, 1, 1)) == fresh(
-            members, plan.adjacency[epoch], (epoch, 1, 1)
+        assert original(members, adjacency, (epoch, 1, 1)) == fresh(
+            members, adjacency, (epoch, 1, 1)
         )
 
     def test_sequential_oracle_roundtrips(self):
@@ -114,11 +125,11 @@ def assert_artifacts_equal(got, want):
 class TestJobSlicePicklability:
     @pytest.mark.parametrize("mis", ORACLES)
     def test_plan_job_slices_roundtrip(self, mis):
-        """Each epoch's plan slice -- the members, reverse index and
-        conflict adjacency the incremental runner works on -- must
-        pickle, and the runner fed unpickled slices and a fresh
-        unpickled oracle clone per epoch must compute exactly the
-        first phase of the engine."""
+        """Each epoch's plan slice -- the members and the reverse index
+        whose buckets the incremental runner builds every stage's
+        conflict graph from -- must pickle, and the runner fed
+        unpickled slices and a fresh unpickled oracle clone per epoch
+        must compute exactly the first phase of the engine."""
         problem, layout, thresholds = setup_case()
         plan = EpochPlan.build(problem.instances, layout)
         rule = UnitRaise()
@@ -130,16 +141,18 @@ class TestJobSlicePicklability:
             counters.epochs += 1
             if not plan.members.get(epoch):
                 continue
-            members, index, adjacency = roundtrip(
-                (plan.members[epoch], plan.index[epoch], plan.adjacency[epoch])
+            members, index = roundtrip(
+                (plan.members[epoch], plan.index[epoch])
             )
             assert [d.instance_id for d in members] == [
                 d.instance_id for d in plan.members[epoch]
             ]
-            assert adjacency == plan.adjacency[epoch]
+            assert stage_adjacency(index, members) == epoch_adjacency(
+                problem, members
+            )
             order = run_epoch_incremental(
                 epoch, members, {d.instance_id: d for d in members}, dual,
-                index, adjacency, layout, rule, thresholds,
+                index, layout, rule, thresholds,
                 roundtrip(oracle), events, stack, counters, order,
             )
         assert events, "workload produced no raises"

@@ -1,15 +1,24 @@
 """Tests for the Problem model and instance expansion."""
 import copy
+import os
 import pickle
-from dataclasses import FrozenInstanceError, replace
+import subprocess
+import sys
+import textwrap
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from repro.core.demand import Demand, WindowDemand
+from repro.core.demand import Demand, DemandInstance, WindowDemand
 from repro.core.problem import Problem, ProblemError
 from repro.service.fingerprint import SolveKnobs, solve_fingerprint
 from repro.trees.tree import TreeNetwork, make_line_network
-from repro.workloads import build_workload
+from repro.workloads import (
+    build_trajectory,
+    build_workload,
+    trajectory_names,
+    workload_names,
+)
 from repro.workloads.trees import random_forest
 
 
@@ -117,6 +126,132 @@ class TestExpansion:
         ids = [d.instance_id for d in p.instances]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
+
+
+def dataclass_instances(problem):
+    """``D`` built the plain way: every path computed afresh and every
+    instance through the dataclass ``__init__`` (and its path check)."""
+    out = []
+    for a in problem.demands:
+        for nid in sorted(problem.access[a.demand_id]):
+            net = problem.networks[nid]
+            if isinstance(a, WindowDemand):
+                for s in a.start_slots:
+                    end = s + a.processing
+                    if end > net.n_vertices - 1:
+                        continue
+                    out.append(DemandInstance(
+                        instance_id=len(out), demand_id=a.demand_id,
+                        network_id=nid, u=s, v=end, profit=a.profit,
+                        height=a.height,
+                        path_vertex_seq=tuple(range(s, end + 1)),
+                        path_edges=frozenset(net.path_edges(s, end)),
+                        start_slot=(s,),
+                    ))
+            else:
+                out.append(DemandInstance(
+                    instance_id=len(out), demand_id=a.demand_id,
+                    network_id=nid, u=a.u, v=a.v, profit=a.profit,
+                    height=a.height,
+                    path_vertex_seq=net.path_vertices(a.u, a.v),
+                    path_edges=frozenset(net.path_edges(a.u, a.v)),
+                ))
+    return out
+
+
+def expansion_cases():
+    """Every registry workload, and every snapshot of each trajectory
+    family (sharing networks, so later snapshots expand memo-warm)."""
+    for name in workload_names():
+        yield pytest.param(lambda name=name: [build_workload(name, 24, seed=5)],
+                           id=name)
+    for name in trajectory_names():
+        yield pytest.param(
+            lambda name=name: [
+                step.problem for step in build_trajectory(name, 24, seed=5, steps=5)
+            ],
+            id=f"trajectory-{name}",
+        )
+
+
+class TestUncheckedExpansion:
+    """Expansion builds its instances field by field, without the
+    dataclass ``__init__``, and checks each memoized path once."""
+
+    @pytest.mark.parametrize("problems", expansion_cases())
+    def test_instances_equal_dataclass_built_ones(self, problems):
+        for problem in problems():
+            got, want = problem.instances, dataclass_instances(problem)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert type(a) is DemandInstance
+                assert a == b and hash(a) == hash(b)
+                for f in fields(DemandInstance):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    assert x == y and type(x) is type(y), f.name
+                assert list(vars(a)) == list(vars(b))
+
+    def test_instances_keep_the_key_sharing_dict(self):
+        # Key sharing is a property of the class: once one instance
+        # breaks it, later dataclass-built instances lose it too.  So
+        # compare in a fresh interpreter, against a dataclass-built
+        # instance made before any expansion runs, with every dict
+        # alive at once (a split dict's size counts its shared keys
+        # while it holds their only reference).
+        code = textwrap.dedent("""
+            import sys
+            from repro.core.demand import DemandInstance
+            from repro.workloads import (
+                build_trajectory, build_workload, trajectory_names,
+                workload_names,
+            )
+            ref = DemandInstance(
+                instance_id=0, demand_id=0, network_id=0, u=0, v=1,
+                profit=1.0, height=1.0, path_vertex_seq=(0, 1),
+                path_edges=frozenset({(0, 0, 1)}),
+            )
+            problems = [build_workload(n, 24, seed=5) for n in workload_names()]
+            for n in trajectory_names():
+                problems += [s.problem for s in build_trajectory(n, 24, seed=5, steps=3)]
+            dicts = [vars(ref)] + [vars(d) for p in problems for d in p.instances]
+            want = sys.getsizeof(dicts[0])
+            sizes = {sys.getsizeof(x) for x in dicts[1:]}
+            assert sizes == {want}, (want, sizes)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+
+    def test_inconsistent_tree_path_raises_when_the_memo_is_filled(
+        self, two_trees, monkeypatch
+    ):
+        # A path that revisits an edge has fewer distinct edges than hops.
+        monkeypatch.setattr(
+            TreeNetwork, "path_vertices", lambda self, u, v: (u, v, u, v)
+        )
+        p = Problem(networks=two_trees, demands=[Demand(0, 0, 3, 1.0)])
+        with pytest.raises(ValueError, match="inconsistent"):
+            p.instances
+        assert not two_trees[0].memo.paths
+
+    def test_inconsistent_window_placement_raises_when_the_memo_is_filled(
+        self, monkeypatch
+    ):
+        line = make_line_network(0, 6)
+        monkeypatch.setattr(
+            TreeNetwork, "path_edges", lambda self, u, v: ((0, u, u + 1),)
+        )
+        p = Problem(networks={0: line}, demands=[WindowDemand(0, 0, 5, 2, 1.0)])
+        with pytest.raises(ValueError, match="inconsistent"):
+            p.instances
+        assert not line.memo.windows
 
 
 class TestDerived:
