@@ -6,11 +6,8 @@ this shim and build isolation disabled, ``pip install -e .`` falls back
 to the classic ``setup.py develop`` path, which needs neither.
 
 The dependency floors here are the single source of truth; CI installs
-against the same floors.  ``numpy`` became a hard runtime dependency
-with the vectorized first-phase kernel
-(:mod:`repro.core.engines.columnar`); the floor covers every array API
-the kernel uses (``np.lexsort``, ``np.unique`` with
-``return_index``/``return_inverse``, ``ufunc.reduceat``).
+against the same floors.  ``numpy`` is a hard runtime dependency
+because :mod:`repro.core.lp` builds the fractional LP with it.
 """
 from setuptools import find_packages, setup
 

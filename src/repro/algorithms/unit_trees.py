@@ -54,8 +54,7 @@ def solve_unit_trees(
         Override the stage ratio (defaults to ``2(Delta+1)/(2(Delta+1)+1)``
         for the realized ``Delta``, i.e. ``14/15`` when ``Delta = 6``).
     engine:
-        First-phase engine: ``'reference'``, ``'incremental'`` or
-        ``'vectorized'`` (the numpy columnar kernel).
+        First-phase engine: ``'reference'`` or ``'incremental'``.
     """
     validate_engine(engine)
     if not allow_heights and not problem.is_unit_height:

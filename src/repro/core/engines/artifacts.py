@@ -1,7 +1,7 @@
 """Shared artifacts of the first-phase engines.
 
-Every engine (reference, incremental, vectorized) consumes an
-:class:`InstanceLayout` and produces the same artifact bundle: a final
+Both engines (reference, incremental) consume an
+:class:`InstanceLayout` and produce the same artifact bundle: a final
 :class:`~repro.core.dual.DualState`, the raise-event log, the stack of
 MIS batches for the second phase, and a :class:`PhaseCounters` work
 account -- the :data:`FirstPhaseArtifacts` tuple.  Keeping these types
@@ -72,10 +72,10 @@ class PhaseCounters:
     #: stage, the incremental engine one due-stage evaluation per member
     #: per epoch plus one per dirty-set recheck.
     satisfaction_checks: int = 0
-    #: (epoch, stage) pairs the engine worked in.  The reference and
-    #: columnar engines enter every stage of a non-empty epoch; the
-    #: incremental engine jumps straight to the stages some member
-    #: fails, so only stages with at least one raise are entered.
+    #: (epoch, stage) pairs the engine worked in.  The reference
+    #: engine enters every stage of a non-empty epoch; the incremental
+    #: engine jumps straight to the stages some member fails, so only
+    #: stages with at least one raise are entered.
     stages_entered: int = 0
     #: adjacency entries materialized or mutated while preparing each
     #: step's restricted conflict graph, each counted as entry plus
@@ -83,9 +83,7 @@ class PhaseCounters:
     #: member's global neighbor set per step; the incremental engine
     #: counts each entry of the graph a stage builds on its unsatisfied
     #: members (neighbors restricted to them) plus each entry it drops
-    #: as a member satisfies; the columnar kernel, which builds no
-    #: adjacency, counts one per unsatisfied row at stage entry and one
-    #: per retired row.
+    #: as a member satisfies.
     adjacency_touches: int = 0
     #: Second-phase work accounting: fits-checks attempted, instances
     #: admitted, and instances rejected during the stack pop.

@@ -22,9 +22,9 @@ Engines
 -------
 
 This module is the stable facade over the engine implementations in
-:mod:`repro.core.engines`; three interchangeable first-phase engines sit
+:mod:`repro.core.engines`; two interchangeable first-phase engines sit
 behind the ``engine=`` switch of :func:`run_two_phase` /
-:func:`run_first_phase`, all of them serial:
+:func:`run_first_phase`, both of them serial:
 
 * ``engine="reference"`` (default) -- the literal Figure 7 loop: every
   step rescans all group members for ``tau``-satisfaction and rebuilds
@@ -47,29 +47,20 @@ behind the ``engine=`` switch of :func:`run_two_phase` /
   members and their edge/demand reverse index, never the global
   cross-epoch graph -- and each stage it enters builds its adjacency
   view from the buckets its unsatisfied members touch
-  (:mod:`repro.core.engines.incremental`).
-* ``engine="vectorized"`` -- the array-native columnar kernel
-  (:mod:`repro.core.engines.columnar`): the whole phase is re-encoded
-  once into numpy struct-of-arrays blocks (CSR path/critical-edge
-  columns, conflict *buckets* instead of pairwise adjacency) and every
-  per-step operation -- tau-satisfaction, MIS, dual raises, dirty-set
-  recomputation -- runs as vectorized kernels over persistent float64
-  dual arrays, committing back to dict form at each epoch boundary.
-  Bit-identical to ``incremental`` for the bundled raise rules and MIS
-  oracles; custom rules/oracles fall back to an exact shadow mode.
+  (:mod:`repro.core.engines.incremental`).  It is the production
+  engine and the serving default
+  (:class:`~repro.service.fingerprint.SolveKnobs`).
 
-All engines produce bit-identical artifacts (solutions, raise events,
+Both engines produce bit-identical artifacts (solutions, raise events,
 stacks, schedule counters) for the bundled MIS oracles; the golden
 suites in ``tests/test_engine_equivalence.py`` enforce this.
 :class:`PhaseCounters` exposes ``satisfaction_checks``,
 ``stages_entered`` and ``adjacency_touches`` so the asymptotic win is
-measurable (see ``benchmarks/bench_e16_engine_scaling.py``;
-``benchmarks/bench_e21_vectorized_kernel.py`` times the columnar
-kernel against the incremental engine).  Figure 7 runs epochs strictly
-in sequence and distributes only each step's MIS, which
-:mod:`repro.distributed` simulates message for message; multi-core
-serving forks whole services (:mod:`repro.service.shard`) instead of
-splitting one first phase.
+measurable (see ``benchmarks/bench_e16_engine_scaling.py``).  Figure 7
+runs epochs strictly in sequence and distributes only each step's MIS,
+which :mod:`repro.distributed` simulates message for message;
+multi-core serving forks whole services (:mod:`repro.service.shard`)
+instead of splitting one first phase.
 
 The second phase has a single implementation, the literal
 reversed-stack pop of :mod:`repro.core.engines.admission`, and every
@@ -88,7 +79,6 @@ from repro.core.engines import (
     PhaseCounters,
     run_first_phase_incremental,
     run_first_phase_reference,
-    run_first_phase_vectorized,
     run_second_phase,
 )
 from repro.core.result import TwoPhaseResult
@@ -96,7 +86,7 @@ from repro.distributed.conflict import build_conflict_graph
 from repro.distributed.mis import MISOracle, make_mis_oracle
 
 #: The interchangeable first-phase engines (see the module docstring).
-ENGINES = ("reference", "incremental", "vectorized")
+ENGINES = ("reference", "incremental")
 
 
 def validate_engine(engine: str) -> str:
@@ -180,9 +170,9 @@ def run_first_phase(
     ``(0, 1]``, never decreasing (see :func:`validate_thresholds`); its
     last entry is the slackness every instance ends up satisfying.
     ``engine`` selects the implementation (see the module docstring);
-    all engines produce identical artifacts for the bundled MIS oracles.
-    Only the reference engine builds the global conflict graph; the
-    others work on per-epoch slices or conflict buckets.
+    both engines produce identical artifacts for the bundled MIS
+    oracles.  Only the reference engine builds the global conflict
+    graph; the incremental engine works on per-epoch slices.
     """
     validate_thresholds(thresholds)
     validate_engine(engine)
@@ -190,10 +180,6 @@ def run_first_phase(
         return run_first_phase_reference(
             instances, layout, raise_rule, thresholds, mis_oracle,
             build_conflict_graph(instances),
-        )
-    if engine == "vectorized":
-        return run_first_phase_vectorized(
-            instances, layout, raise_rule, thresholds, mis_oracle
         )
     return run_first_phase_incremental(
         instances, layout, raise_rule, thresholds, mis_oracle
@@ -213,9 +199,8 @@ def run_two_phase(
 
     ``mis`` selects the oracle (``'luby'``, ``'hash'`` or ``'greedy'``);
     ``seed`` makes randomized runs reproducible; ``engine`` selects the
-    first-phase implementation (``'reference'``, ``'incremental'`` or
-    ``'vectorized'``, equivalent by construction -- see the module
-    docstring).
+    first-phase implementation (``'reference'`` or ``'incremental'``,
+    equivalent by construction -- see the module docstring).
     """
     oracle = make_mis_oracle(mis, seed)
     dual, stack, events, counters = run_first_phase(

@@ -19,9 +19,8 @@ coordinate.  Three oracles are provided:
   per *epoch*, derived from ``(seed, epoch)``: processors working in
   different epochs share no randomness, which mirrors the distributed
   reality and makes epoch executions order-independent: an epoch's
-  draws depend on ``(seed, epoch)`` alone, so every engine -- the
-  columnar kernel draws from :meth:`LubyOracle.substream` directly --
-  sees the same priorities in each epoch, bit for bit.
+  draws depend on ``(seed, epoch)`` alone, so both engines see the
+  same priorities in each epoch, bit for bit.
 * hash-Luby (``make_mis_oracle('hash', seed)``) -- identical process,
   but each priority is a cryptographic hash of (seed, instance key,
   context, iteration).  Any processor can recompute any priority
@@ -174,29 +173,15 @@ class LubyOracle:
 
     An epoch's draws depend only on ``(seed, epoch)``, never on which
     other epochs ran before it, so every engine draws exactly the
-    priorities the reference loop would, however it reaches the
-    epoch's substream.  A module-level class (not a closure), so the
-    oracle pickles; an unpickled copy starts epoch substreams from the
-    same derived seeds.
+    priorities the reference loop would.  A module-level class (not a
+    closure), so the oracle pickles; an unpickled copy owns its streams:
+    it continues each epoch the original had drawn from and starts
+    every other epoch from the same derived seed.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._rngs: Dict[int, random.Random] = {}
-
-    def substream(self, epoch: int) -> random.Random:
-        """The (lazily created) RNG substream of *epoch*.
-
-        Public so the columnar engine can draw the identical priority
-        sequence for an epoch without going through the dict-based
-        ``__call__`` path.
-        """
-        rng = self._rngs.get(epoch)
-        if rng is None:
-            rng = self._rngs.setdefault(
-                epoch, random.Random(luby_substream_seed(self.seed, epoch))
-            )
-        return rng
 
     def __call__(
         self,
@@ -205,7 +190,14 @@ class LubyOracle:
         context: Optional[StepContext] = None,
     ) -> Tuple[Set[InstanceId], int]:
         epoch = context[0] if context is not None else 0
-        return luby_mis(candidates, adjacency, self.substream(epoch))
+        rng = self._rngs.get(epoch)
+        if rng is None:
+            # setdefault: two threads creating one epoch's stream keep
+            # the first, so both draw from the same sequence.
+            rng = self._rngs.setdefault(
+                epoch, random.Random(luby_substream_seed(self.seed, epoch))
+            )
+        return luby_mis(candidates, adjacency, rng)
 
 
 class HashLubyOracle:

@@ -154,9 +154,9 @@ def jsonable(value):
 
     The stats surface aggregates counters from every layer of the
     service, and two classes of values used to repr-degrade when they
-    deserve numbers: **numpy scalars** (the columnar engine's counters
-    leak ``np.int64``, which unlike ``np.float64`` is *not* an ``int``
-    subclass on 64-bit Linux) and **dataclasses** (e.g. a
+    deserve numbers: **numpy scalars** (numpy is a dependency, through
+    :mod:`repro.core.lp`, and ``np.int64``, unlike ``np.float64``, is
+    *not* an ``int`` subclass on 64-bit Linux) and **dataclasses** (e.g. a
     :class:`~repro.service.delta.DeltaStats` riding a stats payload).
     Numpy scalars now unwrap via ``.item()`` and dataclass instances
     encode as field dicts, recursively.  Everything still degrades

@@ -229,6 +229,8 @@ class TestWireProtocol:
              "step": 1.7},
             {"id": 20, "trajectory": "churn-lines", "size": 12, "seed": 1,
              "step": True},
+            {"id": 21, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, "engine": "vectorized"}},
         ]
         front, responses = asyncio.run(self.roundtrip(lines))
         by_id = {r.get("id"): r for r in responses}
@@ -239,9 +241,10 @@ class TestWireProtocol:
         assert not by_id[4]["ok"]
         assert by_id[5]["ok"], "a valid request after garbage must still serve"
         assert by_id[5]["semantic_digest"] == direct_digest()
-        # Retired knobs and the deleted epoch executor's engine name are
-        # rejected, never served from id 5's cache entry or solved; so
-        # are seeds that are not exact ints.
+        # Retired knobs and the deleted engine names (the epoch
+        # executor's and the columnar kernel's) are rejected, never
+        # served from id 5's cache entry or solved; so are seeds that
+        # are not exact ints.
         for rid, name in (
             (6, "phase2_engine"), (7, "unknown engine 'parallel'"),
             (8, "workers"), (9, "backend"), (10, "plan_granularity"),
@@ -250,6 +253,7 @@ class TestWireProtocol:
             (16, "seed must be an int"), (17, "size must be an int"),
             (18, "seed must be an int"), (19, "step must be an int"),
             (20, "step must be an int"),
+            (21, "unknown engine 'vectorized'"),
         ):
             assert not by_id[rid]["ok"] and name in by_id[rid]["error"], rid
         luby = {

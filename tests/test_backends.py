@@ -1,8 +1,8 @@
 """Golden cross-backend differential harness.
 
-Every solve is serial: the three engines run epochs strictly in
-sequence.  What runs in parallel is whole solves, on the execution
-backends of the serving tier:
+Every solve is serial: both engines run epochs strictly in sequence.
+What runs in parallel is whole solves, on the execution backends of
+the serving tier:
 
 * ``serial`` -- inline, in the caller's thread;
 * ``thread`` -- a pool worker thread, the way
@@ -13,9 +13,9 @@ backends of the serving tier:
   report comes back through ``pickle``.
 
 A solve on any backend must be **bit-identical** to
-``engine="incremental"`` run inline -- as must the reference and
-vectorized engines -- for every registry workload and every bundled MIS
-oracle.  One comparable value captures the whole contract:
+``engine="incremental"`` run inline -- as must the reference engine --
+for every registry workload and every bundled MIS oracle.  One
+comparable value captures the whole contract:
 :meth:`TwoPhaseResult.semantic_tuple` folds the selected ids, the full
 raise log (exact float deltas), the stack shape, the schedule counters
 and the final dual assignments *as ordered items* into a single tuple,
@@ -23,9 +23,10 @@ so any divergence -- including a dual dict whose keys were created in a
 different order, which would silently change ``DualState.value()``'s
 float summation -- fails loudly.
 
-The full sweep (every workload x oracle x backend, the other engines
-included) is marked ``slow``; the quick CI legs run the unmarked smoke
-subset (`-m "not slow"`), which still crosses every backend.
+The full sweep (every workload x oracle x backend, the reference
+engine included) is marked ``slow``; the quick CI legs run the
+unmarked smoke subset (`-m "not slow"`), which still crosses every
+backend.
 
 The module also holds the surviving checks of the retired executor
 knobs (``workers=`` / ``backend=`` reach only ``solve_auto`` and
@@ -53,7 +54,7 @@ ORACLES = ("greedy", "luby", "hash")
 #: Where a whole solve can run; see the module docstring.
 BACKENDS = ("thread", "process", "serial")
 
-#: The engine cases of the suites that cross every engine: the three
+#: The engine cases of the suites that cross every engine: the two
 #: serial engines, plus ``"parallel"`` -- concurrent solves, the
 #: parallelism the serving tier keeps (see :func:`run_engine_case`).
 ENGINE_CASES = (*ENGINES, "parallel")
@@ -215,15 +216,6 @@ class TestGoldenSweep:
             f"{name}/{mis}/reference",
         )
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("mis", ORACLES)
-    @pytest.mark.parametrize("name", workload_names())
-    def test_vectorized_matches_incremental(self, name, mis):
-        assert_identical_reports(
-            baseline(name, mis), solve(name, mis, engine="vectorized"),
-            f"{name}/{mis}/vectorized",
-        )
-
 
 class TestSmokeSweep:
     """The always-on subset: one tree and one line family, every backend."""
@@ -257,9 +249,7 @@ class TestBackendKnob:
             solve_auto(problem, backend="gpu")
 
     @pytest.mark.parametrize("knob", ["backend", "workers"])
-    @pytest.mark.parametrize(
-        "engine", ["reference", "incremental", "vectorized"]
-    )
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_parallel_knobs_rejected_for_serial_engines(self, engine, knob):
         from repro.algorithms.base import tree_layouts
         from repro.core.dual import UnitRaise

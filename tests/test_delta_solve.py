@@ -56,7 +56,6 @@ KNOBS = dict(engine="incremental", mis="greedy", epsilon=0.25)
 ENGINE_BACKENDS = [
     ("incremental", None),
     ("reference", None),
-    ("vectorized", None),
     ("parallel", "thread"),
     ("parallel", "process"),
 ]

@@ -1,21 +1,19 @@
 """Golden equivalence of the first-phase engines.
 
-The incremental dirty-set engine and the vectorized columnar kernel
-must be *bit-identical* to the reference Figure 7 loop -- not merely
-"as good": the same solution ids, the same raise events in the same
-order with the same deltas, the same stack shape and schedule
-counters, and the same final dual assignment -- for every algorithm,
-every MIS oracle, the paper's worked examples, and seeded random-suite
-workloads.  Any divergence means the dirty-set propagation missed an
-affected instance (or invented one, desynching a Luby RNG substream),
-that a plan slice dropped a conflict, or that the columnar kernel's
-float schedule drifted from the dict engine's association order.
+The incremental dirty-set engine must be *bit-identical* to the
+reference Figure 7 loop -- not merely "as good": the same solution ids,
+the same raise events in the same order with the same deltas, the same
+stack shape and schedule counters, and the same final dual assignment
+-- for every algorithm, every MIS oracle, the paper's worked examples,
+seeded random-suite workloads, and subclassed raise rules.  Any
+divergence means the dirty-set propagation missed an affected instance
+(or invented one, desynching a Luby RNG substream), or that a plan
+slice dropped a conflict.
 
-Every case in this suite runs all three engines: ``both_engines``
-asserts the vectorized kernel against the incremental one inline and
-returns the (reference, incremental) pair for the caller's own
-comparison.  The golden sweep over every registry workload and oracle
-lives in ``test_backends.py``.
+Every case in this suite runs both engines: ``both_engines`` returns
+the (reference, incremental) pair for the caller's own comparison.  The
+golden sweep over every registry workload and oracle lives in
+``test_backends.py``.
 """
 from dataclasses import fields
 
@@ -24,6 +22,7 @@ import pytest
 from repro.algorithms import solve_auto
 from repro.algorithms.arbitrary_lines import solve_arbitrary_lines, solve_narrow_lines
 from repro.algorithms.arbitrary_trees import solve_arbitrary_trees
+from repro.algorithms.base import line_layouts, tree_layouts
 from repro.algorithms.narrow_trees import solve_narrow_trees
 from repro.algorithms.sequential import solve_sequential
 from repro.algorithms.unit_lines import solve_unit_lines
@@ -32,7 +31,15 @@ from repro.baselines.panconesi_sozio import (
     solve_ps_arbitrary_lines,
     solve_ps_unit_lines,
 )
+from repro.core.dual import HeightRaise, UnitRaise
 from repro.core.engines import PhaseCounters
+from repro.core.framework import (
+    ENGINES,
+    geometric_thresholds,
+    narrow_xi,
+    run_two_phase,
+    unit_xi,
+)
 from repro.workloads import build_workload, random_tree_problem, scenario
 from repro.workloads.trees import random_forest
 from tests.test_backends import run_on_backend
@@ -90,12 +97,9 @@ def assert_reports_identical(ref, inc):
 
 
 def both_engines(solver, problem, **kwargs):
-    """Run all engines; vectorized is asserted against incremental
-    here."""
+    """Run both engines; returns the (reference, incremental) pair."""
     ref = solver(problem, engine="reference", **kwargs)
     inc = solver(problem, engine="incremental", **kwargs)
-    vec = solver(problem, engine="vectorized", **kwargs)
-    assert_reports_identical(inc, vec)
     return ref, inc
 
 
@@ -233,14 +237,72 @@ class TestSequentialAndBaselines:
         assert_reports_identical(ref, inc)
 
 
+class CountingRaise:
+    """Mixin for a bundled rule: counts the raises routed through it."""
+
+    applied = 0
+
+    def apply(self, dual, d, critical_edges):
+        self.applied += 1
+        return super().apply(dual, d, critical_edges)
+
+
+class CountingUnitRaise(CountingRaise, UnitRaise):
+    pass
+
+
+class CountingHeightRaise(CountingRaise, HeightRaise):
+    pass
+
+
+class TestSubclassedRaiseRule:
+    @pytest.mark.parametrize("mis", ORACLES)
+    @pytest.mark.parametrize("name", ["powerlaw-trees", "bursty-lines"])
+    def test_subclassed_raise_rule_matches_incremental(self, name, mis):
+        """A subclass of a bundled rule may override anything, so no
+        engine may special-case the bundled classes: each runs every
+        raise through the subclass and matches the plain rule's run."""
+        problem = build_workload(name, 30, seed=7)
+        if name == "powerlaw-trees":
+            layout, _ = tree_layouts(problem, "ideal")
+            plain, make = UnitRaise(), CountingUnitRaise
+            xi = unit_xi(max(layout.critical_set_size, 6))
+        else:
+            layout = line_layouts(problem)
+            plain, make = HeightRaise(), CountingHeightRaise
+            xi = narrow_xi(max(layout.critical_set_size, 3), problem.hmin)
+        thresholds = geometric_thresholds(xi, 0.3)
+        baseline = run_two_phase(
+            problem.instances, layout, plain, thresholds, mis=mis, seed=7,
+            engine="incremental",
+        )
+        assert baseline.events
+        for engine in ENGINES:
+            rule = make()
+            result = run_two_phase(
+                problem.instances, layout, rule, thresholds, mis=mis,
+                seed=7, engine=engine,
+            )
+            assert_results_identical(baseline, result)
+            assert rule.applied == len(baseline.events), engine
+
+
 class TestEngineValidation:
     def test_unknown_engine_rejected_early(self):
         problem = scenario("figure6")
+        layout, _ = tree_layouts(problem, "ideal")
         with pytest.raises(ValueError, match="unknown engine"):
             solve_unit_trees(problem, engine="warp")
-        # The epoch executor is gone with its engine name.
-        with pytest.raises(ValueError, match="unknown engine 'parallel'"):
-            solve_auto(problem, engine="parallel")
+        # The epoch executor and the columnar kernel are gone with
+        # their engine names.
+        for retired in ("parallel", "vectorized"):
+            with pytest.raises(ValueError, match=f"unknown engine {retired!r}"):
+                solve_auto(problem, engine=retired)
+            with pytest.raises(ValueError, match=f"unknown engine {retired!r}"):
+                run_two_phase(
+                    problem.instances, layout, UnitRaise(), [0.9],
+                    engine=retired,
+                )
 
     def test_unknown_phase2_engine_rejected_early(self):
         # solve_auto keeps the retired knobs for existing callers, but
@@ -263,10 +325,6 @@ class TestEngineValidation:
         )
 
     def test_run_two_phase_rejects_unknown_engine(self):
-        from repro.algorithms.base import tree_layouts
-        from repro.core.dual import UnitRaise
-        from repro.core.framework import run_two_phase
-
         problem = scenario("figure6")
         layout, _ = tree_layouts(problem, "ideal")
         with pytest.raises(ValueError, match="unknown engine"):
@@ -280,19 +338,27 @@ class TestEngineValidation:
             solve_auto(problem, engine="incremental", workers=2)
 
     @pytest.mark.parametrize(
-        "knobs",
+        "knobs, match",
         [
-            dict(engine="incremental", workers=2),
-            dict(engine="reference", backend="thread"),
-            dict(engine="vectorized", plan_granularity="epoch"),
+            (dict(engine="incremental", workers=2), "workers=.* is retired"),
+            (dict(engine="reference", backend="thread"), "backend=.* is retired"),
+            (
+                dict(engine="reference", plan_granularity="epoch"),
+                "plan_granularity=.* is retired",
+            ),
+            # The retired engine name fails first, before its knob.
+            (
+                dict(engine="vectorized", plan_granularity="epoch"),
+                "unknown engine 'vectorized'",
+            ),
         ],
         ids=[
             "incremental-workers", "reference-backend",
-            "vectorized-plan_granularity",
+            "reference-plan_granularity", "vectorized-plan_granularity",
         ],
     )
     def test_bad_knobs_rejected_before_any_layout_work(
-        self, knobs, monkeypatch
+        self, knobs, match, monkeypatch
     ):
         import repro.algorithms.auto as auto
 
@@ -301,8 +367,7 @@ class TestEngineValidation:
 
         monkeypatch.setattr(auto, "solve_arbitrary_trees", spy)
         monkeypatch.setattr(auto, "solve_arbitrary_lines", spy)
-        knob = next(k for k in knobs if k != "engine")
-        with pytest.raises(ValueError, match=f"{knob}=.* is retired"):
+        with pytest.raises(ValueError, match=match):
             solve_auto(scenario("figure6"), **knobs)
 
 

@@ -383,9 +383,9 @@ GOLDEN = [
     ),
     (
         lambda: build_workload("bursty-lines", 10, seed=0),
-        SolveKnobs(engine="vectorized"),
-        "2caeee15cfc9c8bbc20cd0414c8f2ec06c5bd76b259aa181d33a79d545a0cdd9",
-        "e1500ec5e9747900b6a406b58d9b62976961862d6e58059c940ff6d4c276f65c",
+        SolveKnobs(engine="reference"),
+        "6d3a6d343418a19846d1fe03c7fe90f232ef8879819fc9c3c0d36ecdf135ca19",
+        "f10fa0f7a931b5a4a55701dba6ebbf0d677e359a1d03e159bcc86109fd9d4483",
     ),
 ]
 
@@ -580,7 +580,7 @@ class TestSolveKnobs:
             replace(base, epsilon=0.2),
             replace(base, mis="greedy"),
             replace(base, seed=1),
-            replace(base, engine="vectorized"),
+            replace(base, engine="reference"),
             replace(base, decomposition="balancing"),
             replace(base, capacity_epoch=1),
         ]
@@ -639,22 +639,23 @@ class TestSolveKnobs:
                 )
                 assert a == b, (engine, retired)
 
-    def test_vectorized_rejects_executor_knobs(self):
-        # No engine runs on an executor: the vectorized engine rejects
-        # both retired executor knobs, like every other engine.
-        for knobs in (
-            SolveKnobs(engine="vectorized", workers=2),
-            SolveKnobs(engine="vectorized", backend="thread"),
-        ):
-            with pytest.raises(ValueError, match="is retired"):
-                knobs.validate()
-        SolveKnobs(engine="vectorized").validate()
+    def test_every_engine_rejects_executor_knobs(self):
+        # No engine runs on an executor: each rejects both retired
+        # executor knobs.
+        for engine in ENGINES:
+            for knobs in (
+                SolveKnobs(engine=engine, workers=2),
+                SolveKnobs(engine=engine, backend="thread"),
+            ):
+                with pytest.raises(ValueError, match="is retired"):
+                    knobs.validate()
+            SolveKnobs(engine=engine).validate()
 
     def test_retired_knobs_accept_only_their_surviving_mode(self):
         # workers, backend and plan_granularity accept only None,
         # phase2_engine only the reference pop, and the epoch executor's
-        # engine name is gone; every other value they once took is
-        # rejected before any cache interaction.
+        # and the columnar kernel's engine names are gone; every other
+        # value they once took is rejected before any cache interaction.
         problem = build_workload("bursty-lines", 10, seed=0)
         for knobs in (
             SolveKnobs(phase2_engine="bogus"),
@@ -671,6 +672,7 @@ class TestSolveKnobs:
             (SolveKnobs(backend="serial"), "backend"),
             (SolveKnobs(backend="process"), "backend"),
             (SolveKnobs(engine="parallel"), "unknown engine 'parallel'"),
+            (SolveKnobs(engine="vectorized"), "unknown engine 'vectorized'"),
         ):
             with pytest.raises(ValueError, match=name):
                 knobs.validate()

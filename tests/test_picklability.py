@@ -35,7 +35,7 @@ from repro.service import (
     report_semantic_digest,
 )
 from repro.workloads import build_workload
-from tests.test_backends import run_on_backend
+from tests.test_backends import ENGINE_CASES, run_on_backend
 
 ORACLES = ("greedy", "luby", "hash")
 
@@ -203,7 +203,7 @@ class TestProcessWirePreparation:
 
 
 class TestArtifactsPicklability:
-    @pytest.mark.parametrize("engine", ["incremental", "vectorized", "parallel"])
+    @pytest.mark.parametrize("engine", ENGINE_CASES)
     def test_first_phase_artifacts_roundtrip(self, engine):
         # "parallel": the incremental engine in a forked worker process,
         # whose artifacts come back through pickle.

@@ -324,7 +324,7 @@ class TestErrorAttribution:
         service = SchedulingService(workers=2)
         for twin, workers in (
             (dict(engine="incremental"), 0),
-            (dict(engine="vectorized"), -1),
+            (dict(engine="reference"), -1),
             (dict(engine="reference"), 2),
         ):
             valid = make_request("bursty-lines", 14, **twin)
