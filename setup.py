@@ -6,8 +6,11 @@ this shim and build isolation disabled, ``pip install -e .`` falls back
 to the classic ``setup.py develop`` path, which needs neither.
 
 The dependency floors here are the single source of truth; CI installs
-against the same floors.  ``numpy`` is a hard runtime dependency
-because :mod:`repro.core.lp` builds the fractional LP with it.
+against the same floors.  Each runtime dependency is imported only by
+the analysis call that uses it: ``scipy`` (HiGHS) and ``numpy`` (the
+constraint matrices) by :func:`repro.core.lp.lp_upper_bound`, and
+``networkx`` (matchings) by :func:`repro.baselines.solve_tree_dp`.
+Serving and solving import none of them.
 """
 from setuptools import find_packages, setup
 

@@ -14,8 +14,8 @@ Quickstart::
     report = solve_unit_trees(problem, epsilon=0.05)
     print(report.profit, "vs opt", solve_exact(problem).profit)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-claim reproductions.
+See README.md for the engines, the serving layer and the workload
+registry, and ``benchmarks/`` for the paper-claim reproductions.
 """
 from repro.algorithms import (
     AlgorithmReport,

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.demand import DemandInstance
 from repro.core.problem import Problem
 from repro.core.types import Vertex
@@ -73,7 +71,11 @@ def _chain_below(d: DemandInstance, top: Vertex, wing: Vertex) -> List[Vertex]:
 
 
 def solve_tree_dp(problem: Problem) -> float:
-    """Exact optimum value for a unit-height single-tree problem."""
+    """Exact optimum value for a unit-height single-tree problem
+    (networkx is imported on the first call, like scipy in
+    :func:`repro.core.lp.lp_upper_bound`)."""
+    import networkx as nx
+
     if len(problem.networks) != 1:
         raise TreeDPError("tree DP requires exactly one network")
     if not problem.is_unit_height:

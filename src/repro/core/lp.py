@@ -19,10 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import lil_matrix
-
 from repro.core.demand import DemandInstance
 from repro.core.dual import DualState
 from repro.core.problem import Problem
@@ -32,8 +28,15 @@ from repro.core.types import EdgeKey
 def lp_upper_bound(problem: Problem) -> float:
     """Solve the fractional LP; returns its optimal value.
 
-    Uses scipy's HiGHS solver on a sparse constraint matrix.
+    Uses scipy's HiGHS solver on a sparse constraint matrix.  scipy and
+    numpy are imported here, on the first call, because nothing that
+    serves or solves calls this and their import is most of a process's
+    start-up time and memory.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import lil_matrix
+
     instances = problem.instances
     n = len(instances)
     edge_rows: Dict[EdgeKey, int] = {}

@@ -103,14 +103,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-try:  # numpy is a core dependency, but jsonable() must not require it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from repro.core.problem import Problem
 from repro.distributed.mis import validate_seed
@@ -154,20 +150,22 @@ def jsonable(value):
 
     The stats surface aggregates counters from every layer of the
     service, and two classes of values used to repr-degrade when they
-    deserve numbers: **numpy scalars** (numpy is a dependency, through
-    :mod:`repro.core.lp`, and ``np.int64``, unlike ``np.float64``, is
-    *not* an ``int`` subclass on 64-bit Linux) and **dataclasses** (e.g. a
-    :class:`~repro.service.delta.DeltaStats` riding a stats payload).
-    Numpy scalars now unwrap via ``.item()`` and dataclass instances
-    encode as field dicts, recursively.  Everything still degrades
-    gracefully: an unknown type becomes its ``repr`` -- one weird value
-    must never turn the whole ``{"op": "stats"}`` wire op into
-    ``ok:false``.  Dicts and sequences recurse; non-string dict keys
-    (tuples, which ``json.dumps`` rejects) become strings.
+    deserve numbers: **numpy scalars** (``np.int64``, unlike
+    ``np.float64``, is *not* an ``int`` subclass on 64-bit Linux) and
+    **dataclasses** (e.g. a :class:`~repro.service.delta.DeltaStats`
+    riding a stats payload).  Numpy scalars now unwrap via ``.item()``
+    and dataclass instances encode as field dicts, recursively.  numpy
+    is looked up in ``sys.modules`` on each call, never imported: a
+    numpy scalar can exist only once numpy is loaded, and serving never
+    loads it (:func:`~repro.core.lp.lp_upper_bound` does).  Everything
+    still degrades gracefully: an unknown type becomes its ``repr`` --
+    one weird value must never turn the whole ``{"op": "stats"}`` wire
+    op into ``ok:false``.  Dicts and sequences recurse; non-string dict
+    keys (tuples, which ``json.dumps`` rejects) become strings.
     """
     if value is None or isinstance(value, (bool, str)):
         return value
-    if _np is not None and isinstance(value, _np.generic):
+    if isinstance(value, getattr(sys.modules.get("numpy"), "generic", ())):
         # Covers np.bool_/np.integer/np.floating alike; .item() yields
         # the exact python scalar.  Must precede the int/float check:
         # np.float64 would pass through it, np.int64 would not.
