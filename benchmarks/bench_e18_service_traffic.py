@@ -262,8 +262,8 @@ def run_experiment(quick: bool = False):
         # objects (their problems and knobs memoize the fingerprint on
         # first use -- the client library pattern), so its hit
         # latencies measure lookup alone.  A fresh submission of the
-        # same workload rebuilds the problem and pays full
-        # canonical-form fingerprinting per request; measure that
+        # same workload rebuilds the problem and pays a full
+        # fingerprint per request; measure that
         # honestly as its own number.
         fresh_latencies = []
         for name, size, n_seeds in plan:

@@ -1,14 +1,14 @@
 """The scheduling service layer: fingerprints, result cache, server.
 
 A long-lived serving loop in front of the two-phase framework --
-canonical request fingerprinting (:mod:`repro.service.fingerprint`), a
+exact request fingerprinting (:mod:`repro.service.fingerprint`), a
 two-tier verified result cache with TTL/invalidation
 (:mod:`repro.service.cache`), a coalescing, batching
 :class:`SchedulingService` (:mod:`repro.service.server`) on warm
 request pools (:mod:`repro.service.pools`), and an asyncio front door
 with a JSON-over-TCP endpoint (:mod:`repro.service.async_front`), the
 delta-solve ingredients --
-sketches, problem diffs, network-memo adoption, change-storm debouncing
+delta keys, problem diffs, network-memo adoption, change-storm debouncing
 (:mod:`repro.service.delta`), schedule-diff egress
 (:mod:`repro.service.diff`), and a sharded tier -- consistent-hash
 router over forked shard workers (:mod:`repro.service.shard`).
@@ -39,7 +39,6 @@ from repro.service.delta import (
     ProblemDelta,
     delta_key,
     diff_problems,
-    problem_sketch,
 )
 from repro.service.diff import (
     DeltaSyncError,

@@ -41,11 +41,12 @@ closed front door leaves zero live worker threads.
 whether the request reused the layouts the service already built.  With
 ``delta_debounce > 0`` the front door additionally coalesces *change
 storms*: rapid-fire delta submissions whose problems share a
-:func:`~repro.service.delta.delta_key` and the same networks (ids and
-content) collapse into one solve of the latest snapshot after the
-quiet period (:class:`~repro.service.delta.ChangeDebouncer`); earlier
-waiters get the result flagged ``superseded``.  :meth:`drain` force-flushes
-pending storms, so no waiter is stranded by shutdown.
+:func:`~repro.service.delta.delta_key` -- the same knobs over the same
+networks, by id and ordered adjacency -- collapse into one solve of the
+latest snapshot after the quiet period
+(:class:`~repro.service.delta.ChangeDebouncer`); earlier waiters get the
+result flagged ``superseded``.  :meth:`drain` force-flushes pending
+storms, so no waiter is stranded by shutdown.
 
 Wire protocol (one JSON object per line, responses tagged with the
 request's optional ``id``)::
@@ -106,7 +107,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import Problem
 from repro.distributed.mis import validate_seed
@@ -116,12 +117,10 @@ from repro.service.diff import SchedulePusher, schedule_table, table_digest
 from repro.service.fingerprint import SolveKnobs
 from repro.service.pools import shutdown_pools
 from repro.service.server import (
-    NetworkKey,
     SchedulingService,
     ServiceError,
     ServiceResult,
     SolveRequest,
-    _network_key,
 )
 from repro.workloads.trajectories import build_trajectory
 
@@ -130,19 +129,6 @@ __all__ = ["AsyncSchedulingService", "jsonable"]
 #: Per-line buffer limit of the TCP endpoint (asyncio's default 64 KiB
 #: is small for a request carrying a large knobs object).
 WIRE_LINE_LIMIT = 1 << 20
-
-
-def _storm_key(request: SolveRequest) -> Tuple[str, FrozenSet[NetworkKey]]:
-    """*request*'s change-storm bucket: its
-    :func:`~repro.service.delta.delta_key` plus each network's id and
-    content (the network table's key).  The id-free sketch alone lets
-    two problems whose differently shaped networks swapped ids share a
-    bucket; with the network keys, only snapshots over the same
-    networks supersede each other."""
-    problem = request.problem
-    return delta_key(problem, request.knobs), frozenset(
-        map(_network_key, problem.networks.values())
-    )
 
 
 def jsonable(value):
@@ -285,10 +271,10 @@ class AsyncSchedulingService:
         path underneath -- same admission gate, same accounting.  With
         ``delta_debounce > 0``, the request first parks in the
         :class:`~repro.service.delta.ChangeDebouncer` under its
-        :func:`~repro.service.delta.delta_key` and its networks' ids
-        and content (computed on the admission pool -- it walks every
-        network); only the storm's latest snapshot is solved, and
-        superseded waiters can tell from ``result.superseded``.
+        :func:`~repro.service.delta.delta_key` (computed on the
+        admission pool -- it walks every network); only the storm's
+        latest snapshot is solved, and superseded waiters can tell from
+        ``result.superseded``.
         """
         if self._debouncer is None:
             return await self._admit(request, self.service.submit_delta)
@@ -300,7 +286,7 @@ class AsyncSchedulingService:
             )
         loop = asyncio.get_running_loop()
         key = await loop.run_in_executor(
-            self._admission(), _storm_key, request
+            self._admission(), delta_key, request.problem, request.knobs
         )
         return await self._debouncer.submit(key, request)
 

@@ -1,5 +1,5 @@
-"""Delta-solve support: delta telemetry, sketches, problem diffs, and
-debounced change storms.
+"""Delta-solve support: delta telemetry, the delta key, problem diffs,
+and debounced change storms.
 
 The delta path answers a *perturbed* problem -- one demand added, one
 profit bumped -- with the same plain solve a cold request runs, and
@@ -12,27 +12,23 @@ instance's path (Lemmas 4.2-4.3), so all of it is memoized on the
 network object (:class:`~repro.trees.tree.NetworkMemo`).  A snapshot
 that shares an earlier snapshot's network objects has those memos; a
 rebuilt one (every wire request) adopts them through the service's
-network table, keyed by each network's content.  Warm and cold
-requests run the same solve, so their answers are bit-identical by
-construction.  A delta request's result only adds :class:`DeltaStats`:
-whether every network carried a memo for the solve, and how many
-adopted one.
+network table, keyed by each network's id and ordered adjacency.
+Warm and cold requests run the same solve, so their answers are
+bit-identical by construction.  A delta request's result only adds
+:class:`DeltaStats`: whether every network carried a memo for the
+solve, and how many adopted one.
 
-**Sketch.**  The sketch is the color-refinement prefix of the canonical
-form: the sorted multiset of id-free network shapes, with the demand
-side left out entirely.  Every demand-level mutation (add, drop,
-profit/height change) preserves it, so all snapshots of a churn
-trajectory that leave the networks alone share one sketch.  The
-serving path no longer reads it: :func:`delta_key` (the sketch plus the
-solve knobs) now only helps bucket change storms in the async front
-door's :class:`ChangeDebouncer`.  Sketch equality is deliberately weak:
-two genuinely different problems may collide (swapping the ids of two
-differently shaped networks keeps the sketch).  So the front door folds
-each network's id and content into the bucket next to the delta key,
-and only snapshots over the same networks supersede each other.
+**Delta key.**  :func:`delta_key` digests the solve knobs and each
+network's key -- its typed id and ordered adjacency, the bytes that
+also key the network table -- in id order, with the demand side left
+out entirely.  Every demand-level mutation (add, drop, profit/height
+change) preserves it, so the snapshots of a churn trajectory that
+leave the networks alone share one key, and only snapshots over the
+same networks do.  The serving path does not read it: it buckets
+change storms in the async front door's :class:`ChangeDebouncer`.
 
 **Diff.**  :func:`diff_problems` compares demand records by id
-(payload + access set) and network shapes by id.  Nothing on the
+(content + access set) and networks by id.  Nothing on the
 serving path calls it any more; it stays a library function.
 
 **Debounce.**  :class:`ChangeDebouncer` coalesces change storms on the
@@ -47,15 +43,16 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.canonical import stable_digest
+from repro.core.canonical import canonical_bytes
 from repro.core.problem import Problem
 from repro.service.fingerprint import (
     SolveKnobs,
     _demand_entry,
     _network_entry,
-    _sketch_digest,
+    _solve_suffix,
 )
 
 __all__ = [
@@ -65,10 +62,14 @@ __all__ = [
     "ProblemDelta",
     "delta_key",
     "diff_problems",
-    "problem_sketch",
 ]
 
-_DELTA_KEY_TAG = "delta-key/v1"
+#: v2 keys each network's id and ordered adjacency; v1 keyed the sorted
+#: id-free network shapes, which two problems whose differently shaped
+#: networks swapped ids shared.
+_DELTA_KEY_TAG = "delta-key/v2"
+#: The constant opening of the encoded delta-key tuple.
+_DELTA_HEAD = b"t(" + canonical_bytes(_DELTA_KEY_TAG) + b"t("
 
 #: The ways a delta request can resolve (``DeltaStats.outcome``):
 #: ``"warm"`` -- every network of the request carried a memo for the
@@ -87,30 +88,24 @@ DELTA_OUTCOMES = (
 )
 
 
-def problem_sketch(problem: Problem) -> str:
-    """The demand-free structural sketch digest of *problem*.
-
-    Sorted id-free network payloads only: invariant under every
-    demand-level mutation *and* under network-id relabelings, so a
-    trajectory's snapshots bucket together.  Weak by design -- see the
-    module docstring for what a collision does.  The SHA-256 of the
-    sorted payloads' canonical encoding, memoized on the problem
-    (:func:`~repro.service.fingerprint._sketch_digest`): a problem
-    already fingerprinted has it from the fingerprint's pass.
-    """
-    return _sketch_digest(problem)
-
-
 def delta_key(problem: Problem, knobs: SolveKnobs) -> str:
-    """The sketch plus the solve-knob key: with each network's id and
-    content, a change storm's debounce bucket in the async front door.
+    """A change storm's debounce bucket in the async front door: the
+    SHA-256 of ``canonical_bytes((_DELTA_KEY_TAG, network payloads in
+    id order, knobs.canonical_form()))``, joined from the bytes each
+    network and the knobs memoize (see
+    :mod:`repro.service.fingerprint`).
 
     Folding the knobs in gives each knob setting buckets of its own, so
     a trajectory served under two settings debounces per setting.
     """
-    return stable_digest(
-        (_DELTA_KEY_TAG, problem_sketch(problem), knobs.canonical_form())
+    networks = problem.networks
+    state = sha256(_DELTA_HEAD)
+    state.update(
+        b"".join([_network_entry(networks[nid]) for nid in sorted(networks)])
     )
+    state.update(b")")
+    state.update(_solve_suffix(knobs))
+    return state.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -132,19 +127,20 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     """Diff two problems by demand id and network id.
 
     Demands are matched by id; a demand counts as changed when its
-    id-free payload *or* its access tuple differs.  Nothing is
-    expanded into instances.
+    encoded content *or* its set of accessed networks differs, and a
+    network when its ordered adjacency does.  Nothing is expanded into
+    instances.
     """
     # Identity fast-paths throughout: trajectory snapshots share the
     # objects a mutation did not rebuild, access tuples included, so
     # ``is`` dodges the comparisons for everything untouched -- the
-    # diff then costs O(delta) payloads, not O(problem).  (A
+    # diff then costs O(delta) encodings, not O(problem).  (A
     # rebuilt-but-equal object still compares correctly through its
-    # memoized payload.)
+    # memoized bytes.)
     networks_changed = old.networks.keys() != new.networks.keys() or any(
         old.networks[nid] is not new.networks[nid]
-        and _network_entry(old.networks[nid])[0]
-        != _network_entry(new.networks[nid])[0]
+        and _network_entry(old.networks[nid])
+        != _network_entry(new.networks[nid])
         for nid in old.networks
     )
     old_by_id, new_by_id = old._demand_index, new._demand_index
@@ -156,7 +152,7 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
         old_d, new_d = old_by_id[i], new_by_id[i]
         if old_d is new_d:
             return False
-        return _demand_entry(old_d)[0] != _demand_entry(new_d)[0]
+        return _demand_entry(old_d) != _demand_entry(new_d)
 
     added = tuple(sorted(i for i in new_by_id if i not in old_by_id))
     removed = tuple(sorted(i for i in old_by_id if i not in new_by_id))

@@ -5,9 +5,10 @@ two-phase framework -- the control-plane piece the paper's motivating
 VoD/bandwidth-allocation setting assumes but a one-shot library call
 does not provide.  A request travels three short stages:
 
-1. **Fingerprint** -- the problem and its solve knobs are canonically
-   hashed (:mod:`repro.service.fingerprint`), so a re-submitted or
-   relabeled-but-identical request keys the same.
+1. **Fingerprint** -- the problem and its solve knobs are hashed
+   exactly as the solver reads them (:mod:`repro.service.fingerprint`),
+   so a re-submitted request keys the same, and a relabeled or
+   reordered one, whose answer can differ, keys apart.
 2. **Cache / coalesce** -- a fingerprint already answered is served
    from the two-tier :class:`~repro.service.cache.ResultCache` without
    touching a solver; a fingerprint currently *being* solved joins the
@@ -81,16 +82,6 @@ __all__ = [
     "ServiceResult",
     "SolveRequest",
 ]
-
-#: A network's content: its id and its sorted-edge bytes.
-NetworkKey = Tuple[type, object, bytes]
-
-
-def _network_key(net: TreeNetwork) -> NetworkKey:
-    """*net*'s key in the network table: its id, and the id-free
-    sorted-edge bytes the request's fingerprint memoized on it."""
-    nid = net.network_id
-    return type(nid), nid, _network_entry(net)[1]
 
 
 class ServiceError(RuntimeError):
@@ -216,14 +207,16 @@ class SchedulingService:
         Retain each solved request's network objects, with their memos,
         on its cache entry (memory tier only), and keep the *network
         table*: a :class:`weakref.WeakValueDictionary` from a network's
-        content (id and sorted-edge bytes) to the newest network with
-        that content that this service solved on.  Before every solve,
+        key -- the bytes of its typed id and ordered adjacency that the
+        request's fingerprint memoized on it -- to the newest network
+        with that key that this service solved on.  Before every solve,
         each network of the request without a memo of its own adopts
         its table twin's (:meth:`~repro.trees.tree.TreeNetwork.adopt_memo`,
-        which also demands the same ordered adjacency), so a rebuilt
-        request skips the layout work the service already did.  A table
-        entry lives exactly as long as its network: held by a
-        memory-tier entry, or by a caller.  Off by default -- a service
+        which demands the same id and ordered adjacency, so every twin
+        the key finds qualifies), and a rebuilt request skips the
+        layout work the service already did.  A table entry lives
+        exactly as long as its network: held by a memory-tier entry, or
+        by a caller.  Off by default -- a service
         without it keeps no networks and builds every layout a request
         has not built itself.
     metrics:
@@ -296,7 +289,7 @@ class SchedulingService:
         self._solves = 0
         #: The network table (see ``keep_artifacts``), guarded by the
         #: lock; it stays empty on a service without artifacts.
-        self._networks: "weakref.WeakValueDictionary[NetworkKey, TreeNetwork]" = (
+        self._networks: "weakref.WeakValueDictionary[bytes, TreeNetwork]" = (
             weakref.WeakValueDictionary()
         )
         self._delta_requests = 0
@@ -569,7 +562,7 @@ class SchedulingService:
 
     def _adopt_memos(
         self, problem: Problem
-    ) -> Tuple[List[Tuple[NetworkKey, TreeNetwork]], int]:
+    ) -> Tuple[List[Tuple[bytes, TreeNetwork]], int]:
         """Let *problem*'s networks without a memo adopt their network
         table twins' memos; returns those networks with their table
         keys, and how many adopted.
@@ -584,7 +577,7 @@ class SchedulingService:
         if not self.keep_artifacts:
             return [], 0
         fresh = [
-            (_network_key(net), net)
+            (_network_entry(net), net)
             for net in problem.networks.values()
             if not net.has_memo
         ]
@@ -603,7 +596,7 @@ class SchedulingService:
         request: SolveRequest,
         fp: Fingerprint,
         report: AlgorithmReport,
-        fresh: Sequence[Tuple[NetworkKey, TreeNetwork]],
+        fresh: Sequence[Tuple[bytes, TreeNetwork]],
         trace,
     ) -> None:
         """Admit a solved report; on a ``keep_artifacts`` service, retain

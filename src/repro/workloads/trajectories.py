@@ -30,9 +30,10 @@ Mutation kinds
   shape rather than to one demand.  Falls back to ``resize`` when no
   demand can move.
 * ``onboard`` -- a new tenant: one fresh network plus one or two
-  demands that access only it.  Deliberately *not* sketch-preserving --
-  the delta path must detect the network change and fall back cold;
-  snapshots after the onboarding share the new sketch and warm again.
+  demands that access only it.  Deliberately changes the network set
+  (and with it the delta key): the new network has no layout to reuse,
+  so the write lays it out cold (``ancestor-miss``); snapshots after
+  the onboarding share it and run warm again.
 
 Determinism and prefix stability: ``build_trajectory(name, size, seed)``
 drives all draws from one ``random.Random`` seeded by
@@ -335,7 +336,7 @@ register_trajectory(
         weights=(0.35, 0.35, 0.2, 0.1),
         description=(
             "multi-tenant demand churn with occasional tenant "
-            "onboarding (a new network, the sketch-breaking case)"
+            "onboarding (a new network, laid out cold)"
         ),
     )
 )

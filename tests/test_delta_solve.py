@@ -9,9 +9,10 @@ solved on (its network table) instead of rebuilding layouts, whether
 it is a ``solve`` or a ``solve_delta``, with telemetry on or off.  A
 hypothesis sweep replays mutation streams across the engine matrix
 (``TestTrajectoryDriver``); targeted tests pin each outcome
-(ancestor-miss, sketch collision, exact-hit revert) and the table's
-lifetime; fault-injection tests kill a solve mid-phase, expire a
-cached snapshot mid-coalesce, and sever a wire connection mid-batch.
+(ancestor-miss, id-swapped shapes, exact-hit revert, reordered edges)
+and the table's lifetime; fault-injection tests kill a solve mid-phase,
+expire a cached snapshot mid-coalesce, and sever a wire connection
+mid-batch.
 
 No ``pytest-asyncio``: each async test drives its own loop with
 ``asyncio.run`` (the repo convention, see ``test_async_front.py``).
@@ -41,7 +42,6 @@ from repro.service import (
     SolveRequest,
     delta_key,
     diff_problems,
-    problem_sketch,
     report_semantic_digest,
 )
 from repro.trees.tree import TreeNetwork
@@ -227,6 +227,16 @@ ORDER_DEMANDS = [
 ]
 
 
+def order_problem(edges, bump=None):
+    """:data:`ORDER_DEMANDS` on one network built from *edges*; demand
+    *bump*'s profit is raised by 0.5."""
+    demands = [
+        Demand(i, u, v, profit=p + (0.5 if i == bump else 0.0))
+        for i, (u, v, p) in enumerate(ORDER_DEMANDS)
+    ]
+    return Problem(networks={0: TreeNetwork(0, edges)}, demands=demands)
+
+
 def wire_snapshot(name, size, seed, step, **knobs):
     """Snapshot *step* rebuilt from scratch, as a wire request does
     (solve seed = trajectory seed; *knobs* override :data:`KNOBS`)."""
@@ -381,28 +391,21 @@ class TestNetworkMemo:
             ), step
 
     def test_reordered_edges_are_not_adopted(self):
-        def problem(edges, bump=None):
-            demands = [
-                Demand(i, u, v, profit=p + (0.5 if i == bump else 0.0))
-                for i, (u, v, p) in enumerate(ORDER_DEMANDS)
-            ]
-            return Problem(networks={0: TreeNetwork(0, edges)}, demands=demands)
-
         svc = self.service()
         knobs = SolveKnobs(**KNOBS)
-        first = problem(ORDER_EDGES)
+        first = order_problem(ORDER_EDGES)
         svc.solve(request(first, knobs))
         # The same edges in the same order adopt.
-        same = problem(ORDER_EDGES, bump=6)
+        same = order_problem(ORDER_EDGES, bump=6)
         result = svc.solve_delta(request(same, knobs))
         assert result.delta.outcome == "warm"
         assert result.delta.networks_adopted == 1
         assert same.networks[0].memo is first.networks[0].memo
         assert report_semantic_digest(result.report) == cold_digest(same, knobs)
-        # Equal sorted edges give the reversed list the same table key,
-        # but its adjacency differs, so it must not adopt: it builds
-        # its own memo and is no longer warm.
-        reordered = problem(list(reversed(ORDER_EDGES)), bump=7)
+        # The reversed list's adjacency differs, and with it its table
+        # key, so it must not adopt: it builds its own memo and is no
+        # longer warm.
+        reordered = order_problem(list(reversed(ORDER_EDGES)), bump=7)
         result = svc.solve_delta(request(reordered, knobs))
         assert result.delta.outcome == "ancestor-miss"
         assert result.delta.networks_adopted == 0
@@ -484,7 +487,9 @@ class TestDecisionArms:
         demands = [replace(d, u=0, v=1) for d in demands]
         # Access only network 0: the id-swap then *moves the demands
         # onto a different shape* -- a semantically different problem
-        # (no relabeling makes it the original), yet sketch-identical.
+        # (no relabeling makes it the original), whose id-free network
+        # shapes are yet the original's, so any key that drops network
+        # ids confuses the two.
         return Problem(
             networks=networks,
             demands=demands,
@@ -494,14 +499,11 @@ class TestDecisionArms:
     def test_sketch_collision_adopts_nothing(self):
         original = self._two_shape_problem(swap=False)
         swapped = self._two_shape_problem(swap=True)
-        # The id-swap is invisible to the sketch (id-free payloads) --
-        # the two problems share a debounce bucket -- but not to the
-        # per-id diff...
-        assert problem_sketch(original) == problem_sketch(swapped)
+        # The id-swap is visible to the delta key and the per-id diff...
         knobs = SolveKnobs(**KNOBS)
-        assert delta_key(original, knobs) == delta_key(swapped, knobs)
+        assert delta_key(original, knobs) != delta_key(swapped, knobs)
         assert diff_problems(original, swapped).networks_changed
-        # ...nor to the network table, whose keys carry the id: neither
+        # ...and to the network table, whose keys carry the id: neither
         # network finds a twin.
         svc = service()
         svc.solve(request(original))
@@ -511,6 +513,27 @@ class TestDecisionArms:
         assert report_semantic_digest(result.report) == cold_digest(
             swapped, knobs
         )
+
+    def test_reversed_edge_list_is_solved_as_itself(self):
+        # Reversing ORDER_EDGES can move the balancer's start, and with
+        # it the decomposition and the answer: the reversed request
+        # must key apart and be solved, never served the first list's
+        # answer.
+        knobs = SolveKnobs(**KNOBS)
+        problems = [
+            order_problem(ORDER_EDGES),
+            order_problem(list(reversed(ORDER_EDGES))),
+        ]
+        first, second = (request(p, knobs).fingerprint() for p in problems)
+        assert first != second
+        svc = service()
+        for problem in problems:
+            result = svc.solve(request(problem, knobs))
+            assert result.status == "miss"
+            assert report_semantic_digest(result.report) == cold_digest(
+                problem, knobs
+            )
+        assert svc.stats["solves"] == 2
 
     def test_a_network_no_demand_uses_still_runs_warm(self):
         # Network 1 carries no demand, so no solve work builds it a
@@ -642,9 +665,9 @@ class TestDebounce:
         if ttl is not None:
             kw.update(ttl=ttl, clock=clock)
         svc = service(**kw)
-        # capacity-steps mutations (resize / capacity-step) are all
-        # sketch-preserving: the whole storm shares one delta bucket,
-        # so it must coalesce into exactly one flush.
+        # capacity-steps mutations (resize / capacity-step) leave the
+        # networks alone: the whole storm shares one delta key, so it
+        # must coalesce into exactly one flush.
         trajectory = build_trajectory(
             "capacity-steps", 16, seed=1, steps=storm_size + 1
         )
@@ -714,15 +737,15 @@ class TestDebounce:
         return asyncio.run(run())
 
     def test_sketch_twins_do_not_supersede_each_other(self):
-        # Swapping two differently shaped networks' ids keeps the
-        # sketch, so the pair shares a delta_key; it must not share a
-        # storm, or the first waiter is served the other problem.
+        # Swapping two differently shaped networks' ids keeps their
+        # id-free shapes; the pair must not share a storm, or the first
+        # waiter is served the other problem.
         knobs = SolveKnobs(**KNOBS)
         problems = [
             TestDecisionArms._two_shape_problem(swap=swap)
             for swap in (False, True)
         ]
-        assert delta_key(problems[0], knobs) == delta_key(problems[1], knobs)
+        assert delta_key(problems[0], knobs) != delta_key(problems[1], knobs)
         results, stats = self.pair(*problems)
         for problem, result in zip(problems, results):
             assert not result.superseded

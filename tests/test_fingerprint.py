@@ -1,10 +1,13 @@
-"""Hypothesis suite for the service layer's canonical fingerprints.
+"""Hypothesis suite for the service layer's exact fingerprints.
 
 The cache-key contract of :mod:`repro.service.fingerprint`:
 
-* **Invariance** -- insertion-order shuffles (demand list, networks
-  dict, access dict and its tuples) and isomorphic relabelings of
-  network ids and demand ids never change the fingerprint;
+* **Exactness** -- two problems with equal keys get equal direct
+  ``solve_auto`` answers, and a service serves every resubmission its
+  own direct answer: a shuffled demand list, relabeled ids or a
+  reordered edge list key apart, while a shuffled access tuple or
+  ``networks`` insertion order, which every consumer sorts, keys the
+  same and hits;
 * **Sensitivity** -- any change to the demands (profit, height,
   window), the accessibility map, or the solve knobs changes it;
 * **Soundness plumbing** -- the underlying canonical byte encoding
@@ -16,9 +19,9 @@ The cache-key contract of :mod:`repro.service.fingerprint`:
   digests, and one hash over the whole sweep's digests, are pinned
   outright;
 * **Memo hygiene** -- the component and problem memos keep no network
-  or demand alive, threads racing on a cold memo agree, and a
-  memo-warm problem's digests are the spec's without re-running the
-  canonical layout.
+  or demand alive, threads racing on a cold memo agree, a memo-warm
+  problem's digests are the spec's without laying it out again, and a
+  churn replay encodes each network and demand object once.
 """
 import copy
 import gc
@@ -35,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import solve_auto
 from repro.core.canonical import (
     CanonicalizationError,
     canonical_bytes,
@@ -43,12 +47,11 @@ from repro.core.canonical import (
 from repro.core.demand import Demand, WindowDemand
 from repro.core.framework import ENGINES
 from repro.core.problem import Problem
-from repro.service import SchedulingService, SolveRequest
+from repro.service import SchedulingService, SolveRequest, report_semantic_digest
 import repro.service.fingerprint as fingerprint_module
-from repro.service.delta import delta_key, diff_problems, problem_sketch
+from repro.service.delta import delta_key, diff_problems
 from repro.service.fingerprint import (
     _KNOBS_MEMO,
-    _SKETCH_MEMO,
     _SOLVE_MEMO,
     SolveKnobs,
     _demand_entry,
@@ -85,32 +88,74 @@ problem_cases = st.tuples(
     st.integers(min_value=0, max_value=10_000),
 )
 
+#: Ways a resubmission can differ from the problem it copies.  The
+#: solver reads the first three: instance ids follow demand order, ties
+#: break by id, and decompositions follow adjacency order, so each can
+#: change the answer and each is keyed.  Every consumer sorts the last
+#: two, which the key leaves out.
+VISIBLE = ("demand-order", "relabel", "edge-order")
+INVISIBLE = ("access-order", "network-order")
 
-def relabeled(problem: Problem, seed: int) -> Problem:
-    """An isomorphic copy: fresh network/demand ids, shuffled orders."""
+variant_kinds = st.lists(
+    st.sampled_from(VISIBLE + INVISIBLE), min_size=1, unique=True
+)
+
+
+def vary(problem: Problem, kinds, seed: int) -> Problem:
+    """*problem* rebuilt from fresh objects, with each change in *kinds*.
+
+    ``demand-order`` shuffles the demand list, ``relabel`` draws fresh
+    network and demand ids, ``edge-order`` reverses or shuffles each
+    network's edge list, ``access-order`` shuffles each access tuple
+    and ``network-order`` the networks' insertion order.  Every network
+    is rebuilt from its ``edges()`` list, so ``vary(problem, (), seed)``
+    is the base the variants are compared with.
+    """
     rng = random.Random(seed)
     nids = sorted(problem.networks)
-    new_ids = rng.sample(range(10_000, 10_000 + 10 * len(nids) + 10), len(nids))
-    nmap = dict(zip(nids, new_ids))
-    dmap = {
-        a.demand_id: 5_000 + i
-        for i, a in enumerate(rng.sample(problem.demands, len(problem.demands)))
-    }
+    demands = list(problem.demands)
+    nmap = {nid: nid for nid in nids}
+    dmap = {a.demand_id: a.demand_id for a in demands}
+    if "relabel" in kinds:
+        nmap = dict(zip(nids, rng.sample(range(10_000, 20_000), len(nids))))
+        dmap = dict(zip(dmap, rng.sample(range(5_000, 10_000), len(dmap))))
+    if "network-order" in kinds:
+        nids = rng.sample(nids, len(nids))
     networks = {}
-    for nid in rng.sample(nids, len(nids)):  # shuffled dict insertion
-        edges = [(u, v) for (_n, u, v) in problem.networks[nid].edges()]
-        rng.shuffle(edges)  # shuffled edge insertion
-        networks[nmap[nid]] = TreeNetwork(nmap[nid], edges)
-    demands = [
-        replace(a, demand_id=dmap[a.demand_id])
-        for a in rng.sample(problem.demands, len(problem.demands))
-    ]
+    for nid in nids:
+        net = problem.networks[nid]
+        edges = [(u, v) for (_n, u, v) in net.edges()]
+        if "edge-order" in kinds:
+            if rng.random() < 0.5:
+                edges.reverse()
+            else:
+                rng.shuffle(edges)
+        networks[nmap[nid]] = TreeNetwork(
+            nmap[nid], edges, vertices=net.vertices
+        )
+    if "demand-order" in kinds:
+        rng.shuffle(demands)
     access = {}
-    for a in rng.sample(problem.demands, len(problem.demands)):
-        nets = [nmap[n] for n in problem.access[a.demand_id]]
-        rng.shuffle(nets)
-        access[dmap[a.demand_id]] = tuple(nets)
-    return Problem(networks=networks, demands=demands, access=access)
+    for a in demands:
+        reach = [nmap[n] for n in problem.access[a.demand_id]]
+        if "access-order" in kinds:
+            rng.shuffle(reach)
+        access[dmap[a.demand_id]] = tuple(reach)
+    return Problem(
+        networks,
+        [replace(a, demand_id=dmap[a.demand_id]) for a in demands],
+        access,
+    )
+
+
+def direct_digest(problem: Problem, knobs: SolveKnobs) -> str:
+    """The semantic digest of a direct (service-free) solve."""
+    return report_semantic_digest(
+        solve_auto(
+            problem, epsilon=knobs.epsilon, mis=knobs.mis, seed=knobs.seed,
+            decomposition=knobs.decomposition, engine=knobs.engine,
+        )
+    )
 
 
 #: Non-default knobs for the byte-identity checks.
@@ -118,45 +163,78 @@ SPEC_KNOBS = SolveKnobs(seed=3, epsilon=0.2, capacity_epoch=1)
 
 
 def served_digests(problem: Problem, knobs: SolveKnobs):
-    """The four digests as the service computes them (memoized bytes)."""
+    """The three digests as the service computes them (memoized bytes)."""
     return (
         solve_fingerprint(problem, knobs).digest,
         problem_fingerprint(problem).digest,
-        problem_sketch(problem),
         delta_key(problem, knobs),
     )
 
 
 def spec_digests(problem: Problem, knobs: SolveKnobs):
-    """The same four digests from their nested-tuple specs: stable_digest
-    of the tuples, the sketch's built from unmemoized payloads.
-
-    ``problem_canonical_form`` shares the refinement and record order
-    with the byte path, so this checks the byte assembly only; the
-    pinned digests below hold the order itself to the original
-    encoding."""
+    """The same three digests from their nested-tuple specs:
+    stable_digest of the tuples, built from unmemoized payloads."""
     form = problem_canonical_form(problem)
-    sketch = stable_digest((
-        "sketch/v1",
-        tuple(sorted(_network_payload(n) for n in problem.networks.values())),
-    ))
     return (
         stable_digest(("solve/v1", form, knobs.canonical_form())),
         stable_digest(form),
-        sketch,
-        stable_digest(("delta-key/v1", sketch, knobs.canonical_form())),
+        stable_digest(("delta-key/v2", form[1], knobs.canonical_form())),
     )
 
 
 class TestInvariance:
     @settings(**COMMON)
-    @given(case=problem_cases, perm_seed=st.integers(0, 10_000))
-    def test_relabeling_and_shuffles_hash_equal(self, case, perm_seed):
+    @given(
+        case=problem_cases,
+        kinds=variant_kinds,
+        perm_seed=st.integers(0, 10_000),
+        mis=st.sampled_from(("luby", "greedy")),
+    )
+    def test_equal_keys_get_equal_answers(self, case, kinds, perm_seed, mis):
+        # The drawn variant, and one with every change no consumer can
+        # tell apart, so that each example compares answers.
         name, size, seed = case
         problem = build_workload(name, size, seed=seed)
-        copy = relabeled(problem, perm_seed)
-        assert problem_fingerprint(copy) == problem_fingerprint(problem)
-        assert served_digests(copy, SPEC_KNOBS) == spec_digests(copy, SPEC_KNOBS)
+        base = vary(problem, (), perm_seed)
+        knobs = SolveKnobs(mis=mis, seed=seed)
+        key = solve_fingerprint(base, knobs)
+        for changes in (kinds, INVISIBLE):
+            variant = vary(problem, changes, perm_seed)
+            same_key = solve_fingerprint(variant, knobs) == key
+            if set(changes) <= set(INVISIBLE):
+                assert same_key
+            if same_key:
+                assert direct_digest(variant, knobs) == direct_digest(
+                    base, knobs
+                )
+            assert served_digests(variant, SPEC_KNOBS) == spec_digests(
+                variant, SPEC_KNOBS
+            )
+
+    @settings(**COMMON)
+    @given(
+        case=problem_cases,
+        kinds=variant_kinds,
+        perm_seed=st.integers(0, 10_000),
+        mis=st.sampled_from(("luby", "greedy")),
+    )
+    def test_every_variant_is_served_its_own_answer(
+        self, case, kinds, perm_seed, mis
+    ):
+        name, size, seed = case
+        problem = build_workload(name, size, seed=seed)
+        knobs = SolveKnobs(mis=mis, seed=seed)
+        service = SchedulingService(workers=1)
+        base = vary(problem, (), perm_seed)
+        service.solve(SolveRequest(problem=base, knobs=knobs))
+        for changes in (kinds, INVISIBLE):
+            variant = vary(problem, changes, perm_seed)
+            served = service.solve(SolveRequest(problem=variant, knobs=knobs))
+            if set(changes) <= set(INVISIBLE):
+                assert served.status == "hit"
+            assert report_semantic_digest(served.report) == direct_digest(
+                variant, knobs
+            )
 
     @settings(**COMMON)
     @given(case=problem_cases)
@@ -245,6 +323,12 @@ class TestSensitivity:
         spread = Problem(nets, demands, {0: (0,), 1: (1,)})
         assert problem_fingerprint(together) != problem_fingerprint(spread)
 
+    @pytest.mark.parametrize("kind", VISIBLE)
+    def test_what_the_solver_reads_changes_the_key(self, kind):
+        problem = build_workload("multi-tenant-forest", 16, seed=2)
+        base = problem_fingerprint(vary(problem, (), 5))
+        assert problem_fingerprint(vary(problem, (kind,), 5)) != base
+
 
 def registry_sweep(name):
     """Registry workload *name* at three sizes, each built fresh."""
@@ -261,13 +345,12 @@ def trajectory_sweep(name):
             yield (name, size, step.index), step.problem
 
 
-#: SHA-256 over the four served digests of every problem in the sweep
+#: SHA-256 over the three served digests of every problem in the sweep
 #: (registry workloads, then trajectories, each in name order), as the
-#: nested-tuple encoder minted them.  A change to the refinement or the
-#: record order fails here even though the spec comparison, which shares
-#: them, still passes.  The tie-break shows only on ties that are not
-#: true symmetries; ``refinement_tie`` in ``GOLDEN`` pins it.
-SWEEP_HEX = "66fa2bc365c7556097fedcb86a5b0bbd4c247186a34ff6bce0e9ed3cafcab1b5"
+#: nested-tuple encoder minted them.  A change to the spec itself (what
+#: is keyed, in which order) fails here even though the spec comparison
+#: still passes.
+SWEEP_HEX = "d12a3c01aafc89dce64e0d2f67f68b55b839a6931bfd8d33e5bdf7e3fdc81442"
 
 
 class TestByteIdentity:
@@ -297,33 +380,38 @@ class TestByteIdentity:
         assert digest.hexdigest() == SWEEP_HEX
 
     def test_component_bytes_match_the_generic_encoder(self):
-        # Demands with exact-int fields take the formatted fast path;
-        # bools and floats in integer slots fall back to
-        # canonical_bytes.  Network bytes are always formatted.
+        # Ids and integer fields that are exact ints take the formatted
+        # fast path; bools, floats and strings in those slots fall back
+        # to canonical_bytes.
         demands = [
             Demand(0, 1, 4, 2.5, 0.5),
             Demand(1, True, 3, 1, 1),
             Demand(2, 1.0, 3.0, 2.0),
+            Demand("d", 1, 3, 2.0),
             WindowDemand(3, 0, 5, 2, 1.5, 0.25),
             WindowDemand(4, True, 5, 2, 3),
+            WindowDemand(True, 0, 5, 2, 3),
         ]
         for d in demands:
-            assert _demand_entry(d) == (
-                _demand_payload(d), canonical_bytes(_demand_payload(d))
-            )
+            assert _demand_entry(d) == canonical_bytes(_demand_payload(d))
         networks = [
             TreeNetwork(0, [(3, 1), (1, 0), (1, 2)]),
             TreeNetwork(1, [], vertices=[5]),
+            TreeNetwork(2, [(0, 1)]),
+            TreeNetwork(True, [(0, 1)]),
+            TreeNetwork("n", [(0, 1)]),
             build_workload("deep-trees", 12, seed=1).networks[0],
         ]
         for net in networks:
-            assert _network_entry(net) == (
-                _network_payload(net), canonical_bytes(_network_payload(net))
-            )
+            assert _network_entry(net) == canonical_bytes(_network_payload(net))
+        # The id is keyed with its type, as ``adopt_memo`` compares it.
+        assert _network_entry(TreeNetwork(1, [(0, 1)])) != (
+            _network_entry(networks[3])
+        )
 
     def test_tuple_equal_payloads_with_different_bytes(self):
-        # ``True == 1``: the two demands tie in the record sort but
-        # encode differently, so their order must be the spec's.
+        # ``True == 1``: the two demands compare equal as payloads but
+        # encode differently, and the key keeps each as it is.
         line = TreeNetwork(0, [(0, 1), (1, 2), (2, 3)])
         for demands in (
             [Demand(0, 1, 3, 2.0), Demand(1, True, 3, 2.0)],
@@ -335,10 +423,9 @@ class TestByteIdentity:
             )
 
 
-def refinement_tie() -> Problem:
-    """Six same-shape networks that color refinement cannot tell apart
-    (each has two accessors), wired as two triangles that no id-order
-    reversal maps onto themselves: the digest pins the tie-break."""
+def twin_networks() -> Problem:
+    """Six same-shape networks wired as two triangles of demands: only
+    their ids tell them apart, and the key holds them."""
     pairs = [(0, 1), (1, 4), (0, 4), (2, 3), (3, 5), (2, 5)]
     return Problem(
         {n: make_line_network(n, 4) for n in range(6)},
@@ -349,43 +436,50 @@ def refinement_tie() -> Problem:
 
 #: (problem, knobs) -> (solve_fingerprint, delta_key) hex digests, as
 #: the nested-tuple encoder minted them.  A change here re-keys every
-#: cached result, disk-tier entry and shard placement.
+#: cached result, disk-tier entry and shard placement.  The
+#: ``engine="reference"`` row keys as the default knobs do.
 GOLDEN = [
-    (
+    pytest.param(
         lambda: build_workload("multi-tenant-forest", 24, seed=7),
         SolveKnobs(),
-        "139a7a000150d9acaaa5698960a6290d01e38f7ccf25aeb32bbb5d45bbdcdf3f",
-        "13b1260188f610132d821100e96d2ab697c3fdb2783c418ead756345e34b86d6",
+        "361247b3f1a1fbef349f5d3faee94597eb24675b9ad4827c20b9e35ea93af7ae",
+        "c3ab12d0201975763e44401db8ba2af610186421d44369688d393d27b277e366",
+        id="multi-tenant-forest@24#7",
     ),
-    (
+    pytest.param(
         lambda: build_workload("diurnal-cycle", 16, seed=3),
         SolveKnobs(epsilon=0.25, mis="greedy", seed=5),
-        "a2e109851eac98bb0caf6c5bf4997daa3e5a8b23a87c86f9adbc5be9c5557ec9",
-        "a58b88e1d0dc742f8ef3a58e8490ee7092b34bd35de9a26829aa9cb3a1459894",
+        "4fd184aa78c6821b760348f857a4cd411336bcb42e7d3c3cdfab021103b7200c",
+        "f86efb2ba9cc901fdc9ce81e213646bb66a36df9927adc51f75fc3e76c31dd1f",
+        id="diurnal-cycle@16#3",
     ),
-    (
+    pytest.param(
         lambda: build_workload("figure2", 1, seed=0),
         SolveKnobs(capacity_epoch=2),
-        "0a5cd95cb7e3dd6ef2bb1a2b5b749b52e43dc2492fbe897be8ab9aafa4e7b75a",
-        "9f803bd128ec819f10b514ff0bb0073ff9ee712ce117d1efaf0909ef3c9c4b13",
+        "9d8da7cef61818e5447370a49a85f00f335faa1be2b7059ccd515ed07f290b0e",
+        "1c21c12d1f536db4dd23136efde943926ce018557df597dd85bf24d704e16134",
+        id="figure2",
     ),
-    (
+    pytest.param(
         lambda: build_trajectory("tenant-churn", 40, seed=11, steps=4)[3].problem,
         SolveKnobs(seed=11),
-        "ca76c69fbb175866e2935eefab0322f51f954ca424f74dec3096532f88d68635",
-        "34152b6e5a2ef26e7f69982d23df5726242193671dcfb769097d8654fe7b4d86",
+        "a5942fd134ba5946f5ddcff58243d86d5292e9f6da7cb9687f37b31bce897dc0",
+        "69cc5a1a0f44a88b135c5c2cac3fa65e886b9e2f23ce69a9aed020506e98e1bb",
+        id="tenant-churn@40#11-step3",
     ),
-    (
-        refinement_tie,
+    pytest.param(
+        twin_networks,
         SolveKnobs(),
-        "3acb75e747e811e9d3916a9f2de4340ded08dabcffdb7f54869489d8fe0fe5f4",
-        "bb10b7d4be15c65bff513da8d7de07d7e3ca65fa00d44b1e30c9e6b461849cc7",
+        "376d29aa17a0523d14bd58319fda69e4ef2dd4a899a4a689999591af662acbbc",
+        "5e6ea2f0a312ad25998898e18d03e9e5732fae3974ecf5673a7d9ffa9444f419",
+        id="twin-networks",
     ),
-    (
+    pytest.param(
         lambda: build_workload("bursty-lines", 10, seed=0),
         SolveKnobs(engine="reference"),
-        "6d3a6d343418a19846d1fe03c7fe90f232ef8879819fc9c3c0d36ecdf135ca19",
-        "f10fa0f7a931b5a4a55701dba6ebbf0d677e359a1d03e159bcc86109fd9d4483",
+        "b668f321c0aede60ecc9395013abb5907a5b22cf2c063faab75d3674e6fc12a6",
+        "44768a83e1450fdafc0656b372cf8cf93f357538d62aa1c2a8831c70c7730e6d",
+        id="bursty-lines@10#0",
     ),
 ]
 
@@ -413,13 +507,13 @@ class TestComponentMemo:
     def test_problem_memo_keeps_nothing_alive(self):
         problem = build_workload("multi-tenant-forest", 16, seed=4)
         solve_fingerprint(problem, SolveKnobs())
-        memo = [problem.__dict__[_SOLVE_MEMO], problem.__dict__[_SKETCH_MEMO]]
+        memo = problem.__dict__[_SOLVE_MEMO]
         refs = [weakref.ref(net) for net in problem.networks.values()]
         refs += [weakref.ref(d) for d in problem.demands]
         del problem
         gc.collect()
         assert all(ref() is None for ref in refs)
-        assert isinstance(memo[1], str) and memo[0].copy().hexdigest()
+        assert memo.copy().hexdigest()
 
     def test_threads_racing_on_a_cold_memo_agree(self):
         # Snapshots of one trajectory share their network objects (and
@@ -449,14 +543,14 @@ class TestComponentMemo:
 
     def test_threads_racing_on_a_cold_problem_memo_agree(self):
         # Every thread keys the same cold problem objects under two
-        # knob sets, half of them sketching before fingerprinting.
+        # knob sets, half of them taking the delta key first.
         problems = [
             build_workload("multi-tenant-forest", 40, seed=2),
             build_trajectory("churn-lines", 60, seed=3, steps=2)[1].problem,
         ]
         knob_sets = (SolveKnobs(), SPEC_KNOBS)
         expected = [
-            (spec[0], spec[3])
+            (spec[0], spec[2])
             for p in problems
             for spec in (spec_digests(p, k) for k in knob_sets)
         ]
@@ -498,27 +592,22 @@ class TestComponentMemo:
                     spec = spec_digests(problem, knobs)
                     served = solve_fingerprint(problem, knobs).digest
                     assert (served, delta_key(problem, knobs)) == (
-                        spec[0], spec[3]
+                        spec[0], spec[2]
                     ), label
 
     def test_warm_problem_skips_the_canonical_layout(self, monkeypatch):
-        # Deterministic call counts: a problem object is laid out once;
-        # a rebuilt equal problem is laid out again.  The sketch reuses
-        # the fingerprint's shape ranks, so ``_shape_ranks`` runs only
-        # inside the layout, or once for a sketch that comes first.
+        # Deterministic call counts: a problem object is laid out (its
+        # component bytes joined in key order, ``_problem_bytes``)
+        # once; a rebuilt equal problem is laid out again.  The delta
+        # key reads the networks' memo entries and lays out nothing.
         calls = Counter()
+        layout = fingerprint_module._problem_bytes
 
-        def counting(name):
-            fn = getattr(fingerprint_module, name)
+        def counted(problem):
+            calls["layout"] += 1
+            return layout(problem)
 
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return counted
-
-        for name in ("_canonical_layout", "_shape_ranks"):
-            monkeypatch.setattr(fingerprint_module, name, counting(name))
+        monkeypatch.setattr(fingerprint_module, "_problem_bytes", counted)
 
         def build():
             return build_trajectory("tenant-churn", 40, seed=3, steps=2)[1].problem
@@ -526,7 +615,7 @@ class TestComponentMemo:
         problem = build()
         solve_fingerprint(problem, SolveKnobs())
         delta_key(problem, SolveKnobs())
-        assert calls == {"_canonical_layout": 1, "_shape_ranks": 1}
+        assert calls == {"layout": 1}
         calls.clear()
         for knobs in (SolveKnobs(), SPEC_KNOBS):
             solve_fingerprint(problem, knobs)
@@ -535,13 +624,47 @@ class TestComponentMemo:
         assert not calls
         rebuilt = build()
         delta_key(rebuilt, SolveKnobs())
-        assert calls == {"_shape_ranks": 1}
+        assert not calls
         solve_fingerprint(rebuilt, SolveKnobs())
-        assert calls == {"_canonical_layout": 1, "_shape_ranks": 2}
+        assert calls == {"layout": 1}
         assert solve_fingerprint(rebuilt, SPEC_KNOBS) == solve_fingerprint(
             problem, SPEC_KNOBS
         )
-        assert calls == {"_canonical_layout": 1, "_shape_ranks": 2}
+        assert calls == {"layout": 1}
+
+    def test_a_churn_replay_encodes_each_object_once(self, monkeypatch):
+        # A write then reads of every tenant-churn@200 snapshot, as the
+        # serving benchmark sends them: each network and demand object
+        # is encoded once, however many snapshots, requests, delta keys
+        # and network-table lookups share it.
+        encoded = Counter()
+
+        def counting(encode):
+            def counted(obj):
+                encoded[id(obj)] += 1
+                return encode(obj)
+
+            return counted
+
+        for name in ("_network_bytes", "_demand_bytes"):
+            encode = getattr(fingerprint_module, name)
+            monkeypatch.setattr(fingerprint_module, name, counting(encode))
+        knobs = SolveKnobs(mis="greedy", seed=1)
+        service = SchedulingService(keep_artifacts=True, workers=1)
+        steps = build_trajectory("tenant-churn", 200, seed=1, steps=6)
+        for step in steps:
+            request = SolveRequest(problem=step.problem, knobs=knobs)
+            service.solve_delta(request)
+            for _ in range(2):
+                assert service.solve(request).status == "hit"
+            delta_key(step.problem, knobs)
+        objects = {
+            id(obj)
+            for step in steps
+            for obj in (*step.problem.networks.values(), *step.problem.demands)
+        }
+        assert set(encoded) == objects
+        assert set(encoded.values()) == {1}
 
 
 def race(work, n_threads=8):
@@ -580,13 +703,26 @@ class TestSolveKnobs:
             replace(base, epsilon=0.2),
             replace(base, mis="greedy"),
             replace(base, seed=1),
-            replace(base, engine="reference"),
             replace(base, decomposition="balancing"),
             replace(base, capacity_epoch=1),
         ]
         others = {solve_fingerprint(problem, k).digest for k in variants}
         assert fp.digest not in others
         assert len(others) == len(variants)
+
+    def test_every_engine_gives_one_key(self):
+        # The engines are bit-identical, so the engine picks who solves
+        # a miss but never splits the cache; unknown names still fail
+        # validation.
+        problem = build_workload("bursty-lines", 10, seed=0)
+        knob_sets = [SolveKnobs(engine=engine) for engine in ENGINES]
+        assert len({solve_fingerprint(problem, k) for k in knob_sets}) == 1
+        assert len({delta_key(problem, k) for k in knob_sets}) == 1
+        assert solve_fingerprint(problem, knob_sets[0]) == solve_fingerprint(
+            problem, SolveKnobs()
+        )
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            SolveKnobs(engine="bogus").validate()
 
     def test_knob_memo_follows_the_fields(self):
         # The knobs' key bytes are memoized on the frozen knobs object:
@@ -624,9 +760,8 @@ class TestSolveKnobs:
             assert service.solve(request).fingerprint == a
 
     def test_parallel_only_knobs_normalize_for_serial_engines(self):
-        # Every engine is serial: the backend and granularity slots hold
-        # the same constants whatever the retired knobs say, so every
-        # engine keys exactly as without them.
+        # Every engine is serial and the retired knobs are not keyed,
+        # so every engine keys exactly as without them.
         problem = build_workload("bursty-lines", 10, seed=0)
         for engine in ENGINES:
             a = solve_fingerprint(problem, SolveKnobs(engine=engine))

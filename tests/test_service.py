@@ -6,8 +6,9 @@ The acceptance contract of the service layer:
   :func:`repro.algorithms.solve_auto` calls
   (``TwoPhaseResult.semantic_tuple()`` through the report digest) for
   every engine and execution backend, cold and cached;
-* **Keying** -- resubmission and isomorphic relabelings hit the cache;
-  different knobs do not;
+* **Keying** -- a resubmission hits the cache and so does a request
+  for the other engine; a relabeled resubmission and different knobs
+  do not;
 * **Coalescing** -- duplicate in-flight requests share one future and
   one solve;
 * **Attribution** -- a failed entry of a batch raises
@@ -121,7 +122,10 @@ class TestBitIdentity:
 
 
 class TestKeying:
-    def test_relabeled_resubmission_hits(self):
+    def test_relabeled_resubmission_is_solved_as_itself(self):
+        # Fresh ids and a shuffled demand list make another labelled
+        # input, whose answer can differ: it keys apart and is solved,
+        # and each request is served its own direct answer.
         problem = build_workload("multi-tenant-forest", 16, seed=SEED)
         knobs = SolveKnobs(epsilon=EPSILON, mis="greedy", seed=SEED)
         service = SchedulingService(workers=2)
@@ -144,12 +148,43 @@ class TestKeying:
             dmap[d]: tuple(sorted(nmap[n] for n in nets))
             for d, nets in problem.access.items()
         }
-        relabeled = SolveRequest(
-            problem=Problem(networks, demands, access), knobs=knobs
+        relabeled = Problem(networks, demands, access)
+        second = service.solve(SolveRequest(problem=relabeled, knobs=knobs))
+        assert second.status == "miss"
+        assert second.fingerprint != first.fingerprint
+        assert service.stats["solves"] == 2
+        for result, solved in ((first, problem), (second, relabeled)):
+            direct = solve_auto(
+                solved, epsilon=knobs.epsilon, mis=knobs.mis,
+                seed=knobs.seed, engine=knobs.engine,
+            )
+            assert report_semantic_digest(result.report) == (
+                report_semantic_digest(direct)
+            )
+
+    def test_engines_share_one_cache_entry(self):
+        # The engines are bit-identical, so the engine is not keyed: an
+        # incremental request is served the reference solve's entry.
+        # The hit carries the reference run's engine-work counters;
+        # the semantic digest leaves those out.
+        problem = build_workload("bursty-lines", 14, seed=SEED)
+        knobs = SolveKnobs(
+            epsilon=EPSILON, mis="greedy", seed=SEED, engine="reference"
         )
-        second = service.solve(relabeled)
-        assert second.status == "hit"
+        service = SchedulingService(workers=2)
+        first = service.solve(SolveRequest(problem=problem, knobs=knobs))
+        incremental = replace(knobs, engine="incremental")
+        second = service.solve(SolveRequest(problem=problem, knobs=incremental))
+        assert (first.status, second.status) == ("miss", "hit")
+        assert second.fingerprint == first.fingerprint
         assert service.stats["solves"] == 1
+        direct = solve_auto(
+            build_workload("bursty-lines", 14, seed=SEED),
+            epsilon=EPSILON, mis="greedy", seed=SEED, engine="incremental",
+        )
+        assert report_semantic_digest(second.report) == (
+            report_semantic_digest(direct)
+        )
 
     def test_different_knobs_do_not_alias(self):
         service = SchedulingService(workers=2)
