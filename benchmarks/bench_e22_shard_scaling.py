@@ -32,6 +32,10 @@ Three phases, all over real sockets:
   digest handshake, cross-checked against direct solves of each
   snapshot.
 
+Every client reads with ``WIRE_LINE_LIMIT``: the fleet's merged
+``{"op": "metrics"}`` reply is about 67 KB, past asyncio's default
+64 KiB line limit.
+
 ``--quick`` shrinks populations for CI; ``--json OUT`` emits findings
 via the shared benchmark plumbing.
 """
@@ -56,6 +60,7 @@ from repro.service import (
     schedule_table,
     table_digest,
 )
+from repro.service.async_front import WIRE_LINE_LIMIT
 from repro.service.pools import usable_cpu_count
 from repro.workloads import build_trajectory, build_workload
 
@@ -136,7 +141,9 @@ async def _replay(addresses, population, stream, direct, collect_metrics=False):
     """
     router = ShardRouter(addresses)
     host, port = await router.serve()
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=WIRE_LINE_LIMIT
+    )
     t_start = time.perf_counter()
     for req_id, idx in enumerate(stream):
         writer.write(
@@ -236,7 +243,9 @@ async def _kill_phase(population, stream, direct):
                       workers=2) as cluster:
         router = ShardRouter(cluster.addresses)
         host, port = await router.serve()
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=WIRE_LINE_LIMIT
+        )
         half = max(1, len(stream) // 2)
         rerouted = 0
         try:
@@ -277,7 +286,9 @@ async def _egress_phase(steps):
     with ShardCluster(shards=2, capacity=64, workers=2) as cluster:
         router = ShardRouter(cluster.addresses)
         host, port = await router.serve()
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=WIRE_LINE_LIMIT
+        )
         try:
             for k in range(steps):
                 response = await _rpc(reader, writer, {

@@ -1,7 +1,7 @@
 """Shared helpers for the experiment benchmarks.
 
-Each ``bench_eNN_*.py`` module reproduces one paper claim (see the
-experiment index in DESIGN.md).  The convention:
+Each ``bench_eNN_*.py`` module reproduces one paper claim, which its
+docstring names.  The convention:
 
 * ``run_experiment()`` computes the reproduction table and returns
   ``(title, table_string, findings_dict)``; assertions inside it encode

@@ -25,8 +25,8 @@ claims, so this file only regenerates from passing runs.  Timing
 numbers come from `pytest benchmarks/ --benchmark-only`.
 
 The paper (PODC 2012) is a theory paper with no measurement section;
-its "results" are theorem statements and worked examples.  The mapping
-from every figure/claim to an experiment id is in DESIGN.md, Section 4.
+its "results" are theorem statements and worked examples; each
+experiment module's docstring names the claim it reproduces.
 Each experiment reports:
 
 * **measured ratio** -- true optimum (exact branch-and-bound / tree DP,

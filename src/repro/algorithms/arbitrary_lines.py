@@ -33,12 +33,19 @@ def solve_narrow_lines(
     xi: Optional[float] = None,
     engine: str = "reference",
 ) -> AlgorithmReport:
-    """Narrow-instance algorithm on lines (Section 7, arbitrary heights)."""
+    """Narrow-instance algorithm on lines (Section 7, arbitrary heights).
+
+    ``hmin`` defaults to the smallest demand height, and may not exceed
+    it: the stage ratio ``xi = c/(c + hmin)`` covers only heights of at
+    least ``hmin`` (Section 6).
+    """
     validate_engine(engine)
     if not all(a.is_narrow for a in problem.demands):
         raise ValueError("narrow algorithm requires every height <= 1/2")
     if hmin is None:
         hmin = problem.hmin
+    if hmin > problem.hmin:
+        raise ValueError(f"hmin={hmin} exceeds an actual demand height")
     layout = line_layouts(problem)
     delta = max(layout.critical_set_size, 1)
     if xi is None:

@@ -1,12 +1,12 @@
-"""The asyncio front door of the scheduling service.
+"""The asyncio front door of the scheduling service, and its wire server.
 
 :class:`AsyncSchedulingService` wraps the synchronous, thread-pooled
 :class:`~repro.service.server.SchedulingService` behind ``asyncio`` so
 the serving path can sit inside a real RPC process: ``await
 front.solve(request)``, batches via :meth:`solve_batch`
 (``asyncio.gather`` underneath), and a minimal newline-delimited
-JSON-over-TCP endpoint (:meth:`serve`, built on
-``asyncio.start_server``) for clients that are not even Python.
+JSON-over-TCP endpoint (:meth:`~LineServer.serve`) for clients that are
+not even Python.
 
 The event loop never runs solver code.  A request's blocking *front
 half* -- validation, fingerprinting, the memory probe, dispatch -- runs
@@ -48,6 +48,29 @@ latest snapshot after the quiet period
 result flagged ``superseded``.  :meth:`drain` force-flushes pending
 storms, so no waiter is stranded by shutdown.
 
+**The wire server.**  :class:`LineServer` is the connection side of the
+TCP endpoint, for this front door and for
+:class:`~repro.service.shard.ShardRouter` alike; each supplies only
+``_answer(message, req_id)``, which turns one decoded request into its
+reply.  Both therefore keep the same rules:
+
+* Lines are read up to :data:`WIRE_LINE_LIMIT` bytes.  A longer line is
+  answered ``{"ok": false, "id": null, ...}`` and then ends the
+  connection, after the lines already read are answered.
+* Each line runs as its own task, so replies to pipelined requests may
+  arrive out of order -- that is what ``id`` is for.  At EOF the
+  pending lines are still answered before the connection closes.
+* A malformed line, and anything ``_answer`` raises, comes back as
+  ``{"ok": false, "id": ..., "error": "..."}``; it never kills the
+  connection.
+* Replies are written one at a time under a per-connection lock, and a
+  reply to a client that has disconnected is dropped.
+* A subscribed reply's delta push (below) is diffed under that lock,
+  on the server's two-thread offload pool, so each subscription's base
+  table follows wire order.
+* Closing settles every line's task, closes every connection and joins
+  the offload pool.
+
 Wire protocol (one JSON object per line, responses tagged with the
 request's optional ``id``)::
 
@@ -67,6 +90,11 @@ request's optional ``id``)::
         "histograms": ...}, "slo": {...}, "text": "# TYPE ..."}
     -> {"op": "invalidate", "epoch_below": 3, "id": 9}
     <- {"ok": true, "id": 9, "dropped": 17}
+
+A reply line can exceed asyncio's default 64 KiB stream limit (a
+router's ``metrics`` reply over four shards is about 67 KB), so a
+client reads with ``asyncio.open_connection(host, port,
+limit=WIRE_LINE_LIMIT)``, as the router's shard links do.
 
 The ``metrics`` op is the structured telemetry face (see
 :mod:`repro.obs`): a mergeable registry snapshot, the SLO attainment
@@ -94,10 +122,6 @@ contact (or with ``"full_sync": true``) and only the
 :func:`~repro.service.cache.report_semantic_digest`, so a remote
 client can verify bit-identity with a local
 :func:`~repro.algorithms.auto.solve_auto` without unpickling anything.
-Responses to pipelined requests may arrive out of order -- that is what
-``id`` is for.  Errors come back as ``{"ok": false, "id": ...,
-"error": "..."}`` on the same line discipline; a malformed line never
-kills the connection.
 """
 from __future__ import annotations
 
@@ -124,10 +148,11 @@ from repro.service.server import (
 )
 from repro.workloads.trajectories import build_trajectory
 
-__all__ = ["AsyncSchedulingService", "jsonable"]
+__all__ = ["AsyncSchedulingService", "LineServer", "jsonable"]
 
-#: Per-line buffer limit of the TCP endpoint (asyncio's default 64 KiB
-#: is small for a request carrying a large knobs object).
+#: Per-line buffer limit of the TCP endpoint, for requests and replies
+#: alike (asyncio's default 64 KiB is small for a request carrying a
+#: large knobs object, and for a router's merged ``metrics`` reply).
 WIRE_LINE_LIMIT = 1 << 20
 
 
@@ -173,7 +198,201 @@ def jsonable(value):
     return repr(value)
 
 
-class AsyncSchedulingService:
+def wire_epoch_below(message: dict) -> int:
+    """The ``epoch_below`` field of an ``invalidate`` request, an exact int."""
+    if "epoch_below" not in message:
+        raise ValueError("invalidate requires an epoch_below field")
+    return validate_seed(message["epoch_below"], "epoch_below")
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except Exception:
+        pass
+
+
+class LineServer:
+    """Newline-delimited JSON over TCP, for any ``_answer`` method.
+
+    The connection loop, the write path and the close sequence of the
+    wire protocol (the rules are in the module docstring).  A subclass
+    implements ``async _answer(message, req_id) -> dict`` and may mark
+    a reply for a delta push with a private ``"_push": (sub, table,
+    full_sync)`` entry, which the write path replaces by the
+    connection's :meth:`SchedulePusher.push` payload.  Its ``aclose``
+    (also the ``async with`` exit) calls :meth:`_stop_listening` and
+    then :meth:`_close_connections`.  ``_thread_prefix`` names the
+    threads of the offload pool, which runs whatever blocking work the
+    subclass hands to :meth:`_offload`.
+    """
+
+    _thread_prefix = "repro-wire"
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._writers: Set[asyncio.StreamWriter] = set()
+        self._pushers: Set[SchedulePusher] = set()
+        self._tasks: Set[asyncio.Task] = set()
+        self._offload_pool: Optional[ThreadPoolExecutor] = None
+
+    async def serve(
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> Tuple[str, int]:
+        """Start the TCP endpoint; returns the bound ``(host, port)``.
+
+        ``port=0`` binds an ephemeral port (the form tests and
+        single-box demos use).  The listener runs on the current event
+        loop until ``aclose``.
+        """
+        if self._server is not None:
+            raise RuntimeError("serve() already called on this server")
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=WIRE_LINE_LIMIT
+        )
+        sock = self._server.sockets[0].getsockname()
+        return sock[0], sock[1]
+
+    async def _answer(self, message: dict, req_id) -> dict:
+        """One decoded request's reply; what it raises is answered
+        ``{"ok": false, ...}``."""
+        raise NotImplementedError
+
+    async def _offload(self, fn: Callable, *args):
+        """``fn(*args)`` on the offload pool, awaited from the loop."""
+        if self._offload_pool is None:
+            self._offload_pool = ThreadPoolExecutor(
+                max_workers=2, thread_name_prefix=self._thread_prefix
+            )
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._offload_pool, fn, *args)
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One client: a task per request line, each answered when done."""
+        self._writers.add(writer)
+        lock = asyncio.Lock()
+        pusher = SchedulePusher()
+        self._pushers.add(pusher)
+        pending: Set[asyncio.Task] = set()
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The stream is no longer line-delimited, so the
+                    # connection ends; the lines already read are still
+                    # answered below.
+                    await self._write(writer, lock, pusher, {
+                        "ok": False,
+                        "id": None,
+                        "error": (
+                            "ValueError: request line exceeds "
+                            f"{WIRE_LINE_LIMIT} bytes"
+                        ),
+                    })
+                    break
+                if not line:
+                    break
+                line = line.strip()
+                if not line:
+                    continue
+                task = asyncio.ensure_future(
+                    self._serve_line(line, writer, lock, pusher)
+                )
+                for registry in (pending, self._tasks):
+                    registry.add(task)
+                    task.add_done_callback(registry.discard)
+            if pending:
+                await asyncio.gather(*tuple(pending), return_exceptions=True)
+        finally:
+            self._writers.discard(writer)
+            self._pushers.discard(pusher)
+            await _close_writer(writer)
+
+    async def _serve_line(
+        self,
+        line: bytes,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        pusher: SchedulePusher,
+    ) -> None:
+        req_id = None
+        try:
+            message = json.loads(line.decode("utf-8"))
+            if not isinstance(message, dict):
+                raise ValueError("request must be a JSON object")
+            req_id = message.get("id")
+            response = await self._answer(message, req_id)
+        except Exception as exc:
+            response = {"ok": False, "id": req_id, "error": _describe(exc)}
+        await self._write(writer, lock, pusher, response)
+
+    async def _write(
+        self,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        pusher: SchedulePusher,
+        response: dict,
+    ) -> None:
+        """Write one reply line; its delta push is diffed here.
+
+        The lock is held because stream writers are not task-safe.  The
+        diff runs under it too, so the pusher's per-subscription
+        base-table chain matches the order replies hit the wire
+        (pipelined same-key requests would otherwise interleave state
+        updates and writes), and on the offload pool, because diffing a
+        large table is blocking work.
+        """
+        push = response.pop("_push", None)
+        async with lock:
+            if writer.is_closing():
+                return
+            if push is not None:
+                try:
+                    response["push"] = await self._offload(pusher.push, *push)
+                except Exception as exc:  # never kill the line
+                    response["push"] = {
+                        "mode": "error",
+                        "error": _describe(exc),
+                    }
+            try:
+                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                await writer.drain()
+            except OSError:
+                pass  # the client disconnected mid-reply
+
+    async def _stop_listening(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+
+    async def _close_connections(self) -> None:
+        """Settle every line's task, close every connection, join the
+        offload pool (idle by then, so the join is quick)."""
+        if self._tasks:
+            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
+        for writer in tuple(self._writers):
+            await _close_writer(writer)
+        self._writers.clear()
+        if self._offload_pool is not None:
+            self._offload_pool.shutdown(wait=True)
+            self._offload_pool = None
+
+    async def __aenter__(self):
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.aclose()
+
+
+class AsyncSchedulingService(LineServer):
     """An asyncio veneer over :class:`SchedulingService` with admission
     control, a JSON-over-TCP endpoint and graceful drain.
 
@@ -193,6 +412,15 @@ class AsyncSchedulingService:
         debouncing: every :meth:`solve_delta` dispatches immediately.
     """
 
+    # The offload pool is the admission pool: it runs the blocking
+    # *front half* of a request -- validate + fingerprint + memory probe
+    # + dispatch -- and response digest lookups.  Deliberately NOT the
+    # shared service pool: solves occupy that pool's threads for their
+    # whole duration, and admission queued behind them would make even
+    # a sub-millisecond memory hit wait out a cold solve (head-of-line
+    # blocking).  Owned by this front door and joined on drain.
+    _thread_prefix = "repro-admission"
+
     def __init__(
         self,
         service: Optional[SchedulingService] = None,
@@ -211,6 +439,7 @@ class AsyncSchedulingService:
             raise ValueError(
                 f"delta_debounce must be >= 0, got {delta_debounce}"
             )
+        super().__init__()
         self.service = (
             service if service is not None else SchedulingService(**service_kwargs)
         )
@@ -225,19 +454,7 @@ class AsyncSchedulingService:
             else None
         )
         self._sem = asyncio.Semaphore(max_inflight)
-        # The admission pool runs the blocking *front half* of a
-        # request -- validate + fingerprint + memory probe + dispatch
-        # -- and response digest lookups.  Deliberately NOT the shared
-        # service pool: solves occupy that pool's threads for their
-        # whole duration, and admission queued behind them would make
-        # even a sub-millisecond memory hit wait out a cold solve
-        # (head-of-line blocking).  Owned by this front door and joined
-        # on drain.
-        self._admission_pool: Optional[ThreadPoolExecutor] = None
         self._closing = False
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._request_tasks: Set[asyncio.Task] = set()
         # Admission-control accounting: queued = waiting on the
         # semaphore, active = admitted and not yet resolved.
         self._queued = 0
@@ -257,7 +474,7 @@ class AsyncSchedulingService:
 
         Admission is bounded by ``max_inflight``; past the gate, the
         blocking submit (fingerprint + cache probe + dispatch) runs on
-        the warm service pool and the coroutine awaits the resolution.
+        the admission pool and the coroutine awaits the resolution.
         Raises :class:`ServiceError` for solve failures (unchanged from
         the sync path) and for requests arriving after :meth:`drain`
         began.
@@ -284,10 +501,7 @@ class AsyncSchedulingService:
                 f"request {request.label or '<unlabeled>'} rejected: "
                 "service is draining"
             )
-        loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(
-            self._admission(), delta_key, request.problem, request.knobs
-        )
+        key = await self._offload(delta_key, request.problem, request.knobs)
         return await self._debouncer.submit(key, request)
 
     async def _debounced_solve(self, request: SolveRequest) -> ServiceResult:
@@ -332,13 +546,10 @@ class AsyncSchedulingService:
                 )
                 metrics.gauge("repro_admission_queue_depth").set(self._queued)
                 metrics.gauge("repro_admission_active").set(self._active)
-            loop = asyncio.get_running_loop()
             # Two hops: the admission pool runs the (blocking) submit,
             # which returns the request's concurrent future; awaiting
             # that future is the solve/cache-hit resolution itself.
-            inner = await loop.run_in_executor(
-                self._admission(), submit, request
-            )
+            inner = await self._offload(submit, request)
             result = await asyncio.wrap_future(inner)
             self._served += 1
             return result
@@ -353,13 +564,6 @@ class AsyncSchedulingService:
                 metrics.gauge("repro_admission_active").set(self._active)
             if self._queued == 0 and self._active == 0:
                 self._idle.set()
-
-    def _admission(self) -> ThreadPoolExecutor:
-        if self._admission_pool is None:
-            self._admission_pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="repro-admission"
-            )
-        return self._admission_pool
 
     async def solve_batch(
         self, requests: Sequence[SolveRequest]
@@ -393,219 +597,70 @@ class AsyncSchedulingService:
     async def serve(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> Tuple[str, int]:
-        """Start the TCP endpoint; returns the bound ``(host, port)``.
-
-        ``port=0`` binds an ephemeral port (the form tests and
-        single-box demos use).  The listener runs on the current event
-        loop until :meth:`drain`/:meth:`aclose`.
-        """
-        if self._server is not None:
-            raise RuntimeError("serve() already called on this front door")
         if self._closing:
             raise RuntimeError("cannot serve() on a draining front door")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=WIRE_LINE_LIMIT
-        )
-        sock = self._server.sockets[0].getsockname()
-        return sock[0], sock[1]
+        return await super().serve(host, port)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client: spawn a task per request line, answer as done.
-
-        Responses are written under a per-connection lock (stream
-        writers are not task-safe) and may interleave across requests
-        -- pipelining clients correlate by ``id``.
-        """
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        pusher = SchedulePusher()
-        pending: Set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # A line overran WIRE_LINE_LIMIT: the stream is no
-                    # longer line-delimited, so the connection must
-                    # end -- but gracefully: answer the offense, and
-                    # fall through to the pending-gather below so
-                    # already-accepted requests still get responses.
-                    await self._write_response(
-                        writer, write_lock,
-                        {
-                            "ok": False,
-                            "id": None,
-                            "error": (
-                                "ValueError: request line exceeds "
-                                f"{WIRE_LINE_LIMIT} bytes"
-                            ),
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_line(line, writer, write_lock, pusher)
-                )
-                for registry in (pending, self._request_tasks):
-                    registry.add(task)
-                    task.add_done_callback(registry.discard)
-            if pending:
-                await asyncio.gather(*tuple(pending), return_exceptions=True)
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pusher: Optional[SchedulePusher] = None,
-    ) -> None:
-        response = await self._dispatch_wire(line, pusher)
-        await self._write_response(writer, write_lock, response, pusher)
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: dict,
-        pusher: Optional[SchedulePusher] = None,
-    ) -> None:
-        """Write one response line; delta-push payloads materialize here.
-
-        A subscribed response carries a private ``_push`` marker from
-        :meth:`_dispatch_wire`; the actual diff runs *under the write
-        lock* so the pusher's per-subscription base-table chain matches
-        the order responses hit the wire (pipelined same-key requests
-        would otherwise interleave state updates and writes).  The diff
-        itself runs on the admission pool -- ``SequenceMatcher`` over a
-        large table is exactly the blocking work the loop must not do.
-        """
-        push_spec = response.pop("_push", None)
-        async with write_lock:
-            if writer.is_closing():
-                return
-            if push_spec is not None and pusher is not None:
-                sub, table, full_sync = push_spec
-                loop = asyncio.get_running_loop()
-                try:
-                    response["push"] = await loop.run_in_executor(
-                        self._admission(), pusher.push, sub, table, full_sync
-                    )
-                except Exception as exc:  # defensive: never kill the line
-                    response["push"] = {
-                        "mode": "error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-
-    async def _dispatch_wire(
-        self, line: bytes, pusher: Optional[SchedulePusher] = None
-    ) -> dict:
-        """One wire request -> one response dict; never raises."""
-        req_id = None
-        try:
-            message = json.loads(line.decode("utf-8"))
-            if not isinstance(message, dict):
-                raise ValueError("request must be a JSON object")
-            req_id = message.get("id")
-            op = message.get("op")
-            if op == "stats":
-                return {"ok": True, "id": req_id, "stats": jsonable(self.stats)}
-            if op == "metrics":
-                return self._wire_metrics(req_id)
-            if op == "invalidate":
-                return await self._wire_invalidate(message, req_id)
-            if op not in (None, "solve", "solve_delta"):
-                raise ValueError(f"unknown op {op!r}")
-            sub = message.get("sub")
-            if sub is not None and not isinstance(sub, str):
-                raise ValueError("sub must be a string subscription key")
-            request = self._wire_request(message)
-            if op == "solve_delta":
-                result = await self.solve_delta(request)
-            else:
-                result = await self.solve(request)
-            response = {
+    async def _answer(self, message: dict, req_id) -> dict:
+        op = message.get("op")
+        if op == "stats":
+            return {"ok": True, "id": req_id, "stats": jsonable(self.stats)}
+        if op == "metrics":
+            # One consistent registry snapshot, the SLO attainment
+            # report (when configured) and the snapshot as Prometheus
+            # text.  Snapshotting is a locked dict copy -- cheap enough
+            # for the event loop, and running it off-loop would only
+            # add a chance to observe a later state.
+            snap = self.service.metrics_snapshot()
+            return {
                 "ok": True,
                 "id": req_id,
-                "label": result.label,
-                "status": result.status,
-                "profit": result.profit,
-                "fingerprint": result.fingerprint.digest,
-                "semantic_digest": await self._response_digest(result),
-                "latency_s": result.latency_s,
+                "metrics": jsonable(snap["metrics"]),
+                "slo": jsonable(snap["slo"]),
+                "text": render_prometheus(snap["metrics"]),
             }
-            if op == "solve_delta":
-                response["delta"] = (
-                    result.delta.snapshot() if result.delta is not None else None
-                )
-                response["superseded"] = result.superseded
-            if sub is not None or message.get("table"):
-                loop = asyncio.get_running_loop()
-                table = await loop.run_in_executor(
-                    self._admission(), schedule_table, result.report
-                )
-                if message.get("table"):
-                    response["table"] = [list(c) for c in table]
-                    response["table_digest"] = await loop.run_in_executor(
-                        self._admission(), table_digest, table
-                    )
-                if sub is not None and pusher is not None:
-                    response["_push"] = (
-                        sub, table, bool(message.get("full_sync"))
-                    )
-            return response
-        except Exception as exc:
-            return {
-                "ok": False,
-                "id": req_id,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-
-    def _wire_metrics(self, req_id) -> dict:
-        """The ``metrics`` wire op: one consistent registry snapshot,
-        the SLO attainment report (when configured), and the snapshot's
-        Prometheus text exposition.  Snapshotting is a locked dict copy
-        -- cheap enough for the event loop, and running it off-loop
-        would only add a chance to observe a later state."""
-        snap = self.service.metrics_snapshot()
-        return {
+        if op == "invalidate":
+            # Offloaded: the disk sweep unpickles every file in the tier.
+            epoch_below = wire_epoch_below(message)
+            dropped = await self._offload(
+                lambda: self.service.invalidate(epoch_below=epoch_below)
+            )
+            return {"ok": True, "id": req_id, "dropped": dropped}
+        if op not in (None, "solve", "solve_delta"):
+            raise ValueError(f"unknown op {op!r}")
+        sub = message.get("sub")
+        if sub is not None and not isinstance(sub, str):
+            raise ValueError("sub must be a string subscription key")
+        request = self._wire_request(message)
+        if op == "solve_delta":
+            result = await self.solve_delta(request)
+        else:
+            result = await self.solve(request)
+        response = {
             "ok": True,
             "id": req_id,
-            "metrics": jsonable(snap["metrics"]),
-            "slo": jsonable(snap["slo"]),
-            "text": render_prometheus(snap["metrics"]),
+            "label": result.label,
+            "status": result.status,
+            "profit": result.profit,
+            "fingerprint": result.fingerprint.digest,
+            "semantic_digest": await self._response_digest(result),
+            "latency_s": result.latency_s,
         }
-
-    async def _wire_invalidate(self, message: dict, req_id) -> dict:
-        """The ``invalidate`` wire op: bulk-drop below a capacity epoch.
-
-        Runs on the admission pool -- the disk sweep unpickles every
-        file in the tier, blocking work by construction.  The shard
-        router fans this op out to every shard.
-        """
-        if "epoch_below" not in message:
-            raise ValueError("invalidate requires an epoch_below field")
-        epoch_below = validate_seed(message["epoch_below"], "epoch_below")
-        loop = asyncio.get_running_loop()
-        dropped = await loop.run_in_executor(
-            self._admission(),
-            lambda: self.service.invalidate(epoch_below=epoch_below),
-        )
-        return {"ok": True, "id": req_id, "dropped": dropped}
+        if op == "solve_delta":
+            response["delta"] = (
+                result.delta.snapshot() if result.delta is not None else None
+            )
+            response["superseded"] = result.superseded
+        if sub is not None or message.get("table"):
+            table = await self._offload(schedule_table, result.report)
+            if message.get("table"):
+                response["table"] = [list(c) for c in table]
+                response["table_digest"] = await self._offload(
+                    table_digest, table
+                )
+            if sub is not None:
+                response["_push"] = (sub, table, bool(message.get("full_sync")))
+        return response
 
     async def _response_digest(self, result: ServiceResult) -> str:
         """The served report's semantic digest, cheaply.
@@ -625,10 +680,7 @@ class AsyncSchedulingService:
         digest = self.service.peek_digest(result.fingerprint)
         if digest is not None:
             return digest
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._admission(), self.service.result_digest, result
-        )
+        return await self._offload(self.service.result_digest, result)
 
     @staticmethod
     def _wire_request(message: dict) -> SolveRequest:
@@ -692,9 +744,7 @@ class AsyncSchedulingService:
         admission pool is joined.  Idempotent.
         """
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
         if self._debouncer is not None:
             # Coalesced delta requests were accepted before the drain
             # began: force-fire their buckets now (the debounced solve
@@ -702,21 +752,7 @@ class AsyncSchedulingService:
             # below also covers them.
             await self._debouncer.flush_all()
         await self._idle.wait()
-        if self._request_tasks:
-            await asyncio.gather(
-                *tuple(self._request_tasks), return_exceptions=True
-            )
-        for writer in tuple(self._writers):
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-        self._writers.clear()
-        if self._admission_pool is not None:
-            # Idle by construction at this point, so the join is quick.
-            self._admission_pool.shutdown(wait=True)
-            self._admission_pool = None
+        await self._close_connections()
 
     async def aclose(self, shutdown_executors: bool = True) -> None:
         """Drain, then (by default) tear down the warm executor pools.
@@ -731,12 +767,6 @@ class AsyncSchedulingService:
         if shutdown_executors:
             # Quick by construction: the drain left every pool idle.
             shutdown_pools(wait=True)
-
-    async def __aenter__(self) -> "AsyncSchedulingService":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.aclose()
 
     # ------------------------------------------------------------------
     # Introspection

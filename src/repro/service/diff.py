@@ -5,12 +5,11 @@ whole solution on every update -- churn perturbs a handful of demands,
 and the re-solved schedule usually shares almost every *cell* with the
 previous one.  This module is the egress half of that observation, the
 ``scheduleDistributor.py`` pattern from openwsn's network manager: keep
-the last table pushed to each subscriber, diff old vs new with
-:class:`difflib.SequenceMatcher`, and transmit only the added and
-removed cells -- with a digest handshake so "applying the delta
-reproduces the full result" is *verified*, never assumed, and a
-full-sync escape hatch for the first push, an explicit client request,
-or any verification failure.
+the last table pushed to each subscriber, diff old vs new, and transmit
+only the added and removed cells -- with a digest handshake so
+"applying the delta reproduces the full result" is *verified*, never
+assumed, and a full-sync escape hatch for the first push, an explicit
+client request, or any verification failure.
 
 **Tables.**  :func:`schedule_table` flattens a served
 :class:`~repro.algorithms.base.AlgorithmReport` into its *schedule
@@ -21,19 +20,19 @@ round-trip byte-exactly after :func:`normalize_table` (JSON turns
 tuples into lists; normalization re-coerces row shape and numeric
 types, so both ends digest the same value).
 
-**Deltas.**  :func:`diff_tables` runs ``SequenceMatcher`` over the two
-row sequences and folds its opcodes into ``removed`` + ``added`` cell
-tuples (openwsn diffs its slotframe tables the same way: equal runs
-are skipped, ``delete``/``replace``/``insert`` runs become the cells
-to retract and install).  The delta carries the digest of the base
+**Deltas.**  :func:`diff_tables` takes the cells only in the old table
+as ``removed`` and those only in the new one as ``added``, each sorted
+(openwsn diffs its slotframe tables into the same two lists of cells to
+retract and install).  The delta carries the digest of the base
 table it applies to and of the target table it must produce;
 :func:`apply_delta` refuses a mismatched base (the client diverged --
 re-sync) and verifies the applied result against the target digest.
 
 **Per-subscriber state.**  :class:`SchedulePusher` is the
-per-connection egress book-keeper used by both the async front door
-and the shard router: ``push(sub, table)`` returns the wire payload --
-``{"mode": "full", ...}`` on first contact, forced sync, or
+per-connection egress book-keeper of
+:class:`~repro.service.async_front.LineServer`, so of the async front
+door and the shard router alike: ``push(sub, table)`` returns the wire
+payload -- ``{"mode": "full", ...}`` on first contact, forced sync, or
 self-verification failure; ``{"mode": "delta", ...}`` otherwise -- and
 :class:`ScheduleFollower` is the client-side mirror that applies
 payloads and enforces the digest handshake (the bench's churn
@@ -42,7 +41,6 @@ subscriber and the tests drive it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from difflib import SequenceMatcher
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import AlgorithmReport
@@ -152,28 +150,15 @@ def diff_tables(
 ) -> ScheduleDelta:
     """Diff two schedule tables into add/remove cells.
 
-    ``SequenceMatcher`` over the sorted row sequences, exactly the
-    openwsn ``scheduleDistributor`` move: matching runs cost nothing,
-    ``delete``/``replace`` runs are retractions, ``insert``/``replace``
-    runs are installations.  (Rows are unique -- instance ids are -- so
-    the opcode fold is equivalent to a set diff, but the matcher keeps
-    the common-run scan linear in table size and mirrors the reference
-    implementation.)
+    Rows are unique (instance ids are), so the delta is two sorted set
+    differences: the cells to retract and the cells to install.
     """
     old_n, new_n = normalize_table(old), normalize_table(new)
-    matcher = SequenceMatcher(a=old_n, b=new_n, autojunk=False)
-    added: List[Cell] = []
-    removed: List[Cell] = []
-    for op, i1, i2, j1, j2 in matcher.get_opcodes():
-        if op in ("delete", "replace"):
-            removed.extend(old_n[i1:i2])
-        if op in ("insert", "replace"):
-            added.extend(new_n[j1:j2])
     return ScheduleDelta(
         base_digest=table_digest(old_n),
         target_digest=table_digest(new_n),
-        added=tuple(added),
-        removed=tuple(removed),
+        added=tuple(sorted(set(new_n).difference(old_n))),
+        removed=tuple(sorted(set(old_n).difference(new_n))),
     )
 
 

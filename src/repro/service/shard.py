@@ -5,20 +5,21 @@ at one process's worth of solver throughput.  This module horizontally
 partitions the serving tier without changing a byte of the wire
 protocol: :class:`ShardCluster` forks N worker processes, each running
 the full async front door over its own :class:`SchedulingService`, and
-:class:`ShardRouter` listens on the same newline-delimited JSON-over-TCP
-discipline, routing every solve to the shard that *owns* the request's
-solve fingerprint.
+:class:`ShardRouter` is a :class:`~repro.service.async_front.LineServer`
+like the front door, so it keeps the same wire rules, and routes every
+solve to the shard that *owns* the request's solve fingerprint.
 
 **Ownership = consistent hashing on the fingerprint digest.**  The
 router computes each request's real
 :func:`~repro.service.fingerprint.solve_fingerprint` (the same digest
 the shards key their caches on) and maps it onto a sha256
-:class:`HashRing` with virtual nodes.  Identical requests therefore
-always land on the same shard -- coalescing, caching, and delta-solve
-ancestry all keep working per shard -- and when a shard dies only the
-keys it owned move (to the ring neighbors), everyone else's cache stays
-warm.  Routing is deterministic in the shard set, so a restarted router
-over the same shards routes identically.
+:class:`HashRing` with :data:`VNODES` virtual nodes per shard.
+Identical requests therefore always land on the same shard --
+coalescing, caching, and delta-solve ancestry all keep working per
+shard -- and when a shard dies only the keys it owned move (to the ring
+neighbors), everyone else's cache stays warm.  Routing is deterministic
+in the shard set, so a restarted router over the same shards routes
+identically.
 
 **Shared disk tier.**  Shards may share one ``disk_dir``: the
 :class:`~repro.service.cache.ResultCache` disk tier is append-mostly
@@ -44,9 +45,8 @@ egress-stateless.
 removed from the ring and its in-flight requests are retried on the new
 owner; the retried request is a cold miss there (or a disk hit, with a
 shared tier) but returns the bit-identical artifact -- the acceptance
-check of bench E22.  A severed *client* never takes the router down:
-response writes to a closing transport are dropped, exactly like the
-front door.
+check of bench E22.  A severed *client* only loses its own replies;
+the shards behind it stay live.
 """
 from __future__ import annotations
 
@@ -57,18 +57,17 @@ import json
 import multiprocessing
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.distributed.mis import validate_seed
 from repro.obs import default_registry, merge_snapshots, render_prometheus
 from repro.service.async_front import (
     WIRE_LINE_LIMIT,
     AsyncSchedulingService,
+    LineServer,
     jsonable,
+    wire_epoch_below,
 )
-from repro.service.diff import SchedulePusher
 
 __all__ = [
     "HashRing",
@@ -76,6 +75,13 @@ __all__ = [
     "ShardRouter",
     "ShardUnavailable",
 ]
+
+#: Virtual nodes per shard on the hash ring.
+VNODES = 64
+
+#: How many request -> digest routing decisions a router memoizes (the
+#: digest requires building the workload; replayed traffic skips that).
+ROUTE_CACHE_SIZE = 2048
 
 
 class ShardUnavailable(RuntimeError):
@@ -88,7 +94,7 @@ class ShardUnavailable(RuntimeError):
 class HashRing:
     """A sha256 consistent-hash ring with virtual nodes.
 
-    Each shard id is hashed onto ``vnodes`` points of a 64-bit ring;
+    Each shard id is hashed onto :data:`VNODES` points of a 64-bit ring;
     a key is owned by the first shard point at or clockwise-after the
     key's own point.  Removing a shard re-homes *only* the keys it
     owned (they fall to the next point on the ring); every other
@@ -96,10 +102,7 @@ class HashRing:
     caches warm through a shard death.
     """
 
-    def __init__(self, shard_ids: Sequence[str], vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be positive, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, shard_ids: Sequence[str]) -> None:
         self._shards: List[str] = []
         self._points: List[int] = []
         self._owners: List[str] = []
@@ -115,7 +118,7 @@ class HashRing:
         pairs = sorted(
             (self._point(f"vnode/{sid}/{i}"), sid)
             for sid in self._shards
-            for i in range(self.vnodes)
+            for i in range(VNODES)
         )
         self._points = [p for p, _ in pairs]
         self._owners = [sid for _, sid in pairs]
@@ -441,15 +444,15 @@ def _merge_numeric(acc: dict, stats: dict) -> dict:
     return acc
 
 
-class ShardRouter:
+class ShardRouter(LineServer):
     """The wire-compatible front of a shard cluster.
 
-    Speaks exactly the :class:`AsyncSchedulingService` protocol on the
-    client side; on the shard side it keeps one multiplexed
-    :class:`_ShardLink` per shard and routes each solve to the
-    :class:`HashRing` owner of its solve-fingerprint digest.  See the
-    module docstring for the routing, fan-out, failover and delta-push
-    semantics.
+    A :class:`~repro.service.async_front.LineServer`, so it speaks the
+    :class:`AsyncSchedulingService` protocol on the client side; on the
+    shard side it keeps one multiplexed :class:`_ShardLink` per shard
+    and routes each solve to the :class:`HashRing` owner of its
+    solve-fingerprint digest.  See the module docstring for the
+    routing, fan-out, failover and delta-push semantics.
 
     Parameters
     ----------
@@ -457,12 +460,6 @@ class ShardRouter:
         The shard ``(host, port)`` list (what :meth:`ShardCluster.start`
         returns).  Shard ids are ``shard-<index>`` in address order, so
         routing is deterministic in the address list.
-    vnodes:
-        Virtual nodes per shard on the hash ring.
-    route_cache_size:
-        How many request->digest routing decisions to memoize (the
-        digest requires building the workload; replayed traffic skips
-        that).
     reprobe_interval:
         Seconds between automatic :meth:`reprobe` sweeps over dead
         shards (the task starts with :meth:`serve`); ``None`` (the
@@ -470,11 +467,12 @@ class ShardRouter:
         ``{"op": "reprobe"}`` wire op still work on demand.
     """
 
+    _thread_prefix = "repro-router"
+
     def __init__(
         self,
         addresses: Sequence[Tuple[str, int]],
-        vnodes: int = 64,
-        route_cache_size: int = 2048,
+        *,
         reprobe_interval: Optional[float] = None,
     ) -> None:
         if reprobe_interval is not None and reprobe_interval <= 0:
@@ -483,26 +481,19 @@ class ShardRouter:
             )
         if not addresses:
             raise ValueError("a router needs at least one shard address")
+        super().__init__()
         self._links: Dict[str, _ShardLink] = {}
-        ids = []
         for i, (host, port) in enumerate(addresses):
             sid = f"shard-{i}"
-            ids.append(sid)
             self._links[sid] = _ShardLink(sid, host, port)
-        self._ring = HashRing(ids, vnodes=vnodes)
+        self._ring = HashRing(list(self._links))
         self._route_cache: "OrderedDict[str, str]" = OrderedDict()
-        self._route_cache_size = route_cache_size
-        self._fp_pool: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._tasks: Set[asyncio.Task] = set()
         # Routing counters for the stats surface.
         self._routed = 0
         self._route_hits = 0
         self._reroutes = 0
         self._rejoins = 0
         self._dead: Set[str] = set()
-        self._pushers: Set[SchedulePusher] = set()
         self.reprobe_interval = reprobe_interval
         self._reprobe_task: Optional[asyncio.Task] = None
 
@@ -510,16 +501,10 @@ class ShardRouter:
     async def serve(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> Tuple[str, int]:
-        """Start listening; returns the bound ``(host, port)``."""
-        if self._server is not None:
-            raise RuntimeError("serve() already called on this router")
-        self._server = await asyncio.start_server(
-            self._handle_client, host, port, limit=WIRE_LINE_LIMIT
-        )
+        bound = await super().serve(host, port)
         if self.reprobe_interval is not None:
             self._reprobe_task = asyncio.ensure_future(self._reprobe_loop())
-        sock = self._server.sockets[0].getsockname()
-        return sock[0], sock[1]
+        return bound
 
     async def aclose(self) -> None:
         """Stop listening, settle in-flight requests, close the links."""
@@ -530,155 +515,33 @@ class ShardRouter:
             except (asyncio.CancelledError, Exception):
                 pass
             self._reprobe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
-        for writer in tuple(self._writers):
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-        self._writers.clear()
+        await self._stop_listening()
+        await self._close_connections()
         for link in self._links.values():
             await link.close()
-        if self._fp_pool is not None:
-            self._fp_pool.shutdown(wait=True)
-            self._fp_pool = None
-
-    async def __aenter__(self) -> "ShardRouter":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.aclose()
-
-    # -- client side ---------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Same line discipline as the front door: task per line,
-        responses under a per-connection write lock, oversized lines
-        answered then disconnected, pending work settled on EOF."""
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        pusher = SchedulePusher()
-        self._pushers.add(pusher)
-        pending: Set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._write(
-                        writer, write_lock,
-                        {
-                            "ok": False,
-                            "id": None,
-                            "error": (
-                                "ValueError: request line exceeds "
-                                f"{WIRE_LINE_LIMIT} bytes"
-                            ),
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_line(line, writer, write_lock, pusher)
-                )
-                for registry in (pending, self._tasks):
-                    registry.add(task)
-                    task.add_done_callback(registry.discard)
-            if pending:
-                await asyncio.gather(*tuple(pending), return_exceptions=True)
-        finally:
-            self._writers.discard(writer)
-            self._pushers.discard(pusher)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pusher: SchedulePusher,
-    ) -> None:
-        response = await self._dispatch(line, pusher)
-        await self._write(writer, write_lock, response, pusher)
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: dict,
-        pusher: Optional[SchedulePusher] = None,
-    ) -> None:
-        """Relay one response; delta-push diffs materialize here, under
-        the write lock, so each subscription's base-table chain matches
-        wire order (same discipline as the front door)."""
-        push_spec = response.pop("_push", None)
-        async with write_lock:
-            if writer.is_closing():
-                return
-            if push_spec is not None and pusher is not None:
-                sub, table, full_sync = push_spec
-                loop = asyncio.get_running_loop()
-                try:
-                    response["push"] = await loop.run_in_executor(
-                        self._pool(), pusher.push, sub, table, full_sync
-                    )
-                except Exception as exc:
-                    response["push"] = {
-                        "mode": "error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-            try:
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
-            except (OSError, ConnectionError):
-                pass  # client severed mid-response; nothing to do
 
     # -- dispatch ------------------------------------------------------
-    async def _dispatch(self, line: bytes, pusher: SchedulePusher) -> dict:
-        req_id = None
-        try:
-            message = json.loads(line.decode("utf-8"))
-            if not isinstance(message, dict):
-                raise ValueError("request must be a JSON object")
-            req_id = message.get("id")
-            op = message.get("op")
-            if op == "stats":
-                return {"ok": True, "id": req_id, "stats": await self._stats()}
-            if op == "metrics":
-                return {"ok": True, "id": req_id, **await self._metrics()}
-            if op == "reprobe":
-                return {
-                    "ok": True,
-                    "id": req_id,
-                    "rejoined": await self.reprobe(),
-                }
-            if op == "invalidate":
-                dropped = await self._broadcast_invalidate(message)
-                return {"ok": True, "id": req_id, "dropped": dropped}
-            if op not in (None, "solve", "solve_delta"):
-                raise ValueError(f"unknown op {op!r}")
-            return await self._route_solve(message, req_id)
-        except Exception as exc:
-            return {
-                "ok": False,
-                "id": req_id,
-                "error": f"{type(exc).__name__}: {exc}",
+    async def _answer(self, message: dict, req_id) -> dict:
+        op = message.get("op")
+        if op == "stats":
+            return {"ok": True, "id": req_id, "stats": await self._stats()}
+        if op == "metrics":
+            return {"ok": True, "id": req_id, **await self._metrics()}
+        if op == "reprobe":
+            return {"ok": True, "id": req_id, "rejoined": await self.reprobe()}
+        if op == "invalidate":
+            forward = {
+                "op": "invalidate",
+                "epoch_below": wire_epoch_below(message),
             }
+            dropped = sum(
+                int(response.get("dropped", 0))
+                for _, response in await self._fan_out(forward)
+            )
+            return {"ok": True, "id": req_id, "dropped": dropped}
+        if op not in (None, "solve", "solve_delta"):
+            raise ValueError(f"unknown op {op!r}")
+        return await self._route_solve(message, req_id)
 
     async def _route_solve(self, message: dict, req_id) -> dict:
         sub = message.get("sub")
@@ -791,8 +654,8 @@ class ShardRouter:
         ``SolveRequest.fingerprint``), so router-side ownership and
         shard-side cache keys can never disagree.  Building the
         workload to fingerprint it is blocking work -- it runs on the
-        router's small thread pool, memoized on the routing-relevant
-        message fields for replayed traffic.
+        offload pool, memoized on the routing-relevant message fields
+        for replayed traffic.
         """
         cache_key = json.dumps(
             {
@@ -807,64 +670,55 @@ class ShardRouter:
             self._route_cache.move_to_end(cache_key)
             self._route_hits += 1
             return cached
-        loop = asyncio.get_running_loop()
-        digest = await loop.run_in_executor(
-            self._pool(),
+        digest = await self._offload(
             lambda: AsyncSchedulingService._wire_request(message)
             .fingerprint()
-            .digest,
+            .digest
         )
         self._route_cache[cache_key] = digest
-        while len(self._route_cache) > self._route_cache_size:
+        while len(self._route_cache) > ROUTE_CACHE_SIZE:
             self._route_cache.popitem(last=False)
         return digest
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._fp_pool is None:
-            self._fp_pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="repro-router"
-            )
-        return self._fp_pool
-
     # -- fan-out ops ---------------------------------------------------
-    def _live_links(self) -> List[_ShardLink]:
-        return [
-            self._links[sid]
-            for sid in self._ring.shard_ids
-            if sid not in self._dead
-        ]
+    async def _fan_out(
+        self, message: dict, check: bool = True
+    ) -> List[Tuple[str, dict]]:
+        """Send *message* to every live shard; ``(shard id, reply)`` pairs.
 
-    async def _broadcast_invalidate(self, message: dict) -> int:
-        if "epoch_below" not in message:
-            raise ValueError("invalidate requires an epoch_below field")
-        epoch_below = validate_seed(message["epoch_below"], "epoch_below")
-        forward = {"op": "invalidate", "epoch_below": epoch_below}
-        dropped = 0
-        for link in self._live_links():
+        An unreachable shard is marked dead and skipped.  With *check*,
+        a shard's ``ok: false`` reply fails the whole op.
+        """
+        replies = []
+        for shard_id in self._ring.shard_ids:
             try:
-                response = await link.request(forward)
+                response = await self._links[shard_id].request(message)
             except ShardUnavailable:
-                self._mark_dead(link.shard_id)
+                self._mark_dead(shard_id)
                 continue
-            if not response.get("ok"):
+            if check and not response.get("ok"):
                 raise RuntimeError(
-                    f"shard {link.shard_id} invalidate failed: "
+                    f"shard {shard_id} {message['op']} failed: "
                     f"{response.get('error')}"
                 )
-            dropped += int(response.get("dropped", 0))
-        return dropped
+            replies.append((shard_id, response))
+        return replies
+
+    def _ring_state(self) -> dict:
+        return {
+            "shards_live": len(self._ring),
+            "shards_dead": sorted(self._dead),
+            "reroutes": self._reroutes,
+            "ring_rejoins": self._rejoins,
+        }
 
     async def _stats(self) -> dict:
         shards = []
         aggregate: dict = {}
-        for link in self._live_links():
-            try:
-                response = await link.request({"op": "stats"})
-            except ShardUnavailable:
-                self._mark_dead(link.shard_id)
-                continue
+        replies = await self._fan_out({"op": "stats"}, check=False)
+        for shard_id, response in replies:
             stats = response.get("stats") or {}
-            shards.append({"shard": link.shard_id, **stats})
+            shards.append({"shard": shard_id, **stats})
             _merge_numeric(aggregate, stats)
         egress: dict = {}
         for pusher in self._pushers:
@@ -872,12 +726,9 @@ class ShardRouter:
         return jsonable(
             {
                 "router": {
-                    "shards_live": len(self._ring),
-                    "shards_dead": sorted(self._dead),
+                    **self._ring_state(),
                     "routed": self._routed,
                     "route_cache_hits": self._route_hits,
-                    "reroutes": self._reroutes,
-                    "ring_rejoins": self._rejoins,
                     "connections": len(self._writers),
                     "egress": egress,
                 },
@@ -897,39 +748,19 @@ class ShardRouter:
         per-shard breakdown rides alongside, so a latency regression is
         attributable to the shard that caused it.
         """
-        shards = []
-        snapshots = []
-        for link in self._live_links():
-            try:
-                response = await link.request({"op": "metrics"})
-            except ShardUnavailable:
-                self._mark_dead(link.shard_id)
-                continue
-            if not response.get("ok"):
-                raise RuntimeError(
-                    f"shard {link.shard_id} metrics failed: "
-                    f"{response.get('error')}"
-                )
-            snap = response.get("metrics") or {}
-            snapshots.append(snap)
-            shards.append(
-                {
-                    "shard": link.shard_id,
-                    "metrics": snap,
-                    "slo": response.get("slo"),
-                }
-            )
-        cluster = merge_snapshots(snapshots)
+        replies = await self._fan_out({"op": "metrics"})
+        shards = [
+            {
+                "shard": shard_id,
+                "metrics": response.get("metrics") or {},
+                "slo": response.get("slo"),
+            }
+            for shard_id, response in replies
+        ]
+        cluster = merge_snapshots([shard["metrics"] for shard in shards])
         return {
             "cluster": cluster,
             "shards": shards,
-            "router": jsonable(
-                {
-                    "shards_live": len(self._ring),
-                    "shards_dead": sorted(self._dead),
-                    "reroutes": self._reroutes,
-                    "ring_rejoins": self._rejoins,
-                }
-            ),
+            "router": jsonable(self._ring_state()),
             "text": render_prometheus(cluster),
         }

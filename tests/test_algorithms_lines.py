@@ -83,6 +83,14 @@ class TestNarrowLines:
         with pytest.raises(ValueError):
             solve_narrow_lines(problem)
 
+    def test_rejects_bad_hmin(self):
+        problem = random_line_problem(
+            20, 6, r=2, seed=70, height_profile="narrow", hmin=0.1
+        )
+        assert problem.hmin < 0.45
+        with pytest.raises(ValueError, match="exceeds an actual demand height"):
+            solve_narrow_lines(problem, hmin=0.45)
+
     def test_identical_narrow_jobs_respect_guarantee(self):
         from repro.core.demand import WindowDemand
         from repro.core.problem import Problem

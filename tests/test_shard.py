@@ -78,8 +78,6 @@ class TestHashRing:
     def test_validation(self):
         with pytest.raises(ValueError, match="already"):
             HashRing(["s0", "s0"])
-        with pytest.raises(ValueError, match="vnodes"):
-            HashRing(["s0"], vnodes=0)
         ring = HashRing(["s0"])
         ring.remove("ghost")  # absent removal is a no-op
         assert len(ring) == 1
